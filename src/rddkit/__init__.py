@@ -15,13 +15,13 @@ from rddkit.diffusion import (
     reverse_step,
     posterior_mean_x0,
 )
+from rddkit.config import NetSection, FinetuneSection, SvddSection
 from rddkit.denoiser import (
-    DenoiserConfig,
     DenoiserParams,
     OptimizerState,
     init_params,
     predict_noise,
-    loss_and_grad,
+    loss_and_grad_arrays,
     adam_step,
     save_model,
     load_model,
@@ -39,8 +39,8 @@ from rddkit.rewards import (
     check_self_intersection,
     ship_reward,
 )
-from rddkit.sampler import SvddConfig, svdd_generate, svdd_step, soft_value_estimate
-from rddkit.finetune import FinetuneConfig, finetune, rollin_collect, weighted_epoch
+from rddkit.sampler import svdd_generate
+from rddkit.finetune import finetune, rollin_collect, weighted_epoch
 from rddkit.hull import (
     HullDims,
     ResistanceResult,

@@ -48,8 +48,8 @@ def nearest_mode_fractions(X, modes=MIXTURE_MODES):
     return np.bincount(nearest, minlength=modes.shape[0]) / X.shape[0]
 
 
-def default_benchmark_reward(alpha=1.0):
-    return SyntheticTargetReward(SYNTHETIC_TARGET, alpha=alpha)
+def default_benchmark_reward():
+    return SyntheticTargetReward(SYNTHETIC_TARGET)
 
 
 def sample_hull_params(n, seed, ranges=HULL_PARAM_RANGES):

@@ -20,10 +20,10 @@ import numpy as np
 
 from rddkit import benchmark, config as cfgmod
 from rddkit.data import Dataset, denormalize, load_dataset, normalize, save_samples
-from rddkit.denoiser import DenoiserConfig, load_model, save_model
+from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
-from rddkit.finetune import FinetuneConfig, finetune
+from rddkit.finetune import finetune
 from rddkit.hull import aggregate_total_resistance, scale_params
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import train_ddpm
@@ -33,7 +33,7 @@ from rddkit.rewards import (
     SurrogateReward,
     SyntheticTargetReward,
 )
-from rddkit.sampler import SvddConfig, svdd_generate
+from rddkit.sampler import svdd_generate
 from rddkit.trees import fit_ensemble, load_ensemble, predict_ensemble, r2_score, save_ensemble
 
 log = logging.getLogger("rddkit")
@@ -77,21 +77,22 @@ def _archive_run(outdir, command, cfg, timings, outputs):
         fh.write("\n")
 
 
-def _build_reward(rc):
-    """Reward model from the reward config section."""
+def _build_reward(rc, d):
+    """Reward model from the reward config section, for d-dimensional designs."""
     if rc.kind == "synthetic":
         target = np.asarray(rc.target, dtype=np.float64) if rc.target is not None \
             else benchmark.SYNTHETIC_TARGET
-        return SyntheticTargetReward(target, alpha=rc.alpha)
+        if target.shape != (d,):
+            raise ConfigError(f"reward.target: needs {d} entries to match the model, "
+                              f"got {target.size}")
+        return SyntheticTargetReward(target)
     if rc.kind == "hull":
-        return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset,
-                                    alpha=rc.alpha)
+        return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset)
     if rc.kind == "surrogate":
-        return SurrogateReward(load_ensemble(rc.surrogate_path), alpha=rc.alpha)
+        return SurrogateReward(load_ensemble(rc.surrogate_path))
     if rc.kind == "airfoil":
-        base = SurrogateReward(load_ensemble(rc.surrogate_path), alpha=rc.alpha)
-        return AirfoilFeasibilityReward(base, alpha=rc.alpha,
-                                        lambda_range=rc.lambda_range,
+        base = SurrogateReward(load_ensemble(rc.surrogate_path))
+        return AirfoilFeasibilityReward(base, lambda_range=rc.lambda_range,
                                         lambda_intersect=rc.lambda_intersect)
     raise ConfigError(f"reward.kind: unknown reward '{rc.kind}'")
 
@@ -137,11 +138,8 @@ def cmd_pretrain(args):
 
     sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start,
                           cfg.schedule.beta_end, cfg.schedule.kind)
-    net = DenoiserConfig(embed_dim=cfg.net.embed_dim,
-                         hidden_dims=tuple(cfg.net.hidden_dims),
-                         activation=cfg.net.activation)
     t0 = time.perf_counter()
-    params, history = train_ddpm(norm, sched, net,
+    params, history = train_ddpm(norm, sched, cfg.net,
                                  epochs=cfg.pretrain.epochs,
                                  batch_size=cfg.pretrain.batch_size,
                                  seed=cfg.pretrain.seed,
@@ -173,15 +171,9 @@ def cmd_finetune(args):
     params_pre, sched, meta, stats = _load_model_bundle(args.model)
     timings = {"load": time.perf_counter() - t0}
 
-    reward = _build_reward(cfg.reward)
-    ft = FinetuneConfig(S=cfg.finetune.S, m=cfg.finetune.m,
-                        alpha=cfg.finetune.alpha, gamma=cfg.finetune.gamma,
-                        kl_anchor=cfg.finetune.kl_anchor,
-                        anchor_kappa=cfg.finetune.anchor_kappa,
-                        batch_size=cfg.finetune.batch_size,
-                        seed=cfg.finetune.seed)
+    reward = _build_reward(cfg.reward, params_pre.d)
     t0 = time.perf_counter()
-    params, history = finetune(params_pre, reward, ft, sched, stats=stats)
+    params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
     timings["finetune"] = time.perf_counter() - t0
 
     model_path = _outpath(outdir, args.model_name)
@@ -216,11 +208,9 @@ def cmd_sample(args):
     params, sched, meta, stats = _load_model_bundle(args.model)
     timings = {"load": time.perf_counter() - t0}
 
-    reward = _build_reward(cfg.reward)
-    sv = SvddConfig(M=cfg.svdd.M, alpha=cfg.svdd.alpha,
-                    n_traj=cfg.svdd.n_traj, seed=cfg.svdd.seed)
+    reward = _build_reward(cfg.reward, params.d)
     t0 = time.perf_counter()
-    trajectories = svdd_generate(params, sched, sv, reward, stats=stats)
+    trajectories = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
     timings["sample"] = time.perf_counter() - t0
 
     X0 = np.stack([tr.x0 for tr in trajectories])
@@ -230,7 +220,7 @@ def cmd_sample(args):
     save_samples(samples_path, designs, rewards)
 
     summary = _reward_summary(rewards)
-    summary.update({"M": sv.M, "alpha": sv.alpha, "seed": sv.seed,
+    summary.update({"M": cfg.svdd.M, "alpha": cfg.svdd.alpha, "seed": cfg.svdd.seed,
                     "wall_seconds": round(timings["sample"], 6)})
     summary_path = _outpath(outdir, "sample_summary.json")
     with open(summary_path, "w") as fh:

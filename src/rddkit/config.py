@@ -1,6 +1,11 @@
 """Run configuration: nested dataclasses, JSON parsing with unknown-key
 rejection, and serialization that echoes every defaulted field so an
 archived config fully reproduces a run.
+
+The sections are also the library's parameter objects: init_params and
+train_ddpm take a NetSection, finetune a FinetuneSection and svdd_generate
+an SvddSection. Each section's check() is the one validation of its fields;
+validate runs them all and the library entry points run their own.
 """
 
 import dataclasses
@@ -10,12 +15,26 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from rddkit.exceptions import ConfigError
 
 
+def _list_of(value, types):
+    """True for a non-empty list or tuple of non-bool instances of types."""
+    return isinstance(value, (list, tuple)) and bool(value) and not any(
+        isinstance(x, bool) or not isinstance(x, types) for x in value)
+
+
 @dataclass
 class ScheduleSection:
     T: int = 100
     beta_start: float = 1e-4
     beta_end: float = 0.02
     kind: str = "linear"
+
+    def check(self):
+        if self.T < 1:
+            raise ConfigError("schedule.T: must be >= 1")
+        if not (0.0 < self.beta_start < 1.0) or not (0.0 < self.beta_end < 1.0):
+            raise ConfigError("schedule.beta_start/beta_end: must lie in (0, 1)")
+        if self.kind != "linear":
+            raise ConfigError(f"schedule.kind: unknown schedule '{self.kind}'")
 
 
 @dataclass
@@ -24,6 +43,15 @@ class NetSection:
     hidden_dims: list = field(default_factory=lambda: [256, 256])
     activation: str = "tanh"
 
+    def check(self):
+        if self.embed_dim <= 0 or self.embed_dim % 2:
+            raise ConfigError("net.embed_dim: must be a positive even integer")
+        if self.activation != "tanh":
+            raise ConfigError(f"net.activation: unsupported activation '{self.activation}'")
+        if not _list_of(self.hidden_dims, int) or min(self.hidden_dims) < 1:
+            raise ConfigError("net.hidden_dims: expected a non-empty list of integers >= 1, "
+                              f"got {self.hidden_dims!r}")
+
 
 @dataclass
 class PretrainSection:
@@ -31,6 +59,14 @@ class PretrainSection:
     batch_size: int = 128
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def check(self):
+        if self.epochs < 0:
+            raise ConfigError("pretrain.epochs: must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("pretrain.batch_size: must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("pretrain.learning_rate: must be > 0")
 
 
 @dataclass
@@ -44,6 +80,19 @@ class FinetuneSection:
     batch_size: int = 64
     seed: int = 1
 
+    def check(self):
+        # S = 0 is permitted as the do-nothing identity
+        if self.S < 0:
+            raise ConfigError("finetune.S: must be >= 0")
+        if self.m < 2:
+            raise ConfigError("finetune.m: must be >= 2")
+        if self.alpha <= 0:
+            raise ConfigError("finetune.alpha: must be > 0")
+        if self.gamma <= 0:
+            raise ConfigError("finetune.gamma: must be > 0")
+        if self.batch_size < 1:
+            raise ConfigError("finetune.batch_size: must be >= 1")
+
 
 @dataclass
 class SvddSection:
@@ -52,11 +101,21 @@ class SvddSection:
     n_traj: int = 1000
     seed: int = 2
 
+    def check(self):
+        if self.M < 1:
+            raise ConfigError("svdd.M: must be >= 1")
+        if self.alpha < 0:
+            raise ConfigError("svdd.alpha: must be >= 0")
+        if self.n_traj < 1:
+            raise ConfigError("svdd.n_traj: must be >= 1")
+
+
+_REWARD_KINDS = ("synthetic", "hull", "surrogate", "airfoil")
+
 
 @dataclass
 class RewardSection:
     kind: str = "synthetic"        # synthetic | hull | surrogate | airfoil
-    alpha: float = 1.0
     target: list = None            # synthetic: target point; None = benchmark default
     loa: float = 80.0              # hull: overall length in metres
     scale: float = 1e-6            # hull: resistance-to-reward scale
@@ -64,6 +123,17 @@ class RewardSection:
     surrogate_path: str = None     # surrogate / airfoil: fitted tree file
     lambda_range: float = 10.0     # airfoil: out-of-range penalty weight
     lambda_intersect: float = 1.0  # airfoil: self-intersection penalty weight
+
+    def check(self):
+        if self.kind not in _REWARD_KINDS:
+            raise ConfigError(
+                f"reward.kind: must be one of {_REWARD_KINDS}, got '{self.kind}'")
+        if self.target is not None and not _list_of(self.target, (int, float)):
+            raise ConfigError("reward.target: expected a non-empty list of numbers")
+        if self.kind == "hull" and self.loa <= 0:
+            raise ConfigError("reward.loa: must be > 0")
+        if self.kind in ("surrogate", "airfoil") and not self.surrogate_path:
+            raise ConfigError("reward.surrogate_path: required for surrogate rewards")
 
 
 @dataclass
@@ -78,96 +148,43 @@ class RunConfig:
     outdir: str = "runs"
 
 
-_REWARD_KINDS = ("synthetic", "hull", "surrogate", "airfoil")
+# declared field type -> (accepted value types, name in errors); bools are
+# accepted only for bool fields, although bool is a subclass of int
+_ACCEPTED = {bool: (bool, "true/false"), int: (int, "an integer"),
+             float: ((int, float), "a number"), str: (str, "a string"),
+             list: (list, "a list")}
 
-_BOOL_FIELDS = {"kl_anchor"}
 
-
-def _assign(section, key, value, path):
-    cur = getattr(section, key)
-    if key in _BOOL_FIELDS and not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    if isinstance(cur, bool) and not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    if isinstance(cur, int) and not isinstance(cur, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if isinstance(cur, float) and not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if isinstance(cur, str) and not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    setattr(section, key, value)
+def _checked(value, f, path):
+    """value, if it has the field's declared type; null only where null is the default."""
+    if value is None and f.default is None:
+        return value
+    types, name = _ACCEPTED[f.type]
+    if not isinstance(value, types) or (isinstance(value, bool) and f.type is not bool):
+        raise ConfigError(f"{path}: expected {name}, got {value!r}")
+    return value
 
 
 def _merge(section, data, path=""):
     if not isinstance(data, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object")
-    valid = {f.name for f in fields(section)}
+    declared = {f.name: f for f in fields(section)}
     for key, value in data.items():
         here = f"{path}{key}"
-        if key not in valid:
+        if key not in declared:
             raise ConfigError(f"{here}: unknown key")
-        cur = getattr(section, key)
-        if is_dataclass(cur):
-            _merge(cur, value, path=f"{here}.")
+        f = declared[key]
+        if is_dataclass(f.type):
+            _merge(getattr(section, key), value, path=f"{here}.")
         else:
-            _assign(section, key, value, here)
+            setattr(section, key, _checked(value, f, here))
     return section
 
 
 def validate(cfg):
-    """Cross-field checks, reported with the offending key path."""
-    s = cfg.schedule
-    if s.T < 1:
-        raise ConfigError("schedule.T: must be >= 1")
-    if not (0.0 < s.beta_start < 1.0) or not (0.0 < s.beta_end < 1.0):
-        raise ConfigError("schedule.beta_start/beta_end: must lie in (0, 1)")
-    if s.kind != "linear":
-        raise ConfigError(f"schedule.kind: unknown schedule '{s.kind}'")
-    if cfg.net.embed_dim <= 0 or cfg.net.embed_dim % 2:
-        raise ConfigError("net.embed_dim: must be a positive even integer")
-    if cfg.net.activation != "tanh":
-        raise ConfigError(f"net.activation: unsupported activation '{cfg.net.activation}'")
-    if any(h < 1 for h in cfg.net.hidden_dims):
-        raise ConfigError("net.hidden_dims: layer widths must be >= 1")
-    if cfg.pretrain.epochs < 0:
-        raise ConfigError("pretrain.epochs: must be >= 0")
-    if cfg.pretrain.batch_size < 1:
-        raise ConfigError("pretrain.batch_size: must be >= 1")
-    if cfg.pretrain.learning_rate <= 0:
-        raise ConfigError("pretrain.learning_rate: must be > 0")
-    f = cfg.finetune
-    if f.S < 0:
-        raise ConfigError("finetune.S: must be >= 0")
-    if f.m < 2:
-        raise ConfigError("finetune.m: must be >= 2")
-    if f.alpha <= 0:
-        raise ConfigError("finetune.alpha: must be > 0")
-    if f.gamma <= 0:
-        raise ConfigError("finetune.gamma: must be > 0")
-    if f.batch_size < 1:
-        raise ConfigError("finetune.batch_size: must be >= 1")
-    v = cfg.svdd
-    if v.M < 1:
-        raise ConfigError("svdd.M: must be >= 1")
-    if v.alpha < 0:
-        raise ConfigError("svdd.alpha: must be >= 0")
-    if v.n_traj < 1:
-        raise ConfigError("svdd.n_traj: must be >= 1")
-    r = cfg.reward
-    if r.kind not in _REWARD_KINDS:
-        raise ConfigError(f"reward.kind: must be one of {_REWARD_KINDS}, got '{r.kind}'")
-    if r.alpha <= 0:
-        raise ConfigError("reward.alpha: must be > 0")
-    if r.target is not None:
-        if not isinstance(r.target, (list, tuple)) or not r.target:
-            raise ConfigError("reward.target: expected a non-empty list of numbers")
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in r.target):
-            raise ConfigError("reward.target: expected a non-empty list of numbers")
-    if r.kind == "hull" and r.loa <= 0:
-        raise ConfigError("reward.loa: must be > 0")
-    if r.kind in ("surrogate", "airfoil") and not r.surrogate_path:
-        raise ConfigError("reward.surrogate_path: required for surrogate rewards")
+    """Run every section's check; errors name the offending key path."""
+    for section in (cfg.schedule, cfg.net, cfg.pretrain, cfg.finetune, cfg.svdd, cfg.reward):
+        section.check()
     return cfg
 
 

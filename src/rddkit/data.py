@@ -1,10 +1,12 @@
-"""Datasets of design vectors, z-score normalization, and CSV I/O.
+"""Datasets of design vectors, z-score normalization, CSV I/O, and the
+bounds-checked reader behind the binary model and surrogate files.
 
 The on-disk format is a plain CSV with header columns x0..x{d-1} and an
 optional trailing reward column. Floats are written with %.17g so values
 round-trip exactly through the file.
 """
 
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +35,40 @@ class Dataset:
     @property
     def d(self):
         return self.X.shape[1]
+
+
+class BinaryReader:
+    """Sequential little-endian reads over a whole binary file.
+
+    A read past the end or bytes left over at finish() raise DataError, so
+    a truncated or over-long file never loads.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            self.raw = f.read()
+        self.path = path
+        self.off = 0
+
+    def _advance(self, size):
+        if self.off + size > len(self.raw):
+            raise DataError(f"{self.path}: truncated file ({len(self.raw)} bytes)")
+        start, self.off = self.off, self.off + size
+        return start
+
+    def unpack(self, fmt):
+        return struct.unpack_from(fmt, self.raw, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype, count):
+        """count values of a little-endian dtype, copied into native byte order."""
+        dtype = np.dtype(dtype)
+        start = self._advance(dtype.itemsize * count)
+        arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+        return arr.astype(dtype.newbyteorder("="))
+
+    def finish(self):
+        if self.off != len(self.raw):
+            raise DataError(f"{self.path}: {len(self.raw) - self.off} trailing bytes")
 
 
 def normalize(dataset):

@@ -21,13 +21,6 @@ _ACTIVATION_CODES = {v: k for k, v in _ACTIVATIONS.items()}
 
 
 @dataclass
-class DenoiserConfig:
-    embed_dim: int = 32
-    hidden_dims: tuple = (256, 256)
-    activation: str = "tanh"
-
-
-@dataclass
 class DenoiserParams:
     layer_weights: list
     layer_biases: list
@@ -74,12 +67,14 @@ def time_embedding(t, dim, T):
     return emb
 
 
-def init_params(d, config, seed):
-    """Fan-in-scaled uniform initialization from a seeded generator."""
+def init_params(d, net, seed):
+    """Fan-in-scaled uniform initialization from a seeded generator.
+
+    net is a config.NetSection; it is checked before any draw.
+    """
+    net.check()
     rng = np.random.default_rng(seed)
-    dims = [d + config.embed_dim] + list(config.hidden_dims) + [d]
-    if config.activation not in _ACTIVATIONS:
-        raise ConfigError(f"unknown activation: {config.activation!r}")
+    dims = [d + net.embed_dim] + list(net.hidden_dims) + [d]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -88,9 +83,9 @@ def init_params(d, config, seed):
     return DenoiserParams(
         layer_weights=weights,
         layer_biases=biases,
-        embed_dim=config.embed_dim,
-        hidden_dims=tuple(config.hidden_dims),
-        activation=config.activation,
+        embed_dim=net.embed_dim,
+        hidden_dims=tuple(net.hidden_dims),
+        activation=net.activation,
     )
 
 
@@ -172,28 +167,16 @@ def _backprop(params, acts, dOut):
     return dW, db
 
 
-def loss_and_grad(params, batch, sched, weights, anchor_params=None, kappa=0.0):
+def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None, kappa=0.0):
     """Weighted noise-matching loss and exact gradients.
 
-    batch is a sequence of (x0, t, eps) triples; the loss is
+    X0 and EPS are (B, d), ts and weights (B,); the loss is
 
-        mean_i  w_i * || eps_i - eps_theta(forward_marginal(x0_i, t_i, eps_i), t_i) ||^2
+        mean_i  w_i * || EPS_i - eps_theta(forward_marginal(X0_i, ts_i, EPS_i), ts_i) ||^2
 
     optionally plus kappa * mean_i ||eps_theta - eps_anchor||^2 which keeps
     the prediction close to a frozen reference network.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    X0 = np.stack([np.asarray(b[0], dtype=np.float64) for b in batch])
-    ts = np.array([int(b[1]) for b in batch])
-    EPS = np.stack([np.asarray(b[2], dtype=np.float64) for b in batch])
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape[0] != X0.shape[0]:
-        raise ValueError("weights length must match batch length")
-    return loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params, kappa)
-
-
-def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None, kappa=0.0):
     B = X0.shape[0]
     XT = forward_marginal(X0, ts, EPS, sched)
     acts = _forward(params, XT, ts, sched.T)
@@ -276,51 +259,36 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
 
 def load_model(path):
     """Read a model file; returns (params, meta dict, stats or None)."""
-    from rddkit.data import NormStats
+    from rddkit.data import BinaryReader, NormStats
 
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
+    r = BinaryReader(path)
+    if r.unpack("4s")[0] != _MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
-    off = 4
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, raw, off)
-        off += size
-        return vals
-
-    def take_f8(n):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float64)
-        off += 8 * n
-        return arr
-
-    (version,) = take("<I")
+    (version,) = r.unpack("<I")
     if version != _FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version}")
-    d, embed_dim = take("<II")
-    (n_hidden,) = take("<I")
-    hidden = tuple(take("<I")[0] for _ in range(n_hidden))
-    (act_code,) = take("<I")
+    d, embed_dim = r.unpack("<II")
+    (n_hidden,) = r.unpack("<I")
+    hidden = tuple(r.unpack("<I")[0] for _ in range(n_hidden))
+    (act_code,) = r.unpack("<I")
     if act_code not in _ACTIVATION_CODES:
         raise DataError(f"{path}: unknown activation code {act_code}")
-    (T,) = take("<I")
-    beta_start, beta_end = take("<dd")
-    (has_stats,) = take("<B")
+    (T,) = r.unpack("<I")
+    beta_start, beta_end = r.unpack("<dd")
+    (has_stats,) = r.unpack("<B")
     stats = None
     if has_stats:
-        mean = take_f8(d)
-        std = take_f8(d)
+        mean = r.array("<f8", d)
+        std = r.array("<f8", d)
         stats = NormStats(mean=mean, std=std)
-    (n_layers,) = take("<I")
+    (n_layers,) = r.unpack("<I")
     weights, biases = [], []
     for _ in range(n_layers):
-        rows, cols = take("<II")
-        weights.append(take_f8(rows * cols).reshape(rows, cols))
-        (blen,) = take("<I")
-        biases.append(take_f8(blen))
+        rows, cols = r.unpack("<II")
+        weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
+        (blen,) = r.unpack("<I")
+        biases.append(r.array("<f8", blen))
+    r.finish()
     params = DenoiserParams(
         layer_weights=weights,
         layer_biases=biases,

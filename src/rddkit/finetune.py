@@ -14,53 +14,27 @@ drift away from the pretrained predictions.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from rddkit.data import denormalize
 from rddkit.denoiser import clone_params, init_opt_state
-from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ddpm_epoch
 from rddkit.rewards import SOFT_EXP_CLAMP, soft_weight
-from rddkit.sampler import Trajectory, _eval_reward_batch, _reverse_chain
-
-
-@dataclass
-class FinetuneConfig:
-    S: int = 50
-    m: int = 256
-    alpha: float = 0.5
-    gamma: float = 1e-3
-    kl_anchor: bool = True
-    anchor_kappa: float = 0.01
-    batch_size: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        # S = 0 is permitted as the do-nothing identity
-        if self.S < 0 or self.m < 2 or self.alpha <= 0 or self.gamma <= 0:
-            raise ConfigError(
-                f"need S >= 0, m >= 2, alpha > 0, gamma > 0; "
-                f"got S={self.S}, m={self.m}, alpha={self.alpha}, gamma={self.gamma}"
-            )
+from rddkit.sampler import _eval_reward_batch, _reverse_chain
 
 
 def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
-    """Collect m full trajectories from the mixed roll-in policy.
+    """Terminal designs, (m, d), of m trajectories from the mixed roll-in policy.
 
     Steps with t > switch_t use the current parameters; steps with
     t <= switch_t use the pretrained ones. switch_t = T reproduces the
     pretrained sampler, switch_t = 0 the current one.
     """
-    X0, zetas, states, _ = _reverse_chain(
-        params_current, sched, m, seed,
-        M=1, params_pre=params_pre, switch_t=switch_t, record_states=True,
+    X0, _, _ = _reverse_chain(
+        params_current, sched, m, seed, M=1, params_pre=params_pre, switch_t=switch_t,
     )
-    return [
-        Trajectory(x0=X0[i], reward=float("nan"), zetas=zetas[i], states=states[i])
-        for i in range(m)
-    ]
+    return X0
 
 
 def _normalized_weights(rewards, alpha):
@@ -77,24 +51,21 @@ def _normalized_weights(rewards, alpha):
     return w / w.mean()
 
 
-def weighted_epoch(trajectories, rewards, alpha, params, opt_state, sched,
+def weighted_epoch(designs, rewards, alpha, params, opt_state, sched,
                    rng=None, batch_size=64, params_pre=None, kappa=0.0):
     """One weighted pass over the collected designs.
 
-    trajectories may be Trajectory objects or a plain (m, d) array of
-    terminal designs; rewards is one real per trajectory (already evaluated
-    on the physical, denormalized designs). Returns (params, opt_state,
-    mean reward, mean loss).
+    designs is the (m, d) array of terminal designs in model coordinates;
+    rewards is one real per design (already evaluated on the physical,
+    denormalized designs). Returns (params, opt_state, mean reward, mean
+    loss).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if hasattr(trajectories[0], "x0"):
-        X0 = np.stack([tr.x0 for tr in trajectories])
-    else:
-        X0 = np.asarray(trajectories, dtype=np.float64)
+    X0 = np.asarray(designs, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.shape[0] != X0.shape[0]:
-        raise ValueError("one reward per trajectory required")
+        raise ValueError("one reward per design required")
     weights = _normalized_weights(rewards, alpha)
     params, opt_state, mean_loss = ddpm_epoch(
         params, opt_state, X0, sched, rng, batch_size,
@@ -106,10 +77,12 @@ def weighted_epoch(trajectories, rewards, alpha, params, opt_state, sched,
 def finetune(params_pre, reward, cfg, sched, stats=None):
     """Algorithm: S rounds of roll-in collection plus one weighted pass each.
 
-    Returns (fine-tuned params, history) where history rows are dicts with
+    cfg is a config.FinetuneSection, checked before any work. Returns
+    (fine-tuned params, history) where history rows are dicts with
     iteration, mean_reward and mean_loss. The pretrained parameters are
     never mutated.
     """
+    cfg.check()
     params = clone_params(params_pre)
     opt_state = init_opt_state(params, learning_rate=cfg.gamma)
     root = np.random.SeedSequence(cfg.seed)
@@ -120,15 +93,11 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         else:
             switch_t = round(sched.T * (cfg.S - s) / (cfg.S - 1))
         ss_collect, ss_epoch = root.spawn(2)
-        trajectories = rollin_collect(params, params_pre, sched, cfg.m, ss_collect,
-                                      switch_t=switch_t)
-        X0 = np.stack([tr.x0 for tr in trajectories])
+        X0 = rollin_collect(params, params_pre, sched, cfg.m, ss_collect, switch_t=switch_t)
         phys = denormalize(X0, stats) if stats is not None else X0
         rewards = _eval_reward_batch(reward, phys)
-        for tr, r in zip(trajectories, rewards):
-            tr.reward = float(r)
         params, opt_state, mean_r, mean_loss = weighted_epoch(
-            trajectories, rewards, cfg.alpha, params, opt_state, sched,
+            X0, rewards, cfg.alpha, params, opt_state, sched,
             rng=np.random.default_rng(ss_epoch),
             batch_size=cfg.batch_size,
             params_pre=params_pre if cfg.kl_anchor else None,

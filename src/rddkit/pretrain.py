@@ -54,8 +54,8 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     return params, opt_state, float(losses.mean())
 
 
-def train_ddpm(dataset, sched, config, epochs, batch_size, seed, learning_rate=1e-3):
-    """Train a denoiser on a normalized dataset.
+def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3):
+    """Train a denoiser, shaped by the config.NetSection net, on a normalized dataset.
 
     Returns (params, per-epoch loss history). Zero epochs returns the
     freshly initialized parameters unchanged. The learning rate follows a
@@ -64,7 +64,7 @@ def train_ddpm(dataset, sched, config, epochs, batch_size, seed, learning_rate=1
     """
     X0 = np.asarray(dataset.X, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = init_params(X0.shape[1], config, rng)
+    params = init_params(X0.shape[1], net, rng)
     opt_state = init_opt_state(params, learning_rate=learning_rate)
     lr_min = learning_rate / 100.0
     history = []
@@ -89,5 +89,5 @@ def ancestral_sample(params, sched, n, seed):
     """
     if n == 0:
         return np.empty((0, params.d))
-    X0, _, _, _ = _reverse_chain(params, sched, n, seed, M=1)
+    X0, _, _ = _reverse_chain(params, sched, n, seed, M=1)
     return X0

@@ -97,13 +97,11 @@ def airfoil_feasibility_penalty(design, lambda_range=10.0, lambda_intersect=1.0)
 
 
 class RewardModel:
-    """Base class: a pure design -> reward map with a default temperature.
+    """Base class: a pure design -> reward map.
 
     Subclasses implement __call__ on a single vector; batch() loops unless
     overridden with something vectorized.
     """
-
-    alpha = 1.0
 
     def __call__(self, x):
         raise NotImplementedError
@@ -115,9 +113,8 @@ class RewardModel:
 class SyntheticTargetReward(RewardModel):
     """Negative squared distance to a target placed outside the data support."""
 
-    def __init__(self, target, alpha=1.0):
+    def __init__(self, target):
         self.target = np.asarray(target, dtype=np.float64)
-        self.alpha = float(alpha)
 
     def __call__(self, x):
         return synthetic_benchmark_reward(np.asarray(x, dtype=np.float64), self.target)
@@ -129,12 +126,11 @@ class SyntheticTargetReward(RewardModel):
 class SurrogateReward(RewardModel):
     """Boosted-tree surrogate prediction, optionally minus a penalty term."""
 
-    def __init__(self, ensemble, alpha=1.0, penalty=None):
+    def __init__(self, ensemble, penalty=None):
         from rddkit.trees import predict_ensemble
 
         self._predict = lambda X: predict_ensemble(ensemble, X)
         self.penalty = penalty
-        self.alpha = float(alpha)
 
     def __call__(self, x):
         r_hat = float(self._predict(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -153,9 +149,8 @@ class SurrogateReward(RewardModel):
 class AirfoilFeasibilityReward(RewardModel):
     """Surrogate lift-to-drag style score minus the feasibility penalty."""
 
-    def __init__(self, base, alpha=1.0, lambda_range=10.0, lambda_intersect=1.0):
+    def __init__(self, base, lambda_range=10.0, lambda_intersect=1.0):
         self.base = base
-        self.alpha = float(alpha)
         self.lambda_range = lambda_range
         self.lambda_intersect = lambda_intersect
 
@@ -174,11 +169,10 @@ class HullResistanceReward(RewardModel):
 
     infeasible_base = 1000.0
 
-    def __init__(self, loa=80.0, scale=1e-6, offset=0.0, alpha=1.0):
+    def __init__(self, loa=80.0, scale=1e-6, offset=0.0):
         self.loa = float(loa)
         self.scale = float(scale)
         self.offset = float(offset)
-        self.alpha = float(alpha)
 
     def __call__(self, p):
         from rddkit.hull import aggregate_total_resistance, scale_params

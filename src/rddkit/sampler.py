@@ -25,24 +25,9 @@ import numpy as np
 from rddkit.data import denormalize
 from rddkit.diffusion import posterior_mean_x0, reverse_step
 from rddkit.denoiser import predict_noise
-from rddkit.exceptions import ConfigError
 
-
-@dataclass
-class SvddConfig:
-    M: int = 5
-    alpha: float = 1.0
-    n_traj: int = 1000
-    seed: int = 0
-    greedy_threshold: float = 1e-9
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ConfigError(f"svdd.M must be >= 1, got {self.M}")
-        if self.n_traj < 1:
-            raise ConfigError(f"svdd.n_traj must be >= 1, got {self.n_traj}")
-        if self.alpha < 0:
-            raise ConfigError(f"svdd.alpha must be >= 0, got {self.alpha}")
+# selection temperatures below this pick the best candidate deterministically
+GREEDY_THRESHOLD = 1e-9
 
 
 @dataclass
@@ -50,7 +35,6 @@ class Trajectory:
     x0: np.ndarray
     reward: float
     zetas: np.ndarray            # chosen candidate index per step, 1-based
-    states: np.ndarray = None    # (steps+1, d) from the start state down to x_0
     values: np.ndarray = None    # (steps, M) candidate soft values
 
 
@@ -66,7 +50,7 @@ def _eval_reward_batch(reward, X):
 
 
 def _candidate_values(params, sched, reward, stats, cands, t_next):
-    """Soft values of candidate states that live at timestep t_next."""
+    """Soft values of (n, M, d) candidate states that live at timestep t_next."""
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
     if t_next == 0:
@@ -78,7 +62,7 @@ def _candidate_values(params, sched, reward, stats, cands, t_next):
     return _eval_reward_batch(reward, phys).reshape(n, M)
 
 
-def _select(values, alpha, greedy_threshold, u):
+def _select(values, alpha, u):
     """One categorical draw per row from exp(values/alpha) weights.
 
     The exponent is shifted by the row max before exponentiation, which
@@ -92,7 +76,7 @@ def _select(values, alpha, greedy_threshold, u):
                       "falling back to uniform selection")
         values = np.where(np.isfinite(values), values, -np.inf)
         values[bad] = 0.0
-    if alpha < greedy_threshold or alpha <= 0.0:
+    if alpha < GREEDY_THRESHOLD:
         return np.argmax(values, axis=1)
     shifted = (values - values.max(axis=1, keepdims=True)) / alpha
     w = np.exp(shifted)
@@ -103,8 +87,8 @@ def _select(values, alpha, greedy_threshold, u):
 
 
 def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
-                   alpha=1.0, greedy_threshold=1e-9, params_pre=None, switch_t=0,
-                   x_start=None, t_start=None, record_states=False, record_values=False):
+                   alpha=1.0, params_pre=None, switch_t=0,
+                   x_start=None, t_start=None, record_values=False):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
     Per-trajectory stream consumption, in order: the x_T draw (skipped when
@@ -132,10 +116,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
         raise IndexError(f"start timestep {t_hi} outside 1..{sched.T}")
 
     zetas = np.ones((n_traj, t_hi), dtype=np.int64)
-    states = np.empty((n_traj, t_hi + 1, d)) if record_states else None
     values = np.empty((n_traj, t_hi, M)) if record_values else None
-    if record_states:
-        states[:, 0] = X
 
     for k, t in enumerate(range(t_hi, 0, -1)):
         p_t = params_pre if (params_pre is not None and t <= switch_t) else params
@@ -149,7 +130,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
         if M > 1:
             u = np.array([rng.random() for rng in rngs])
             vals = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
-            zeta = _select(vals, alpha, greedy_threshold, u)
+            zeta = _select(vals, alpha, u)
             if record_values:
                 values[:, k] = vals
         else:
@@ -158,70 +139,30 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
                 values[:, k] = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
         X = cands[np.arange(n_traj), zeta]
         zetas[:, k] = zeta + 1
-        if record_states:
-            states[:, k + 1] = X
-    return X, zetas, states, values
+    return X, zetas, values
 
 
-def soft_value_estimate(xt, t, params, sched, reward, stats=None):
-    """Reward of the posterior-mean design: one forward pass, one reward call."""
-    xt = np.asarray(xt, dtype=np.float64)
-    if t == 0:
-        x0_hat = xt
-    else:
-        eps_hat = predict_noise(params, xt, t, sched.T)
-        x0_hat = posterior_mean_x0(xt, t, eps_hat, sched)
-    phys = denormalize(x0_hat, stats) if stats is not None else x0_hat
-    return float(reward(phys))
+def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
+    """Run svdd.n_traj independent guided trajectories; returns Trajectory list.
 
-
-def svdd_step(xt, t, params, sched, cfg, rng, reward, stats=None):
-    """One guided reverse step for a single trajectory.
-
-    Returns (selected x_{t-1}, 1-based chosen index, candidate values).
+    svdd is a config.SvddSection, checked before any work. Deterministic per
+    svdd.seed. With svdd.M = 1 the final designs are bit identical to
+    ancestral sampling with the same seed.
     """
-    X = np.asarray(xt, dtype=np.float64)[None, :]
-    eps = predict_noise(params, X, t, sched.T)
-    M = cfg.M
-    if t > 1:
-        Z = rng.standard_normal((M, X.shape[1]))
-        cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
-    else:
-        one = reverse_step(X, t, eps, sched, None)
-        cands = np.repeat(one[:, None, :], M, axis=1)
-    if M > 1:
-        u = np.array([rng.random()])
-        vals = _candidate_values(params, sched, reward, stats, cands, t - 1)
-        zeta = _select(vals, cfg.alpha, cfg.greedy_threshold, u)
-    else:
-        vals = _candidate_values(params, sched, reward, stats, cands, t - 1)
-        zeta = np.zeros(1, dtype=np.int64)
-    sel = int(zeta[0])
-    return cands[0, sel], sel + 1, vals[0]
-
-
-def svdd_generate(params, sched, cfg, reward, stats=None,
-                  record_states=False, record_values=False):
-    """Run cfg.n_traj independent guided trajectories; returns Trajectory list.
-
-    Deterministic per cfg.seed. With cfg.M = 1 the final designs are bit
-    identical to ancestral sampling with the same seed.
-    """
-    X0, zetas, states, values = _reverse_chain(
-        params, sched, cfg.n_traj, cfg.seed,
-        M=cfg.M, reward=reward, stats=stats,
-        alpha=cfg.alpha, greedy_threshold=cfg.greedy_threshold,
-        record_states=record_states, record_values=record_values,
+    svdd.check()
+    X0, zetas, values = _reverse_chain(
+        params, sched, svdd.n_traj, svdd.seed,
+        M=svdd.M, reward=reward, stats=stats, alpha=svdd.alpha,
+        record_values=record_values,
     )
     phys = denormalize(X0, stats) if stats is not None else X0
     rewards = _eval_reward_batch(reward, phys)
     out = []
-    for i in range(cfg.n_traj):
+    for i in range(svdd.n_traj):
         out.append(Trajectory(
             x0=X0[i],
             reward=float(rewards[i]),
             zetas=zetas[i],
-            states=states[i] if record_states else None,
             values=values[i] if record_values else None,
         ))
     return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rddkit.data import BinaryReader
 from rddkit.exceptions import DataError, NumericalError
 
 _MAGIC = b"RDDT"
@@ -195,35 +196,23 @@ def save_ensemble(path, ensemble):
 
 
 def load_ensemble(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
+    r = BinaryReader(path)
+    if r.unpack("4s")[0] != _MAGIC:
         raise DataError(f"{path}: not an ensemble file (bad magic)")
-    off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (version,) = r.unpack("<I")
     if version != _FORMAT_VERSION:
         raise DataError(f"{path}: unsupported ensemble format version {version}")
-    d, n_trees, max_depth = struct.unpack_from("<III", raw, off)
-    off += 12
-    shrinkage, base = struct.unpack_from("<dd", raw, off)
-    off += 16
+    d, n_trees, max_depth = r.unpack("<III")
+    shrinkage, base = r.unpack("<dd")
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = struct.unpack_from("<I", raw, off)
-        off += 4
-
-        def block(dtype, count):
-            nonlocal off
-            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-            off += arr.nbytes
-            return arr
-
+        (n_nodes,) = r.unpack("<I")
         trees.append(Tree(
-            feature=block("<i4", n_nodes).astype(np.int32),
-            threshold=block("<f8", n_nodes).astype(np.float64),
-            left=block("<i4", n_nodes).astype(np.int32),
-            right=block("<i4", n_nodes).astype(np.int32),
-            value=block("<f8", n_nodes).astype(np.float64),
+            feature=r.array("<i4", n_nodes),
+            threshold=r.array("<f8", n_nodes),
+            left=r.array("<i4", n_nodes),
+            right=r.array("<i4", n_nodes),
+            value=r.array("<f8", n_nodes),
         ))
+    r.finish()
     return TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, d)

@@ -19,16 +19,16 @@ import pytest
 from scipy import stats as sstats
 
 from rddkit import benchmark
+from rddkit.config import FinetuneSection, NetSection, SvddSection
 from rddkit.data import Dataset, denormalize, normalize
 from rddkit.denoiser import (
-    DenoiserConfig,
     clone_params,
     init_opt_state,
     init_params,
-    loss_and_grad,
+    loss_and_grad_arrays,
 )
 from rddkit.diffusion import forward_marginal, make_schedule
-from rddkit.finetune import FinetuneConfig, finetune, weighted_epoch
+from rddkit.finetune import finetune, weighted_epoch
 from rddkit.hull import (
     HullDims,
     aggregate_total_resistance,
@@ -39,7 +39,7 @@ from rddkit.hull import (
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import ancestral_sample, ddpm_epoch, train_ddpm
 from rddkit.rewards import SyntheticTargetReward
-from rddkit.sampler import SvddConfig, _reverse_chain, soft_value_estimate, svdd_generate
+from rddkit.sampler import _candidate_values, _reverse_chain, svdd_generate
 from rddkit.trees import fit_ensemble, predict_ensemble, r2_score
 
 TIMINGS = {}
@@ -55,7 +55,7 @@ def pretrained(bench_data):
     norm, stats = normalize(bench_data)
     sched = make_schedule(100, beta_end=0.1)
     t0 = time.perf_counter()
-    params, history = train_ddpm(norm, sched, DenoiserConfig(),
+    params, history = train_ddpm(norm, sched, NetSection(),
                                  epochs=200, batch_size=128, seed=0)
     TIMINGS["pretrain"] = time.perf_counter() - t0
     return {"params": params, "sched": sched, "stats": stats,
@@ -65,7 +65,7 @@ def pretrained(bench_data):
 @pytest.fixture(scope="session")
 def finetuned(pretrained):
     reward = benchmark.default_benchmark_reward()
-    cfg = FinetuneConfig(S=50, m=256, alpha=1.0, gamma=1e-3, seed=5)
+    cfg = FinetuneSection(S=50, m=256, alpha=1.0, gamma=1e-3, seed=5)
     t0 = time.perf_counter()
     params_ft, history = finetune(pretrained["params"], reward, cfg,
                                   pretrained["sched"], stats=pretrained["stats"])
@@ -102,16 +102,17 @@ def test_criterion_01_forward_marginal_equivalence():
 def test_criterion_02_gradient_exactness():
     t0 = time.perf_counter()
     sched = make_schedule(6)
-    cfg = DenoiserConfig(embed_dim=4, hidden_dims=(4,))
+    cfg = NetSection(embed_dim=4, hidden_dims=[4])
     rng = np.random.default_rng(2)
     params = init_params(2, cfg, rng)
-    batch = [(rng.standard_normal(2), int(rng.integers(1, 7)),
-              rng.standard_normal(2)) for _ in range(8)]
+    rows = [(rng.standard_normal(2), int(rng.integers(1, 7)),
+             rng.standard_normal(2)) for _ in range(8)]
+    X0, ts, EPS = (np.array(col) for col in zip(*rows))
     w = rng.uniform(0.5, 1.5, size=8)
-    _, (dW, db) = loss_and_grad(params, batch, sched, w)
+    _, (dW, db) = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
 
     def loss_at(p):
-        return loss_and_grad(p, batch, sched, w)[0]
+        return loss_and_grad_arrays(p, X0, ts, EPS, sched, w)[0]
 
     h = 1e-6
     worst = 0.0
@@ -158,7 +159,7 @@ def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
 def test_criterion_04_m1_degeneracy(pretrained):
     reward = benchmark.default_benchmark_reward()
     plain = ancestral_sample(pretrained["params"], pretrained["sched"], 64, seed=77)
-    cfg = SvddConfig(M=1, alpha=0.2, n_traj=64, seed=77)
+    cfg = SvddSection(M=1, alpha=0.2, n_traj=64, seed=77)
     trajs = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward,
                           stats=pretrained["stats"])
     guided = np.stack([tr.x0 for tr in trajs])
@@ -173,7 +174,7 @@ def test_criterion_05_guidance_monotonicity(pretrained):
     reward = benchmark.default_benchmark_reward()
     rewards = {}
     for M in (1, 3, 5, 10):
-        cfg = SvddConfig(M=M, alpha=0.2, n_traj=1000, seed=11)
+        cfg = SvddSection(M=M, alpha=0.2, n_traj=1000, seed=11)
         trajs = svdd_generate(pretrained["params"], pretrained["sched"], cfg,
                               reward, stats=pretrained["stats"])
         rewards[M] = np.array([tr.reward for tr in trajs])
@@ -199,7 +200,7 @@ def test_criterion_06_soft_value_approximation():
     X = rng.standard_normal((2000, 1))
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(20, beta_end=0.2)
-    params, _ = train_ddpm(norm, sched, DenoiserConfig(hidden_dims=(64, 64)),
+    params, _ = train_ddpm(norm, sched, NetSection(hidden_dims=[64, 64]),
                            epochs=100, batch_size=128, seed=3)
     reward = SyntheticTargetReward(np.array([1.5]))
     alpha = 1.0
@@ -208,11 +209,10 @@ def test_criterion_06_soft_value_approximation():
         rows = norm.X[rng.choice(2000, size=50, replace=False)]
         eps = rng.standard_normal(rows.shape)
         states = forward_marginal(rows, t, eps, sched)
-        v_hat = np.array([soft_value_estimate(s, t, params, sched, reward,
-                                              stats=stats) for s in states])
+        v_hat = _candidate_values(params, sched, reward, stats, states[:, None, :], t)[:, 0]
         v_mc = np.empty(50)
         for i, s in enumerate(states):
-            X0, _, _, _ = _reverse_chain(params, sched, 1000, 1000 + i, M=1,
+            X0, _, _ = _reverse_chain(params, sched, 1000, 1000 + i, M=1,
                                          x_start=s, t_start=t)
             r = reward.batch(denormalize(X0, stats)) / alpha
             m = r.max()
@@ -242,7 +242,7 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
     # a uniform-reward pass must reproduce the plain training epoch bitwise
     norm = pretrained["norm"]
     X = norm.X[:256]
-    base = init_params(norm.d, DenoiserConfig(embed_dim=8, hidden_dims=(32,)), 9)
+    base = init_params(norm.d, NetSection(embed_dim=8, hidden_dims=[32]), 9)
     p_a, _, _ = ddpm_epoch(clone_params(base), init_opt_state(base), X, sched,
                            np.random.default_rng(np.random.SeedSequence(55)), 64)
     p_b, _, _, _ = weighted_epoch(X, np.full(256, 7.25), 0.8, clone_params(base),
@@ -267,7 +267,7 @@ def test_criterion_08_beyond_distribution(bench_data, pretrained, finetuned):
     r_max = reward.batch(bench_data.X).max()
 
     t0 = time.perf_counter()
-    cfg = SvddConfig(M=10, alpha=0.2, n_traj=1000, seed=31)
+    cfg = SvddSection(M=10, alpha=0.2, n_traj=1000, seed=31)
     trajs = svdd_generate(finetuned["params"], sched, cfg, reward, stats=stats)
     guided_wall = time.perf_counter() - t0
     guided_r = np.array([tr.reward for tr in trajs])

@@ -6,7 +6,9 @@ import pytest
 from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit.data import load_dataset
+from rddkit.denoiser import init_params, save_model
 from rddkit.exceptions import ConfigError
+from rddkit.trees import fit_ensemble, save_ensemble
 
 
 # ------------------------------------------------------------------- config
@@ -14,6 +16,13 @@ from rddkit.exceptions import ConfigError
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def write_model(path):
+    """A small untrained 2-d model file."""
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
+    save_model(str(path), params, T=10, beta_start=1e-4, beta_end=0.02)
+    return path
 
 
 def test_empty_config_is_all_defaults(tmp_path):
@@ -48,6 +57,8 @@ def test_unknown_keys_are_rejected_with_paths(tmp_path):
         cfgmod.parse_config(write_json(tmp_path / "b.json", {"svdd": {"M0": 1}}))
     with pytest.raises(ConfigError, match=r"schedule\.TT: unknown key"):
         cfgmod.parse_config(write_json(tmp_path / "c.json", {"schedule": {"TT": 5}}))
+    with pytest.raises(ConfigError, match=r"reward\.alpha: unknown key"):
+        cfgmod.parse_config(write_json(tmp_path / "d.json", {"reward": {"alpha": 0.3}}))
 
 
 def test_type_errors_name_the_key(tmp_path):
@@ -58,6 +69,13 @@ def test_type_errors_name_the_key(tmp_path):
         ({"schedule": {"kind": 3}}, "expected a string"),
         ({"finetune": {"kl_anchor": 1}}, "expected true/false"),
         ({"schedule": 5}, "expected an object"),
+        ({"reward": {"surrogate_path": 5}}, r"reward\.surrogate_path: expected a string"),
+        ({"dataset": 7}, r"dataset: expected a string"),
+        ({"net": {"hidden_dims": 5}}, r"net\.hidden_dims: expected a list"),
+        ({"net": {"hidden_dims": ["a"]}}, r"net\.hidden_dims: expected a non-empty list"),
+        ({"net": {"hidden_dims": [2.5]}}, r"net\.hidden_dims: expected a non-empty list"),
+        ({"net": {"hidden_dims": [True]}}, r"net\.hidden_dims: expected a non-empty list"),
+        ({"net": {"hidden_dims": []}}, r"net\.hidden_dims: expected a non-empty list"),
     ]
     for i, (obj, msg) in enumerate(cases):
         with pytest.raises(ConfigError, match=msg):
@@ -102,7 +120,7 @@ def test_parse_config_file_errors(tmp_path):
 
 # ---------------------------------------------------------------------- cli
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, caplog):
     assert cli.main([]) == 1
     assert cli.main(["not-a-command"]) == 1
     assert cli.main(["--help"]) == 0
@@ -112,6 +130,14 @@ def test_usage_errors_exit_1(tmp_path):
     bad_cfg.write_text(json.dumps({"svdd": {"M0": 1}}))
     assert cli.main(["pretrain", "--config", str(bad_cfg), "--data", "x.csv",
                      "--outdir", str(tmp_path)]) == 1
+    # a synthetic target of the wrong length for the model
+    model = write_model(tmp_path / "m.rddm")
+    short = write_json(tmp_path / "short.json", {"reward": {"target": [1.0]}})
+    for command in ("sample", "finetune"):
+        caplog.clear()
+        assert cli.main([command, "--config", short, "--model", str(model),
+                         "--outdir", str(tmp_path)]) == 1
+        assert "reward.target" in caplog.text
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -125,6 +151,25 @@ def test_data_errors_exit_2(tmp_path):
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
     assert cli.main(["eval", "--samples", str(plain), "--train", str(plain),
                      "--outdir", str(tmp_path)]) == 2
+    # truncated and over-long model files
+    raw = write_model(tmp_path / "m.rddm").read_bytes()
+    assert len(raw) > 300
+    for name, body in (("cut.rddm", raw[:300]), ("long.rddm", raw + b"\x00\x00")):
+        (tmp_path / name).write_bytes(body)
+        assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
+                         "--outdir", str(tmp_path)]) == 2
+    # truncated and over-long surrogate files
+    rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]
+    data = tmp_path / "labelled.csv"
+    data.write_text("\n".join(rows) + "\n")
+    ds = load_dataset(str(data))
+    save_ensemble(str(tmp_path / "s.rddt"), fit_ensemble(ds.X, ds.rewards, n_trees=2,
+                                                         max_depth=2)[0])
+    raw = (tmp_path / "s.rddt").read_bytes()
+    for name, body in (("cut.rddt", raw[:-5]), ("long.rddt", raw + b"\x00\x00")):
+        (tmp_path / name).write_bytes(body)
+        assert cli.main(["surrogate", "eval", "--model", str(tmp_path / name),
+                         "--data", str(data)]) == 2
 
 
 def test_numerical_errors_exit_3(tmp_path):

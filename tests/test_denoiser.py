@@ -3,15 +3,15 @@ import os
 import numpy as np
 import pytest
 
+from rddkit.config import NetSection
 from rddkit.data import NormStats
 from rddkit.denoiser import (
-    DenoiserConfig,
     adam_step,
     clone_params,
     init_opt_state,
     init_params,
     load_model,
-    loss_and_grad,
+    loss_and_grad_arrays,
     predict_noise,
     save_model,
     time_embedding,
@@ -21,16 +21,16 @@ from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 
 def small_net(seed=0, d=2, hidden=(4,), embed=4):
-    cfg = DenoiserConfig(embed_dim=embed, hidden_dims=hidden)
+    cfg = NetSection(embed_dim=embed, hidden_dims=list(hidden))
     return init_params(d, cfg, seed)
 
 
 def make_batch(seed, n, d, T):
+    """(X0, ts, EPS) arrays; each row draws x0, t, eps in that order."""
     rng = np.random.default_rng(seed)
-    return [
-        (rng.standard_normal(d), int(rng.integers(1, T + 1)), rng.standard_normal(d))
-        for _ in range(n)
-    ]
+    rows = [(rng.standard_normal(d), int(rng.integers(1, T + 1)), rng.standard_normal(d))
+            for _ in range(n)]
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def flatten(params):
@@ -75,11 +75,11 @@ def test_gradients_match_central_finite_differences():
     sched = make_schedule(10)
     batch = make_batch(2, 8, 2, 10)
     weights = np.ones(8)
-    _, grads = loss_and_grad(params, batch, sched, weights)
+    _, grads = loss_and_grad_arrays(params, *batch, sched, weights)
     gw, gb = grads
 
     def loss_at(p):
-        return loss_and_grad(p, batch, sched, weights)[0]
+        return loss_and_grad_arrays(p, *batch, sched, weights)[0]
 
     h = 1e-6
     for li in range(len(params.layer_weights)):
@@ -103,13 +103,13 @@ def test_anchor_gradient_matches_finite_differences():
     sched = make_schedule(10)
     batch = make_batch(5, 6, 2, 10)
     weights = np.ones(6)
-    _, grads = loss_and_grad(params, batch, sched, weights,
-                             anchor_params=anchor, kappa=0.1)
+    _, grads = loss_and_grad_arrays(params, *batch, sched, weights,
+                                    anchor_params=anchor, kappa=0.1)
     gw, _ = grads
 
     def loss_at(p):
-        return loss_and_grad(p, batch, sched, weights,
-                             anchor_params=anchor, kappa=0.1)[0]
+        return loss_and_grad_arrays(p, *batch, sched, weights,
+                                    anchor_params=anchor, kappa=0.1)[0]
 
     h = 1e-6
     arr = params.layer_weights[0]
@@ -128,7 +128,7 @@ def test_adam_step_matches_reference_update():
     opt = init_opt_state(params, learning_rate=1e-2)
     sched = make_schedule(10)
     batch = make_batch(6, 4, 2, 10)
-    _, grads = loss_and_grad(params, batch, sched, np.ones(4))
+    _, grads = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
     new_params, new_opt = adam_step(params, opt, grads)
     g = grads[0][0]
     m = 0.1 * g
@@ -146,18 +146,18 @@ def test_hundred_adam_steps_reduce_loss():
     sched = make_schedule(10)
     batch = make_batch(8, 32, 2, 10)
     w = np.ones(32)
-    first = loss_and_grad(params, batch, sched, w)[0]
+    first = loss_and_grad_arrays(params, *batch, sched, w)[0]
     for _ in range(100):
-        loss, grads = loss_and_grad(params, batch, sched, w)
+        loss, grads = loss_and_grad_arrays(params, *batch, sched, w)
         params, opt = adam_step(params, opt, grads)
-    assert loss_and_grad(params, batch, sched, w)[0] < first
+    assert loss_and_grad_arrays(params, *batch, sched, w)[0] < first
 
 
 def test_adam_rejects_non_finite_gradients():
     params = small_net(seed=8)
     opt = init_opt_state(params)
     sched = make_schedule(10)
-    _, grads = loss_and_grad(params, make_batch(9, 4, 2, 10), sched, np.ones(4))
+    _, grads = loss_and_grad_arrays(params, *make_batch(9, 4, 2, 10), sched, np.ones(4))
     grads[0][0][0, 0] = np.nan
     with pytest.raises(TrainingDivergenceError) as err:
         adam_step(params, opt, grads)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from rddkit.config import FinetuneSection, NetSection
 from rddkit.data import Dataset, normalize
 from rddkit.denoiser import (
-    DenoiserConfig,
     clone_params,
     init_opt_state,
     init_params,
@@ -12,7 +12,6 @@ from rddkit.denoiser import (
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError
 from rddkit.finetune import (
-    FinetuneConfig,
     _normalized_weights,
     finetune,
     rollin_collect,
@@ -21,7 +20,7 @@ from rddkit.finetune import (
 from rddkit.pretrain import ancestral_sample, ddpm_epoch, train_ddpm
 from rddkit.rewards import SyntheticTargetReward
 
-SMALL = DenoiserConfig(embed_dim=8, hidden_dims=(32,))
+SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +34,16 @@ def toy_model():
     return params, sched, stats
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        FinetuneConfig(m=1)
-    with pytest.raises(ConfigError):
-        FinetuneConfig(alpha=0.0)
-    with pytest.raises(ConfigError):
-        FinetuneConfig(gamma=-1.0)
-    FinetuneConfig(S=0)  # explicit identity run is allowed
+def test_config_validation(toy_model):
+    params, sched, stats = toy_model
+    reward = SyntheticTargetReward(np.array([1.5, 0.0]))
+    for bad, key in ((FinetuneSection(m=1), r"finetune\.m"),
+                     (FinetuneSection(alpha=0.0), r"finetune\.alpha"),
+                     (FinetuneSection(gamma=-1.0), r"finetune\.gamma")):
+        with pytest.raises(ConfigError, match=key):
+            finetune(params, reward, bad, sched, stats=stats)
+    # explicit identity run is allowed
+    assert finetune(params, reward, FinetuneSection(S=0), sched, stats=stats)[1] == []
 
 
 def test_weight_normalization_hand_example():
@@ -97,12 +98,10 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
 
 def test_rollin_identical_policies_match_ancestral(toy_model):
     params, sched, _ = toy_model
-    trajs = rollin_collect(params, params, sched, m=6, seed=21)
+    X0 = rollin_collect(params, params, sched, m=6, seed=21)
     X_anc = ancestral_sample(params, sched, 6, seed=21)
-    X0 = np.stack([t.x0 for t in trajs])
+    assert X0.shape == (6, 2)
     assert np.array_equal(X0, X_anc)
-    # full state paths retained
-    assert trajs[0].states.shape == (sched.T + 1, 2)
 
 
 def test_rollin_pure_pretrained_switch(toy_model):
@@ -112,7 +111,7 @@ def test_rollin_pure_pretrained_switch(toy_model):
     other = init_params(2, SMALL, 999)
     a = rollin_collect(other, params, sched, m=5, seed=8, switch_t=sched.T)
     b = ancestral_sample(params, sched, 5, seed=8)
-    assert np.array_equal(np.stack([t.x0 for t in a]), b)
+    assert np.array_equal(a, b)
 
 
 def test_rollin_determinism(toy_model):
@@ -120,14 +119,13 @@ def test_rollin_determinism(toy_model):
     other = init_params(2, SMALL, 1000)
     a = rollin_collect(other, params, sched, m=2, seed=3, switch_t=7)
     b = rollin_collect(other, params, sched, m=2, seed=3, switch_t=7)
-    for ta, tb in zip(a, b):
-        assert np.array_equal(ta.states, tb.states)
+    assert np.array_equal(a, b)
 
 
 def test_finetune_s0_identity(toy_model):
     params, sched, stats = toy_model
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
-    cfg = FinetuneConfig(S=0, m=4, seed=0)
+    cfg = FinetuneSection(S=0, m=4, seed=0)
     out, history = finetune(params, reward, cfg, sched, stats=stats)
     assert history == []
     for a, b in zip(out.layer_weights, params.layer_weights):
@@ -138,13 +136,12 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
     params, sched, stats = toy_model
 
     class Constant:
-        alpha = 1.0
         def __call__(self, x):
             return -2.0
         def batch(self, X):
             return np.full(X.shape[0], -2.0)
 
-    cfg = FinetuneConfig(S=4, m=8, batch_size=8, seed=2, kl_anchor=False)
+    cfg = FinetuneSection(S=4, m=8, alpha=0.5, batch_size=8, seed=2, kl_anchor=False)
     _, history = finetune(params, Constant(), cfg, sched, stats=stats)
     assert [h["mean_reward"] for h in history] == [-2.0] * 4
 
@@ -152,7 +149,7 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
 def test_finetune_improves_mean_reward(toy_model):
     params, sched, stats = toy_model
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
-    cfg = FinetuneConfig(S=10, m=64, alpha=0.5, gamma=1e-3, batch_size=16, seed=6)
+    cfg = FinetuneSection(S=10, m=64, alpha=0.5, gamma=1e-3, batch_size=16, seed=6)
     tuned, history = finetune(params, reward, cfg, sched, stats=stats)
     assert history[-1]["mean_reward"] > history[0]["mean_reward"]
     assert len(history) == 10
@@ -165,7 +162,7 @@ def test_anchor_bounds_drift(toy_model):
     probe = np.random.default_rng(3).standard_normal((100, 2))
 
     def drift(kappa, flag):
-        cfg = FinetuneConfig(S=8, m=32, alpha=0.5, gamma=2e-3, batch_size=16,
+        cfg = FinetuneSection(S=8, m=32, alpha=0.5, gamma=2e-3, batch_size=16,
                              seed=4, kl_anchor=flag, anchor_kappa=kappa)
         tuned, _ = finetune(params, reward, cfg, sched, stats=stats)
         d = 0.0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from rddkit.config import NetSection
 from rddkit.data import Dataset, normalize
-from rddkit.denoiser import DenoiserConfig, init_opt_state, init_params, predict_noise
+from rddkit.denoiser import init_opt_state, init_params, predict_noise
 from rddkit.diffusion import make_schedule
 from rddkit.pretrain import ancestral_sample, ddpm_epoch, train_ddpm
 
-SMALL = DenoiserConfig(embed_dim=8, hidden_dims=(32,))
+SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
 def test_zero_epochs_returns_initialized_params():
@@ -31,19 +32,20 @@ def test_training_is_deterministic_per_seed():
 
 def test_fixed_batch_overfit():
     # a capacity net memorizes eight fixed denoising targets to near zero
-    from rddkit.denoiser import adam_step, loss_and_grad
+    from rddkit.denoiser import adam_step, loss_and_grad_arrays
 
     sched = make_schedule(5)
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    params = init_params(2, DenoiserConfig(embed_dim=16, hidden_dims=(64, 64)), rng)
+    params = init_params(2, NetSection(embed_dim=16, hidden_dims=[64, 64]), rng)
     opt = init_opt_state(params, learning_rate=3e-3)
-    batch = [(rng.standard_normal(2), int(rng.integers(1, 6)), rng.standard_normal(2))
-             for _ in range(8)]
+    rows = [(rng.standard_normal(2), int(rng.integers(1, 6)), rng.standard_normal(2))
+            for _ in range(8)]
+    X0, ts, EPS = (np.array(col) for col in zip(*rows))
     w = np.ones(8)
-    first = loss_and_grad(params, batch, sched, w)[0]
+    first = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)[0]
     loss = first
     for step in range(2000):
-        loss, grads = loss_and_grad(params, batch, sched, w)
+        loss, grads = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
         params, opt = adam_step(params, opt, grads)
     assert first > 0.5
     assert loss < 1e-8
@@ -81,7 +83,7 @@ def test_prefix_stability_across_sample_counts():
 
 def test_untrained_zero_net_variance_matches_closed_form():
     # with eps_theta = 0 the chain is linear; propagate the variance exactly
-    cfg = DenoiserConfig(embed_dim=8, hidden_dims=(16,))
+    cfg = NetSection(embed_dim=8, hidden_dims=[16])
     params = init_params(2, cfg, 0)
     for wl in params.layer_weights:
         wl[:] = 0.0

@@ -2,22 +2,41 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from rddkit.config import NetSection, SvddSection
 from rddkit.data import Dataset, NormStats, normalize
-from rddkit.denoiser import DenoiserConfig, init_params
-from rddkit.diffusion import make_schedule, posterior_mean_x0
+from rddkit.denoiser import predict_noise
+from rddkit.diffusion import make_schedule, posterior_mean_x0, reverse_step
 from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ancestral_sample, train_ddpm
 from rddkit.rewards import SyntheticTargetReward
 from rddkit.sampler import (
-    SvddConfig,
+    _candidate_values,
     _select,
     _spawn_generators,
-    soft_value_estimate,
     svdd_generate,
-    svdd_step,
 )
 
-SMALL = DenoiserConfig(embed_dim=8, hidden_dims=(32,))
+SMALL = NetSection(embed_dim=8, hidden_dims=[32])
+
+
+def svdd_step(xt, t, params, sched, cfg, rng, reward, stats=None):
+    """One guided reverse step for a single trajectory: the reference that
+    the batched engine in svdd_generate is checked against.
+
+    Returns (selected x_{t-1}, 1-based chosen index, candidate values).
+    """
+    X = np.asarray(xt, dtype=np.float64)[None, :]
+    eps = predict_noise(params, X, t, sched.T)
+    M = cfg.M
+    if t > 1:
+        Z = rng.standard_normal((M, X.shape[1]))
+        cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
+    else:
+        one = reverse_step(X, t, eps, sched, None)
+        cands = np.repeat(one[:, None, :], M, axis=1)
+    vals = _candidate_values(params, sched, reward, stats, cands, t - 1)
+    sel = int(_select(vals, cfg.alpha, np.array([rng.random()]))[0]) if M > 1 else 0
+    return cands[0, sel], sel + 1, vals[0]
 
 
 @pytest.fixture(scope="module")
@@ -34,18 +53,17 @@ def toy_model():
 REWARD = SyntheticTargetReward(np.array([1.5, 0.0]))
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        SvddConfig(M=0)
-    with pytest.raises(ConfigError):
-        SvddConfig(n_traj=0)
-    with pytest.raises(ConfigError):
-        SvddConfig(alpha=-0.5)
+def test_config_validation(toy_model):
+    params, sched, stats = toy_model
+    for bad, key in ((SvddSection(M=0), r"svdd\.M"), (SvddSection(n_traj=0), r"svdd\.n_traj"),
+                     (SvddSection(alpha=-0.5), r"svdd\.alpha")):
+        with pytest.raises(ConfigError, match=key):
+            svdd_generate(params, sched, bad, REWARD, stats=stats)
 
 
 def test_m1_bit_identical_to_ancestral(toy_model):
     params, sched, stats = toy_model
-    cfg = SvddConfig(M=1, n_traj=9, seed=5)
+    cfg = SvddSection(M=1, n_traj=9, seed=5)
     trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats)
     X_anc = ancestral_sample(params, sched, 9, seed=5)
     X_sv = np.stack([t.x0 for t in trajs])
@@ -63,7 +81,7 @@ def test_selection_frequencies_match_softmax_exactly():
     us = (np.arange(n) + 0.5) / n
     for u in us.reshape(100, -1):
         vals = np.repeat(values, u.size, axis=0)
-        zeta = _select(vals, alpha, 1e-9, u)
+        zeta = _select(vals, alpha, u)
         counts += np.bincount(zeta, minlength=4)
     w = np.exp(values[0] / alpha)
     p = w / w.sum()
@@ -74,14 +92,14 @@ def test_selection_greedy_mode(toy_model):
     values = np.array([[0.3, -0.1, 0.8, 0.2]])
     for alpha in (0.0, 1e-12):
         for u in (0.01, 0.5, 0.99):
-            zeta = _select(values, alpha, 1e-9, np.array([u]))
+            zeta = _select(values, alpha, np.array([u]))
             assert zeta[0] == 2
 
 
 def test_selection_uniform_fallback_on_non_finite():
     values = np.array([[np.nan, np.inf, -np.inf]])
     with pytest.warns(UserWarning):
-        zeta = _select(values, 1.0, 1e-9, np.array([0.5]))
+        zeta = _select(values, 1.0, np.array([0.5]))
     assert zeta[0] == 1  # middle of three with u = 0.5
 
 
@@ -89,13 +107,12 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
     params, sched, stats = toy_model
 
     class Constant:
-        alpha = 1.0
         def __call__(self, x):
             return 2.5
         def batch(self, X):
             return np.full(X.shape[0], 2.5)
 
-    cfg = SvddConfig(M=4, alpha=1.0, n_traj=1, seed=0)
+    cfg = SvddSection(M=4, alpha=1.0, n_traj=1, seed=0)
     rng = np.random.default_rng(123)
     x = np.array([0.2, -0.4])
     counts = np.zeros(4)
@@ -110,7 +127,7 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
 
 def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     params, sched, stats = toy_model
-    cfg = SvddConfig(M=5, alpha=0.0, n_traj=1, seed=0)
+    cfg = SvddSection(M=5, alpha=0.0, n_traj=1, seed=0)
     rng = np.random.default_rng(7)
     x = np.array([0.0, 0.0])
     for t in (15, 8, 1):
@@ -125,7 +142,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model):
     # one-trajectory-at-a-time run of svdd_step: identical selections, floats
     # equal up to matmul accumulation order across batch shapes
     params, sched, stats = toy_model
-    cfg = SvddConfig(M=3, alpha=0.5, n_traj=6, seed=42)
+    cfg = SvddSection(M=3, alpha=0.5, n_traj=6, seed=42)
     trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats)
 
     rngs = _spawn_generators(42, 6)
@@ -141,34 +158,32 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model):
 
 def test_trajectory_recording(toy_model):
     params, sched, stats = toy_model
-    cfg = SvddConfig(M=3, alpha=0.5, n_traj=2, seed=3)
-    trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats,
-                          record_states=True, record_values=True)
+    cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
+    trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats, record_values=True)
     for tr in trajs:
-        assert tr.states.shape == (sched.T + 1, 2)
         assert tr.values.shape == (sched.T, 3)
-        assert np.array_equal(tr.states[-1], tr.x0)
         assert np.all((tr.zetas >= 1) & (tr.zetas <= 3))
 
 
 def test_guidance_beats_unguided_on_average(toy_model):
     params, sched, stats = toy_model
     r1 = [t.reward for t in svdd_generate(
-        params, sched, SvddConfig(M=1, n_traj=200, seed=9), REWARD, stats=stats)]
+        params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD, stats=stats)]
     r5 = [t.reward for t in svdd_generate(
-        params, sched, SvddConfig(M=5, alpha=0.2, n_traj=200, seed=9), REWARD, stats=stats)]
+        params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD, stats=stats)]
     assert np.mean(r5) > np.mean(r1)
 
 
 def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
     params, sched, stats = toy_model
     x = np.array([0.3, 0.7])
-    v1 = soft_value_estimate(x, 5, params, sched, REWARD, stats=stats)
-    v2 = soft_value_estimate(x, 5, params, sched, REWARD, stats=stats)
+    cands = x[None, None, :]
+    v1 = _candidate_values(params, sched, REWARD, stats, cands, 5)[0, 0]
+    v2 = _candidate_values(params, sched, REWARD, stats, cands, 5)[0, 0]
     assert v1 == v2
     # at t = 0 the state is the design itself
     from rddkit.data import denormalize
-    v0 = soft_value_estimate(x, 0, params, sched, REWARD, stats=stats)
+    v0 = _candidate_values(params, sched, REWARD, stats, cands, 0)[0, 0]
     assert v0 == REWARD(denormalize(x, stats))
 
 
