@@ -88,10 +88,14 @@ def _build_reward(rc, d):
         return SyntheticTargetReward(target)
     if rc.kind == "hull":
         return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset)
-    if rc.kind == "surrogate":
-        return SurrogateReward(load_ensemble(rc.surrogate_path))
-    if rc.kind == "airfoil":
-        base = SurrogateReward(load_ensemble(rc.surrogate_path))
+    if rc.kind in ("surrogate", "airfoil"):
+        ensemble = load_ensemble(rc.surrogate_path)
+        if ensemble.d != d:
+            raise ConfigError(f"reward.surrogate_path: surrogate takes {ensemble.d} inputs, "
+                              f"the model has {d}")
+        base = SurrogateReward(ensemble)
+        if rc.kind == "surrogate":
+            return base
         return AirfoilFeasibilityReward(base, lambda_range=rc.lambda_range,
                                         lambda_intersect=rc.lambda_intersect)
     raise ConfigError(f"reward.kind: unknown reward '{rc.kind}'")
@@ -127,6 +131,7 @@ def cmd_pretrain(args):
         cfg.pretrain.epochs = args.epochs
     if args.seed is not None:
         cfg.pretrain.seed = args.seed
+    cfgmod.validate(cfg)
     outdir = _ensure_outdir(args.outdir or cfg.outdir)
     cfg.outdir = outdir
 
@@ -166,6 +171,7 @@ def cmd_finetune(args):
     cfg.outdir = outdir
     if args.seed is not None:
         cfg.finetune.seed = args.seed
+    cfgmod.validate(cfg)
 
     t0 = time.perf_counter()
     params_pre, sched, meta, stats = _load_model_bundle(args.model)
@@ -355,6 +361,14 @@ def cmd_benchmark_make(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _seed(text):
+    """argparse type of every --seed: NumPy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rddkit",
@@ -369,7 +383,7 @@ def build_parser():
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model.rddm")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="reward-weighted fine-tuning of a model")
@@ -377,7 +391,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="pretrained model file")
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model_ft.rddm")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("sample", help="draw guided or unguided samples")
@@ -388,7 +402,7 @@ def build_parser():
     p.add_argument("--M", type=int, help="candidates per step (1 = unguided)")
     p.add_argument("--alpha", type=float, help="selection temperature")
     p.add_argument("--n-traj", type=int, help="number of samples")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="compare sample rewards to training rewards")
@@ -422,7 +436,7 @@ def build_parser():
     q.set_defaults(func=cmd_hull_eval)
     q = hsub.add_parser("dataset", help="random labeled hulls for surrogate fitting")
     q.add_argument("--n", type=int, default=5000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--loa", type=float, default=80.0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_hull_dataset)
@@ -431,7 +445,7 @@ def build_parser():
     bsub = p.add_subparsers(dest="subcommand", required=True)
     q = bsub.add_parser("make", help="two-mode Gaussian mixture with rewards")
     q.add_argument("--n", type=int, default=5000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_benchmark_make)
 

@@ -67,6 +67,8 @@ class PretrainSection:
             raise ConfigError("pretrain.batch_size: must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("pretrain.learning_rate: must be > 0")
+        if self.seed < 0:
+            raise ConfigError("pretrain.seed: must be >= 0")
 
 
 @dataclass
@@ -92,6 +94,8 @@ class FinetuneSection:
             raise ConfigError("finetune.gamma: must be > 0")
         if self.batch_size < 1:
             raise ConfigError("finetune.batch_size: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("finetune.seed: must be >= 0")
 
 
 @dataclass
@@ -108,6 +112,8 @@ class SvddSection:
             raise ConfigError("svdd.alpha: must be >= 0")
         if self.n_traj < 1:
             raise ConfigError("svdd.n_traj: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("svdd.seed: must be >= 0")
 
 
 _REWARD_KINDS = ("synthetic", "hull", "surrogate", "airfoil")

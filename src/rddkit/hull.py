@@ -26,7 +26,6 @@ fractions {0.25, 0.33, 0.5, 0.67} of the waterline depth.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,44 +137,47 @@ def _simpson_weights(n, h):
 
 
 def _surface_patch(dims, x_lo, x_hi, t_draft, nx, nz):
-    """Simpson integral of sqrt(1 + eta_x^2 + eta_z^2) over one smooth region."""
+    """Simpson integral of sqrt(1 + eta_x^2 + eta_z^2) over one smooth region,
+    for each draft depth in the 1-d array t_draft."""
     if x_hi <= x_lo or nx < 2:
         return 0.0
     xs = np.linspace(x_lo, x_hi, nx + 1)
-    zs = np.linspace(-t_draft, 0.0, nz + 1)
+    zs = np.linspace(-t_draft, 0.0, nz + 1, axis=-1)        # (n_draft, nz + 1)
     wx = _simpson_weights(nx, (x_hi - x_lo) / nx)
-    wz = _simpson_weights(nz, t_draft / nz)
+    wz = _simpson_weights(nz, (t_draft / nz)[:, None])
     deck = _deck_halfbeam(xs, dims)[:, None]
     slope = _deck_slope(xs, dims)[:, None]
-    zrow = zs[None, :]
+    zrow = zs[:, None, :]
     fz = 1.0 - (zrow / dims.D_d) ** 2
     eta_x = slope * fz
     eta_z = deck * (-2.0 * zrow / dims.D_d ** 2)
-    integrand = np.sqrt(1.0 + eta_x ** 2 + eta_z ** 2)
-    return float(wx @ integrand @ wz)
+    integrand = np.sqrt(1.0 + eta_x ** 2 + eta_z ** 2)     # (n_draft, nx + 1, nz + 1)
+    return ((wx @ integrand)[:, None, :] @ wz[:, :, None])[:, 0, 0]
 
 
 def wetted_surface_area(dims, draft_fraction, nx=128, nz=32):
     """Non-dimensional wetted area of both hull sides at the given draft.
 
-    The x-quadrature is split at the taper joints so every Simpson panel
-    sees a smooth integrand; nx is the total interval budget.
+    draft_fraction may be an array; a scalar returns a float. The
+    x-quadrature is split at the taper joints so every Simpson panel sees a
+    smooth integrand; nx is the total interval budget.
     """
-    if not (0 < draft_fraction <= 1):
+    df = np.asarray(draft_fraction, dtype=np.float64)
+    if np.any(~((df > 0) & (df <= 1))):
         raise ValueError(f"draft fraction must be in (0, 1], got {draft_fraction}")
-    t_draft = draft_fraction * dims.WL
+    t_draft = df.reshape(-1) * dims.WL
     x_s = dims.LOA - dims.L_s
     n_bow = max(2, 2 * round(nx * dims.L_b / dims.LOA / 2)) if dims.L_b > 0 else 0
     n_stern = max(2, 2 * round(nx * dims.L_s / dims.LOA / 2)) if dims.L_s > 0 else 0
     n_mid = max(2, nx - n_bow - n_stern) if x_s > dims.L_b else 0
-    area = 0.0
-    area += _surface_patch(dims, 0.0, dims.L_b, t_draft, n_bow, nz)
-    area += _surface_patch(dims, dims.L_b, x_s, t_draft, n_mid, nz)
-    area += _surface_patch(dims, x_s, dims.LOA, t_draft, n_stern, nz)
-    area *= 2.0  # both sides
-    if not math.isfinite(area):
+    area = _surface_patch(dims, 0.0, dims.L_b, t_draft, n_bow, nz)
+    area = area + _surface_patch(dims, dims.L_b, x_s, t_draft, n_mid, nz)
+    area = area + _surface_patch(dims, x_s, dims.LOA, t_draft, n_stern, nz)
+    area = 2.0 * area  # both sides
+    if not np.all(np.isfinite(area)):
         raise NumericalError("wetted surface quadrature produced a non-finite value")
-    return area / dims.LOA ** 2
+    area = (area / dims.LOA ** 2).reshape(df.shape)
+    return float(area) if area.ndim == 0 else area
 
 
 def _one_minus_cos(y):
@@ -249,40 +251,47 @@ def _slope_transform(dims, omega):
 
 
 def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, u_max=8.0,
-                            rho=RHO, g=G):
+                            rho=RHO, g=G, with_convergence=False):
     """Thin-ship wave resistance at speed U and the given draft fraction.
 
-    The lambda integral runs over lambda = cosh(u), u in [0, u_max], with
-    composite Simpson on n_lambda intervals; sqrt(lambda^2 - 1) cancels
-    against the substitution Jacobian. A warning is attached if halving the
-    node count moves the result by more than 1%.
+    U and draft_fraction broadcast against each other (speeds down a column
+    and drafts along a row give the whole grid in one call); scalar inputs
+    return a float. The lambda integral runs over lambda = cosh(u),
+    u in [0, u_max], with composite Simpson on n_lambda intervals;
+    sqrt(lambda^2 - 1) cancels against the substitution Jacobian.
+
+    With with_convergence, returns (R_w, change) where change is the
+    relative move of each R_w under node halving, |R(n) - R(n/2)| / R(n),
+    and 0 where R_w is 0. The oscillation rate grows like 1/Fr^2, so
+    low-Froude cells move most.
     """
-    if U <= 0:
+    U = np.asarray(U, dtype=np.float64)
+    df = np.asarray(draft_fraction, dtype=np.float64)
+    if np.any(~(U > 0)):
         raise ValueError(f"speed must be positive, got {U}")
-    if not (0 < draft_fraction <= 1):
+    if np.any(~((df > 0) & (df <= 1))):
         raise ValueError(f"draft fraction must be in (0, 1], got {draft_fraction}")
     if n_lambda % 4 != 0:
         raise ValueError("n_lambda must be a multiple of 4")
-    t_draft = draft_fraction * dims.WL
-    k0 = g / U ** 2
+    t_draft = (df * dims.WL)[..., None]
+    k0 = (g / U ** 2)[..., None]
     u = np.linspace(0.0, u_max, n_lambda + 1)
     lam = np.cosh(u)
-    omega = lam * k0
+    omega = lam * k0                   # depends on speed only
     a = lam ** 2 * k0 * t_draft
     Z = t_draft * _psi(a) - (t_draft ** 3 / dims.D_d ** 2) * _phi(a)
     Xc, Xs = _slope_transform(dims, omega)
     integrand = (Xc ** 2 + Xs ** 2) * Z ** 2 * lam ** 2
 
-    w_fine = _simpson_weights(n_lambda, u_max / n_lambda)
-    val_fine = float(w_fine @ integrand)
-    w_coarse = _simpson_weights(n_lambda // 2, 2 * u_max / n_lambda)
-    val_coarse = float(w_coarse @ integrand[::2])
-    if val_fine > 0 and abs(val_fine - val_coarse) > 0.01 * abs(val_fine):
-        # fixed message so repeated emissions deduplicate in bulk runs; the
-        # oscillation rate grows like 1/Fr^2, so low speeds are expected here
-        warnings.warn("Michell lambda-quadrature moved by more than 1% under "
-                      "node halving; increase n_lambda for low-Froude cells")
-    return 4.0 * rho * g ** 2 / (math.pi * U ** 2) * val_fine
+    val_fine = integrand @ _simpson_weights(n_lambda, u_max / n_lambda)
+    R_w = 4.0 * rho * g ** 2 / (math.pi * U ** 2) * val_fine
+    R_w = float(R_w) if R_w.ndim == 0 else R_w
+    if not with_convergence:
+        return R_w
+    val_coarse = integrand[..., ::2] @ _simpson_weights(n_lambda // 2, 2 * u_max / n_lambda)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        change = np.where(val_fine > 0, np.abs(val_fine - val_coarse) / val_fine, 0.0)
+    return R_w, (float(change) if change.ndim == 0 else change)
 
 
 def wave_resistance_coefficient(R_w, U, dims, rho=RHO):
@@ -312,6 +321,7 @@ class ResistanceResult:
     C_w: np.ndarray
     C_f: np.ndarray
     aggregate: float
+    R_w_halving_change: np.ndarray  # per cell, relative move under node halving
 
     def to_dict(self):
         return {
@@ -323,43 +333,35 @@ class ResistanceResult:
             "C_w": self.C_w.tolist(),
             "C_f": self.C_f.tolist(),
             "aggregate": self.aggregate,
+            "R_w_halving_change": self.R_w_halving_change.tolist(),
         }
 
 
 def aggregate_total_resistance(dims, rho=RHO, g=G, nu=NU, n_lambda=256):
     """Total resistance over the 8 x 4 Froude/draft grid.
 
-    Cells are evaluated in a fixed order (Froude major) and summed in that
-    order, so the aggregate is deterministic.
+    The whole grid goes through one Michell call and the wetted area, which
+    depends on draft only, through one call over the drafts. Cells are
+    summed one by one in a fixed order (Froude major), so the aggregate is
+    deterministic.
     """
     froude = FROUDE_NUMBERS.copy()
     drafts = np.array(DRAFT_FRACTIONS)
-    nF, nD = len(froude), len(drafts)
-    R_w = np.zeros((nF, nD))
-    R_f = np.zeros((nF, nD))
-    C_w = np.zeros((nF, nD))
-    C_f = np.zeros((nF, nD))
-    s_at = {j: wetted_surface_area(dims, float(df)) for j, df in enumerate(drafts)}
-    aggregate = 0.0
-    for i, fr in enumerate(froude):
-        U = float(fr) * math.sqrt(g * dims.LOA)
-        Re = U * dims.LOA / nu
-        cf = friction_coefficient(Re)
-        for j, df in enumerate(drafts):
-            rw = michell_wave_resistance(dims, U, float(df), n_lambda=n_lambda, rho=rho, g=g)
-            rf = friction_resistance(cf, U, s_at[j], dims, rho=rho)
-            R_w[i, j] = rw
-            R_f[i, j] = rf
-            C_w[i, j] = wave_resistance_coefficient(rw, U, dims, rho=rho)
-            C_f[i, j] = cf
-            aggregate += rw + rf
+    U = froude * math.sqrt(g * dims.LOA)
+    C_f = np.array([friction_coefficient(Re) for Re in U * dims.LOA / nu])
+    R_w, change = michell_wave_resistance(dims, U[:, None], drafts[None, :], n_lambda=n_lambda,
+                                          rho=rho, g=g, with_convergence=True)
+    s_at = wetted_surface_area(dims, drafts)
+    R_f = friction_resistance(C_f[:, None], U[:, None], s_at[None, :], dims, rho=rho)
+    R_T = R_w + R_f
     return ResistanceResult(
         froude_numbers=froude,
         draft_fractions=drafts,
         R_w=R_w,
         R_f=R_f,
-        R_T=R_w + R_f,
-        C_w=C_w,
-        C_f=C_f,
-        aggregate=float(aggregate),
+        R_T=R_T,
+        C_w=wave_resistance_coefficient(R_w, U[:, None], dims, rho=rho),
+        C_f=np.repeat(C_f[:, None], drafts.size, axis=1),
+        aggregate=float(np.add.accumulate(R_T.ravel())[-1]),
+        R_w_halving_change=change,
     )

@@ -9,7 +9,7 @@ break toward the lowest feature index, then the lowest threshold.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,70 @@ class Tree:
     value: np.ndarray      # float64, meaningful at leaves
 
 
+# rows per block of the packed traversal; bounds each (rows, trees) index
+# array of one predict call at 4096 * n_trees * 8 bytes
+_PREDICT_BLOCK = 4096
+
+
+@dataclass
+class _PackedTrees:
+    """Every tree padded into one (n_trees, max_nodes) layout, flattened.
+
+    Node i's children sit at child[2i] (left) and child[2i + 1] (right), as
+    flat node positions. Leaves and padding loop to themselves with
+    threshold +inf and feature 0, so a descent of ``depth`` levels lands
+    every row on its leaf whatever the tree's shape.
+    """
+
+    feature: np.ndarray    # intp
+    threshold: np.ndarray  # float64
+    child: np.ndarray      # intp, two per node
+    value: np.ndarray      # float64
+    roots: np.ndarray      # intp (n_trees,), flat position of each root
+    depth: int             # levels from a root to the deepest leaf
+
+
+def _pack(trees, d):
+    """Pad the trees into one flat layout; DataError on a malformed tree."""
+    n_trees = len(trees)
+    width = max((t.feature.shape[0] for t in trees), default=1)
+    roots = np.arange(n_trees, dtype=np.intp) * width
+    flat = roots[:, None] + np.arange(width, dtype=np.intp)
+    feature = np.zeros((n_trees, width), dtype=np.intp)
+    threshold = np.full((n_trees, width), np.inf)
+    left, right = flat.copy(), flat.copy()
+    value = np.zeros((n_trees, width))
+    leaf = np.ones((n_trees, width), dtype=bool)
+    for k, t in enumerate(trees):
+        n = t.feature.shape[0]
+        internal = t.feature >= 0
+        children = np.concatenate([t.left[internal], t.right[internal]])
+        if n == 0 or np.any(children < 0) or np.any(children >= n):
+            raise DataError(f"tree {k}: child index outside its {n} nodes")
+        if np.any(t.feature >= d):
+            raise DataError(f"tree {k}: feature index outside the {d} inputs")
+        feature[k, :n] = np.where(internal, t.feature, 0)
+        threshold[k, :n] = np.where(internal, t.threshold, np.inf)
+        left[k, :n] = np.where(internal, t.left + roots[k], flat[k, :n])
+        right[k, :n] = np.where(internal, t.right + roots[k], flat[k, :n])
+        value[k, :n] = t.value
+        leaf[k, :n] = ~internal
+    left, right, leaf = left.ravel(), right.ravel(), leaf.ravel()
+    # node heights by fixed-point iteration; a tree of n nodes is less than
+    # n deep, so no fixed point within `width` rounds means a cycle
+    height = np.zeros(left.shape[0], dtype=np.intp)
+    for _ in range(width):
+        new = np.where(leaf, 0, 1 + np.maximum(height[left], height[right]))
+        if np.array_equal(new, height):
+            break
+        height = new
+    else:
+        raise DataError("tree nodes form a cycle")
+    child = np.stack([left, right], axis=1).ravel()
+    return _PackedTrees(feature.ravel(), threshold.ravel(), child, value.ravel(),
+                        roots, int(height[roots].max(initial=0)))
+
+
 @dataclass
 class TreeEnsemble:
     base_prediction: float
@@ -37,27 +101,22 @@ class TreeEnsemble:
     max_depth: int
     n_trees: int
     d: int
+    packed: _PackedTrees = field(init=False, repr=False, compare=False)
 
-
-def _tree_predict(tree, X):
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        internal = feat >= 0
-        if not internal.any():
-            break
-        rows = np.nonzero(internal)[0]
-        nd = node[rows]
-        go_left = X[rows, feat[rows]] <= tree.threshold[nd]
-        node[rows] = np.where(go_left, tree.left[nd], tree.right[nd])
-    return tree.value[node]
+    def __post_init__(self):
+        self.packed = _pack(self.trees, self.d)
 
 
 class _TreeBuilder:
     def __init__(self, bins, thresholds, max_depth):
-        self.bins = bins                # (n, d) int threshold-bin index per sample
+        d, n_thr = thresholds.shape
+        self.n_bins = n_thr + 1
+        # feature f's bins shifted to [f * n_bins, (f + 1) * n_bins), so one
+        # bincount covers every feature
+        self.flat_bins = bins + np.arange(d) * self.n_bins   # (n, d)
         self.thresholds = thresholds    # (d, n_thr)
         self.max_depth = max_depth
+        self.fitted = np.empty(bins.shape[0])  # leaf value of each training row
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
 
@@ -69,37 +128,35 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
+    def _leaf(self, node, idx, value):
+        self.value[node] = value
+        self.fitted[idx] = value
+        return node
+
     def build(self, idx, resid, depth):
         node = self._new_node()
         n = idx.shape[0]
-        total = resid[idx].sum()
+        r = resid[idx]
+        total = r.sum()
         if depth >= self.max_depth or n < 2:
-            self.value[node] = total / n
-            return node
-        n_thr = self.thresholds.shape[1]
-        best = (0.0, -1, -1)  # gain, feature, threshold index
-        parent_score = total * total / n
-        for f in range(self.bins.shape[1]):
-            b = self.bins[idx, f]
-            counts = np.bincount(b, minlength=n_thr + 1)[: n_thr + 1]
-            sums = np.bincount(b, weights=resid[idx], minlength=n_thr + 1)[: n_thr + 1]
-            nl = np.cumsum(counts)[:n_thr]
-            sl = np.cumsum(sums)[:n_thr]
-            nr = n - nl
-            valid = (nl > 0) & (nr > 0)
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = sl * sl / nl + (total - sl) ** 2 / nr - parent_score
-            gain[~valid] = -np.inf
-            k = int(np.argmax(gain))
-            if gain[k] > best[0]:
-                best = (float(gain[k]), f, k)
-        if best[1] < 0:
-            self.value[node] = total / n
-            return node
-        _, f, k = best
-        go_left = self.bins[idx, f] <= k
+            return self._leaf(node, idx, total / n)
+        d, n_thr = self.thresholds.shape
+        b = self.flat_bins[idx]
+        size = d * self.n_bins
+        counts = np.bincount(b.ravel(), minlength=size).reshape(d, self.n_bins)
+        sums = np.bincount(b.ravel(), weights=np.repeat(r, d),
+                           minlength=size).reshape(d, self.n_bins)
+        nl = np.cumsum(counts, axis=1)[:, :n_thr]
+        sl = np.cumsum(sums, axis=1)[:, :n_thr]
+        nr = n - nl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = sl * sl / nl + (total - sl) ** 2 / nr - total * total / n
+        gain[(nl == 0) | (nr == 0)] = -np.inf
+        # row-major argmax: the lowest feature, then the lowest threshold
+        f, k = divmod(int(np.argmax(gain)), n_thr)
+        if not gain[f, k] > 0.0:
+            return self._leaf(node, idx, total / n)
+        go_left = b[:, f] <= f * self.n_bins + k
         li = self.build(idx[go_left], resid, depth + 1)
         ri = self.build(idx[~go_left], resid, depth + 1)
         self.feature[node] = f
@@ -144,12 +201,30 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1, n_thresholds=32)
         resid = y - F
         builder = _TreeBuilder(bins, thresholds, max_depth)
         builder.build(all_idx, resid, 0)
-        tree = builder.freeze()
-        trees.append(tree)
-        F = F + shrinkage * _tree_predict(tree, X)
+        trees.append(builder.freeze())
+        # bins[:, f] <= k exactly when x <= thresholds[f, k], so each training
+        # row's leaf is the one the tree routes it to
+        F = F + shrinkage * builder.fitted
         mse_history.append(float(np.mean((y - F) ** 2)))
     ensemble = TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, X.shape[1])
     return ensemble, mse_history
+
+
+def _predict_block(ensemble, X):
+    p = ensemble.packed
+    n, d = X.shape
+    x = X.ravel()
+    row = (np.arange(n, dtype=np.intp) * d)[:, None]
+    node = np.broadcast_to(p.roots, (n, p.roots.shape[0]))   # (n, n_trees)
+    for _ in range(p.depth):
+        go_left = x[row + p.feature[node]] <= p.threshold[node]
+        node = p.child[2 * node + 1 - go_left]
+    # out += shrinkage * leaf_k for k = 0, 1, ...: accumulate runs left to
+    # right, the order of a per-tree loop
+    terms = np.empty((n, node.shape[1] + 1))
+    terms[:, 0] = ensemble.base_prediction
+    np.multiply(ensemble.shrinkage, p.value[node], out=terms[:, 1:])
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def predict_ensemble(ensemble, X):
@@ -160,9 +235,9 @@ def predict_ensemble(ensemble, X):
         X = X[None, :]
     if X.shape[1] != ensemble.d:
         raise ValueError(f"input dim {X.shape[1]} does not match model dim {ensemble.d}")
-    out = np.full(X.shape[0], ensemble.base_prediction)
-    for tree in ensemble.trees:
-        out += ensemble.shrinkage * _tree_predict(tree, X)
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _PREDICT_BLOCK):
+        out[lo:lo + _PREDICT_BLOCK] = _predict_block(ensemble, X[lo:lo + _PREDICT_BLOCK])
     return out[0] if single else out
 
 
@@ -215,4 +290,7 @@ def load_ensemble(path):
             value=r.array("<f8", n_nodes),
         ))
     r.finish()
-    return TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, d)
+    try:
+        return TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, d)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None

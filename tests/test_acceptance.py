@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -319,13 +318,11 @@ def test_criterion_10_michell_integral():
     lo = np.array([0.05, 0.05, 0.02, 0.02, 0.1, 0.2])
     hi = np.array([0.45, 0.45, 0.20, 0.12, 1.0, 1.0])
     min_rw, min_rf = np.inf, np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(1000):
-            p = lo + (hi - lo) * rng.random(6)
-            res = aggregate_total_resistance(scale_params(p, 80.0))
-            min_rw = min(min_rw, res.R_w.min())
-            min_rf = min(min_rf, res.R_f.min())
+    for _ in range(1000):
+        p = lo + (hi - lo) * rng.random(6)
+        res = aggregate_total_resistance(scale_params(p, 80.0))
+        min_rw = min(min_rw, res.R_w.min())
+        min_rf = min(min_rf, res.R_f.min())
     wall = time.perf_counter() - t0
     print(f"criterion 10: zero-beam R_w {rw_zero}, beam^2 error "
           f"{scaling_err:.2e} (< 0.005), lambda self-convergence "
@@ -341,9 +338,7 @@ def test_criterion_10_michell_integral():
 
 def test_criterion_11_surrogate_quality():
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        data = benchmark.hull_resistance_dataset(5000, seed=17)
+    data = benchmark.hull_resistance_dataset(5000, seed=17)
     perm = np.random.default_rng(99).permutation(5000)
     tr, te = perm[:4000], perm[4000:]
     ens, mse = fit_ensemble(data.X[tr], data.rewards[tr])

@@ -120,7 +120,7 @@ def test_parse_config_file_errors(tmp_path):
 
 # ---------------------------------------------------------------------- cli
 
-def test_usage_errors_exit_1(tmp_path, caplog):
+def test_usage_errors_exit_1(tmp_path, caplog, capsys):
     assert cli.main([]) == 1
     assert cli.main(["not-a-command"]) == 1
     assert cli.main(["--help"]) == 0
@@ -138,6 +138,38 @@ def test_usage_errors_exit_1(tmp_path, caplog):
         assert cli.main([command, "--config", short, "--model", str(model),
                          "--outdir", str(tmp_path)]) == 1
         assert "reward.target" in caplog.text
+    # a surrogate over 3 inputs cannot steer the 2-d model
+    rows = ["x0,x1,x2,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i * 0.7 % 1},{i % 3}"
+                                  for i in range(12)]
+    (tmp_path / "wide.csv").write_text("\n".join(rows) + "\n")
+    ds = load_dataset(str(tmp_path / "wide.csv"))
+    wide = str(tmp_path / "wide.rddt")
+    save_ensemble(wide, fit_ensemble(ds.X, ds.rewards, n_trees=2, max_depth=2)[0])
+    for kind in ("surrogate", "airfoil"):
+        cfg = write_json(tmp_path / f"{kind}.json",
+                         {"reward": {"kind": kind, "surrogate_path": wide}})
+        for command in ("sample", "finetune"):
+            caplog.clear()
+            assert cli.main([command, "--config", cfg, "--model", str(model),
+                             "--outdir", str(tmp_path)]) == 1
+            assert "reward.surrogate_path" in caplog.text
+    # negative seeds: every --seed flag, and every section's seed key
+    out = str(tmp_path / "out.csv")
+    for argv in (["pretrain", "--data", "x.csv"], ["finetune", "--model", str(model)],
+                 ["sample", "--model", str(model)], ["hull", "dataset", "--n", "2", "--out", out],
+                 ["benchmark", "make", "--n", "2", "--out", out]):
+        capsys.readouterr()
+        outdir = ["--outdir", str(tmp_path)] if argv[0] in ("pretrain", "finetune", "sample") \
+            else []
+        assert cli.main(argv + outdir + ["--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+    for section, argv in (("pretrain", ["pretrain", "--data", "x.csv"]),
+                          ("finetune", ["finetune", "--model", str(model)]),
+                          ("svdd", ["sample", "--model", str(model)])):
+        cfg = write_json(tmp_path / f"seed_{section}.json", {section: {"seed": -1}})
+        caplog.clear()
+        assert cli.main(argv + ["--config", cfg, "--outdir", str(tmp_path)]) == 1
+        assert f"{section}.seed" in caplog.text
 
 
 def test_data_errors_exit_2(tmp_path):

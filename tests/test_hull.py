@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -169,12 +168,28 @@ def test_michell_node_doubling_at_moderate_froude():
         assert abs(fine - base) < 1e-3 * abs(base)
 
 
-def test_michell_warns_when_quadrature_moves():
+def test_halving_change_flags_low_froude_cell(recwarn):
     # slow hull: the transform oscillates like 1/Fr^2 and coarse grids miss it
     dims = canonical_dims()
+    res = aggregate_total_resistance(dims, n_lambda=64)
+    change = res.R_w_halving_change
+    assert change.shape == (8, 4)
+    assert change[0, 3] > 0.01                  # Fr = 0.1, draft 0.67
+    # at the default 256 nodes the cells from Fr = 0.25 up settle below 1 %
+    default = aggregate_total_resistance(dims).R_w_halving_change
+    assert np.all(default[3:] < 0.01)
+    assert default[0, 3] < change[0, 3]
+    # the grid value is the scalar call's, which halves the same nodes
     U = speed_at(0.1, dims)
-    with pytest.warns(UserWarning, match="node halving"):
-        michell_wave_resistance(dims, U, 0.67, n_lambda=64)
+    rw, cell = michell_wave_resistance(dims, U, 0.67, n_lambda=64, with_convergence=True)
+    assert cell == pytest.approx(change[0, 3], rel=1e-12)
+    fine = michell_wave_resistance(dims, U, 0.67, n_lambda=64)
+    coarse = michell_wave_resistance(dims, U, 0.67, n_lambda=32)
+    assert cell == pytest.approx(abs(fine - coarse) / fine, rel=1e-9)
+    assert rw == fine
+    assert res.to_dict()["R_w_halving_change"] == change.tolist()
+    # convergence is reported as data, not as a warning
+    assert len(recwarn) == 0
 
 
 def test_michell_input_validation():
@@ -191,14 +206,12 @@ def test_michell_nonnegative_random_hulls():
     rng = np.random.default_rng(12)
     lo = np.array([0.05, 0.05, 0.02, 0.02, 0.1, 0.2])
     hi = np.array([0.45, 0.45, 0.20, 0.12, 1.0, 1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(25):
-            p = lo + (hi - lo) * rng.random(6)
-            dims = scale_params(p, 60.0)
-            fr = 0.1 + 0.35 * rng.random()
-            rw = michell_wave_resistance(dims, speed_at(fr, dims), 0.5)
-            assert rw >= 0.0
+    for _ in range(25):
+        p = lo + (hi - lo) * rng.random(6)
+        dims = scale_params(p, 60.0)
+        fr = 0.1 + 0.35 * rng.random()
+        rw = michell_wave_resistance(dims, speed_at(fr, dims), 0.5)
+        assert rw >= 0.0
 
 
 # ------------------------------------------------------- simple coefficients
@@ -233,9 +246,7 @@ def test_friction_resistance_values():
 
 def test_aggregate_grid_layout_and_sums():
     dims = canonical_dims()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = aggregate_total_resistance(dims)
+    res = aggregate_total_resistance(dims)
     assert res.R_w.shape == (8, 4)
     assert np.allclose(res.froude_numbers, np.linspace(0.1, 0.45, 8))
     assert np.allclose(res.draft_fractions, [0.25, 0.33, 0.5, 0.67])
@@ -256,18 +267,69 @@ def test_aggregate_grid_layout_and_sums():
 
 def test_aggregate_increases_with_beam():
     aggs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for p3 in (0.08, 0.12, 0.16, 0.20):
-            dims = scale_params([0.25, 0.25, p3, 0.08, 0.5, 0.75], 80.0)
-            aggs.append(aggregate_total_resistance(dims).aggregate)
+    for p3 in (0.08, 0.12, 0.16, 0.20):
+        dims = scale_params([0.25, 0.25, p3, 0.08, 0.5, 0.75], 80.0)
+        aggs.append(aggregate_total_resistance(dims).aggregate)
     assert all(b > a for a, b in zip(aggs, aggs[1:]))
 
 
 def test_aggregate_near_zero_beam_is_friction_dominated():
     dims = scale_params([0.25, 0.25, 1e-9, 0.08, 0.5, 0.75], 80.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = aggregate_total_resistance(dims)
+    res = aggregate_total_resistance(dims)
     assert res.R_w.sum() < 0.01 * res.aggregate
     assert res.aggregate == pytest.approx(res.R_f.sum(), rel=1e-6)
+
+
+@pytest.mark.parametrize("dims", [
+    canonical_dims(),
+    HullDims(LOA=60.0, L_b=0.0, L_s=15.0, B_d=7.0, D_d=5.0, B_s=1.5, WL=4.0),
+    HullDims(LOA=60.0, L_b=15.0, L_s=0.0, B_d=7.0, D_d=5.0, B_s=3.5, WL=4.0),
+    HullDims(LOA=50.0, L_b=0.0, L_s=0.0, B_d=6.0, D_d=4.0, B_s=3.0, WL=4.0),
+], ids=["canonical", "no_bow_taper", "no_stern_taper", "prism"])
+def test_aggregate_grid_matches_scalar_cells(dims):
+    res = aggregate_total_resistance(dims)
+    for j, df in enumerate(DRAFT_FRACTIONS):
+        s_at = wetted_surface_area(dims, df)
+        assert isinstance(s_at, float)
+        for i, fr in enumerate(FROUDE_NUMBERS):
+            U = speed_at(float(fr), dims)
+            rw = michell_wave_resistance(dims, U, df)
+            assert isinstance(rw, float)
+            rf = friction_resistance(friction_coefficient(U * dims.LOA / 1.19e-6), U, s_at, dims)
+            assert res.R_w[i, j] == pytest.approx(rw, rel=1e-12, abs=0.0)
+            assert res.R_f[i, j] == pytest.approx(rf, rel=1e-12, abs=0.0)
+    # a prism has no slope, so no thin-ship waves
+    tapered = dims.L_b > 0 or dims.L_s > 0
+    assert np.all(res.R_w > 0) if tapered else np.all(res.R_w == 0.0)
+    assert res.aggregate == pytest.approx(res.R_T.sum(), rel=1e-12)
+
+
+def test_aggregate_zero_beam_has_exactly_zero_wave_resistance():
+    dims = HullDims(LOA=80.0, L_b=20.0, L_s=20.0, B_d=0.0, D_d=6.4, B_s=0.0, WL=4.8)
+    res = aggregate_total_resistance(dims)
+    assert np.all(res.R_w == 0.0)
+    assert np.all(res.C_w == 0.0)
+    assert np.all(res.R_w_halving_change == 0.0)
+    assert np.all(res.R_f > 0)
+
+
+def test_grid_calls_match_elementwise_calls():
+    dims = canonical_dims()
+    drafts = np.array(DRAFT_FRACTIONS)
+    areas = wetted_surface_area(dims, drafts)
+    assert areas.shape == (4,)
+    for j, df in enumerate(drafts):
+        assert areas[j] == pytest.approx(wetted_surface_area(dims, float(df)), rel=1e-12)
+    U = np.array([speed_at(0.15, dims), speed_at(0.4, dims)])
+    grid, change = michell_wave_resistance(dims, U[:, None], drafts[None, :],
+                                           with_convergence=True)
+    assert grid.shape == change.shape == (2, 4)
+    for i in range(2):
+        for j in range(4):
+            cell, c = michell_wave_resistance(dims, U[i], drafts[j], with_convergence=True)
+            assert grid[i, j] == pytest.approx(cell, rel=1e-12)
+            assert change[i, j] == pytest.approx(c, rel=1e-9, abs=1e-15)
+    with pytest.raises(ValueError):
+        michell_wave_resistance(dims, np.array([5.0, 0.0]), 0.5)
+    with pytest.raises(ValueError):
+        wetted_surface_area(dims, np.array([0.5, 1.5]))

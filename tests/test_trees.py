@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from rddkit import trees
 from rddkit.exceptions import DataError, NumericalError
 from rddkit.trees import (
     fit_ensemble,
@@ -31,6 +34,17 @@ def test_single_stump_recovers_two_level_target():
     assert tree.threshold[0] == 0.0
     pred = predict_ensemble(ens, X)
     assert np.array_equal(pred, y)
+
+
+def test_zero_gain_split_is_not_taken():
+    # each side of the first split has constant residuals, so every split
+    # below it scores a gain of exactly 0 and the children stay leaves
+    X = np.linspace(0.0, 1.0, 12)[:, None]
+    y = np.where(X[:, 0] < 0.5, 0.0, 10.0)
+    ens, _ = fit_ensemble(X, y, n_trees=1, max_depth=3, shrinkage=1.0)
+    tree = ens.trees[0]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert np.array_equal(predict_ensemble(ens, X), y)
 
 
 def test_depth_zero_trees_predict_the_mean():
@@ -117,23 +131,90 @@ def test_heldout_r2_on_learnable_function():
     assert history[-1] < history[0]
 
 
-def test_prediction_matches_manual_traversal():
-    X, y = make_regression(150, 3, seed=2)
-    ens, _ = fit_ensemble(X, y, n_trees=20, max_depth=4, shrinkage=0.3)
+def walk(tree, row):
+    """One row down one tree, node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.value[node]
 
-    def walk(tree, row):
-        node = 0
-        while tree.feature[node] >= 0:
-            if row[tree.feature[node]] <= tree.threshold[node]:
-                node = tree.left[node]
-            else:
-                node = tree.right[node]
-        return tree.value[node]
 
+def manual_predict(ens, X):
+    """The oracle: a per-row walk, trees accumulated in order."""
     manual = np.full(X.shape[0], ens.base_prediction)
     for tree in ens.trees:
         manual += ens.shrinkage * np.array([walk(tree, row) for row in X])
-    assert np.array_equal(predict_ensemble(ens, X), manual)
+    return manual
+
+
+def test_prediction_matches_manual_traversal():
+    X, y = make_regression(150, 3, seed=2)
+    ens, _ = fit_ensemble(X, y, n_trees=20, max_depth=4, shrinkage=0.3)
+    assert np.array_equal(predict_ensemble(ens, X), manual_predict(ens, X))
+
+
+def test_prediction_matches_oracle_on_edge_inputs():
+    X, y = make_regression(150, 3, seed=8)
+    ens, _ = fit_ensemble(X, y, n_trees=15, max_depth=4, shrinkage=0.3)
+    rows = [np.full(3, v) for v in (np.nan, np.inf, -np.inf)]
+    rows += [np.array([np.nan, 0.2, -np.inf]), np.array([np.inf, np.nan, 0.1])]
+    # every split threshold, hit exactly, on its own feature
+    for tree in ens.trees:
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                row = X[0].copy()
+                row[f] = thr
+                rows.append(row)
+    E = np.array(rows)
+    pred = predict_ensemble(ens, E)
+    assert np.array_equal(pred, manual_predict(ens, E))
+    assert predict_ensemble(ens, E[3]) == pred[3]
+
+
+def test_prediction_matches_oracle_on_shallow_leaves():
+    # few rows and deep trees: most leaves stop above max_depth
+    X, y = make_regression(12, 3, seed=4)
+    ens, _ = fit_ensemble(X, y, n_trees=10, max_depth=8, shrinkage=0.5)
+
+    def leaf_depths(tree, node=0, depth=0):
+        if tree.feature[node] < 0:
+            return [depth]
+        return (leaf_depths(tree, tree.left[node], depth + 1)
+                + leaf_depths(tree, tree.right[node], depth + 1))
+
+    depths = [leaf_depths(tree) for tree in ens.trees]
+    assert max(max(d) for d in depths) < 8
+    assert any(min(d) < max(d) for d in depths)
+    Xt = np.random.default_rng(1).uniform(-1.2, 1.2, size=(60, 3))
+    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+
+
+def test_prediction_matches_oracle_past_one_block(tmp_path):
+    X, y = make_regression(200, 3, seed=12)
+    ens, _ = fit_ensemble(X, y, n_trees=6, max_depth=3, shrinkage=0.4)
+    Xt = np.random.default_rng(2).uniform(-1, 1, size=(trees._PREDICT_BLOCK + 37, 3))
+    expected = manual_predict(ens, Xt)
+    assert np.array_equal(predict_ensemble(ens, Xt), expected)
+    path = tmp_path / "m.rddt"
+    save_ensemble(path, ens)
+    assert np.array_equal(predict_ensemble(load_ensemble(path), Xt), expected)
+
+
+def test_refit_writes_the_reference_bytes(tmp_path):
+    # pinned digest: any change to split choice, tie-breaks, leaf values or
+    # the file layout shows here
+    rng = np.random.default_rng(2024)
+    X = rng.uniform(-1, 1, size=(120, 4))
+    X[:, 3] = np.round(X[:, 3] * 4) / 4      # repeated values: tied thresholds
+    y = X[:, 0] * X[:, 1] + X[:, 2] ** 2 - 0.5 * X[:, 3] + 0.1 * rng.standard_normal(120)
+    ens, _ = fit_ensemble(X, y, n_trees=40, max_depth=5, shrinkage=0.2)
+    path = tmp_path / "m.rddt"
+    save_ensemble(path, ens)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ae5d6bce356979d601e643ebe70cd8e0a82d85f1c21aa80225bbd46c79218ac9")
 
 
 def test_single_vector_prediction():
@@ -154,13 +235,17 @@ def test_fit_determinism():
     assert np.array_equal(predict_ensemble(e1, X), predict_ensemble(e2, X))
 
 
-def test_constant_targets_yield_base_only_model():
+def test_constant_targets_yield_base_only_model(tmp_path):
     X = np.random.default_rng(0).standard_normal((20, 3))
     y = np.full(20, 2.5)
     ens, history = fit_ensemble(X, y)
     assert ens.n_trees == 0
     assert history == []
     assert np.all(predict_ensemble(ens, X) == 2.5)
+    assert predict_ensemble(ens, X[0]) == 2.5
+    save_ensemble(tmp_path / "c.rddt", ens)
+    back = load_ensemble(tmp_path / "c.rddt")
+    assert np.array_equal(predict_ensemble(back, X), manual_predict(back, X))
 
 
 def test_fit_input_validation():
@@ -212,3 +297,21 @@ def test_load_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_ensemble(bad)
+
+
+def test_load_rejects_malformed_trees(tmp_path):
+    X, y = make_regression(50, 3, seed=6)
+    ens, _ = fit_ensemble(X, y, n_trees=2, max_depth=2)
+    good = tmp_path / "good.rddt"
+    save_ensemble(good, ens)
+    raw = good.read_bytes()
+    n = ens.trees[0].feature.shape[0]
+    first = 36 + 4                          # header, then tree 0's node count
+    left = first + 4 * n + 8 * n
+    for name, offset, value in (("child", left, n), ("loop", left, 0), ("feature", first, 3)):
+        bad = bytearray(raw)
+        bad[offset:offset + 4] = value.to_bytes(4, "little")
+        path = tmp_path / f"{name}.rddt"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(DataError, match=name if name != "child" else "child index"):
+            load_ensemble(path)
