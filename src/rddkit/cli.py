@@ -303,7 +303,7 @@ def cmd_surrogate_fit(args):
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    log.info("fitted %d trees; train MSE %.6g -> %.6g", ensemble.n_trees,
+    log.info("fitted %d trees; train MSE %s -> %s", ensemble.n_trees,
              report["train_mse_first"], report["train_mse_last"])
     return 0
 
@@ -328,9 +328,12 @@ def cmd_surrogate_eval(args):
 
 
 def cmd_hull_eval(args):
-    p = np.array([float(v) for v in args.params.split(",")], dtype=np.float64)
-    if p.shape != (6,):
-        raise ConfigError("--params: expected 6 comma-separated values")
+    try:
+        p = np.array([float(v) for v in args.params.split(",")], dtype=np.float64)
+    except ValueError:
+        p = None
+    if p is None or p.shape != (6,):
+        raise ConfigError("--params: expected 6 comma-separated numbers")
     dims = scale_params(p, args.loa)
     result = aggregate_total_resistance(dims).to_dict()
     text = json.dumps(result, indent=2)
@@ -361,8 +364,8 @@ def cmd_benchmark_make(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _seed(text):
-    """argparse type of every --seed: NumPy seeds are non-negative integers."""
+def _count(text):
+    """argparse type of seeds, row counts, tree counts and depths: integers >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -383,7 +386,7 @@ def build_parser():
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model.rddm")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_count)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="reward-weighted fine-tuning of a model")
@@ -391,7 +394,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="pretrained model file")
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model_ft.rddm")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_count)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("sample", help="draw guided or unguided samples")
@@ -402,7 +405,7 @@ def build_parser():
     p.add_argument("--M", type=int, help="candidates per step (1 = unguided)")
     p.add_argument("--alpha", type=float, help="selection temperature")
     p.add_argument("--n-traj", type=int, help="number of samples")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_count)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="compare sample rewards to training rewards")
@@ -416,8 +419,8 @@ def build_parser():
     q = ssub.add_parser("fit", help="fit trees to a labeled dataset")
     q.add_argument("--data", required=True, help="CSV with reward column")
     q.add_argument("--out", required=True, help="output surrogate file")
-    q.add_argument("--trees", type=int, default=200)
-    q.add_argument("--depth", type=int, default=4)
+    q.add_argument("--trees", type=_count, default=200)
+    q.add_argument("--depth", type=_count, default=4)
     q.add_argument("--shrinkage", type=float, default=0.1)
     q.set_defaults(func=cmd_surrogate_fit)
     q = ssub.add_parser("eval", help="score a surrogate on held-out data")
@@ -435,8 +438,8 @@ def build_parser():
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)
     q = hsub.add_parser("dataset", help="random labeled hulls for surrogate fitting")
-    q.add_argument("--n", type=int, default=5000)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--n", type=_count, default=5000)
+    q.add_argument("--seed", type=_count, default=0)
     q.add_argument("--loa", type=float, default=80.0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_hull_dataset)
@@ -444,8 +447,8 @@ def build_parser():
     p = sub.add_parser("benchmark", help="synthetic benchmark data")
     bsub = p.add_subparsers(dest="subcommand", required=True)
     q = bsub.add_parser("make", help="two-mode Gaussian mixture with rewards")
-    q.add_argument("--n", type=int, default=5000)
-    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--n", type=_count, default=5000)
+    q.add_argument("--seed", type=_count, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_benchmark_make)
 

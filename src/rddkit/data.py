@@ -8,6 +8,7 @@ round-trip exactly through the file.
 
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,15 @@ class BinaryReader:
         start = self._advance(dtype.itemsize * count)
         arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
         return arr.astype(dtype.newbyteorder("="))
+
+    def check_crc32(self):
+        """Check the trailing u32 CRC32 of all bytes before it; reads then stop short of it."""
+        if len(self.raw) - self.off < 4:
+            raise DataError(f"{self.path}: truncated file ({len(self.raw)} bytes)")
+        body = memoryview(self.raw)[:-4]
+        if zlib.crc32(body) != struct.unpack_from("<I", self.raw, len(body))[0]:
+            raise DataError(f"{self.path}: checksum mismatch (damaged file)")
+        self.raw = body
 
     def finish(self):
         if self.off != len(self.raw):

@@ -7,7 +7,8 @@ Adam. Everything is float64 and deterministic given a seed.
 """
 
 import struct
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,35 +16,61 @@ from rddkit.diffusion import forward_marginal
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ACTIVATIONS = {"tanh": 1}
 _ACTIVATION_CODES = {v: k for k, v in _ACTIVATIONS.items()}
 
 
 @dataclass
 class DenoiserParams:
-    layer_weights: list
-    layer_biases: list
+    """Every weight and bias in one float64 vector theta.
+
+    The layout is W0 (row-major), b0, W1, b1, ...; layer_views gives the
+    per-layer arrays of theta, or of any vector in the same layout (the
+    gradient, the Adam moments).
+    """
+    theta: np.ndarray
+    d: int
     embed_dim: int
     hidden_dims: tuple
     activation: str = "tanh"
 
     @property
-    def d(self):
-        return self.layer_weights[0].shape[0] - self.embed_dim
+    def layer_weights(self):
+        return [W for W, _ in layer_views(self, self.theta)]
+
+    @property
+    def layer_biases(self):
+        return [b for _, b in layer_views(self, self.theta)]
 
 
 @dataclass
 class OptimizerState:
-    m_weights: list
-    m_biases: list
-    v_weights: list
-    v_biases: list
+    """Adam moments m and v in the parameter layout, plus a (2, n) scratch."""
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+
+def _layer_shapes(d, embed_dim, hidden_dims):
+    dims = [d + embed_dim] + list(hidden_dims) + [d]
+    return list(zip(dims[:-1], dims[1:]))
+
+
+def layer_views(params, vec):
+    """Per-layer (W, b) views of a vector in the parameter layout of params."""
+    views, off = [], 0
+    for fan_in, fan_out in _layer_shapes(params.d, params.embed_dim, params.hidden_dims):
+        W = vec[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        views.append((W, vec[off:off + fan_out]))
+        off += fan_out
+    return views
 
 
 def time_embedding(t, dim, T):
@@ -74,41 +101,24 @@ def init_params(d, net, seed):
     """
     net.check()
     rng = np.random.default_rng(seed)
-    dims = [d + net.embed_dim] + list(net.hidden_dims) + [d]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    draws = []
+    for fan_in, fan_out in _layer_shapes(d, net.embed_dim, net.hidden_dims):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return DenoiserParams(
-        layer_weights=weights,
-        layer_biases=biases,
-        embed_dim=net.embed_dim,
-        hidden_dims=tuple(net.hidden_dims),
-        activation=net.activation,
-    )
+        draws += [rng.uniform(-bound, bound, size=fan_in * fan_out),
+                  rng.uniform(-bound, bound, size=fan_out)]
+    return DenoiserParams(theta=np.concatenate(draws), d=d, embed_dim=net.embed_dim,
+                          hidden_dims=tuple(net.hidden_dims), activation=net.activation)
 
 
 def clone_params(params):
-    return DenoiserParams(
-        layer_weights=[w.copy() for w in params.layer_weights],
-        layer_biases=[b.copy() for b in params.layer_biases],
-        embed_dim=params.embed_dim,
-        hidden_dims=params.hidden_dims,
-        activation=params.activation,
-    )
+    return replace(params, theta=params.theta.copy())
 
 
 def init_opt_state(params, learning_rate=1e-3, beta1=0.9, beta2=0.999):
+    n = params.theta.size
     return OptimizerState(
-        m_weights=[np.zeros_like(w) for w in params.layer_weights],
-        m_biases=[np.zeros_like(b) for b in params.layer_biases],
-        v_weights=[np.zeros_like(w) for w in params.layer_weights],
-        v_biases=[np.zeros_like(b) for b in params.layer_biases],
-        step_count=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
+        m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)),
+        learning_rate=learning_rate, beta1=beta1, beta2=beta2,
     )
 
 
@@ -123,138 +133,123 @@ def _forward(params, X, ts, T):
         emb = np.broadcast_to(emb, (X.shape[0], params.embed_dim))
     H = np.concatenate([X, emb], axis=1)
     acts = [H]
-    n_layers = len(params.layer_weights)
-    for i, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+    layers = layer_views(params, params.theta)
+    for i, (W, b) in enumerate(layers):
         H = H @ W + b
-        if i < n_layers - 1:
+        if i < len(layers) - 1:
             H = np.tanh(H)
         acts.append(H)
     return acts
 
 
-def predict_noise(params, xt, t, T=None):
+def predict_noise(params, xt, t, T):
     """Deterministic forward pass; output has the design dimension d.
 
-    Accepts a single vector (d,) or a batch (n, d). T defaults to a value
-    large enough for the embedding frequencies to be defined; pass the
-    schedule's T for consistency with training.
+    Accepts a single vector (d,) or a batch (n, d). T is the schedule's
+    step count, which fixes the time-embedding frequencies.
     """
     xt = np.asarray(xt, dtype=np.float64)
     single = xt.ndim == 1
     X = xt[None, :] if single else xt
     if X.shape[1] != params.d:
         raise ConfigError(f"input dim {X.shape[1]} does not match model dim {params.d}")
-    if T is None:
-        T = int(np.max(t)) if np.ndim(t) else max(int(t), 1)
     out = _forward(params, X, t, T)[-1]
     return out[0] if single else out
 
 
-def _backprop(params, acts, dOut):
-    """Gradients of a scalar loss given dLoss/dOutput for each row."""
-    dW = [None] * len(params.layer_weights)
-    db = [None] * len(params.layer_biases)
+def _backprop(params, acts, dOut, grad):
+    """Gradients of a scalar loss, given dLoss/dOutput per row, written into grad."""
+    layers = layer_views(params, params.theta)
+    grads = layer_views(params, grad)
     G = dOut
-    n_layers = len(params.layer_weights)
-    for i in range(n_layers - 1, -1, -1):
-        H_in = acts[i]
-        dW[i] = H_in.T @ G
-        db[i] = G.sum(axis=0)
+    for i in range(len(layers) - 1, -1, -1):
+        dW, db = grads[i]
+        np.matmul(acts[i].T, G, out=dW)
+        G.sum(axis=0, out=db)
         if i > 0:
-            G = G @ params.layer_weights[i].T
+            G = G @ layers[i][0].T
             # acts[i] is post-tanh for hidden layers
             G = G * (1.0 - acts[i] ** 2)
-    return dW, db
+    return grad
 
 
-def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None, kappa=0.0):
-    """Weighted noise-matching loss and exact gradients.
+def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None, kappa=0.0,
+                         out=None):
+    """Weighted noise-matching loss and its exact gradient.
 
     X0 and EPS are (B, d), ts and weights (B,); the loss is
 
         mean_i  w_i * || EPS_i - eps_theta(forward_marginal(X0_i, ts_i, EPS_i), ts_i) ||^2
 
     optionally plus kappa * mean_i ||eps_theta - eps_anchor||^2 which keeps
-    the prediction close to a frozen reference network.
+    the prediction close to a frozen reference network. The gradient is one
+    vector in the layout of params.theta, written into out when given.
     """
     B = X0.shape[0]
     XT = forward_marginal(X0, ts, EPS, sched)
     acts = _forward(params, XT, ts, sched.T)
-    out = acts[-1]
-    resid = out - EPS
+    pred = acts[-1]
+    resid = pred - EPS
     loss = float(np.mean(weights * np.sum(resid * resid, axis=1)))
     dOut = (2.0 / B) * weights[:, None] * resid
     if anchor_params is not None and kappa > 0.0:
-        out_pre = _forward(anchor_params, XT, ts, sched.T)[-1]
-        drift = out - out_pre
+        pred_pre = _forward(anchor_params, XT, ts, sched.T)[-1]
+        drift = pred - pred_pre
         loss += kappa * float(np.mean(np.sum(drift * drift, axis=1)))
         dOut = dOut + (2.0 * kappa / B) * drift
-    dW, db = _backprop(params, acts, dOut)
-    return loss, (dW, db)
+    grad = np.empty_like(params.theta) if out is None else out
+    return loss, _backprop(params, acts, dOut, grad)
 
 
-def adam_step(params, opt_state, grads):
-    """Bias-corrected Adam update; returns new params and state."""
-    dW, db = grads
-    for g in dW + db:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError("non-finite gradient", checkpoint=clone_params(params))
+def adam_step(params, opt_state, grad):
+    """Bias-corrected Adam update of params.theta and the moments, in place.
+
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and theta -=
+    learning_rate (m / c1) / (sqrt(v / c2) + eps), each evaluated left to
+    right. A non-finite gradient raises before anything is changed.
+    """
+    if not np.all(np.isfinite(grad)):
+        raise TrainingDivergenceError("non-finite gradient", checkpoint=clone_params(params))
     s = opt_state
-    t = s.step_count + 1
-    new_params = clone_params(params)
-    new_state = OptimizerState(
-        m_weights=[], m_biases=[], v_weights=[], v_biases=[],
-        step_count=t,
-        learning_rate=s.learning_rate, beta1=s.beta1, beta2=s.beta2, eps=s.eps,
-    )
-    c1 = 1.0 - s.beta1 ** t
-    c2 = 1.0 - s.beta2 ** t
-    for kind, grad_list in (("weights", dW), ("biases", db)):
-        ms = s.m_weights if kind == "weights" else s.m_biases
-        vs = s.v_weights if kind == "weights" else s.v_biases
-        ps = new_params.layer_weights if kind == "weights" else new_params.layer_biases
-        new_m = new_state.m_weights if kind == "weights" else new_state.m_biases
-        new_v = new_state.v_weights if kind == "weights" else new_state.v_biases
-        for i, g in enumerate(grad_list):
-            m = s.beta1 * ms[i] + (1.0 - s.beta1) * g
-            v = s.beta2 * vs[i] + (1.0 - s.beta2) * g * g
-            ps[i] -= s.learning_rate * (m / c1) / (np.sqrt(v / c2) + s.eps)
-            new_m.append(m)
-            new_v.append(v)
-    return new_params, new_state
+    s.step_count += 1
+    c1 = 1.0 - s.beta1 ** s.step_count
+    c2 = 1.0 - s.beta2 ** s.step_count
+    a, b = s.scratch
+    np.multiply(s.m, s.beta1, out=s.m)
+    np.multiply(grad, 1.0 - s.beta1, out=a)
+    np.add(s.m, a, out=s.m)
+    np.multiply(s.v, s.beta2, out=s.v)
+    np.multiply(grad, 1.0 - s.beta2, out=a)
+    np.multiply(a, grad, out=a)
+    np.add(s.v, a, out=s.v)
+    np.divide(s.m, c1, out=a)
+    np.multiply(a, s.learning_rate, out=a)
+    np.divide(s.v, c2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, s.eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(params.theta, a, out=params.theta)
 
 
 def save_model(path, params, T, beta_start, beta_end, stats=None):
     """Write the binary model file.
 
-    Layout (all little-endian): magic "RDDM", u32 version, u32 d, u32
+    Layout (all little-endian): magic "RDDM", u32 version 2, u32 d, u32
     embed_dim, u32 n_hidden + hidden dims, u32 activation code, u32 T, f8
-    beta_start/beta_end, u8 stats flag (+ mean/std vectors), then each
-    layer as u32 rows, u32 cols, row-major f8 weights, u32 len, f8 biases.
+    beta_start/beta_end, u8 stats flag (+ mean/std vectors), then theta as
+    f8 (its length follows from the header), then the u32 CRC32 of every
+    byte before it.
     """
-    d = params.d
+    n = len(params.hidden_dims)
+    header = struct.pack(f"<4sIIII{n}IIIdd", _MAGIC, _FORMAT_VERSION, params.d,
+                         params.embed_dim, n, *params.hidden_dims,
+                         _ACTIVATIONS[params.activation], T, beta_start, beta_end)
+    vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
+    body = b"".join([header, struct.pack("<B", stats is not None)] +
+                    [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in vectors])
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _FORMAT_VERSION))
-        f.write(struct.pack("<II", d, params.embed_dim))
-        f.write(struct.pack("<I", len(params.hidden_dims)))
-        for h in params.hidden_dims:
-            f.write(struct.pack("<I", h))
-        f.write(struct.pack("<I", _ACTIVATIONS[params.activation]))
-        f.write(struct.pack("<I", T))
-        f.write(struct.pack("<dd", beta_start, beta_end))
-        if stats is not None:
-            f.write(struct.pack("<B", 1))
-            f.write(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
-        else:
-            f.write(struct.pack("<B", 0))
-        f.write(struct.pack("<I", len(params.layer_weights)))
-        for W, b in zip(params.layer_weights, params.layer_biases):
-            f.write(struct.pack("<II", W.shape[0], W.shape[1]))
-            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            f.write(struct.pack("<I", b.shape[0]))
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_model(path):
@@ -267,9 +262,10 @@ def load_model(path):
     (version,) = r.unpack("<I")
     if version != _FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version {version}")
+    r.check_crc32()
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
-    hidden = tuple(r.unpack("<I")[0] for _ in range(n_hidden))
+    hidden = r.unpack(f"<{n_hidden}I")
     (act_code,) = r.unpack("<I")
     if act_code not in _ACTIVATION_CODES:
         raise DataError(f"{path}: unknown activation code {act_code}")
@@ -281,22 +277,9 @@ def load_model(path):
         mean = r.array("<f8", d)
         std = r.array("<f8", d)
         stats = NormStats(mean=mean, std=std)
-    (n_layers,) = r.unpack("<I")
-    weights, biases = [], []
-    for _ in range(n_layers):
-        rows, cols = r.unpack("<II")
-        weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
-        (blen,) = r.unpack("<I")
-        biases.append(r.array("<f8", blen))
+    theta = r.array("<f8", sum(i * o + o for i, o in _layer_shapes(d, embed_dim, hidden)))
     r.finish()
-    params = DenoiserParams(
-        layer_weights=weights,
-        layer_biases=biases,
-        embed_dim=embed_dim,
-        hidden_dims=hidden,
-        activation=_ACTIVATION_CODES[act_code],
-    )
-    if params.d != d:
-        raise DataError(f"{path}: layer shapes inconsistent with header dim {d}")
+    params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden,
+                            activation=_ACTIVATION_CODES[act_code])
     meta = {"T": T, "beta_start": beta_start, "beta_end": beta_end}
     return params, meta, stats

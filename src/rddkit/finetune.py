@@ -53,12 +53,11 @@ def _normalized_weights(rewards, alpha):
 
 def weighted_epoch(designs, rewards, alpha, params, opt_state, sched,
                    rng=None, batch_size=64, params_pre=None, kappa=0.0):
-    """One weighted pass over the collected designs.
+    """One weighted pass over the collected designs, updating params and opt_state in place.
 
     designs is the (m, d) array of terminal designs in model coordinates;
     rewards is one real per design (already evaluated on the physical,
-    denormalized designs). Returns (params, opt_state, mean reward, mean
-    loss).
+    denormalized designs). Returns (mean reward, mean loss).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -67,11 +66,11 @@ def weighted_epoch(designs, rewards, alpha, params, opt_state, sched,
     if rewards.shape[0] != X0.shape[0]:
         raise ValueError("one reward per design required")
     weights = _normalized_weights(rewards, alpha)
-    params, opt_state, mean_loss = ddpm_epoch(
+    mean_loss = ddpm_epoch(
         params, opt_state, X0, sched, rng, batch_size,
         weights=weights, anchor_params=params_pre, kappa=kappa,
     )
-    return params, opt_state, float(rewards.mean()), mean_loss
+    return float(rewards.mean()), mean_loss
 
 
 def finetune(params_pre, reward, cfg, sched, stats=None):
@@ -96,7 +95,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         X0 = rollin_collect(params, params_pre, sched, cfg.m, ss_collect, switch_t=switch_t)
         phys = denormalize(X0, stats) if stats is not None else X0
         rewards = _eval_reward_batch(reward, phys)
-        params, opt_state, mean_r, mean_loss = weighted_epoch(
+        mean_r, mean_loss = weighted_epoch(
             X0, rewards, cfg.alpha, params, opt_state, sched,
             rng=np.random.default_rng(ss_epoch),
             batch_size=cfg.batch_size,

@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
                weights=None, anchor_params=None, kappa=0.0):
-    """One pass over the data; returns (params, opt_state, mean loss).
+    """One pass over the data, updating params and opt_state in place; returns the mean loss.
 
     The same routine backs both pretraining (weights None) and the
     reward-weighted fine-tuning epoch, so a uniform-weight fine-tuning pass
@@ -36,22 +36,23 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     n, d = X0.shape
     steps = max(1, math.ceil(n / batch_size))
     losses = np.empty(steps)
+    grad = np.empty_like(params.theta)
     for k in range(steps):
         idx = rng.integers(0, n, size=batch_size)
         ts = rng.integers(1, sched.T + 1, size=batch_size)
         EPS = rng.standard_normal((batch_size, d))
         w = weights[idx] if weights is not None else np.ones(batch_size)
-        loss, grads = loss_and_grad_arrays(
+        loss, _ = loss_and_grad_arrays(
             params, X0[idx], ts, EPS, sched, w,
-            anchor_params=anchor_params, kappa=kappa,
+            anchor_params=anchor_params, kappa=kappa, out=grad,
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(
                 f"non-finite loss at step {k}", checkpoint=clone_params(params)
             )
-        params, opt_state = adam_step(params, opt_state, grads)
+        adam_step(params, opt_state, grad)
         losses[k] = loss
-    return params, opt_state, float(losses.mean())
+    return float(losses.mean())
 
 
 def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3):
@@ -71,7 +72,7 @@ def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3
     for epoch in range(epochs):
         ramp = 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         opt_state.learning_rate = lr_min + (learning_rate - lr_min) * ramp
-        params, opt_state, mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, batch_size)
+        mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, batch_size)
         history.append(mean_loss)
         log.info("epoch %d/%d loss %.6f", epoch + 1, epochs, mean_loss)
     if history and history[-1] >= history[0] and epochs > 1:

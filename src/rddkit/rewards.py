@@ -124,26 +124,18 @@ class SyntheticTargetReward(RewardModel):
 
 
 class SurrogateReward(RewardModel):
-    """Boosted-tree surrogate prediction, optionally minus a penalty term."""
+    """Boosted-tree surrogate prediction."""
 
-    def __init__(self, ensemble, penalty=None):
+    def __init__(self, ensemble):
         from rddkit.trees import predict_ensemble
 
         self._predict = lambda X: predict_ensemble(ensemble, X)
-        self.penalty = penalty
 
     def __call__(self, x):
-        r_hat = float(self._predict(np.asarray(x, dtype=np.float64)[None, :])[0])
-        g_hat = float(self.penalty(x)) if self.penalty is not None else 0.0
-        return composite_reward(r_hat, g_hat)
+        return float(self._predict(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def batch(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        r_hat = self._predict(X)
-        if self.penalty is None:
-            return r_hat
-        g_hat = np.array([float(self.penalty(x)) for x in X])
-        return r_hat - g_hat
+        return self._predict(np.asarray(X, dtype=np.float64))
 
 
 class AirfoilFeasibilityReward(RewardModel):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rddkit.data import BinaryReader
-from rddkit.exceptions import DataError, NumericalError
+from rddkit.exceptions import ConfigError, DataError, NumericalError
 
 _MAGIC = b"RDDT"
 _FORMAT_VERSION = 1
@@ -177,12 +177,15 @@ class _TreeBuilder:
 
 def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1, n_thresholds=32):
     """Fit boosted trees on (X, y); returns (ensemble, per-round train MSE)."""
+    if n_trees < 1 or max_depth < 0 or not shrinkage > 0.0:
+        raise ConfigError(f"need n_trees >= 1, max_depth >= 0 and shrinkage > 0, got "
+                          f"{n_trees}, {max_depth} and {shrinkage}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < 10:
-        raise ValueError(f"need at least 10 rows, got {X.shape[0]}")
+        raise DataError(f"need at least 10 rows, got {X.shape[0]}")
     if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+        raise DataError("targets must be finite")
     base = float(y.mean())
     if np.all(y == y[0]):
         return TreeEnsemble(base, [], shrinkage, max_depth, 0, X.shape[1]), []

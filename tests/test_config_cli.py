@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def write_model(path):
     params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
     save_model(str(path), params, T=10, beta_start=1e-4, beta_end=0.02)
     return path
+
+
+def v1_model_bytes(params, last_bias_len=None):
+    """The retired version-1 model layout: per-layer shape records, no checksum."""
+    n = len(params.hidden_dims)
+    parts = [b"RDDM", struct.pack("<IIII", 1, params.d, params.embed_dim, n),
+             struct.pack(f"<{n}I", *params.hidden_dims), struct.pack("<II", 1, 10),
+             struct.pack("<dd", 1e-4, 0.02), b"\x00", struct.pack("<I", n + 1)]
+    for i, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+        if i == n and last_bias_len is not None:
+            b = b[:last_bias_len]
+        parts += [struct.pack("<II", *W.shape), W.tobytes(), struct.pack("<I", b.size),
+                  b.tobytes()]
+    return b"".join(parts)
 
 
 def test_empty_config_is_all_defaults(tmp_path):
@@ -170,6 +185,23 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
         caplog.clear()
         assert cli.main(argv + ["--config", cfg, "--outdir", str(tmp_path)]) == 1
         assert f"{section}.seed" in caplog.text
+    # negative counts, and tree settings the fit cannot use
+    wide_csv = str(tmp_path / "wide.csv")
+    fit = ["surrogate", "fit", "--data", wide_csv, "--out", str(tmp_path / "f.rddt")]
+    for argv, flag in ((["hull", "dataset", "--n", "-1", "--out", out], "--n"),
+                       (["benchmark", "make", "--n", "-1", "--out", out], "--n"),
+                       (fit + ["--trees", "-1"], "--trees"),
+                       (fit + ["--depth", "-1"], "--depth")):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert flag in capsys.readouterr().err
+    caplog.clear()
+    assert cli.main(fit + ["--trees", "0"]) == 1
+    assert "n_trees >= 1" in caplog.text
+    assert not (tmp_path / "f.rddt").exists()
+    caplog.clear()
+    assert cli.main(["hull", "eval", "--params", "a,b"]) == 1
+    assert "--params" in caplog.text
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -186,7 +218,12 @@ def test_data_errors_exit_2(tmp_path):
     # truncated and over-long model files
     raw = write_model(tmp_path / "m.rddm").read_bytes()
     assert len(raw) > 300
-    for name, body in (("cut.rddm", raw[:300]), ("long.rddm", raw + b"\x00\x00")):
+    flipped = bytearray(raw)
+    flipped[-40] ^= 0x01    # a byte of the last layer's weights
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
+    for name, body in (("cut.rddm", raw[:300]), ("long.rddm", raw + b"\x00\x00"),
+                       ("flipped.rddm", bytes(flipped)), ("v1.rddm", v1_model_bytes(params)),
+                       ("v1_short_bias.rddm", v1_model_bytes(params, last_bias_len=1))):
         (tmp_path / name).write_bytes(body)
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
                          "--outdir", str(tmp_path)]) == 2
@@ -202,6 +239,12 @@ def test_data_errors_exit_2(tmp_path):
         (tmp_path / name).write_bytes(body)
         assert cli.main(["surrogate", "eval", "--model", str(tmp_path / name),
                          "--data", str(data)]) == 2
+    # too few rows, and a non-finite target, to fit a surrogate on
+    for name, lines in (("nine.csv", rows[:10]),
+                        ("nan.csv", rows[:5] + ["0.5,0.5,nan"] + rows[5:])):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        assert cli.main(["surrogate", "fit", "--data", str(tmp_path / name),
+                         "--out", str(tmp_path / "bad.rddt")]) == 2
 
 
 def test_numerical_errors_exit_3(tmp_path):

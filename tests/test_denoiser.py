@@ -10,6 +10,7 @@ from rddkit.denoiser import (
     clone_params,
     init_opt_state,
     init_params,
+    layer_views,
     load_model,
     loss_and_grad_arrays,
     predict_noise,
@@ -31,12 +32,6 @@ def make_batch(seed, n, d, T):
     rows = [(rng.standard_normal(d), int(rng.integers(1, T + 1)), rng.standard_normal(d))
             for _ in range(n)]
     return tuple(np.array(col) for col in zip(*rows))
-
-
-def flatten(params):
-    return np.concatenate(
-        [w.ravel() for w in params.layer_weights] + [b.ravel() for b in params.layer_biases]
-    )
 
 
 def test_time_embedding_basic_properties():
@@ -75,23 +70,24 @@ def test_gradients_match_central_finite_differences():
     sched = make_schedule(10)
     batch = make_batch(2, 8, 2, 10)
     weights = np.ones(8)
-    _, grads = loss_and_grad_arrays(params, *batch, sched, weights)
-    gw, gb = grads
+    _, grad = loss_and_grad_arrays(params, *batch, sched, weights)
+    assert grad.shape == params.theta.shape
+    grads = layer_views(params, grad)
 
     def loss_at(p):
         return loss_and_grad_arrays(p, *batch, sched, weights)[0]
 
     h = 1e-6
     for li in range(len(params.layer_weights)):
-        for arr, ganl in ((params.layer_weights[li], gw[li]),
-                          (params.layer_biases[li], gb[li])):
+        for kind in (0, 1):
+            arr, ganl = layer_views(params, params.theta)[li][kind], grads[li][kind]
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 p_hi = clone_params(params)
                 p_lo = clone_params(params)
-                (p_hi.layer_weights if arr.ndim == 2 else p_hi.layer_biases)[li][idx] += h
-                (p_lo.layer_weights if arr.ndim == 2 else p_lo.layer_biases)[li][idx] -= h
+                layer_views(p_hi, p_hi.theta)[li][kind][idx] += h
+                layer_views(p_lo, p_lo.theta)[li][kind][idx] -= h
                 fd = (loss_at(p_hi) - loss_at(p_lo)) / (2 * h)
                 rel = abs(ganl[idx] - fd) / max(abs(fd), 1e-8)
                 assert rel < 1e-4, f"layer {li} idx {idx}: {ganl[idx]} vs {fd}"
@@ -103,9 +99,9 @@ def test_anchor_gradient_matches_finite_differences():
     sched = make_schedule(10)
     batch = make_batch(5, 6, 2, 10)
     weights = np.ones(6)
-    _, grads = loss_and_grad_arrays(params, *batch, sched, weights,
-                                    anchor_params=anchor, kappa=0.1)
-    gw, _ = grads
+    _, grad = loss_and_grad_arrays(params, *batch, sched, weights,
+                                   anchor_params=anchor, kappa=0.1)
+    gw = layer_views(params, grad)[0][0]
 
     def loss_at(p):
         return loss_and_grad_arrays(p, *batch, sched, weights,
@@ -120,7 +116,18 @@ def test_anchor_gradient_matches_finite_differences():
         p_hi.layer_weights[0][i] += h
         p_lo.layer_weights[0][i] -= h
         fd = (loss_at(p_hi) - loss_at(p_lo)) / (2 * h)
-        assert abs(gw[0][i] - fd) / max(abs(fd), 1e-8) < 1e-4
+        assert abs(gw[i] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+def test_gradient_written_into_out():
+    params = small_net(seed=2)
+    sched = make_schedule(10)
+    batch = make_batch(3, 5, 2, 10)
+    fresh = loss_and_grad_arrays(params, *batch, sched, np.ones(5))[1]
+    buf = np.full_like(params.theta, np.nan)
+    loss, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(5), out=buf)
+    assert grad is buf
+    assert np.array_equal(buf, fresh)
 
 
 def test_adam_step_matches_reference_update():
@@ -128,16 +135,21 @@ def test_adam_step_matches_reference_update():
     opt = init_opt_state(params, learning_rate=1e-2)
     sched = make_schedule(10)
     batch = make_batch(6, 4, 2, 10)
-    _, grads = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
-    new_params, new_opt = adam_step(params, opt, grads)
-    g = grads[0][0]
-    m = 0.1 * g
-    v = 0.001 * g * g
+    _, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
+    before = params.theta.copy()
+    theta = params.theta
+    adam_step(params, opt, grad)
+    m = 0.1 * grad
+    v = 0.001 * grad * grad
     step = 1e-2 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
-    assert np.allclose(new_params.layer_weights[0], params.layer_weights[0] - step)
-    assert new_opt.step_count == 1
-    # input params untouched (functional update)
-    assert not np.shares_memory(new_params.layer_weights[0], params.layer_weights[0])
+    assert np.allclose(params.theta, before - step)
+    assert np.array_equal(opt.m, (1.0 - 0.9) * grad)
+    assert np.array_equal(opt.v, (1.0 - 0.999) * grad * grad)
+    assert opt.step_count == 1
+    # params updated in place: the same vector, seen through the layer views
+    assert params.theta is theta
+    assert np.shares_memory(params.layer_weights[0], theta)
+    assert not np.array_equal(params.theta, before)
 
 
 def test_hundred_adam_steps_reduce_loss():
@@ -148,8 +160,8 @@ def test_hundred_adam_steps_reduce_loss():
     w = np.ones(32)
     first = loss_and_grad_arrays(params, *batch, sched, w)[0]
     for _ in range(100):
-        loss, grads = loss_and_grad_arrays(params, *batch, sched, w)
-        params, opt = adam_step(params, opt, grads)
+        loss, grad = loss_and_grad_arrays(params, *batch, sched, w)
+        adam_step(params, opt, grad)
     assert loss_and_grad_arrays(params, *batch, sched, w)[0] < first
 
 
@@ -157,11 +169,18 @@ def test_adam_rejects_non_finite_gradients():
     params = small_net(seed=8)
     opt = init_opt_state(params)
     sched = make_schedule(10)
-    _, grads = loss_and_grad_arrays(params, *make_batch(9, 4, 2, 10), sched, np.ones(4))
-    grads[0][0][0, 0] = np.nan
+    batch = make_batch(9, 4, 2, 10)
+    adam_step(params, opt, loss_and_grad_arrays(params, *batch, sched, np.ones(4))[1])
+    _, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
+    grad[-1] = np.nan
+    theta, m, v = params.theta.copy(), opt.m.copy(), opt.v.copy()
     with pytest.raises(TrainingDivergenceError) as err:
-        adam_step(params, opt, grads)
-    assert err.value.checkpoint is not None
+        adam_step(params, opt, grad)
+    assert np.array_equal(err.value.checkpoint.theta, theta)
+    assert np.array_equal(params.theta, theta)
+    assert np.array_equal(opt.m, m)
+    assert np.array_equal(opt.v, v)
+    assert opt.step_count == 1
 
 
 def test_model_file_round_trip(tmp_path):
@@ -173,6 +192,8 @@ def test_model_file_round_trip(tmp_path):
     assert meta == {"T": 42, "beta_start": 2e-4, "beta_end": 0.07}
     assert np.array_equal(lstats.mean, stats.mean)
     assert np.array_equal(lstats.std, stats.std)
+    assert np.array_equal(params.theta, loaded.theta)
+    assert (loaded.d, loaded.embed_dim, loaded.hidden_dims) == (3, 6, (8, 8))
     for a, b in zip(params.layer_weights, loaded.layer_weights):
         assert np.array_equal(a, b)
     for a, b in zip(params.layer_biases, loaded.layer_biases):

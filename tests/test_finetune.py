@@ -80,20 +80,22 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
     p1 = clone_params(params)
     o1 = init_opt_state(p1, learning_rate=1e-3)
     rng1 = np.random.default_rng(np.random.SeedSequence(77))
-    p1, o1, loss1 = ddpm_epoch(p1, o1, X, sched, rng1, 16)
+    loss1 = ddpm_epoch(p1, o1, X, sched, rng1, 16)
 
     p2 = clone_params(params)
     o2 = init_opt_state(p2, learning_rate=1e-3)
     rng2 = np.random.default_rng(np.random.SeedSequence(77))
-    p2, o2, mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), 0.9, p2, o2, sched,
-                                           rng=rng2, batch_size=16)
+    mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), 0.9, p2, o2, sched,
+                                   rng=rng2, batch_size=16)
 
     assert loss1 == loss2
     assert mean_r == 4.2
+    assert not np.array_equal(p1.theta, params.theta)
     for a, b in zip(p1.layer_weights, p2.layer_weights):
         assert np.array_equal(a, b)
     for a, b in zip(p1.layer_biases, p2.layer_biases):
         assert np.array_equal(a, b)
+    assert np.array_equal(o1.m, o2.m) and np.array_equal(o1.v, o2.v)
 
 
 def test_rollin_identical_policies_match_ancestral(toy_model):

@@ -45,8 +45,8 @@ def test_fixed_batch_overfit():
     first = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)[0]
     loss = first
     for step in range(2000):
-        loss, grads = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
-        params, opt = adam_step(params, opt, grads)
+        loss, grad = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
+        adam_step(params, opt, grad)
     assert first > 0.5
     assert loss < 1e-8
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rddkit import trees
-from rddkit.exceptions import DataError, NumericalError
+from rddkit.exceptions import ConfigError, DataError, NumericalError
 from rddkit.trees import (
     fit_ensemble,
     load_ensemble,
@@ -250,12 +250,17 @@ def test_constant_targets_yield_base_only_model(tmp_path):
 
 def test_fit_input_validation():
     X, y = make_regression(9, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fit_ensemble(X, y)
     X, y = make_regression(20, 3, seed=0)
     y[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fit_ensemble(X, y)
+    y[3] = 0.0
+    for bad in ({"n_trees": 0}, {"max_depth": -1}, {"shrinkage": 0.0},
+                {"shrinkage": np.nan}):
+        with pytest.raises(ConfigError):
+            fit_ensemble(X, y, **bad)
 
 
 def test_r2_score_values():
