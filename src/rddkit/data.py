@@ -1,5 +1,5 @@
 """Datasets of design vectors, z-score normalization, CSV I/O, and the
-bounds-checked reader behind the binary model and surrogate files.
+checksummed binary container behind the model and surrogate files.
 
 The on-disk format is a plain CSV with header columns x0..x{d-1} and an
 optional trailing reward column. Floats are written with %.17g so values
@@ -38,18 +38,38 @@ class Dataset:
         return self.X.shape[1]
 
 
-class BinaryReader:
-    """Sequential little-endian reads over a whole binary file.
+def write_binary(path, magic, version, chunks):
+    """Write a binary container: magic, u32 version, the payload chunks (bytes)
+    and a trailing u32 CRC32 of every byte before it, all little-endian."""
+    body = b"".join([magic, struct.pack("<I", version), *chunks])
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
 
-    A read past the end or bytes left over at finish() raise DataError, so
-    a truncated or over-long file never loads.
+
+class BinaryReader:
+    """Sequential little-endian reads over the payload of a write_binary file.
+
+    Opening checks the magic, then the version, then the CRC32, so a file of
+    the wrong kind, an unsupported version or a flipped byte never loads. A
+    read past the payload's end or payload bytes left over at finish() raise
+    DataError, so a truncated or over-long file never loads either.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, magic, version, kind):
         with open(path, "rb") as f:
             self.raw = f.read()
         self.path = path
-        self.off = 0
+        if self.raw[:len(magic)] != magic:
+            raise DataError(f"{path}: not a {kind} file (bad magic)")
+        self.off = len(magic)
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise DataError(f"{path}: unsupported {kind} format version {found}")
+        body = memoryview(self.raw)[:-4]
+        if zlib.crc32(body) != struct.unpack_from("<I", self.raw, len(body))[0]:
+            raise DataError(f"{path}: checksum mismatch (damaged file)")
+        self.raw = body
 
     def _advance(self, size):
         if self.off + size > len(self.raw):
@@ -66,15 +86,6 @@ class BinaryReader:
         start = self._advance(dtype.itemsize * count)
         arr = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
         return arr.astype(dtype.newbyteorder("="))
-
-    def check_crc32(self):
-        """Check the trailing u32 CRC32 of all bytes before it; reads then stop short of it."""
-        if len(self.raw) - self.off < 4:
-            raise DataError(f"{self.path}: truncated file ({len(self.raw)} bytes)")
-        body = memoryview(self.raw)[:-4]
-        if zlib.crc32(body) != struct.unpack_from("<I", self.raw, len(body))[0]:
-            raise DataError(f"{self.path}: checksum mismatch (damaged file)")
-        self.raw = body
 
     def finish(self):
         if self.off != len(self.raw):

@@ -7,16 +7,17 @@ Adam. Everything is float64 and deterministic given a seed.
 """
 
 import struct
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from rddkit.data import BinaryReader, NormStats, write_binary
 from rddkit.diffusion import forward_marginal
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
 _FORMAT_VERSION = 2
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator floor
 _ACTIVATIONS = {"tanh": 1}
 _ACTIVATION_CODES = {v: k for k, v in _ACTIVATIONS.items()}
 
@@ -52,9 +53,6 @@ class OptimizerState:
     scratch: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _layer_shapes(d, embed_dim, hidden_dims):
@@ -114,12 +112,10 @@ def clone_params(params):
     return replace(params, theta=params.theta.copy())
 
 
-def init_opt_state(params, learning_rate=1e-3, beta1=0.9, beta2=0.999):
+def init_opt_state(params, learning_rate=1e-3):
     n = params.theta.size
-    return OptimizerState(
-        m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)),
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-    )
+    return OptimizerState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)),
+                          learning_rate=learning_rate)
 
 
 def _forward(params, X, ts, T):
@@ -134,11 +130,15 @@ def _forward(params, X, ts, T):
     H = np.concatenate([X, emb], axis=1)
     acts = [H]
     layers = layer_views(params, params.theta)
-    for i, (W, b) in enumerate(layers):
-        H = H @ W + b
-        if i < len(layers) - 1:
-            H = np.tanh(H)
-        acts.append(H)
+    # the hidden outputs share one block, computed in place: one large allocation per call
+    n, block = X.shape[0], np.empty(X.shape[0] * sum(params.hidden_dims))
+    for W, b in layers[:-1]:
+        H = np.matmul(H, W, out=block[:n * W.shape[1]].reshape(n, W.shape[1]))
+        block = block[H.size:]
+        H += b
+        acts.append(np.tanh(H, out=H))
+    W, b = layers[-1]
+    acts.append(H @ W + b)
     return acts
 
 
@@ -206,63 +206,52 @@ def adam_step(params, opt_state, grad):
 
     m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and theta -=
     learning_rate (m / c1) / (sqrt(v / c2) + eps), each evaluated left to
-    right. A non-finite gradient raises before anything is changed.
+    right (beta1 0.9, beta2 0.999, eps 1e-8). A non-finite gradient raises
+    before anything is changed.
     """
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergenceError("non-finite gradient", checkpoint=clone_params(params))
     s = opt_state
     s.step_count += 1
-    c1 = 1.0 - s.beta1 ** s.step_count
-    c2 = 1.0 - s.beta2 ** s.step_count
+    c1 = 1.0 - _BETA1 ** s.step_count
+    c2 = 1.0 - _BETA2 ** s.step_count
     a, b = s.scratch
-    np.multiply(s.m, s.beta1, out=s.m)
-    np.multiply(grad, 1.0 - s.beta1, out=a)
+    np.multiply(s.m, _BETA1, out=s.m)
+    np.multiply(grad, 1.0 - _BETA1, out=a)
     np.add(s.m, a, out=s.m)
-    np.multiply(s.v, s.beta2, out=s.v)
-    np.multiply(grad, 1.0 - s.beta2, out=a)
+    np.multiply(s.v, _BETA2, out=s.v)
+    np.multiply(grad, 1.0 - _BETA2, out=a)
     np.multiply(a, grad, out=a)
     np.add(s.v, a, out=s.v)
     np.divide(s.m, c1, out=a)
     np.multiply(a, s.learning_rate, out=a)
     np.divide(s.v, c2, out=b)
     np.sqrt(b, out=b)
-    np.add(b, s.eps, out=b)
+    np.add(b, _EPS, out=b)
     np.divide(a, b, out=a)
     np.subtract(params.theta, a, out=params.theta)
 
 
 def save_model(path, params, T, beta_start, beta_end, stats=None):
-    """Write the binary model file.
+    """Write the binary model file, a data.write_binary container.
 
-    Layout (all little-endian): magic "RDDM", u32 version 2, u32 d, u32
-    embed_dim, u32 n_hidden + hidden dims, u32 activation code, u32 T, f8
-    beta_start/beta_end, u8 stats flag (+ mean/std vectors), then theta as
-    f8 (its length follows from the header), then the u32 CRC32 of every
-    byte before it.
+    Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
+    hidden dims, u32 activation code, u32 T, f8 beta_start/beta_end, u8
+    stats flag (+ mean/std vectors), then theta as f8 (its length follows
+    from the header).
     """
     n = len(params.hidden_dims)
-    header = struct.pack(f"<4sIIII{n}IIIdd", _MAGIC, _FORMAT_VERSION, params.d,
-                         params.embed_dim, n, *params.hidden_dims,
+    header = struct.pack(f"<III{n}IIIdd", params.d, params.embed_dim, n, *params.hidden_dims,
                          _ACTIVATIONS[params.activation], T, beta_start, beta_end)
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
-    body = b"".join([header, struct.pack("<B", stats is not None)] +
-                    [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in vectors])
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    write_binary(path, _MAGIC, _FORMAT_VERSION,
+                 [header, struct.pack("<B", stats is not None)] +
+                 [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in vectors])
 
 
 def load_model(path):
     """Read a model file; returns (params, meta dict, stats or None)."""
-    from rddkit.data import BinaryReader, NormStats
-
-    r = BinaryReader(path)
-    if r.unpack("4s")[0] != _MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != _FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model format version {version}")
-    r.check_crc32()
+    r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "model")
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
     hidden = r.unpack(f"<{n_hidden}I")
@@ -272,11 +261,7 @@ def load_model(path):
     (T,) = r.unpack("<I")
     beta_start, beta_end = r.unpack("<dd")
     (has_stats,) = r.unpack("<B")
-    stats = None
-    if has_stats:
-        mean = r.array("<f8", d)
-        std = r.array("<f8", d)
-        stats = NormStats(mean=mean, std=std)
+    stats = NormStats(mean=r.array("<f8", d), std=r.array("<f8", d)) if has_stats else None
     theta = r.array("<f8", sum(i * o + o for i, o in _layer_shapes(d, embed_dim, hidden)))
     r.finish()
     params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden,

@@ -35,6 +35,7 @@ from rddkit.exceptions import InfeasibleHullError, NumericalError
 RHO = 1000.0      # kg/m^3
 G = 9.81          # m/s^2
 NU = 1.19e-6      # m^2/s, kinematic viscosity of water
+U_MAX = 8.0       # upper end of the Michell integral in u, lambda = cosh(u)
 
 FROUDE_NUMBERS = np.linspace(0.1, 0.45, 8)
 DRAFT_FRACTIONS = (0.25, 0.33, 0.5, 0.67)
@@ -71,7 +72,7 @@ def scale_params(p, loa):
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (6,):
         raise ValueError(f"expected 6 hull parameters, got shape {p.shape}")
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.all((p > 0) & (p <= 1)):
         raise InfeasibleHullError(f"hull parameters must lie in (0, 1]: {p}")
     dims = HullDims(
         LOA=float(loa),
@@ -250,14 +251,13 @@ def _slope_transform(dims, omega):
     return Xc, Xs
 
 
-def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, u_max=8.0,
-                            rho=RHO, g=G, with_convergence=False):
+def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, with_convergence=False):
     """Thin-ship wave resistance at speed U and the given draft fraction.
 
     U and draft_fraction broadcast against each other (speeds down a column
     and drafts along a row give the whole grid in one call); scalar inputs
     return a float. The lambda integral runs over lambda = cosh(u),
-    u in [0, u_max], with composite Simpson on n_lambda intervals;
+    u in [0, U_MAX], with composite Simpson on n_lambda intervals;
     sqrt(lambda^2 - 1) cancels against the substitution Jacobian.
 
     With with_convergence, returns (R_w, change) where change is the
@@ -274,8 +274,8 @@ def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, u_max=8.0,
     if n_lambda % 4 != 0:
         raise ValueError("n_lambda must be a multiple of 4")
     t_draft = (df * dims.WL)[..., None]
-    k0 = (g / U ** 2)[..., None]
-    u = np.linspace(0.0, u_max, n_lambda + 1)
+    k0 = (G / U ** 2)[..., None]
+    u = np.linspace(0.0, U_MAX, n_lambda + 1)
     lam = np.cosh(u)
     omega = lam * k0                   # depends on speed only
     a = lam ** 2 * k0 * t_draft
@@ -283,20 +283,20 @@ def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, u_max=8.0,
     Xc, Xs = _slope_transform(dims, omega)
     integrand = (Xc ** 2 + Xs ** 2) * Z ** 2 * lam ** 2
 
-    val_fine = integrand @ _simpson_weights(n_lambda, u_max / n_lambda)
-    R_w = 4.0 * rho * g ** 2 / (math.pi * U ** 2) * val_fine
+    val_fine = integrand @ _simpson_weights(n_lambda, U_MAX / n_lambda)
+    R_w = 4.0 * RHO * G ** 2 / (math.pi * U ** 2) * val_fine
     R_w = float(R_w) if R_w.ndim == 0 else R_w
     if not with_convergence:
         return R_w
-    val_coarse = integrand[..., ::2] @ _simpson_weights(n_lambda // 2, 2 * u_max / n_lambda)
+    val_coarse = integrand[..., ::2] @ _simpson_weights(n_lambda // 2, 2 * U_MAX / n_lambda)
     with np.errstate(divide="ignore", invalid="ignore"):
         change = np.where(val_fine > 0, np.abs(val_fine - val_coarse) / val_fine, 0.0)
     return R_w, (float(change) if change.ndim == 0 else change)
 
 
-def wave_resistance_coefficient(R_w, U, dims, rho=RHO):
+def wave_resistance_coefficient(R_w, U, dims):
     """C_w = R_w / (1/2 rho U^2 LOA^2)."""
-    return R_w / (0.5 * rho * U ** 2 * dims.LOA ** 2)
+    return R_w / (0.5 * RHO * U ** 2 * dims.LOA ** 2)
 
 
 def friction_coefficient(Re):
@@ -306,9 +306,9 @@ def friction_coefficient(Re):
     return 0.075 / (math.log10(Re) - 2.0) ** 2
 
 
-def friction_resistance(C_f, U, S_At, dims, rho=RHO):
+def friction_resistance(C_f, U, S_At, dims):
     """R_f = 1/2 C_f rho U^2 S_At LOA^2 (S_At is non-dimensional)."""
-    return 0.5 * C_f * rho * U ** 2 * S_At * dims.LOA ** 2
+    return 0.5 * C_f * RHO * U ** 2 * S_At * dims.LOA ** 2
 
 
 @dataclass
@@ -337,7 +337,7 @@ class ResistanceResult:
         }
 
 
-def aggregate_total_resistance(dims, rho=RHO, g=G, nu=NU, n_lambda=256):
+def aggregate_total_resistance(dims, n_lambda=256):
     """Total resistance over the 8 x 4 Froude/draft grid.
 
     The whole grid goes through one Michell call and the wetted area, which
@@ -347,12 +347,12 @@ def aggregate_total_resistance(dims, rho=RHO, g=G, nu=NU, n_lambda=256):
     """
     froude = FROUDE_NUMBERS.copy()
     drafts = np.array(DRAFT_FRACTIONS)
-    U = froude * math.sqrt(g * dims.LOA)
-    C_f = np.array([friction_coefficient(Re) for Re in U * dims.LOA / nu])
+    U = froude * math.sqrt(G * dims.LOA)
+    C_f = np.array([friction_coefficient(Re) for Re in U * dims.LOA / NU])
     R_w, change = michell_wave_resistance(dims, U[:, None], drafts[None, :], n_lambda=n_lambda,
-                                          rho=rho, g=g, with_convergence=True)
+                                          with_convergence=True)
     s_at = wetted_surface_area(dims, drafts)
-    R_f = friction_resistance(C_f[:, None], U[:, None], s_at[None, :], dims, rho=rho)
+    R_f = friction_resistance(C_f[:, None], U[:, None], s_at[None, :], dims)
     R_T = R_w + R_f
     return ResistanceResult(
         froude_numbers=froude,
@@ -360,7 +360,7 @@ def aggregate_total_resistance(dims, rho=RHO, g=G, nu=NU, n_lambda=256):
         R_w=R_w,
         R_f=R_f,
         R_T=R_T,
-        C_w=wave_resistance_coefficient(R_w, U[:, None], dims, rho=rho),
+        C_w=wave_resistance_coefficient(R_w, U[:, None], dims),
         C_f=np.repeat(C_f[:, None], drafts.size, axis=1),
         aggregate=float(np.add.accumulate(R_T.ravel())[-1]),
         R_w_halving_change=change,

@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_KDE_GRID = 512    # points of the default kde grid
+_KDE_BLOCK = 64    # grid points per block of kde: each (rows, n) temporary is 64 * n * 8 bytes
+
 
 @dataclass
 class BoxplotStats:
@@ -70,12 +73,13 @@ def silverman_bandwidth(values):
     return float(h)
 
 
-def kde(values, bandwidth=None, grid=None, n_grid=512):
+def kde(values, bandwidth=None, grid=None):
     """Gaussian kernel density estimate.
 
-    bandwidth defaults to Silverman's rule; the default grid spans the data
-    range plus 4 bandwidths on each side (wide enough that the trapezoid
-    integral of the density is 1 to within 1e-3). Returns (grid, density).
+    bandwidth defaults to Silverman's rule; the default grid has 512 points
+    spanning the data range plus 4 bandwidths on each side (wide enough that
+    the trapezoid integral of the density is 1 to within 1e-3). Sums run over
+    blocks of grid points. Returns (grid, density).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -85,11 +89,14 @@ def kde(values, bandwidth=None, grid=None, n_grid=512):
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     if grid is None:
-        grid = np.linspace(v.min() - 4.0 * bandwidth, v.max() + 4.0 * bandwidth, n_grid)
+        grid = np.linspace(v.min() - 4.0 * bandwidth, v.max() + 4.0 * bandwidth, _KDE_GRID)
     else:
         grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - v[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * bandwidth * np.sqrt(2.0 * np.pi))
+    density = np.empty(grid.shape[0])
+    for lo in range(0, grid.shape[0], _KDE_BLOCK):
+        z = (grid[lo:lo + _KDE_BLOCK, None] - v[None, :]) / bandwidth
+        density[lo:lo + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
+    density /= v.size * bandwidth * np.sqrt(2.0 * np.pi)
     return grid, density
 
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rddkit.data import BinaryReader
+from rddkit.data import BinaryReader, write_binary
 from rddkit.exceptions import ConfigError, DataError, NumericalError
 
 _MAGIC = b"RDDT"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_N_THRESHOLDS = 32    # per-feature quantile thresholds a split may use
 
 
 @dataclass
@@ -175,7 +176,7 @@ class _TreeBuilder:
         )
 
 
-def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1, n_thresholds=32):
+def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     """Fit boosted trees on (X, y); returns (ensemble, per-round train MSE)."""
     if n_trees < 1 or max_depth < 0 or not shrinkage > 0.0:
         raise ConfigError(f"need n_trees >= 1, max_depth >= 0 and shrinkage > 0, got "
@@ -190,7 +191,7 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1, n_thresholds=32)
     if np.all(y == y[0]):
         return TreeEnsemble(base, [], shrinkage, max_depth, 0, X.shape[1]), []
 
-    qs = np.arange(1, n_thresholds + 1) / (n_thresholds + 1)
+    qs = np.arange(1, _N_THRESHOLDS + 1) / (_N_THRESHOLDS + 1)
     thresholds = np.quantile(X, qs, axis=0).T          # (d, n_thr)
     bins = np.empty(X.shape, dtype=np.int64)
     for f in range(X.shape[1]):
@@ -258,28 +259,23 @@ def r2_score(predictions, targets):
 
 
 def save_ensemble(path, ensemble):
-    """Binary serialization: magic "RDDT", version, header, per-tree arrays."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _FORMAT_VERSION))
-        f.write(struct.pack("<III", ensemble.d, len(ensemble.trees), ensemble.max_depth))
-        f.write(struct.pack("<dd", ensemble.shrinkage, ensemble.base_prediction))
-        for tree in ensemble.trees:
-            f.write(struct.pack("<I", tree.feature.shape[0]))
-            f.write(np.ascontiguousarray(tree.feature, dtype="<i4").tobytes())
-            f.write(np.ascontiguousarray(tree.threshold, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(tree.left, dtype="<i4").tobytes())
-            f.write(np.ascontiguousarray(tree.right, dtype="<i4").tobytes())
-            f.write(np.ascontiguousarray(tree.value, dtype="<f8").tobytes())
+    """Write the surrogate file, a data.write_binary container whose payload
+    is u32 d, n_trees, max_depth, f8 shrinkage, base prediction, then per tree
+    a u32 node count and its feature, threshold, left, right, value arrays."""
+    chunks = [struct.pack("<IIIdd", ensemble.d, len(ensemble.trees), ensemble.max_depth,
+                          ensemble.shrinkage, ensemble.base_prediction)]
+    for tree in ensemble.trees:
+        chunks += [struct.pack("<I", tree.feature.shape[0]),
+                   np.ascontiguousarray(tree.feature, dtype="<i4").tobytes(),
+                   np.ascontiguousarray(tree.threshold, dtype="<f8").tobytes(),
+                   np.ascontiguousarray(tree.left, dtype="<i4").tobytes(),
+                   np.ascontiguousarray(tree.right, dtype="<i4").tobytes(),
+                   np.ascontiguousarray(tree.value, dtype="<f8").tobytes()]
+    write_binary(path, _MAGIC, _FORMAT_VERSION, chunks)
 
 
 def load_ensemble(path):
-    r = BinaryReader(path)
-    if r.unpack("4s")[0] != _MAGIC:
-        raise DataError(f"{path}: not an ensemble file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != _FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported ensemble format version {version}")
+    r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "surrogate")
     d, n_trees, max_depth = r.unpack("<III")
     shrinkage, base = r.unpack("<dd")
     trees = []

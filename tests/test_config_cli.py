@@ -207,9 +207,10 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
 def test_data_errors_exit_2(tmp_path):
     assert cli.main(["pretrain", "--data", str(tmp_path / "nope.csv"),
                      "--outdir", str(tmp_path)]) == 2
-    # a hull outside the feasible cube is a data problem, not a crash
-    assert cli.main(["hull", "eval",
-                     "--params", "1.5,0.25,0.12,0.08,0.5,0.75"]) == 2
+    # a hull outside the feasible cube, or with a NaN parameter, is a data
+    # problem, not a crash
+    for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
+        assert cli.main(["hull", "eval", "--params", params]) == 2
     # reward-free samples cannot be evaluated
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
@@ -227,7 +228,7 @@ def test_data_errors_exit_2(tmp_path):
         (tmp_path / name).write_bytes(body)
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
                          "--outdir", str(tmp_path)]) == 2
-    # truncated and over-long surrogate files
+    # truncated, over-long, damaged and version-1 surrogate files
     rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]
     data = tmp_path / "labelled.csv"
     data.write_text("\n".join(rows) + "\n")
@@ -235,7 +236,11 @@ def test_data_errors_exit_2(tmp_path):
     save_ensemble(str(tmp_path / "s.rddt"), fit_ensemble(ds.X, ds.rewards, n_trees=2,
                                                          max_depth=2)[0])
     raw = (tmp_path / "s.rddt").read_bytes()
-    for name, body in (("cut.rddt", raw[:-5]), ("long.rddt", raw + b"\x00\x00")):
+    flipped = bytearray(raw)
+    flipped[-12] ^= 0x01    # a byte of the last tree's leaf values
+    v1 = raw[:4] + (1).to_bytes(4, "little") + raw[8:-4]
+    for name, body in (("cut.rddt", raw[:-5]), ("long.rddt", raw + b"\x00\x00"),
+                       ("flipped.rddt", bytes(flipped)), ("v1.rddt", v1)):
         (tmp_path / name).write_bytes(body)
         assert cli.main(["surrogate", "eval", "--model", str(tmp_path / name),
                          "--data", str(data)]) == 2

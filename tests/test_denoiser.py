@@ -6,6 +6,7 @@ import pytest
 from rddkit.config import NetSection
 from rddkit.data import NormStats
 from rddkit.denoiser import (
+    _forward,
     adam_step,
     clone_params,
     init_opt_state,
@@ -55,6 +56,21 @@ def test_predict_noise_shapes():
     assert np.allclose(batch[0], single)
     with pytest.raises(ConfigError):
         predict_noise(params, np.zeros((5, 3)), 3, 10)
+
+
+def test_forward_matches_the_plain_layer_loop():
+    # hidden layers of different widths share one block; each activation
+    # must equal the allocate-per-operation reference bit for bit
+    params = small_net(seed=3, d=3, hidden=(8, 5), embed=4)
+    X = np.random.default_rng(1).standard_normal((7, 3))
+    acts = _forward(params, X, np.arange(1, 8), 10)
+    layers = layer_views(params, params.theta)
+    H = acts[0]
+    for i, (W, b) in enumerate(layers):
+        H = H @ W + b
+        if i < len(layers) - 1:
+            H = np.tanh(H)
+        assert np.array_equal(acts[i + 1], H)
 
 
 def test_init_params_deterministic_per_seed():

@@ -50,6 +50,12 @@ def test_scale_params_rejects_bad_inputs():
         scale_params([0.0, 0.3, 0.1, 0.1, 0.5, 0.5], 80.0)
     with pytest.raises(InfeasibleHullError):
         scale_params([1.2, 0.3, 0.1, 0.1, 0.5, 0.5], 80.0)
+    # NaN fails both p <= 0 and p > 1; it must still be rejected
+    for i in range(6):
+        p = np.full(6, 0.3)
+        p[i] = np.nan
+        with pytest.raises(InfeasibleHullError):
+            scale_params(p, 80.0)
     # taper lengths longer than the hull
     with pytest.raises(InfeasibleHullError):
         scale_params([0.7, 0.7, 0.1, 0.1, 0.5, 0.5], 80.0)

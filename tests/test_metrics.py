@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rddkit import metrics
 from rddkit.metrics import (
     BoxplotStats,
     beyond_distribution,
@@ -113,6 +114,18 @@ def test_kde_custom_grid_passthrough():
     out_grid, density = kde(v, grid=grid)
     assert np.array_equal(out_grid, grid)
     assert density.shape == (17,)
+
+
+def test_kde_blocks_equal_the_one_shot_sum():
+    # a custom grid with a partial last block, and the default grid
+    v = np.random.default_rng(4).standard_normal(301)
+    h = 0.4
+    for grid in (np.linspace(-4, 4, 3 * metrics._KDE_BLOCK + 5), None):
+        grid, density = kde(v, bandwidth=h, grid=grid)
+        assert grid.size > metrics._KDE_BLOCK
+        z = (grid[:, None] - v[None, :]) / h
+        expected = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * np.sqrt(2.0 * np.pi))
+        assert np.array_equal(density, expected)
 
 
 def test_kde_input_validation():

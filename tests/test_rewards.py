@@ -145,6 +145,8 @@ def test_hull_reward_feasible_and_infeasible():
     # taper fractions that overlap (p1 + p2 > 1) are infeasible too
     overlap = model(np.array([0.7, 0.7, 0.12, 0.08, 0.6, 0.6]))
     assert overlap <= -1000.0
+    # a NaN parameter is infeasible, not a finite score
+    assert model(np.array([np.nan, 0.25, 0.12, 0.08, 0.5, 0.75])) == -model.infeasible_base
 
 
 def test_hull_reward_prefers_slender_hull():

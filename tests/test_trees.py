@@ -1,4 +1,5 @@
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -213,8 +214,13 @@ def test_refit_writes_the_reference_bytes(tmp_path):
     ens, _ = fit_ensemble(X, y, n_trees=40, max_depth=5, shrinkage=0.2)
     path = tmp_path / "m.rddt"
     save_ensemble(path, ens)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+    raw = path.read_bytes()
+    # the digest is of the version-1 bytes: version 2 added only the trailing CRC32
+    v1 = raw[:4] + (1).to_bytes(4, "little") + raw[8:-4]
+    assert hashlib.sha256(v1).hexdigest() == (
         "ae5d6bce356979d601e643ebe70cd8e0a82d85f1c21aa80225bbd46c79218ac9")
+    assert raw[4:8] == (2).to_bytes(4, "little")
+    assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
 def test_single_vector_prediction():
@@ -316,6 +322,8 @@ def test_load_rejects_malformed_trees(tmp_path):
     for name, offset, value in (("child", left, n), ("loop", left, 0), ("feature", first, 3)):
         bad = bytearray(raw)
         bad[offset:offset + 4] = value.to_bytes(4, "little")
+        # re-sealed, as a faulty writer would, so the load reaches the tree checks
+        bad[-4:] = zlib.crc32(bad[:-4]).to_bytes(4, "little")
         path = tmp_path / f"{name}.rddt"
         path.write_bytes(bytes(bad))
         with pytest.raises(DataError, match=name if name != "child" else "child index"):
