@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -372,6 +373,14 @@ def _count(text):
     return value
 
 
+def _length(text):
+    """argparse type of hull lengths in metres: finite numbers > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rddkit",
@@ -434,13 +443,13 @@ def build_parser():
     q = hsub.add_parser("eval", help="resistance curves for one parameter vector")
     q.add_argument("--params", required=True,
                    help="6 comma-separated fractions in (0, 1]")
-    q.add_argument("--loa", type=float, default=80.0)
+    q.add_argument("--loa", type=_length, default=80.0)
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)
     q = hsub.add_parser("dataset", help="random labeled hulls for surrogate fitting")
     q.add_argument("--n", type=_count, default=5000)
     q.add_argument("--seed", type=_count, default=0)
-    q.add_argument("--loa", type=float, default=80.0)
+    q.add_argument("--loa", type=_length, default=80.0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_hull_dataset)
 

@@ -10,6 +10,7 @@ validate runs them all and the library entry points run their own.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from rddkit.exceptions import ConfigError
@@ -21,6 +22,18 @@ def _list_of(value, types):
         isinstance(x, bool) or not isinstance(x, types) for x in value)
 
 
+def _check_finite(section, name):
+    """Reject NaN and infinite values in every float field of a section.
+
+    The range checks of check() are comparisons, and every comparison with
+    NaN is false; JSON files may spell NaN and Infinity.
+    """
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if f.type is float and not -math.inf < value < math.inf:
+            raise ConfigError(f"{name}.{f.name}: must be finite, got {value!r}")
+
+
 @dataclass
 class ScheduleSection:
     T: int = 100
@@ -29,6 +42,7 @@ class ScheduleSection:
     kind: str = "linear"
 
     def check(self):
+        _check_finite(self, "schedule")
         if self.T < 1:
             raise ConfigError("schedule.T: must be >= 1")
         if not (0.0 < self.beta_start < 1.0) or not (0.0 < self.beta_end < 1.0):
@@ -44,6 +58,7 @@ class NetSection:
     activation: str = "tanh"
 
     def check(self):
+        _check_finite(self, "net")
         if self.embed_dim <= 0 or self.embed_dim % 2:
             raise ConfigError("net.embed_dim: must be a positive even integer")
         if self.activation != "tanh":
@@ -61,6 +76,7 @@ class PretrainSection:
     seed: int = 0
 
     def check(self):
+        _check_finite(self, "pretrain")
         if self.epochs < 0:
             raise ConfigError("pretrain.epochs: must be >= 0")
         if self.batch_size < 1:
@@ -83,6 +99,7 @@ class FinetuneSection:
     seed: int = 1
 
     def check(self):
+        _check_finite(self, "finetune")
         # S = 0 is permitted as the do-nothing identity
         if self.S < 0:
             raise ConfigError("finetune.S: must be >= 0")
@@ -106,6 +123,7 @@ class SvddSection:
     seed: int = 2
 
     def check(self):
+        _check_finite(self, "svdd")
         if self.M < 1:
             raise ConfigError("svdd.M: must be >= 1")
         if self.alpha < 0:
@@ -131,6 +149,7 @@ class RewardSection:
     lambda_intersect: float = 1.0  # airfoil: self-intersection penalty weight
 
     def check(self):
+        _check_finite(self, "reward")
         if self.kind not in _REWARD_KINDS:
             raise ConfigError(
                 f"reward.kind: must be one of {_REWARD_KINDS}, got '{self.kind}'")

@@ -3,7 +3,10 @@
 A small fully connected network on the concatenation of the noisy design
 vector and a sinusoidal time embedding. Gradients are exact reverse
 accumulation written out by hand; the parameter update is bias-corrected
-Adam. Everything is float64 and deterministic given a seed.
+Adam. Parameters, training, gradients and model files are float64 and
+deterministic given a seed. The forward pass runs in the dtype of the
+parameter vector, so a float32 copy of theta gives a float32 pass; the
+sampler uses one to score candidates.
 """
 
 import struct
@@ -122,16 +125,18 @@ def _forward(params, X, ts, T):
     """Forward pass keeping post-activation values for backprop.
 
     X is (n, d); ts a scalar timestep or per-row array. Returns the list of
-    layer activations, the first entry being the embedded input.
+    layer activations, the first entry being the embedded input. Every
+    activation has the dtype of params.theta.
     """
     emb = time_embedding(ts, params.embed_dim, T)
     if emb.ndim == 1:
         emb = np.broadcast_to(emb, (X.shape[0], params.embed_dim))
-    H = np.concatenate([X, emb], axis=1)
+    dtype = params.theta.dtype
+    H = np.concatenate([X, emb], axis=1, dtype=dtype)
     acts = [H]
     layers = layer_views(params, params.theta)
     # the hidden outputs share one block, computed in place: one large allocation per call
-    n, block = X.shape[0], np.empty(X.shape[0] * sum(params.hidden_dims))
+    n, block = X.shape[0], np.empty(X.shape[0] * sum(params.hidden_dims), dtype=dtype)
     for W, b in layers[:-1]:
         H = np.matmul(H, W, out=block[:n * W.shape[1]].reshape(n, W.shape[1]))
         block = block[H.size:]
@@ -146,7 +151,8 @@ def predict_noise(params, xt, t, T):
     """Deterministic forward pass; output has the design dimension d.
 
     Accepts a single vector (d,) or a batch (n, d). T is the schedule's
-    step count, which fixes the time-embedding frequencies.
+    step count, which fixes the time-embedding frequencies. The pass runs
+    in the dtype of params.theta, and so does the output.
     """
     xt = np.asarray(xt, dtype=np.float64)
     single = xt.ndim == 1

@@ -91,6 +91,14 @@ def test_type_errors_name_the_key(tmp_path):
         ({"net": {"hidden_dims": [2.5]}}, r"net\.hidden_dims: expected a non-empty list"),
         ({"net": {"hidden_dims": [True]}}, r"net\.hidden_dims: expected a non-empty list"),
         ({"net": {"hidden_dims": []}}, r"net\.hidden_dims: expected a non-empty list"),
+        # JSON's NaN and Infinity literals pass the type check and every range comparison
+        ({"svdd": {"alpha": float("nan")}, "pretrain": {"learning_rate": float("nan")}},
+         r"pretrain\.learning_rate: must be finite"),
+        ({"svdd": {"alpha": float("nan")}}, r"svdd\.alpha: must be finite"),
+        ({"svdd": {"alpha": float("inf")}}, r"svdd\.alpha: must be finite"),
+        ({"schedule": {"beta_end": float("nan")}}, r"schedule\.beta_end: must be finite"),
+        ({"finetune": {"gamma": float("-inf")}}, r"finetune\.gamma: must be finite"),
+        ({"reward": {"loa": float("inf")}}, r"reward\.loa: must be finite"),
     ]
     for i, (obj, msg) in enumerate(cases):
         with pytest.raises(ConfigError, match=msg):
@@ -202,6 +210,21 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
     caplog.clear()
     assert cli.main(["hull", "eval", "--params", "a,b"]) == 1
     assert "--params" in caplog.text
+    # a non-finite temperature, from a config file or from the command line
+    nan_alpha = write_json(tmp_path / "nan_alpha.json", {"svdd": {"alpha": float("nan")}})
+    for extra in (["--config", nan_alpha], ["--alpha", "nan"], ["--alpha", "inf"]):
+        caplog.clear()
+        assert cli.main(["sample", "--model", str(model), "--outdir", str(tmp_path / "nan"),
+                         "--M", "2", "--n-traj", "2"] + extra) == 1
+        assert "svdd.alpha: must be finite" in caplog.text
+    assert not (tmp_path / "nan" / "sample_summary.json").exists()
+    # hull lengths must be finite and positive
+    hull = "0.5,0.25,0.12,0.08,0.5,0.75"
+    for argv in (["hull", "eval", "--params", hull], ["hull", "dataset", "--n", "2", "--out", out]):
+        for loa in ("nan", "-5", "inf"):
+            capsys.readouterr()
+            assert cli.main(argv + ["--loa", loa]) == 1
+            assert "--loa" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path):

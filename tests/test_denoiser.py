@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_forward_matches_the_plain_layer_loop():
         if i < len(layers) - 1:
             H = np.tanh(H)
         assert np.array_equal(acts[i + 1], H)
+
+
+def test_float32_params_give_a_float32_pass():
+    # the sampler scores candidates on a float32 copy of theta; the float64
+    # pass is the oracle, and float32 rounding is all that may separate them
+    params = small_net(seed=4, d=6, hidden=(64, 64), embed=8)
+    params32 = replace(params, theta=params.theta.astype(np.float32))
+    X = np.random.default_rng(2).standard_normal((50, 6))
+    assert all(a.dtype == np.float64 for a in _forward(params, X, 7, 20))
+    assert all(a.dtype == np.float32 for a in _forward(params32, X, 7, 20))
+    for t in (1, 7, 20):
+        out64 = predict_noise(params, X, t, 20)
+        out32 = predict_noise(params32, X, t, 20)
+        assert out64.dtype == np.float64 and out32.dtype == np.float32
+        assert np.max(np.abs(out32 - out64)) < 1e-5
 
 
 def test_init_params_deterministic_per_seed():

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from rddkit import sampler
 from rddkit.config import NetSection, SvddSection
-from rddkit.data import Dataset, NormStats, normalize
-from rddkit.denoiser import predict_noise
+from rddkit.data import Dataset, NormStats, denormalize, normalize
+from rddkit.denoiser import init_params, predict_noise, save_model
 from rddkit.diffusion import make_schedule, posterior_mean_x0, reverse_step
 from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ancestral_sample, train_ddpm
@@ -56,7 +61,8 @@ REWARD = SyntheticTargetReward(np.array([1.5, 0.0]))
 def test_config_validation(toy_model):
     params, sched, stats = toy_model
     for bad, key in ((SvddSection(M=0), r"svdd\.M"), (SvddSection(n_traj=0), r"svdd\.n_traj"),
-                     (SvddSection(alpha=-0.5), r"svdd\.alpha")):
+                     (SvddSection(alpha=-0.5), r"svdd\.alpha"),
+                     (SvddSection(alpha=float("nan")), r"svdd\.alpha: must be finite")):
         with pytest.raises(ConfigError, match=key):
             svdd_generate(params, sched, bad, REWARD, stats=stats)
 
@@ -185,6 +191,59 @@ def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
     from rddkit.data import denormalize
     v0 = _candidate_values(params, sched, REWARD, stats, cands, 0)[0, 0]
     assert v0 == REWARD(denormalize(x, stats))
+
+
+def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
+    # the oracle is the soft value from a float64 pass; the candidate pass
+    # runs on float32 params and may differ from it by rounding only
+    dtypes = []
+
+    def spy(params, *args):
+        dtypes.append(params.theta.dtype)
+        return predict_noise(params, *args)
+
+    monkeypatch.setattr(sampler, "predict_noise", spy)
+    toy_params, sched, toy_stats = toy_model
+    wide = init_params(6, NetSection(embed_dim=8, hidden_dims=[64, 64]), 3)
+    wide_stats = NormStats(mean=np.linspace(-1.0, 1.0, 6), std=np.linspace(0.5, 2.0, 6))
+    wide_reward = SyntheticTargetReward(np.full(6, 4.0))
+    rng = np.random.default_rng(11)
+    for params, stats, reward in ((toy_params, toy_stats, REWARD),
+                                  (wide, wide_stats, wide_reward)):
+        cands = rng.standard_normal((5, 4, params.d))
+        flat = cands.reshape(20, params.d)
+        for t in (1, 7, sched.T - 1):
+            vals = _candidate_values(params, sched, reward, stats, cands, t)
+            x0_hat = posterior_mean_x0(flat, t, predict_noise(params, flat, t, sched.T), sched)
+            oracle = reward.batch(denormalize(x0_hat, stats)).reshape(5, 4)
+            assert vals.dtype == np.float64
+            np.testing.assert_allclose(vals, oracle, rtol=1e-5)
+    assert dtypes == [np.float32] * 6
+
+
+def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_path):
+    # hidden 256 and 10 x 200 = 2000 candidate rows per step: the shape of a
+    # guided run, where the float32 candidate pass is large enough to be
+    # split across BLAS threads
+    model = tmp_path / "model.rddm"
+    params = init_params(2, NetSection(embed_dim=32, hidden_dims=[256, 256]), 0)
+    save_model(str(model), params, T=5, beta_start=1e-4, beta_end=0.1)
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+
+    def samples(threads):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        outdir = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rddkit.cli", "sample", "--model", str(model),
+             "--outdir", str(outdir), "--M", "10", "--n-traj", "200", "--alpha", "0.2",
+             "--seed", "4"], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return (outdir / "samples.csv").read_bytes()
+
+    assert samples(1) == samples(2)
 
 
 def test_soft_value_equals_reward_for_perfect_prediction():
