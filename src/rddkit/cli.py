@@ -244,10 +244,11 @@ def cmd_eval(args):
     t0 = time.perf_counter()
     samples = load_dataset(args.samples)
     train = load_dataset(args.train)
-    if samples.rewards is None:
-        raise DataError(f"{args.samples}: needs a reward column for evaluation")
-    if train.rewards is None:
-        raise DataError(f"{args.train}: needs a reward column for evaluation")
+    for path, data in ((args.samples, samples), (args.train, train)):
+        if data.rewards is None:
+            raise DataError(f"{path}: needs a reward column for evaluation")
+        if data.n == 0:
+            raise DataError(f"{path}: no rows to evaluate")
     timings = {"load": time.perf_counter() - t0}
 
     t0 = time.perf_counter()

@@ -100,7 +100,7 @@ def normalize(dataset):
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     if X.shape[0] < 2:
-        raise ValueError("normalization needs at least 2 rows")
+        raise DataError(f"normalization needs at least 2 rows, got {X.shape[0]}")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     degenerate = std < STD_FLOOR

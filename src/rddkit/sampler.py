@@ -9,8 +9,15 @@ scored by the soft value estimate
 where x0_hat is the posterior-mean estimate of the clean design, and one
 candidate is kept by a single categorical draw with probabilities
 proportional to exp(v_hat / alpha). With M = 1 the procedure degenerates to
-plain ancestral sampling, bit for bit, because candidate noise and selection
-draws come from the same per-trajectory RNG stream layout.
+plain ancestral sampling, bit for bit.
+
+Each trajectory owns an RNG stream spawned from the root seed, read in this
+order: x_T (unless the chain starts from given states), then for M > 1 the
+selection uniforms of every step in one draw, then the candidate noise of
+the steps t > 1. The noise is drawn in blocks of steps whose buffer fits
+NOISE_BLOCK_BYTES; a stream of normals yields the same values however it is
+split, so no draw depends on the block size, nor, the streams being per
+trajectory, on the number of trajectories run together.
 
 Soft values only rank candidates, so the denoiser pass that scores them
 runs in float32 on a float32 copy of the parameters; x0_hat, the reward and
@@ -19,9 +26,8 @@ states and everything the chain carries. That pass is nine tenths of the
 network rows of a guided run with M = 10.
 
 Rewards are black boxes: only evaluation is ever requested, never a
-gradient. Each trajectory owns an RNG stream spawned from the root seed, so
-results do not depend on execution order, and the output of a seed is
-byte-identical whatever the BLAS thread count.
+gradient. Results do not depend on execution order, and the output of a
+seed is byte-identical whatever the BLAS thread count.
 """
 
 import warnings
@@ -35,6 +41,10 @@ from rddkit.denoiser import predict_noise
 
 # selection temperatures below this pick the best candidate deterministically
 GREEDY_THRESHOLD = 1e-9
+
+# size of the candidate-noise buffer, (n_traj, K, M, d) float64: K steps are
+# drawn per RNG call, and K = 1 when one step's noise alone is larger
+NOISE_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -104,11 +114,15 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
     Per-trajectory stream consumption, in order: the x_T draw (skipped when
-    x_start is given), then per step the (M, d) candidate noise block for
-    t > 1 and one selection uniform for M > 1. Trajectories are advanced in
-    lockstep with batched forward passes; the RNG draws equal a
-    one-trajectory-at-a-time evaluation exactly, the floats up to the
-    accumulation order of the batched matrix products.
+    x_start is given), then for M > 1 one uniform per step in a single
+    draw, then the (M, d) candidate noise of each step t > 1. The noise is
+    drawn K steps at a time into that trajectory's slice of one
+    (n_traj, K, M, d) buffer, K set by NOISE_BLOCK_BYTES; since only normals
+    follow, the values do not depend on K. Trajectories are advanced in
+    lockstep with batched forward passes and one broadcast reverse step per
+    chain step; the RNG draws equal a one-trajectory-at-a-time evaluation
+    exactly, the floats up to the accumulation order of the batched matrix
+    products.
     """
     d = params.d
     if M > 1 and reward is None:
@@ -122,34 +136,47 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
             raise ValueError(f"x_start must have shape ({n_traj}, {d})")
         t_hi = int(t_start)
     else:
-        X = np.stack([rng.standard_normal(d) for rng in rngs])
+        X = np.empty((n_traj, d))
         t_hi = sched.T
     if t_hi < 1 or t_hi > sched.T:
         raise IndexError(f"start timestep {t_hi} outside 1..{sched.T}")
+    U = np.empty((n_traj, t_hi)) if M > 1 else None
+    for i, rng in enumerate(rngs):
+        if x_start is None:
+            rng.standard_normal(out=X[i])
+        if M > 1:
+            rng.random(out=U[i])
 
+    n_noisy = t_hi - 1    # steps t > 1 take candidate noise
+    K = max(1, min(n_noisy, NOISE_BLOCK_BYTES // (8 * n_traj * M * d)))
+    Z = np.empty((n_traj, K, M, d))
     zetas = np.ones((n_traj, t_hi), dtype=np.int64)
     values = np.empty((n_traj, t_hi, M)) if record_values else None
+    rows = np.arange(n_traj)
 
     for k, t in enumerate(range(t_hi, 0, -1)):
         p_t = params_pre if (params_pre is not None and t <= switch_t) else params
         eps = predict_noise(p_t, X, t, sched.T)
+        z = None
         if t > 1:
-            Z = np.stack([rng.standard_normal((M, d)) for rng in rngs])
-            cands = np.stack([reverse_step(X, t, eps, sched, Z[:, m]) for m in range(M)], axis=1)
-        else:
-            one = reverse_step(X, t, eps, sched, None)
-            cands = np.repeat(one[:, None, :], M, axis=1)
+            j = k % K
+            if j == 0:
+                for rng, block in zip(rngs, Z):
+                    rng.standard_normal(out=block[:min(K, n_noisy - k)])
+            z = Z[:, j]
+        # (n, M, d) candidates; at t = 1 the step is deterministic and all M coincide
+        cands = np.broadcast_to(reverse_step(X[:, None], t, eps[:, None], sched, z),
+                                (n_traj, M, d))
         if M > 1:
-            u = np.array([rng.random() for rng in rngs])
             vals = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
-            zeta = _select(vals, alpha, u)
+            zeta = _select(vals, alpha, U[:, k])
             if record_values:
                 values[:, k] = vals
         else:
             zeta = np.zeros(n_traj, dtype=np.int64)
             if record_values and reward is not None:
                 values[:, k] = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
-        X = cands[np.arange(n_traj), zeta]
+        X = cands[rows, zeta]
         zetas[:, k] = zeta + 1
     return X, zetas, values
 

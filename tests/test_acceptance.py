@@ -398,8 +398,11 @@ def test_criterion_13_reproducibility(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
 
+    src = os.path.dirname(os.path.dirname(benchmark.__file__))
+
     def pipeline(outdir, threads):
-        env = dict(os.environ)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = str(threads)
         outdir.mkdir()

@@ -227,9 +227,14 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
             assert "--loa" in capsys.readouterr().err
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, caplog):
     assert cli.main(["pretrain", "--data", str(tmp_path / "nope.csv"),
                      "--outdir", str(tmp_path)]) == 2
+    # normalization needs two rows
+    for name, body in (("header_only.csv", "x0,x1\n"), ("one_row.csv", "x0,x1\n0.5,1.5\n")):
+        (tmp_path / name).write_text(body)
+        assert cli.main(["pretrain", "--data", str(tmp_path / name), "--epochs", "1",
+                         "--outdir", str(tmp_path)]) == 2
     # a hull outside the feasible cube, or with a NaN parameter, is a data
     # problem, not a crash
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
@@ -239,6 +244,16 @@ def test_data_errors_exit_2(tmp_path):
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
     assert cli.main(["eval", "--samples", str(plain), "--train", str(plain),
                      "--outdir", str(tmp_path)]) == 2
+    # an empty samples or training file names itself
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1,reward\n")
+    labelled = tmp_path / "two.csv"
+    labelled.write_text("x0,x1,reward\n0.0,1.0,0.5\n1.0,0.0,1.5\n")
+    for samples, train in ((empty, labelled), (labelled, empty)):
+        caplog.clear()
+        assert cli.main(["eval", "--samples", str(samples), "--train", str(train),
+                         "--outdir", str(tmp_path)]) == 2
+        assert f"{empty}: no rows" in caplog.text
     # truncated and over-long model files
     raw = write_model(tmp_path / "m.rddm").read_bytes()
     assert len(raw) > 300

@@ -45,7 +45,7 @@ def test_normalize_constant_column_floors_std():
 
 
 def test_normalize_needs_two_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="at least 2 rows, got 1"):
         normalize(Dataset(X=np.ones((1, 3))))
 
 

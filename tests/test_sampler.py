@@ -24,10 +24,11 @@ from rddkit.sampler import (
 SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
-def svdd_step(xt, t, params, sched, cfg, rng, reward, stats=None):
+def svdd_step(xt, t, params, sched, cfg, rng, u, reward, stats=None):
     """One guided reverse step for a single trajectory: the reference that
     the batched engine in svdd_generate is checked against.
 
+    rng draws the candidate noise; u is the step's selection uniform.
     Returns (selected x_{t-1}, 1-based chosen index, candidate values).
     """
     X = np.asarray(xt, dtype=np.float64)[None, :]
@@ -40,7 +41,7 @@ def svdd_step(xt, t, params, sched, cfg, rng, reward, stats=None):
         one = reverse_step(X, t, eps, sched, None)
         cands = np.repeat(one[:, None, :], M, axis=1)
     vals = _candidate_values(params, sched, reward, stats, cands, t - 1)
-    sel = int(_select(vals, cfg.alpha, np.array([rng.random()]))[0]) if M > 1 else 0
+    sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
 
 
@@ -124,7 +125,8 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        _, zeta, vals = svdd_step(x, 7, params, sched, cfg, rng, Constant(), stats=stats)
+        _, zeta, vals = svdd_step(x, 7, params, sched, cfg, rng, rng.random(), Constant(),
+                                  stats=stats)
         assert np.all(vals == 2.5)
         counts[zeta - 1] += 1
     chi2 = np.sum((counts - n / 4) ** 2 / (n / 4))
@@ -137,29 +139,64 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     rng = np.random.default_rng(7)
     x = np.array([0.0, 0.0])
     for t in (15, 8, 1):
-        x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, REWARD, stats=stats)
+        x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, rng.random(), REWARD,
+                                       stats=stats)
         assert 1 <= zeta <= 5
         assert zeta - 1 == int(np.argmax(vals))
         assert x_next.shape == (2,)
 
 
-def test_batched_chain_equals_per_trajectory_steps(toy_model):
+@pytest.mark.parametrize("M", [1, 3])
+def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # the lockstep engine consumes the same spawned streams as a
-    # one-trajectory-at-a-time run of svdd_step: identical selections, floats
-    # equal up to matmul accumulation order across batch shapes
+    # one-trajectory-at-a-time run of svdd_step: x_T, then for M > 1 the
+    # selection uniforms of all steps, then each step's candidate noise.
+    # Identical selections, floats equal up to matmul accumulation order
+    # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
-    cfg = SvddSection(M=3, alpha=0.5, n_traj=6, seed=42)
+    cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
     trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
         x = rng.standard_normal(2)
+        us = rng.random(sched.T) if M > 1 else np.full(sched.T, np.nan)
         zetas = []
-        for t in range(sched.T, 0, -1):
-            x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, REWARD, stats=stats)
+        for k, t in enumerate(range(sched.T, 0, -1)):
+            x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD, stats=stats)
             zetas.append(zeta)
         assert np.array_equal(trajs[i].zetas, np.array(zetas))
         np.testing.assert_allclose(trajs[i].x0, x, rtol=1e-10, atol=1e-12)
+
+
+def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
+    # K, the number of steps drawn per RNG call, follows NOISE_BLOCK_BYTES;
+    # a stream of normals gives the same values however it is split
+    params, sched, stats = toy_model
+    x_start = np.random.default_rng(5).standard_normal((6, 2))
+
+    def chain(n, M, budget, start):
+        monkeypatch.setattr(sampler, "NOISE_BLOCK_BYTES", budget)
+        kwargs = dict(x_start=x_start[:n], t_start=sched.T - 3) if start else {}
+        return sampler._reverse_chain(params, sched, n, 17, M=M, reward=REWARD, stats=stats,
+                                      alpha=0.5, record_values=True, **kwargs)
+
+    for M in (1, 3):
+        step = 8 * 6 * M * 2
+        for start in (False, True):
+            one = chain(6, M, step, start)
+            whole = chain(6, M, step * sched.T, start)
+            for a, b in zip(one, whole):
+                assert np.array_equal(a, b)
+            # 2 steps per block for 6 trajectories, 4 for 3; the draws are
+            # identical, the floats up to matmul accumulation order across
+            # batch shapes, in float32 for the soft values
+            (X6, z6, v6), (X3, z3, v3) = chain(6, M, 2 * step, start), chain(3, M, 2 * step, start)
+            for a, b in zip((X6, z6, v6), one):
+                assert np.array_equal(a, b)
+            assert np.array_equal(z6[:3], z3)
+            np.testing.assert_allclose(X6[:3], X3, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(v6[:3], v3, rtol=1e-5)
 
 
 def test_trajectory_recording(toy_model):
