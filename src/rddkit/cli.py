@@ -315,6 +315,9 @@ def cmd_surrogate_eval(args):
     if data.rewards is None:
         raise DataError(f"{args.data}: needs a reward column to score against")
     ensemble = load_ensemble(args.model)
+    if data.d != ensemble.d:
+        raise DataError(f"{args.data}: {data.d} input columns, but the surrogate "
+                        f"{args.model} takes {ensemble.d}")
     pred = predict_ensemble(ensemble, data.X)
     result = {
         "n_rows": int(data.n),

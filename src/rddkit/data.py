@@ -119,7 +119,8 @@ def denormalize(x, stats):
 
 
 def load_dataset(path):
-    """Parse a design CSV; raises DataError with a line number on bad input."""
+    """Parse a design CSV; raises DataError with a line number on bad input,
+    including a nan or inf cell (Python's float() would accept them)."""
     with open(path, "r") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -141,6 +142,10 @@ def load_dataset(path):
             rows[i - 2] = [float(p) for p in parts]
         except ValueError as e:
             raise DataError(f"{path}: line {i}: {e}") from None
+    bad = ~np.isfinite(rows)
+    if np.any(bad):
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"{path}: line {r + 2}: non-finite value in column {header[c]}")
     if has_reward:
         return Dataset(X=rows[:, :-1], rewards=rows[:, -1].copy())
     return Dataset(X=rows, rewards=None)

@@ -5,7 +5,23 @@ quantile thresholds, leaves predicting the mean residual, shrinkage applied
 per round. The model is a step function of the input, so it has no useful
 gradient anywhere; callers treat it as a black box. Fitting is fully
 deterministic: candidate thresholds come from quantiles and split-gain ties
-break toward the lowest feature index, then the lowest threshold.
+break toward the lowest feature index, then the lowest threshold. Inputs
+and targets must be finite.
+
+Prediction reads bin tables built once per ensemble, after QuickScorer
+(Lucchese et al. 2015) instead of descending each tree node by node. Each
+tree's leaves are numbered left to right, one bit each. Per feature, the
+sorted distinct split thresholds cut the line into bins, and the table row
+of a bin holds, per tree, the AND of the masks that clear the left-subtree
+leaves of every split the bin leaves to the right. A row's bin is
+searchsorted(cuts, x, side="left"), so x <= cuts[r] exactly when bin <= r,
+and NaN sorts past every cut and goes right as x <= threshold does. ANDing
+one table row per feature leaves a tree's exit leaf as its lowest set bit:
+every leaf left of it was cleared by a split the row left to the right, and
+no split on its path cleared it. The leaves are the ones a descent reaches
+and their values are summed in the same tree order, so predictions are
+bit-identical to a node-by-node walk. A NaN threshold has no rank, so
+loading one is a DataError.
 """
 
 import struct
@@ -30,68 +46,122 @@ class Tree:
     value: np.ndarray      # float64, meaningful at leaves
 
 
-# rows per block of the packed traversal; bounds each (rows, trees) index
-# array of one predict call at 4096 * n_trees * 8 bytes
+# rows per block of a predict call; bounds each (rows, trees, words) bitmask
+# array at 4096 * n_trees * words * 8 bytes
 _PREDICT_BLOCK = 4096
+
+# _LOW_BITS[b] has bits 0 .. b-1 set, for b = 0 .. 64
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 
 
 @dataclass
-class _PackedTrees:
-    """Every tree padded into one (n_trees, max_nodes) layout, flattened.
+class _BinTables:
+    """The ensemble as per-feature threshold bins and per-tree leaf bitmasks.
 
-    Node i's children sit at child[2i] (left) and child[2i + 1] (right), as
-    flat node positions. Leaves and padding loop to themselves with
-    threshold +inf and feature 0, so a descent of ``depth`` levels lands
-    every row on its leaf whatever the tree's shape.
+    Leaf j of a tree (leaves numbered left to right) is bit j % 64 of word
+    j // 64. ``cuts[i]`` holds the sorted distinct thresholds of the nodes
+    that split on feature ``features[i]``, and ``tables[i][b, k]`` is the AND
+    of the masks that clear the left-subtree leaves of every such node of
+    tree k whose threshold ranks below b. Leaf j of tree k predicts
+    ``value[offset[k] + 1 + j]``. A table row holds word w of tree k at
+    column w * n_trees + k.
     """
 
-    feature: np.ndarray    # intp
-    threshold: np.ndarray  # float64
-    child: np.ndarray      # intp, two per node
-    value: np.ndarray      # float64
-    roots: np.ndarray      # intp (n_trees,), flat position of each root
-    depth: int             # levels from a root to the deepest leaf
+    features: list      # the features at least one node splits on
+    cuts: list          # float64 arrays, one per entry of features
+    tables: list        # uint64 (len(cuts[i]) + 1, words * n_trees) arrays
+    value: np.ndarray   # float64 (n_trees * 64 * words,)
+    offset: np.ndarray  # intp (n_trees,), k * 64 * words - 1
+    words: int          # 64-bit words per tree, for the tree with most leaves
 
 
-def _pack(trees, d):
-    """Pad the trees into one flat layout; DataError on a malformed tree."""
+def _bin_tables(trees, d):
+    """Build the bin tables of the trees; DataError on a malformed tree."""
     n_trees = len(trees)
-    width = max((t.feature.shape[0] for t in trees), default=1)
-    roots = np.arange(n_trees, dtype=np.intp) * width
-    flat = roots[:, None] + np.arange(width, dtype=np.intp)
-    feature = np.zeros((n_trees, width), dtype=np.intp)
-    threshold = np.full((n_trees, width), np.inf)
-    left, right = flat.copy(), flat.copy()
-    value = np.zeros((n_trees, width))
-    leaf = np.ones((n_trees, width), dtype=bool)
-    for k, t in enumerate(trees):
-        n = t.feature.shape[0]
-        internal = t.feature >= 0
-        children = np.concatenate([t.left[internal], t.right[internal]])
-        if n == 0 or np.any(children < 0) or np.any(children >= n):
-            raise DataError(f"tree {k}: child index outside its {n} nodes")
-        if np.any(t.feature >= d):
-            raise DataError(f"tree {k}: feature index outside the {d} inputs")
-        feature[k, :n] = np.where(internal, t.feature, 0)
-        threshold[k, :n] = np.where(internal, t.threshold, np.inf)
-        left[k, :n] = np.where(internal, t.left + roots[k], flat[k, :n])
-        right[k, :n] = np.where(internal, t.right + roots[k], flat[k, :n])
-        value[k, :n] = t.value
-        leaf[k, :n] = ~internal
-    left, right, leaf = left.ravel(), right.ravel(), leaf.ravel()
-    # node heights by fixed-point iteration; a tree of n nodes is less than
-    # n deep, so no fixed point within `width` rounds means a cycle
-    height = np.zeros(left.shape[0], dtype=np.intp)
-    for _ in range(width):
-        new = np.where(leaf, 0, 1 + np.maximum(height[left], height[right]))
+    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.intp)
+    if np.any(sizes == 0):
+        raise DataError(f"tree {int(np.argmax(sizes == 0))}: no nodes")
+    roots = np.cumsum(sizes) - sizes
+
+    def flat(name, dtype):
+        return np.concatenate([getattr(t, name) for t in trees] + [np.empty(0, dtype)]
+                              ).astype(dtype)
+
+    feature, threshold = flat("feature", np.intp), flat("threshold", np.float64)
+    left, right, value = flat("left", np.intp), flat("right", np.intp), flat("value", np.float64)
+    tree_of = np.repeat(np.arange(n_trees), sizes)
+    internal = feature >= 0
+    n_of = sizes[tree_of]
+    for bad, message in (
+            ((left < 0) | (left >= n_of) | (right < 0) | (right >= n_of),
+             "child index outside its {n} nodes"),
+            (feature >= d, f"feature index outside the {d} inputs"),
+            (np.isnan(threshold), "NaN threshold at an internal node")):
+        hit = tree_of[internal & bad]
+        if hit.size:
+            k = int(hit.min())
+            raise DataError(f"tree {k}: " + message.format(n=sizes[k]))
+    node = np.arange(feature.shape[0], dtype=np.intp)
+    left = np.where(internal, left + roots[tree_of], node)
+    right = np.where(internal, right + roots[tree_of], node)
+    # node heights and leaf counts by fixed-point iteration; a tree of n
+    # nodes is less than n deep, so no fixed point within as many rounds as
+    # the largest tree has nodes means a cycle. Leaf counts are capped so a
+    # cycle cannot overflow them; a shared subtree counts once per path.
+    cap = feature.shape[0] + 1
+    height = np.zeros(feature.shape[0], dtype=np.intp)
+    leaves = (~internal).astype(np.intp)
+    for _ in range(int(sizes.max(initial=1))):
+        leaves = np.where(internal, np.minimum(leaves[left] + leaves[right], cap), 1)
+        new = np.where(internal, 1 + np.maximum(height[left], height[right]), 0)
         if np.array_equal(new, height):
             break
         height = new
     else:
         raise DataError("tree nodes form a cycle")
-    child = np.stack([left, right], axis=1).ravel()
-    return _PackedTrees(feature.ravel(), threshold.ravel(), child, value.ravel(),
-                        roots, int(height[roots].max(initial=0)))
+    shared = leaves[roots] > sizes
+    if np.any(shared):
+        k = int(np.flatnonzero(shared)[0])
+        raise DataError(f"tree {k}: more root-to-leaf paths than its {sizes[k]} nodes")
+
+    # walk every tree level by level; the entry for a node reached at leaf
+    # number lo sends its left child to lo and its right child past the
+    # left subtree's leaves
+    node, tree, lo = roots, np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+    splits, exits = [], []
+    for _ in range(int(height[roots].max(initial=0)) + 1):
+        inner = internal[node]
+        exits.append((tree[~inner], lo[~inner], node[~inner]))
+        node, tree, lo = node[inner], tree[inner], lo[inner]
+        mid = lo + leaves[left[node]]
+        splits.append((tree, node, lo, mid))
+        node = np.concatenate([left[node], right[node]])
+        tree, lo = np.concatenate([tree, tree]), np.concatenate([lo, mid])
+    s_tree, s_node, s_lo, s_mid = (np.concatenate(a) for a in zip(*splits))
+    e_tree, e_lo, e_node = (np.concatenate(a) for a in zip(*exits))
+
+    words = max(1, -(-int(leaves[roots].max(initial=1)) // 64))
+    leaf_values = np.zeros((n_trees, 64 * words))
+    leaf_values[e_tree, e_lo] = value[e_node]
+    # the mask of a split keeps every bit but its left subtree's [lo, mid)
+    base = 64 * np.arange(words)
+    masks = ~(_LOW_BITS[np.clip(s_mid[:, None] - base, 0, 64)]
+              ^ _LOW_BITS[np.clip(s_lo[:, None] - base, 0, 64)])
+    s_feature, s_threshold = feature[s_node], threshold[s_node]
+    features, cuts, tables = [], [], []
+    for f in np.unique(s_feature):
+        on = s_feature == f
+        cut = np.unique(s_threshold[on])
+        table = np.full((cut.shape[0] + 1, words, n_trees), ~np.uint64(0))
+        # a split of rank r goes right for every bin above r
+        rank = np.searchsorted(cut, s_threshold[on])
+        np.bitwise_and.at(table, (rank + 1, slice(None), s_tree[on]), masks[on])
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        features.append(int(f))
+        cuts.append(cut)
+        tables.append(table.reshape(cut.shape[0] + 1, words * n_trees))
+    offset = np.arange(n_trees, dtype=np.intp) * 64 * words - 1
+    return _BinTables(features, cuts, tables, leaf_values.ravel(), offset, words)
 
 
 @dataclass
@@ -102,10 +172,10 @@ class TreeEnsemble:
     max_depth: int
     n_trees: int
     d: int
-    packed: _PackedTrees = field(init=False, repr=False, compare=False)
+    bin_tables: _BinTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.packed = _pack(self.trees, self.d)
+        self.bin_tables = _bin_tables(self.trees, self.d)
 
 
 class _TreeBuilder:
@@ -187,6 +257,8 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
         raise DataError(f"need at least 10 rows, got {X.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise DataError("targets must be finite")
+    if not np.all(np.isfinite(X)):
+        raise DataError("inputs must be finite")
     base = float(y.mean())
     if np.all(y == y[0]):
         return TreeEnsemble(base, [], shrinkage, max_depth, 0, X.shape[1]), []
@@ -214,20 +286,39 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     return ensemble, mse_history
 
 
+def _exit_leaves(t, X):
+    """Position in t.value of the leaf each row of X reaches in each tree."""
+    n_trees = t.offset.shape[0]
+    words = np.full((X.shape[0], t.words * n_trees), ~np.uint64(0))
+    rows = np.empty_like(words)
+    for f, cut, table in zip(t.features, t.cuts, t.tables):
+        # x <= cut[r] exactly when bin <= r, and NaN sorts past every cut,
+        # so each row gets the masks of the splits it leaves to the right.
+        # A bin is at most len(cut), so mode="clip" never clips; it spares
+        # take the bounds-checked copy that mode="raise" makes of out=
+        table.take(np.searchsorted(cut, X[:, f], side="left"), axis=0, out=rows, mode="clip")
+        words &= rows
+    # the exit leaf is the lowest set bit, in the first non-zero word
+    word, base = words[:, :n_trees], t.offset
+    for w in range(1, t.words):
+        empty = word == 0
+        word = np.where(empty, words[:, w * n_trees:(w + 1) * n_trees], word)
+        base = np.where(empty, t.offset + 64 * w, base)
+    # popcount(w ^ (w - 1)) is one more than the index of w's lowest set
+    # bit; the spent rows buffer holds w - 1
+    low = np.subtract(word, np.uint64(1), out=rows[:, :n_trees])
+    return base + np.bitwise_count(np.bitwise_xor(low, word, out=low))
+
+
 def _predict_block(ensemble, X):
-    p = ensemble.packed
-    n, d = X.shape
-    x = X.ravel()
-    row = (np.arange(n, dtype=np.intp) * d)[:, None]
-    node = np.broadcast_to(p.roots, (n, p.roots.shape[0]))   # (n, n_trees)
-    for _ in range(p.depth):
-        go_left = x[row + p.feature[node]] <= p.threshold[node]
-        node = p.child[2 * node + 1 - go_left]
+    t = ensemble.bin_tables
+    pos = _exit_leaves(t, X)
     # out += shrinkage * leaf_k for k = 0, 1, ...: accumulate runs left to
     # right, the order of a per-tree loop
-    terms = np.empty((n, node.shape[1] + 1))
+    terms = np.empty((pos.shape[0], pos.shape[1] + 1))
     terms[:, 0] = ensemble.base_prediction
-    np.multiply(ensemble.shrinkage, p.value[node], out=terms[:, 1:])
+    leaf = t.value.take(pos, out=terms[:, 1:], mode="clip")
+    np.multiply(ensemble.shrinkage, leaf, out=leaf)
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 

@@ -288,6 +288,26 @@ def test_data_errors_exit_2(tmp_path, caplog):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         assert cli.main(["surrogate", "fit", "--data", str(tmp_path / name),
                          "--out", str(tmp_path / "bad.rddt")]) == 2
+    # scoring a surrogate on rows of another width names the file and both widths
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x0,x1,x2,reward\n" + "".join(f"{i * 0.1},0.5,0.25,{i % 3}\n"
+                                                  for i in range(12)))
+    caplog.clear()
+    assert cli.main(["surrogate", "eval", "--model", str(tmp_path / "s.rddt"),
+                     "--data", str(wide)]) == 2
+    assert f"{wide}: 3 input columns" in caplog.text and "takes 2" in caplog.text
+    # a nan or inf design cell is a data error naming its line, for training
+    # (not a non-finite loss) and for a surrogate fit (not a degraded model)
+    for cell in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"cell_{cell}.csv"
+        bad.write_text("\n".join(rows[:4] + [f"{cell},0.5,1"] + rows[4:]) + "\n")
+        for argv in (["pretrain", "--data", str(bad), "--epochs", "1",
+                      "--outdir", str(tmp_path / "p")],
+                     ["surrogate", "fit", "--data", str(bad),
+                      "--out", str(tmp_path / "bad.rddt")]):
+            caplog.clear()
+            assert cli.main(argv) == 2
+            assert f"{bad}: line 5: non-finite value in column x0" in caplog.text
 
 
 def test_numerical_errors_exit_3(tmp_path):

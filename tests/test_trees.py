@@ -267,6 +267,15 @@ def test_fit_input_validation():
                 {"shrinkage": np.nan}):
         with pytest.raises(ConfigError):
             fit_ensemble(X, y, **bad)
+    # non-finite inputs: one NaN cell in a step feature used to make every
+    # tree ignore that feature
+    X = np.random.default_rng(3).uniform(-1, 1, size=(60, 2))
+    y = np.where(X[:, 0] > 0.0, 1.0, 0.0)
+    for cell in (np.nan, np.inf, -np.inf):
+        Xbad = X.copy()
+        Xbad[7, 0] = cell
+        with pytest.raises(DataError, match="inputs must be finite"):
+            fit_ensemble(Xbad, y)
 
 
 def test_r2_score_values():
@@ -319,12 +328,92 @@ def test_load_rejects_malformed_trees(tmp_path):
     n = ens.trees[0].feature.shape[0]
     first = 36 + 4                          # header, then tree 0's node count
     left = first + 4 * n + 8 * n
-    for name, offset, value in (("child", left, n), ("loop", left, 0), ("feature", first, 3)):
+    assert ens.trees[0].feature[0] >= 0     # the root is a split
+    for name, offset, value in (("child", left, n.to_bytes(4, "little")),
+                                ("loop", left, (0).to_bytes(4, "little")),
+                                ("feature", first, (3).to_bytes(4, "little")),
+                                ("threshold", first + 4 * n, np.float64(np.nan).tobytes())):
         bad = bytearray(raw)
-        bad[offset:offset + 4] = value.to_bytes(4, "little")
+        bad[offset:offset + len(value)] = value
         # re-sealed, as a faulty writer would, so the load reaches the tree checks
         bad[-4:] = zlib.crc32(bad[:-4]).to_bytes(4, "little")
         path = tmp_path / f"{name}.rddt"
         path.write_bytes(bytes(bad))
-        with pytest.raises(DataError, match=name if name != "child" else "child index"):
+        # the message, not only the file name, names the fault
+        expected = {"child": "child index", "loop": "cycle", "feature": "feature index",
+                    "threshold": "NaN threshold"}[name]
+        with pytest.raises(DataError, match=expected):
             load_ensemble(path)
+
+
+def threshold_rows(ens, X):
+    """Rows of X with one coordinate set to a split threshold, or to the
+    next float on either side of it, for every split of every tree."""
+    rows = []
+    for tree in ens.trees:
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                for v in (np.nextafter(thr, -np.inf), thr, np.nextafter(thr, np.inf)):
+                    row = X[len(rows) % X.shape[0]].copy()
+                    row[f] = v
+                    rows.append(row)
+    return np.array(rows)
+
+
+def test_prediction_matches_oracle_past_64_leaves():
+    # trees with more leaves than one 64-bit word holds
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-1, 1, size=(600, 3))
+    y = np.sin(6 * X[:, 0]) * np.cos(4 * X[:, 1]) + X[:, 2] + 0.3 * rng.standard_normal(600)
+    ens, _ = fit_ensemble(X, y, n_trees=4, max_depth=8, shrinkage=0.5)
+    assert max(int(np.sum(t.feature < 0)) for t in ens.trees) > 64
+    Xt = np.vstack([X, rng.uniform(-1.2, 1.2, size=(400, 3)), threshold_rows(ens, X)])
+    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+
+
+def test_prediction_matches_oracle_with_an_unsplit_feature():
+    rng = np.random.default_rng(22)
+    X = rng.uniform(-1, 1, size=(200, 4))
+    X[:, 1] = 0.5                          # constant: no split can use it
+    y = np.sin(3 * X[:, 0]) + X[:, 2] * X[:, 3] + 0.05 * rng.standard_normal(200)
+    ens, _ = fit_ensemble(X, y, n_trees=12, max_depth=4, shrinkage=0.3)
+    used = set(np.concatenate([t.feature[t.feature >= 0] for t in ens.trees]).tolist())
+    assert used == {0, 2, 3}
+    Xt = rng.uniform(-1.2, 1.2, size=(300, 4))
+    Xt[:100, 1] = rng.uniform(-1e3, 1e3, size=100)
+    Xt[100:110, 1] = np.nan
+    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+
+
+def test_prediction_matches_oracle_on_thresholds_shared_by_trees():
+    X, y = make_regression(300, 3, seed=23)
+    ens, _ = fit_ensemble(X, y, n_trees=30, max_depth=4, shrinkage=0.3)
+    # how many trees split on each (feature, threshold) pair
+    pairs = {}
+    for k, tree in enumerate(ens.trees):
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                pairs.setdefault((int(f), float(thr)), set()).add(k)
+    assert max(len(trees_) for trees_ in pairs.values()) >= 5
+    Xt = threshold_rows(ens, X)
+    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+
+
+def test_shared_subtrees_predict_like_the_walk_or_are_rejected():
+    # node 3 is both children of node 1: three root-to-leaf paths, four nodes
+    shared = trees.Tree(feature=np.array([0, 1, -1, -1], dtype=np.int32),
+                        threshold=np.array([0.0, 0.5, 0.0, 0.0]),
+                        left=np.array([1, 3, -1, -1], dtype=np.int32),
+                        right=np.array([2, 3, -1, -1], dtype=np.int32),
+                        value=np.array([0.0, 0.0, 1.0, 2.0]))
+    ens = trees.TreeEnsemble(0.25, [shared], 1.0, 2, 1, 2)
+    Xt = np.random.default_rng(24).uniform(-1, 1, size=(50, 2))
+    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+    # a chain of splits whose children are both the next node: 2^7 paths, 8 nodes
+    chain = trees.Tree(feature=np.array([0] * 7 + [-1], dtype=np.int32),
+                       threshold=np.zeros(8),
+                       left=np.array(list(range(1, 8)) + [-1], dtype=np.int32),
+                       right=np.array(list(range(1, 8)) + [-1], dtype=np.int32),
+                       value=np.zeros(8))
+    with pytest.raises(DataError, match="paths"):
+        trees.TreeEnsemble(0.0, [chain], 1.0, 7, 1, 1)
