@@ -29,11 +29,9 @@ from rddkit.denoiser import (
 from rddkit.data import Dataset, NormStats, normalize, denormalize, load_dataset, save_samples
 from rddkit.pretrain import train_ddpm, ancestral_sample
 from rddkit.rewards import (
-    RewardModel,
     SyntheticTargetReward,
     HullResistanceReward,
     SurrogateReward,
-    composite_reward,
     soft_weight,
     airfoil_feasibility_penalty,
     check_self_intersection,

@@ -29,6 +29,8 @@ from rddkit.hull import aggregate_total_resistance, scale_params
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import train_ddpm
 from rddkit.rewards import (
+    AIRFOIL_WIDTH,
+    HULL_WIDTH,
     AirfoilFeasibilityReward,
     HullResistanceReward,
     SurrogateReward,
@@ -78,6 +80,12 @@ def _archive_run(outdir, command, cfg, timings, outputs):
         fh.write("\n")
 
 
+def _check_reward_width(kind, width, d):
+    if d != width:
+        raise ConfigError(f"reward.kind: '{kind}' rewards take {width} inputs, "
+                          f"the model has {d}")
+
+
 def _build_reward(rc, d):
     """Reward model from the reward config section, for d-dimensional designs."""
     if rc.kind == "synthetic":
@@ -88,6 +96,7 @@ def _build_reward(rc, d):
                               f"got {target.size}")
         return SyntheticTargetReward(target)
     if rc.kind == "hull":
+        _check_reward_width(rc.kind, HULL_WIDTH, d)
         return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset)
     if rc.kind in ("surrogate", "airfoil"):
         ensemble = load_ensemble(rc.surrogate_path)
@@ -97,6 +106,7 @@ def _build_reward(rc, d):
         base = SurrogateReward(ensemble)
         if rc.kind == "surrogate":
             return base
+        _check_reward_width(rc.kind, AIRFOIL_WIDTH, d)
         return AirfoilFeasibilityReward(base, lambda_range=rc.lambda_range,
                                         lambda_intersect=rc.lambda_intersect)
     raise ConfigError(f"reward.kind: unknown reward '{rc.kind}'")
@@ -142,8 +152,7 @@ def cmd_pretrain(args):
     norm, stats = normalize(dataset)
     timings["load"] = time.perf_counter() - t0
 
-    sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start,
-                          cfg.schedule.beta_end, cfg.schedule.kind)
+    sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
     t0 = time.perf_counter()
     params, history = train_ddpm(norm, sched, cfg.net,
                                  epochs=cfg.pretrain.epochs,
@@ -217,11 +226,9 @@ def cmd_sample(args):
 
     reward = _build_reward(cfg.reward, params.d)
     t0 = time.perf_counter()
-    trajectories = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
+    X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
     timings["sample"] = time.perf_counter() - t0
 
-    X0 = np.stack([tr.x0 for tr in trajectories])
-    rewards = np.array([tr.reward for tr in trajectories])
     designs = denormalize(X0, stats) if stats is not None else X0
     samples_path = _outpath(outdir, args.samples_name)
     save_samples(samples_path, designs, rewards)
@@ -235,7 +242,7 @@ def cmd_sample(args):
         fh.write("\n")
     _archive_run(outdir, "sample", cfg, timings, [samples_path, summary_path])
     log.info("wrote %d samples to %s (mean reward %.4f)",
-             len(trajectories), samples_path, summary["mean_reward"])
+             len(rewards), samples_path, summary["mean_reward"])
     return 0
 
 

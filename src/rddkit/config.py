@@ -39,7 +39,6 @@ class ScheduleSection:
     T: int = 100
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    kind: str = "linear"
 
     def check(self):
         _check_finite(self, "schedule")
@@ -47,22 +46,17 @@ class ScheduleSection:
             raise ConfigError("schedule.T: must be >= 1")
         if not (0.0 < self.beta_start < 1.0) or not (0.0 < self.beta_end < 1.0):
             raise ConfigError("schedule.beta_start/beta_end: must lie in (0, 1)")
-        if self.kind != "linear":
-            raise ConfigError(f"schedule.kind: unknown schedule '{self.kind}'")
 
 
 @dataclass
 class NetSection:
     embed_dim: int = 32
     hidden_dims: list = field(default_factory=lambda: [256, 256])
-    activation: str = "tanh"
 
     def check(self):
         _check_finite(self, "net")
         if self.embed_dim <= 0 or self.embed_dim % 2:
             raise ConfigError("net.embed_dim: must be a positive even integer")
-        if self.activation != "tanh":
-            raise ConfigError(f"net.activation: unsupported activation '{self.activation}'")
         if not _list_of(self.hidden_dims, int) or min(self.hidden_dims) < 1:
             raise ConfigError("net.hidden_dims: expected a non-empty list of integers >= 1, "
                               f"got {self.hidden_dims!r}")

@@ -16,13 +16,11 @@ import numpy as np
 
 from rddkit.data import BinaryReader, NormStats, write_binary
 from rddkit.diffusion import forward_marginal
-from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
+from rddkit.exceptions import ConfigError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator floor
-_ACTIVATIONS = {"tanh": 1}
-_ACTIVATION_CODES = {v: k for k, v in _ACTIVATIONS.items()}
 
 
 @dataclass
@@ -37,7 +35,6 @@ class DenoiserParams:
     d: int
     embed_dim: int
     hidden_dims: tuple
-    activation: str = "tanh"
 
     @property
     def layer_weights(self):
@@ -108,7 +105,7 @@ def init_params(d, net, seed):
         draws += [rng.uniform(-bound, bound, size=fan_in * fan_out),
                   rng.uniform(-bound, bound, size=fan_out)]
     return DenoiserParams(theta=np.concatenate(draws), d=d, embed_dim=net.embed_dim,
-                          hidden_dims=tuple(net.hidden_dims), activation=net.activation)
+                          hidden_dims=tuple(net.hidden_dims))
 
 
 def clone_params(params):
@@ -242,13 +239,12 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
     """Write the binary model file, a data.write_binary container.
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
-    hidden dims, u32 activation code, u32 T, f8 beta_start/beta_end, u8
-    stats flag (+ mean/std vectors), then theta as f8 (its length follows
-    from the header).
+    hidden dims, u32 T, f8 beta_start/beta_end, u8 stats flag (+ mean/std
+    vectors), then theta as f8 (its length follows from the header).
     """
     n = len(params.hidden_dims)
-    header = struct.pack(f"<III{n}IIIdd", params.d, params.embed_dim, n, *params.hidden_dims,
-                         _ACTIVATIONS[params.activation], T, beta_start, beta_end)
+    header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,
+                         T, beta_start, beta_end)
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
     write_binary(path, _MAGIC, _FORMAT_VERSION,
                  [header, struct.pack("<B", stats is not None)] +
@@ -261,16 +257,12 @@ def load_model(path):
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
     hidden = r.unpack(f"<{n_hidden}I")
-    (act_code,) = r.unpack("<I")
-    if act_code not in _ACTIVATION_CODES:
-        raise DataError(f"{path}: unknown activation code {act_code}")
     (T,) = r.unpack("<I")
     beta_start, beta_end = r.unpack("<dd")
     (has_stats,) = r.unpack("<B")
     stats = NormStats(mean=r.array("<f8", d), std=r.array("<f8", d)) if has_stats else None
     theta = r.array("<f8", sum(i * o + o for i, o in _layer_shapes(d, embed_dim, hidden)))
     r.finish()
-    params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden,
-                            activation=_ACTIVATION_CODES[act_code])
+    params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden)
     meta = {"T": T, "beta_start": beta_start, "beta_end": beta_end}
     return params, meta, stats

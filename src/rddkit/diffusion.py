@@ -42,10 +42,8 @@ class NoiseSchedule:
     sigmas: np.ndarray
 
 
-def make_schedule(T, beta_start=1e-4, beta_end=0.02, kind="linear"):
+def make_schedule(T, beta_start=1e-4, beta_end=0.02):
     """Build a linear beta schedule and its derived alpha tables."""
-    if kind != "linear":
-        raise ConfigError(f"unknown schedule kind: {kind!r}")
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):

@@ -21,7 +21,7 @@ from rddkit.data import denormalize
 from rddkit.denoiser import clone_params, init_opt_state
 from rddkit.pretrain import ddpm_epoch
 from rddkit.rewards import SOFT_EXP_CLAMP, soft_weight
-from rddkit.sampler import _eval_reward_batch, _reverse_chain
+from rddkit.sampler import _reverse_chain
 
 
 def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
@@ -94,7 +94,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         ss_collect, ss_epoch = root.spawn(2)
         X0 = rollin_collect(params, params_pre, sched, cfg.m, ss_collect, switch_t=switch_t)
         phys = denormalize(X0, stats) if stats is not None else X0
-        rewards = _eval_reward_batch(reward, phys)
+        rewards = reward.batch(phys)
         mean_r, mean_loss = weighted_epoch(
             X0, rewards, cfg.alpha, params, opt_state, sched,
             rng=np.random.default_rng(ss_epoch),

@@ -1,27 +1,26 @@
 """Black-box reward models and the exponential soft weights.
 
-A reward is any pure map from a physical design vector to a real number.
-Nothing in the toolkit ever differentiates a reward; samplers and the
-fine-tuner only call the evaluation interface. The general form is
+A reward is any object with one method, batch(X), that maps an (n, d)
+array of physical designs to an (n,) float64 array of rewards, row by row
+and without side effects. Samplers and the fine-tuner always score whole
+batches (SVDD scores n x M candidates per step) and only ever evaluate a
+reward, never differentiate it. The general form is
 
     r(x0) = r_hat(x0) - g_hat(x0)
 
-where g_hat is a feasibility penalty (coordinate overshoot and closed
-polyline self-intersection for airfoil rows, geometric constraint violation
-for hulls). Soft weights are w = exp(clamp(r / alpha, -20, 20)); the clamp
-keeps exp finite while preserving the reward ordering.
+where g_hat is a feasibility penalty. AirfoilFeasibilityReward.batch
+subtracts the airfoil penalty (coordinate overshoot and closed polyline
+self-intersection) from a base reward's batch; HullResistanceReward.batch
+charges geometric constraint violation in place of the resistance. Soft
+weights are w = exp(clamp(r / alpha, -20, 20)); the clamp keeps exp finite
+while preserving the reward ordering.
 """
 
 import numpy as np
 
-from rddkit.exceptions import InfeasibleHullError
-
 SOFT_EXP_CLAMP = 20.0
-
-
-def composite_reward(r_hat, g_hat):
-    """Reward minus feasibility penalty."""
-    return r_hat - g_hat
+AIRFOIL_WIDTH = 384   # 192 interleaved (x, y) outline points
+HULL_WIDTH = 6        # the fractions of hull.scale_params
 
 
 def soft_weight(r, alpha):
@@ -33,14 +32,14 @@ def soft_weight(r, alpha):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def synthetic_benchmark_reward(x, target):
-    """Negative squared distance to a fixed target design."""
-    x = np.asarray(x, dtype=np.float64)
+def synthetic_benchmark_reward(X, target):
+    """Negative squared distances, (n,), of (n, d) designs to a fixed target."""
+    X = np.asarray(X, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if x.shape[-1] != target.shape[0]:
-        raise ValueError(f"dim mismatch: {x.shape[-1]} vs {target.shape[0]}")
-    diff = x - target
-    return -float(np.dot(diff, diff)) if x.ndim == 1 else -np.sum(diff * diff, axis=1)
+    if X.ndim != 2 or X.shape[1] != target.shape[0]:
+        raise ValueError(f"expected (n, {target.shape[0]}) designs, got shape {X.shape}")
+    diff = X - target
+    return -np.sum(diff * diff, axis=1)
 
 
 def ship_reward(R_T, scale, offset):
@@ -81,49 +80,33 @@ def check_self_intersection(points):
     return int(np.count_nonzero(proper & nonadjacent))
 
 
-def airfoil_feasibility_penalty(design, lambda_range=10.0, lambda_intersect=1.0):
-    """Penalty for a 384-vector of 192 interleaved (x, y) airfoil points.
+def airfoil_feasibility_penalty(designs, lambda_range=10.0, lambda_intersect=1.0):
+    """Penalties, (n,), for (n, 384) rows of 192 interleaved (x, y) airfoil points.
 
     Charges lambda_range per unit of coordinate overshoot outside [0, 1]
     plus lambda_intersect per proper self-intersection of the closed
     outline. Zero exactly when the shape is feasible.
     """
-    v = np.asarray(design, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != 384:
-        raise ValueError(f"airfoil designs are 384-vectors, got shape {v.shape}")
-    overshoot = np.sum(np.maximum(0.0, v - 1.0) + np.maximum(0.0, -v))
-    crossings = check_self_intersection(v.reshape(192, 2))
-    return lambda_range * float(overshoot) + lambda_intersect * crossings
+    V = np.asarray(designs, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != AIRFOIL_WIDTH:
+        raise ValueError(f"airfoil designs are (n, {AIRFOIL_WIDTH}) rows, got shape {V.shape}")
+    overshoot = np.sum(np.maximum(0.0, V - 1.0) + np.maximum(0.0, -V), axis=1)
+    crossings = np.fromiter((check_self_intersection(v.reshape(-1, 2)) for v in V),
+                            dtype=np.float64, count=V.shape[0])
+    return lambda_range * overshoot + lambda_intersect * crossings
 
 
-class RewardModel:
-    """Base class: a pure design -> reward map.
-
-    Subclasses implement __call__ on a single vector; batch() loops unless
-    overridden with something vectorized.
-    """
-
-    def __call__(self, x):
-        raise NotImplementedError
-
-    def batch(self, X):
-        return np.array([float(self(x)) for x in np.asarray(X)], dtype=np.float64)
-
-
-class SyntheticTargetReward(RewardModel):
+class SyntheticTargetReward:
     """Negative squared distance to a target placed outside the data support."""
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=np.float64)
 
-    def __call__(self, x):
-        return synthetic_benchmark_reward(np.asarray(x, dtype=np.float64), self.target)
-
     def batch(self, X):
-        return synthetic_benchmark_reward(np.asarray(X, dtype=np.float64), self.target)
+        return synthetic_benchmark_reward(X, self.target)
 
 
-class SurrogateReward(RewardModel):
+class SurrogateReward:
     """Boosted-tree surrogate prediction."""
 
     def __init__(self, ensemble):
@@ -131,14 +114,11 @@ class SurrogateReward(RewardModel):
 
         self._predict = lambda X: predict_ensemble(ensemble, X)
 
-    def __call__(self, x):
-        return float(self._predict(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def batch(self, X):
         return self._predict(np.asarray(X, dtype=np.float64))
 
 
-class AirfoilFeasibilityReward(RewardModel):
+class AirfoilFeasibilityReward:
     """Surrogate lift-to-drag style score minus the feasibility penalty."""
 
     def __init__(self, base, lambda_range=10.0, lambda_intersect=1.0):
@@ -146,17 +126,19 @@ class AirfoilFeasibilityReward(RewardModel):
         self.lambda_range = lambda_range
         self.lambda_intersect = lambda_intersect
 
-    def __call__(self, x):
-        g_hat = airfoil_feasibility_penalty(x, self.lambda_range, self.lambda_intersect)
-        return composite_reward(float(self.base(x)), g_hat)
+    def batch(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        g_hat = airfoil_feasibility_penalty(X, self.lambda_range, self.lambda_intersect)
+        return self.base.batch(X) - g_hat
 
 
-class HullResistanceReward(RewardModel):
+class HullResistanceReward:
     """Scaled negative aggregate resistance of the parametric hull.
 
-    Infeasible parameter vectors (outside (0, 1] or violating the taper
-    length constraint) are charged a fixed penalty plus the violation
-    magnitude instead of raising, so samplers can keep going.
+    Infeasible parameter vectors (outside [1e-3, 1] or violating the taper
+    length constraint p0 + p1 <= 1) are charged a fixed penalty plus the
+    violation magnitude instead of raising, so samplers can keep going; a
+    NaN row is charged the fixed penalty alone.
     """
 
     infeasible_base = 1000.0
@@ -166,18 +148,19 @@ class HullResistanceReward(RewardModel):
         self.scale = float(scale)
         self.offset = float(offset)
 
-    def __call__(self, p):
+    def batch(self, X):
         from rddkit.hull import aggregate_total_resistance, scale_params
 
-        p = np.asarray(p, dtype=np.float64)
-        violation = float(np.sum(np.maximum(0.0, p - 1.0) + np.maximum(0.0, 1e-3 - p)))
-        if violation == 0.0 and p[0] + p[1] > 1.0:
-            violation = float(p[0] + p[1] - 1.0)
-        if violation > 0.0:
-            return -(self.infeasible_base + violation)
-        try:
-            dims = scale_params(p, self.loa)
-        except InfeasibleHullError:
-            return -self.infeasible_base
-        result = aggregate_total_resistance(dims)
-        return ship_reward(result.aggregate, self.scale, self.offset)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != HULL_WIDTH:
+            raise ValueError(f"hull designs are (n, {HULL_WIDTH}) rows, got shape {X.shape}")
+        violation = np.sum(np.maximum(0.0, X - 1.0) + np.maximum(0.0, 1e-3 - X), axis=1)
+        taper = X[:, 0] + X[:, 1] - 1.0
+        violation = np.where((violation == 0.0) & (taper > 0.0), taper, violation)
+        out = np.where(np.isnan(violation), -self.infeasible_base,
+                       -(self.infeasible_base + violation))
+        feasible = np.flatnonzero(violation == 0.0)
+        R_T = [aggregate_total_resistance(scale_params(X[i], self.loa)).aggregate
+               for i in feasible]
+        out[feasible] = ship_reward(np.array(R_T), self.scale, self.offset)
+        return out

@@ -25,13 +25,15 @@ the selection stay float64, as do the current-state pass, the candidate
 states and everything the chain carries. That pass is nine tenths of the
 network rows of a guided run with M = 10.
 
-Rewards are black boxes: only evaluation is ever requested, never a
-gradient. Results do not depend on execution order, and the output of a
-seed is byte-identical whatever the BLAS thread count.
+Rewards are black boxes with one method, batch: a guided step scores its
+n x M candidates in one call, and the n final designs take one more. Only
+evaluation is ever requested, never a gradient. Results do not depend on
+execution order, and the output of a seed is byte-identical whatever the
+BLAS thread count.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,23 +49,9 @@ GREEDY_THRESHOLD = 1e-9
 NOISE_BLOCK_BYTES = 256 * 1024
 
 
-@dataclass
-class Trajectory:
-    x0: np.ndarray
-    reward: float
-    zetas: np.ndarray            # chosen candidate index per step, 1-based
-    values: np.ndarray = None    # (steps, M) candidate soft values
-
-
 def _spawn_generators(seed, n):
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(n)]
-
-
-def _eval_reward_batch(reward, X):
-    if hasattr(reward, "batch"):
-        return np.asarray(reward.batch(X), dtype=np.float64)
-    return np.array([float(reward(x)) for x in X], dtype=np.float64)
 
 
 def _candidate_values(params, sched, reward, stats, cands, t_next):
@@ -81,7 +69,7 @@ def _candidate_values(params, sched, reward, stats, cands, t_next):
         eps_hat = predict_noise(params32, flat, t_next, sched.T)
         x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
     phys = denormalize(x0_hat, stats) if stats is not None else x0_hat
-    return _eval_reward_batch(reward, phys).reshape(n, M)
+    return reward.batch(phys).reshape(n, M)
 
 
 def _select(values, alpha, u):
@@ -182,7 +170,13 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
 
 
 def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
-    """Run svdd.n_traj independent guided trajectories; returns Trajectory list.
+    """Run svdd.n_traj independent guided trajectories.
+
+    Returns (X0, rewards, zetas, values): the (n, d) final designs in model
+    coordinates, as ancestral_sample returns them; their (n,) rewards,
+    scored on the denormalized designs; the (n, T) chosen candidate index
+    per step, 1-based; and, only with record_values, the (n, T, M)
+    candidate soft values, else None.
 
     svdd is a config.SvddSection, checked before any work. Deterministic per
     svdd.seed. With svdd.M = 1 the final designs are bit identical to
@@ -195,13 +189,4 @@ def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
         record_values=record_values,
     )
     phys = denormalize(X0, stats) if stats is not None else X0
-    rewards = _eval_reward_batch(reward, phys)
-    out = []
-    for i in range(svdd.n_traj):
-        out.append(Trajectory(
-            x0=X0[i],
-            reward=float(rewards[i]),
-            zetas=zetas[i],
-            values=values[i] if record_values else None,
-        ))
-    return out
+    return X0, reward.batch(phys), zetas, values

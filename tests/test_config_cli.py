@@ -6,7 +6,7 @@ import pytest
 
 from rddkit import cli
 from rddkit import config as cfgmod
-from rddkit.data import load_dataset
+from rddkit.data import load_dataset, write_binary
 from rddkit.denoiser import init_params, save_model
 from rddkit.exceptions import ConfigError
 from rddkit.trees import fit_ensemble, save_ensemble
@@ -74,6 +74,11 @@ def test_unknown_keys_are_rejected_with_paths(tmp_path):
         cfgmod.parse_config(write_json(tmp_path / "c.json", {"schedule": {"TT": 5}}))
     with pytest.raises(ConfigError, match=r"reward\.alpha: unknown key"):
         cfgmod.parse_config(write_json(tmp_path / "d.json", {"reward": {"alpha": 0.3}}))
+    # keys that had one allowed value, set to that value in an old config
+    with pytest.raises(ConfigError, match=r"schedule\.kind: unknown key"):
+        cfgmod.parse_config(write_json(tmp_path / "e.json", {"schedule": {"kind": "linear"}}))
+    with pytest.raises(ConfigError, match=r"net\.activation: unknown key"):
+        cfgmod.parse_config(write_json(tmp_path / "f.json", {"net": {"activation": "tanh"}}))
 
 
 def test_type_errors_name_the_key(tmp_path):
@@ -81,7 +86,7 @@ def test_type_errors_name_the_key(tmp_path):
         ({"schedule": {"T": 1.5}}, "expected an integer"),
         ({"schedule": {"T": True}}, "expected an integer"),
         ({"schedule": {"beta_start": "tiny"}}, "expected a number"),
-        ({"schedule": {"kind": 3}}, "expected a string"),
+        ({"reward": {"kind": 3}}, "expected a string"),
         ({"finetune": {"kl_anchor": 1}}, "expected true/false"),
         ({"schedule": 5}, "expected an object"),
         ({"reward": {"surrogate_path": 5}}, r"reward\.surrogate_path: expected a string"),
@@ -117,7 +122,6 @@ def test_validate_cross_field_errors():
         (broken(schedule__T=0), r"schedule\.T"),
         (broken(schedule__beta_end=1.5), r"schedule\.beta"),
         (broken(net__embed_dim=7), r"net\.embed_dim"),
-        (broken(net__activation="relu"), r"net\.activation"),
         (broken(pretrain__learning_rate=0.0), r"pretrain\.learning_rate"),
         (broken(finetune__m=1), r"finetune\.m"),
         (broken(finetune__alpha=0.0), r"finetune\.alpha"),
@@ -176,6 +180,21 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
             assert cli.main([command, "--config", cfg, "--model", str(model),
                              "--outdir", str(tmp_path)]) == 1
             assert "reward.surrogate_path" in caplog.text
+    # hull rewards take 6 inputs and airfoil rewards 384, not the model's 2
+    rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]
+    (tmp_path / "narrow.csv").write_text("\n".join(rows) + "\n")
+    ds = load_dataset(str(tmp_path / "narrow.csv"))
+    narrow = str(tmp_path / "narrow.rddt")
+    save_ensemble(narrow, fit_ensemble(ds.X, ds.rewards, n_trees=2, max_depth=2)[0])
+    for kind, width in (("hull", 6), ("airfoil", 384)):
+        cfg = write_json(tmp_path / f"{kind}_width.json",
+                         {"reward": {"kind": kind, "surrogate_path": narrow}})
+        for command in ("sample", "finetune"):
+            caplog.clear()
+            assert cli.main([command, "--config", cfg, "--model", str(model),
+                             "--outdir", str(tmp_path / "width")]) == 1
+            assert f"reward.kind: '{kind}' rewards take {width} inputs, the model has 2" \
+                in caplog.text
     # negative seeds: every --seed flag, and every section's seed key
     out = str(tmp_path / "out.csv")
     for argv in (["pretrain", "--data", "x.csv"], ["finetune", "--model", str(model)],
@@ -266,6 +285,15 @@ def test_data_errors_exit_2(tmp_path, caplog):
         (tmp_path / name).write_bytes(body)
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
                          "--outdir", str(tmp_path)]) == 2
+    # an intact version-2 file: the version-3 layout plus a u32 activation
+    # code (1, tanh) after the hidden dims
+    write_binary(str(tmp_path / "v2.rddm"), b"RDDM", 2, [
+        struct.pack("<IIIIIIdd", 2, 4, 1, 8, 1, 10, 1e-4, 0.02), b"\x00", params.theta.tobytes()])
+    assert len((tmp_path / "v2.rddm").read_bytes()) == len(raw) + 4
+    caplog.clear()
+    assert cli.main(["sample", "--model", str(tmp_path / "v2.rddm"), "--n-traj", "2",
+                     "--outdir", str(tmp_path)]) == 2
+    assert "unsupported model format version 2" in caplog.text
     # truncated, over-long, damaged and version-1 surrogate files
     rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]
     data = tmp_path / "labelled.csv"

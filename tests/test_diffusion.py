@@ -42,8 +42,6 @@ def test_schedule_validation():
         make_schedule(10, beta_end=1.0)
     with pytest.raises(ConfigError):
         make_schedule(10, beta_start=0.05, beta_end=0.01)
-    with pytest.raises(ConfigError):
-        make_schedule(10, kind="cosine")
 
 
 def test_single_step_schedule():

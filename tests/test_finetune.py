@@ -138,8 +138,6 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
     params, sched, stats = toy_model
 
     class Constant:
-        def __call__(self, x):
-            return -2.0
         def batch(self, X):
             return np.full(X.shape[0], -2.0)
 

@@ -1,21 +1,51 @@
 import numpy as np
 import pytest
 
+from rddkit.exceptions import InfeasibleHullError
+from rddkit.hull import aggregate_total_resistance, scale_params
 from rddkit.rewards import (
+    AirfoilFeasibilityReward,
     HullResistanceReward,
+    SurrogateReward,
     SyntheticTargetReward,
     airfoil_feasibility_penalty,
     check_self_intersection,
-    composite_reward,
     ship_reward,
     soft_weight,
     synthetic_benchmark_reward,
 )
+from rddkit.trees import fit_ensemble
 
 
-def test_composite_reward():
-    assert composite_reward(3.0, 1.25) == 1.75
-    assert composite_reward(0.0, 0.0) == 0.0
+def reference_hull_reward(model, p):
+    """One hull design scored on its own: the per-vector reward that
+    HullResistanceReward.batch must reproduce row by row."""
+    p = np.asarray(p, dtype=np.float64)
+    violation = float(np.sum(np.maximum(0.0, p - 1.0) + np.maximum(0.0, 1e-3 - p)))
+    if violation == 0.0 and p[0] + p[1] > 1.0:
+        violation = float(p[0] + p[1] - 1.0)
+    if violation > 0.0:
+        return -(model.infeasible_base + violation)
+    try:
+        dims = scale_params(p, model.loa)
+    except InfeasibleHullError:
+        return -model.infeasible_base
+    result = aggregate_total_resistance(dims)
+    return ship_reward(result.aggregate, model.scale, model.offset)
+
+
+def reference_airfoil_penalty(v, lambda_range=10.0, lambda_intersect=1.0):
+    """The penalty of one 384-vector, the per-row reference of the batched one."""
+    v = np.asarray(v, dtype=np.float64)
+    overshoot = np.sum(np.maximum(0.0, v - 1.0) + np.maximum(0.0, -v))
+    crossings = check_self_intersection(v.reshape(192, 2))
+    return lambda_range * float(overshoot) + lambda_intersect * crossings
+
+
+def reference_airfoil_reward(model, x):
+    """One airfoil scored on its own: base reward minus its penalty."""
+    g_hat = reference_airfoil_penalty(x, model.lambda_range, model.lambda_intersect)
+    return float(model.base.batch(x[None, :])[0]) - g_hat
 
 
 def test_soft_weight_basic_and_clamped():
@@ -43,15 +73,17 @@ def test_soft_weight_vectorized_matches_scalar():
 
 def test_synthetic_reward():
     target = np.array([1.0, 2.0])
-    assert synthetic_benchmark_reward(np.array([1.0, 2.0]), target) == 0.0
-    assert synthetic_benchmark_reward(np.array([2.0, 2.0]), target) == -1.0
+    assert synthetic_benchmark_reward(np.array([[1.0, 2.0]]), target)[0] == 0.0
+    assert synthetic_benchmark_reward(np.array([[2.0, 2.0]]), target)[0] == -1.0
     batch = synthetic_benchmark_reward(np.array([[1.0, 2.0], [1.0, 0.0]]), target)
     assert np.allclose(batch, [0.0, -4.0])
     model = SyntheticTargetReward(target)
-    assert model(np.array([0.0, 0.0])) == -5.0
+    assert model.batch(np.array([[0.0, 0.0]]))[0] == -5.0
     assert np.allclose(model.batch(np.array([[0.0, 0.0]])), [-5.0])
-    with pytest.raises(ValueError):
-        synthetic_benchmark_reward(np.zeros(3), target)
+    # a design of the wrong width, or one not stacked into a batch
+    for X in (np.zeros((1, 3)), np.zeros(3), np.zeros(2)):
+        with pytest.raises(ValueError):
+            synthetic_benchmark_reward(X, target)
 
 
 def test_ship_reward_orientation():
@@ -108,15 +140,15 @@ def _oval(n=192):
 def test_airfoil_penalty_zero_for_clean_profile():
     design = _oval().reshape(-1)
     assert design.shape == (384,)
-    assert airfoil_feasibility_penalty(design) == 0.0
+    assert airfoil_feasibility_penalty(design[None, :])[0] == 0.0
 
 
 def test_airfoil_penalty_counts_range_violations():
     design = _oval().reshape(-1).copy()
     design[0] = 1.3   # 0.3 above the box
     design[2] = -0.1  # 0.1 below
-    pen = airfoil_feasibility_penalty(design, lambda_range=10.0, lambda_intersect=0.0)
-    assert pen == pytest.approx(10.0 * 0.4)
+    pen = airfoil_feasibility_penalty(design[None, :], lambda_range=10.0, lambda_intersect=0.0)
+    assert pen[0] == pytest.approx(10.0 * 0.4)
 
 
 def test_airfoil_penalty_flags_crossings():
@@ -124,33 +156,96 @@ def test_airfoil_penalty_flags_crossings():
     crossed[[10, 100]] = crossed[[100, 10]]  # swap two far-apart vertices
     expected = brute_force_crossings(crossed)
     assert expected >= 1
-    pen = airfoil_feasibility_penalty(crossed.reshape(-1), lambda_range=0.0,
+    pen = airfoil_feasibility_penalty(crossed.reshape(1, -1), lambda_range=0.0,
                                       lambda_intersect=7.0)
-    assert pen == 7.0 * expected
+    assert pen[0] == 7.0 * expected
 
 
 def test_airfoil_penalty_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        airfoil_feasibility_penalty(np.zeros(10))
+    # a single unstacked 384-vector is not a batch either
+    for X in (np.zeros(10), np.zeros((2, 10)), np.zeros(384)):
+        with pytest.raises(ValueError):
+            airfoil_feasibility_penalty(X)
+
+
+def _airfoil_rows():
+    """A clean oval, one with coordinates outside [0, 1], and a crossed outline."""
+    clean = _oval().reshape(-1)
+    over = clean.copy()
+    over[[0, 2, 101]] = [1.3, -0.1, 1.0 + 1e-9]
+    crossed = _oval()
+    crossed[[10, 100]] = crossed[[100, 10]]
+    X = np.stack([clean, over, crossed.reshape(-1)])
+    assert check_self_intersection(X[2].reshape(192, 2)) >= 1
+    return X
+
+
+def test_airfoil_penalty_batch_equals_per_row_penalties():
+    X = _airfoil_rows()
+    for lam_r, lam_i in ((10.0, 1.0), (0.3, 7.0)):
+        pen = airfoil_feasibility_penalty(X, lam_r, lam_i)
+        assert pen.shape == (3,) and pen.dtype == np.float64
+        assert pen[0] == 0.0 and pen[1] > 0.0 and pen[2] > 0.0
+        assert np.array_equal(pen, [reference_airfoil_penalty(x, lam_r, lam_i) for x in X])
+
+
+def test_airfoil_reward_batch_equals_per_row_rewards():
+    X = _airfoil_rows()
+    rng = np.random.default_rng(4)
+    train = rng.random((40, 384))
+    ensemble, _ = fit_ensemble(train, train[:, 7] - train[:, 300], n_trees=4, max_depth=2)
+    model = AirfoilFeasibilityReward(SurrogateReward(ensemble), lambda_range=10.0,
+                                     lambda_intersect=2.0)
+    r = model.batch(X)
+    assert r.shape == (3,)
+    assert np.array_equal(r, [reference_airfoil_reward(model, x) for x in X])
+    assert np.array_equal(r, model.base.batch(X) - airfoil_feasibility_penalty(X, 10.0, 2.0))
+    assert r[1] < model.base.batch(X[1:2])[0] and r[2] < model.base.batch(X[2:3])[0]
 
 
 def test_hull_reward_feasible_and_infeasible():
     model = HullResistanceReward(loa=40.0, scale=1e-6, offset=0.0)
-    good = model(np.array([0.3, 0.3, 0.12, 0.08, 0.6, 0.6]))
+
+    def one(p):
+        return model.batch(np.array([p]))[0]
+
+    good = one([0.3, 0.3, 0.12, 0.08, 0.6, 0.6])
     assert np.isfinite(good)
     # out-of-cube parameters take the penalty branch instead of raising
-    bad = model(np.array([1.5, 0.3, 0.12, 0.08, 0.6, 0.6]))
+    bad = one([1.5, 0.3, 0.12, 0.08, 0.6, 0.6])
     assert bad <= -1000.0
     assert bad < good
     # taper fractions that overlap (p1 + p2 > 1) are infeasible too
-    overlap = model(np.array([0.7, 0.7, 0.12, 0.08, 0.6, 0.6]))
+    overlap = one([0.7, 0.7, 0.12, 0.08, 0.6, 0.6])
     assert overlap <= -1000.0
     # a NaN parameter is infeasible, not a finite score
-    assert model(np.array([np.nan, 0.25, 0.12, 0.08, 0.5, 0.75])) == -model.infeasible_base
+    assert one([np.nan, 0.25, 0.12, 0.08, 0.5, 0.75]) == -model.infeasible_base
 
 
 def test_hull_reward_prefers_slender_hull():
     model = HullResistanceReward(loa=40.0)
-    wide = model(np.array([0.3, 0.3, 0.20, 0.08, 0.6, 0.6]))
-    slim = model(np.array([0.3, 0.3, 0.10, 0.08, 0.6, 0.6]))
+    wide, slim = model.batch(np.array([[0.3, 0.3, 0.20, 0.08, 0.6, 0.6],
+                                       [0.3, 0.3, 0.10, 0.08, 0.6, 0.6]]))
     assert slim > wide
+
+
+def test_hull_reward_batch_equals_per_row_rewards():
+    model = HullResistanceReward(loa=40.0, scale=1e-6, offset=0.25)
+    P = np.array([
+        [0.3, 0.3, 0.12, 0.08, 0.6, 0.6],       # feasible
+        [1.5, 0.3, 0.12, 0.08, 0.6, 0.6],       # out of the cube, above
+        [0.3, 0.3, -0.2, 0.08, 0.6, 1.1],       # out of the cube, twice
+        [0.7, 0.7, 0.12, 0.08, 0.6, 0.6],       # p0 + p1 > 1
+        [0.3, 0.3, 0.12, 5e-4, 0.6, 0.6],       # below the 1e-3 floor
+        [0.3, 0.3, 0.12, 0.08, 1e-3, 0.6],      # on the floor: feasible
+        [np.nan, 0.25, 0.12, 0.08, 0.5, 0.75],  # NaN
+        [0.25, 0.2, 0.1, 0.06, 0.5, 0.7],       # feasible
+        [0.3, 0.3, np.inf, 0.08, 0.6, 0.6],     # infinite
+    ])
+    r = model.batch(P)
+    assert r.shape == (len(P),) and r.dtype == np.float64
+    assert np.array_equal(r, [reference_hull_reward(model, p) for p in P])
+    assert r[6] == -model.infeasible_base
+    assert np.all(np.isfinite(r[[0, 5, 7]])) and np.all(r[[1, 2, 3, 4]] < -1000.0)
+    with pytest.raises(ValueError):
+        model.batch(P[0])

@@ -71,11 +71,12 @@ def test_config_validation(toy_model):
 def test_m1_bit_identical_to_ancestral(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=1, n_traj=9, seed=5)
-    trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats)
+    X_sv, rewards, zetas, values = svdd_generate(params, sched, cfg, REWARD, stats=stats)
     X_anc = ancestral_sample(params, sched, 9, seed=5)
-    X_sv = np.stack([t.x0 for t in trajs])
     assert np.array_equal(X_sv, X_anc)
-    assert all(np.all(t.zetas == 1) for t in trajs)
+    assert np.all(zetas == 1) and zetas.shape == (9, sched.T)
+    assert np.array_equal(rewards, REWARD.batch(denormalize(X_anc, stats)))
+    assert values is None
 
 
 def test_selection_frequencies_match_softmax_exactly():
@@ -114,8 +115,6 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
     params, sched, stats = toy_model
 
     class Constant:
-        def __call__(self, x):
-            return 2.5
         def batch(self, X):
             return np.full(X.shape[0], 2.5)
 
@@ -155,7 +154,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
     cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
-    trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats)
+    X0, _, Z, _ = svdd_generate(params, sched, cfg, REWARD, stats=stats)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
@@ -165,8 +164,8 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
         for k, t in enumerate(range(sched.T, 0, -1)):
             x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD, stats=stats)
             zetas.append(zeta)
-        assert np.array_equal(trajs[i].zetas, np.array(zetas))
-        np.testing.assert_allclose(trajs[i].x0, x, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(Z[i], np.array(zetas))
+        np.testing.assert_allclose(X0[i], x, rtol=1e-10, atol=1e-12)
 
 
 def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
@@ -202,18 +201,19 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
 def test_trajectory_recording(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
-    trajs = svdd_generate(params, sched, cfg, REWARD, stats=stats, record_values=True)
-    for tr in trajs:
-        assert tr.values.shape == (sched.T, 3)
-        assert np.all((tr.zetas >= 1) & (tr.zetas <= 3))
+    _, _, zetas, values = svdd_generate(params, sched, cfg, REWARD, stats=stats,
+                                        record_values=True)
+    assert values.shape == (2, sched.T, 3)
+    assert zetas.shape == (2, sched.T)
+    assert np.all((zetas >= 1) & (zetas <= 3))
 
 
 def test_guidance_beats_unguided_on_average(toy_model):
     params, sched, stats = toy_model
-    r1 = [t.reward for t in svdd_generate(
-        params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD, stats=stats)]
-    r5 = [t.reward for t in svdd_generate(
-        params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD, stats=stats)]
+    r1 = svdd_generate(params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD,
+                       stats=stats)[1]
+    r5 = svdd_generate(params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD,
+                       stats=stats)[1]
     assert np.mean(r5) > np.mean(r1)
 
 
@@ -227,7 +227,7 @@ def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
     # at t = 0 the state is the design itself
     from rddkit.data import denormalize
     v0 = _candidate_values(params, sched, REWARD, stats, cands, 0)[0, 0]
-    assert v0 == REWARD(denormalize(x, stats))
+    assert v0 == REWARD.batch(denormalize(x[None, :], stats))[0]
 
 
 def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
@@ -295,4 +295,4 @@ def test_soft_value_equals_reward_for_perfect_prediction():
     rec = posterior_mean_x0(xt, t, eps, sched)
     stats = NormStats(mean=np.zeros(2), std=np.ones(2))
     assert np.allclose(rec, x0, atol=1e-12)
-    assert abs(REWARD(rec) - REWARD(x0)) < 1e-10
+    assert abs(REWARD.batch(rec[None, :])[0] - REWARD.batch(x0[None, :])[0]) < 1e-10
