@@ -153,6 +153,11 @@ class RewardSection:
             raise ConfigError("reward.loa: must be > 0")
         if self.kind in ("surrogate", "airfoil") and not self.surrogate_path:
             raise ConfigError("reward.surrogate_path: required for surrogate rewards")
+        if self.kind == "airfoil":
+            # a negative weight would reward overshoot or self-intersection
+            for key in ("lambda_range", "lambda_intersect"):
+                if getattr(self, key) < 0:
+                    raise ConfigError(f"reward.{key}: must be >= 0")
 
 
 @dataclass

@@ -3,10 +3,13 @@
 A small fully connected network on the concatenation of the noisy design
 vector and a sinusoidal time embedding. Gradients are exact reverse
 accumulation written out by hand; the parameter update is bias-corrected
-Adam. Parameters, training, gradients and model files are float64 and
-deterministic given a seed. The forward pass runs in the dtype of the
-parameter vector, so a float32 copy of theta gives a float32 pass; the
-sampler uses one to score candidates.
+Adam. The forward pass, the loss gradient and backprop run in the dtype of
+the parameter vector, so a float32 copy of theta gives a float32 pass.
+Training uses this as mixed precision: each step runs forward and backprop
+on a float32 copy of the float64 master theta, and float64 Adam updates the
+master from the gradient cast back to float64. The sampler scores candidates
+on a float32 copy too. The master parameters, the Adam moments and model
+files are float64, and everything is deterministic given a seed.
 """
 
 import struct
@@ -161,7 +164,10 @@ def predict_noise(params, xt, t, T):
 
 
 def _backprop(params, acts, dOut, grad):
-    """Gradients of a scalar loss, given dLoss/dOutput per row, written into grad."""
+    """Gradients of a scalar loss, given dLoss/dOutput per row, written into grad.
+
+    dOut, acts and grad have the dtype of params.theta, and so does every matmul.
+    """
     layers = layer_views(params, params.theta)
     grads = layer_views(params, grad)
     G = dOut
@@ -186,7 +192,9 @@ def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None
 
     optionally plus kappa * mean_i ||eps_theta - eps_anchor||^2 which keeps
     the prediction close to a frozen reference network. The gradient is one
-    vector in the layout of params.theta, written into out when given.
+    vector in the layout and dtype of params.theta, written into out when
+    given; the forward passes and backprop run in that dtype, and the loss is
+    a Python float.
     """
     B = X0.shape[0]
     XT = forward_marginal(X0, ts, EPS, sched)
@@ -201,7 +209,8 @@ def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None
         loss += kappa * float(np.mean(np.sum(drift * drift, axis=1)))
         dOut = dOut + (2.0 * kappa / B) * drift
     grad = np.empty_like(params.theta) if out is None else out
-    return loss, _backprop(params, acts, dOut, grad)
+    # the float64 residual promotes dOut; backprop runs in the params' dtype
+    return loss, _backprop(params, acts, dOut.astype(params.theta.dtype, copy=False), grad)
 
 
 def adam_step(params, opt_state, grad):

@@ -9,6 +9,7 @@ are sampled with replacement; one epoch makes ceil(n / batch) steps.
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,24 +33,34 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     The same routine backs both pretraining (weights None) and the
     reward-weighted fine-tuning epoch, so a uniform-weight fine-tuning pass
     consumes the identical RNG stream and reproduces pretraining bit for bit.
+
+    Each step is mixed precision: the loss gradient is computed on a float32
+    copy of params.theta (and of the anchor), then cast to float64 for the
+    Adam update of the float64 master theta and moments.
     """
     n, d = X0.shape
     steps = max(1, math.ceil(n / batch_size))
     losses = np.empty(steps)
+    params32 = replace(params, theta=np.empty(params.theta.shape, dtype=np.float32))
+    if anchor_params is not None:
+        anchor_params = replace(anchor_params, theta=anchor_params.theta.astype(np.float32))
+    grad32 = np.empty_like(params32.theta)
     grad = np.empty_like(params.theta)
     for k in range(steps):
         idx = rng.integers(0, n, size=batch_size)
         ts = rng.integers(1, sched.T + 1, size=batch_size)
         EPS = rng.standard_normal((batch_size, d))
         w = weights[idx] if weights is not None else np.ones(batch_size)
+        np.copyto(params32.theta, params.theta)
         loss, _ = loss_and_grad_arrays(
-            params, X0[idx], ts, EPS, sched, w,
-            anchor_params=anchor_params, kappa=kappa, out=grad,
+            params32, X0[idx], ts, EPS, sched, w,
+            anchor_params=anchor_params, kappa=kappa, out=grad32,
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(
                 f"non-finite loss at step {k}", checkpoint=clone_params(params)
             )
+        np.copyto(grad, grad32)
         adam_step(params, opt_state, grad)
         losses[k] = loss
     return float(losses.mean())

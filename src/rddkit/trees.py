@@ -93,11 +93,12 @@ def _bin_tables(trees, d):
     internal = feature >= 0
     n_of = sizes[tree_of]
     for bad, message in (
-            ((left < 0) | (left >= n_of) | (right < 0) | (right >= n_of),
+            (internal & ((left < 0) | (left >= n_of) | (right < 0) | (right >= n_of)),
              "child index outside its {n} nodes"),
-            (feature >= d, f"feature index outside the {d} inputs"),
-            (np.isnan(threshold), "NaN threshold at an internal node")):
-        hit = tree_of[internal & bad]
+            (internal & (feature >= d), f"feature index outside the {d} inputs"),
+            (internal & np.isnan(threshold), "NaN threshold at an internal node"),
+            (~internal & ~np.isfinite(value), "non-finite leaf value")):
+        hit = tree_of[bad]
         if hit.size:
             k = int(hit.min())
             raise DataError(f"tree {k}: " + message.format(n=sizes[k]))
@@ -248,9 +249,9 @@ class _TreeBuilder:
 
 def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     """Fit boosted trees on (X, y); returns (ensemble, per-round train MSE)."""
-    if n_trees < 1 or max_depth < 0 or not shrinkage > 0.0:
-        raise ConfigError(f"need n_trees >= 1, max_depth >= 0 and shrinkage > 0, got "
-                          f"{n_trees}, {max_depth} and {shrinkage}")
+    if n_trees < 1 or max_depth < 0 or not 0.0 < shrinkage < np.inf:
+        raise ConfigError(f"need n_trees >= 1, max_depth >= 0 and a finite shrinkage > 0, "
+                          f"got {n_trees}, {max_depth} and {shrinkage}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < 10:
@@ -282,6 +283,9 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
         # row's leaf is the one the tree routes it to
         F = F + shrinkage * builder.fitted
         mse_history.append(float(np.mean((y - F) ** 2)))
+        if not np.isfinite(mse_history[-1]):
+            raise NumericalError(f"boosting diverged at tree {len(trees)}: train MSE "
+                                 f"{mse_history[-1]} (shrinkage {shrinkage})")
     ensemble = TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, X.shape[1])
     return ensemble, mse_history
 
@@ -369,6 +373,8 @@ def load_ensemble(path):
     r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "surrogate")
     d, n_trees, max_depth = r.unpack("<III")
     shrinkage, base = r.unpack("<dd")
+    if not (np.isfinite(shrinkage) and np.isfinite(base)):
+        raise DataError(f"{path}: non-finite shrinkage {shrinkage} or base prediction {base}")
     trees = []
     for _ in range(n_trees):
         (n_nodes,) = r.unpack("<I")

@@ -130,6 +130,10 @@ def test_validate_cross_field_errors():
         (broken(reward__kind="oracle"), r"reward\.kind"),
         (broken(reward__target=["a"]), r"reward\.target"),
         (broken(reward__kind="surrogate"), r"reward\.surrogate_path"),
+        (broken(reward__kind="airfoil", reward__surrogate_path="a.rddt",
+                reward__lambda_range=-5.0), r"reward\.lambda_range"),
+        (broken(reward__kind="airfoil", reward__surrogate_path="a.rddt",
+                reward__lambda_intersect=-1.0), r"reward\.lambda_intersect"),
     ]
     for cfg, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
@@ -195,6 +199,14 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
                              "--outdir", str(tmp_path / "width")]) == 1
             assert f"reward.kind: '{kind}' rewards take {width} inputs, the model has 2" \
                 in caplog.text
+    # negative airfoil penalty weights would reward what they should penalise
+    for key in ("lambda_range", "lambda_intersect"):
+        cfg = write_json(tmp_path / f"{key}.json", {"reward": {
+            "kind": "airfoil", "surrogate_path": narrow, key: -1.0}})
+        caplog.clear()
+        assert cli.main(["sample", "--config", cfg, "--model", str(model),
+                         "--outdir", str(tmp_path / "negative")]) == 1
+        assert f"reward.{key}: must be >= 0" in caplog.text
     # negative seeds: every --seed flag, and every section's seed key
     out = str(tmp_path / "out.csv")
     for argv in (["pretrain", "--data", "x.csv"], ["finetune", "--model", str(model)],
@@ -226,6 +238,11 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
     assert cli.main(fit + ["--trees", "0"]) == 1
     assert "n_trees >= 1" in caplog.text
     assert not (tmp_path / "f.rddt").exists()
+    for shrinkage in ("inf", "nan"):
+        caplog.clear()
+        assert cli.main(fit + ["--shrinkage", shrinkage]) == 1
+        assert "finite shrinkage > 0" in caplog.text
+        assert not (tmp_path / "f.rddt").exists()
     caplog.clear()
     assert cli.main(["hull", "eval", "--params", "a,b"]) == 1
     assert "--params" in caplog.text

@@ -151,6 +151,33 @@ def test_anchor_gradient_matches_finite_differences():
         assert abs(gw[i] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
+def test_float32_gradient_agrees_with_float64():
+    # training backpropagates on a float32 copy of theta. Over 30 seeds of
+    # this setup the relative error (2-norm) of the float32 gradient was at
+    # most 2.4e-7, with or without the anchor term, and 1.7e-5 for the anchor
+    # term alone, whose 1 % drift loses digits to cancellation; each bound is
+    # about ten times the worst case
+    sched = make_schedule(100, beta_end=0.1)
+    params = init_params(2, NetSection(), 0)
+    rng = np.random.default_rng(1000)
+    anchor = replace(params, theta=params.theta * (1 + 0.01 * rng.standard_normal(
+        params.theta.size)))
+    batch = make_batch(0, 64, 2, 100)
+    w = rng.uniform(0.1, 3.0, 64)
+
+    def f32(p):
+        return replace(p, theta=p.theta.astype(np.float32))
+
+    for weights, kappa, bound in ((w, 0.0, 2e-6), (w, 0.5, 2e-6), (np.zeros(64), 0.5, 2e-4)):
+        l64, g64 = loss_and_grad_arrays(params, *batch, sched, weights,
+                                        anchor_params=anchor, kappa=kappa)
+        l32, g32 = loss_and_grad_arrays(f32(params), *batch, sched, weights,
+                                        anchor_params=f32(anchor), kappa=kappa)
+        assert g64.dtype == np.float64 and g32.dtype == np.float32
+        assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) < bound
+        assert abs(l32 - l64) / l64 < bound
+
+
 def test_gradient_written_into_out():
     params = small_net(seed=2)
     sched = make_schedule(10)

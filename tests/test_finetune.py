@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from rddkit import cli
 from rddkit.config import FinetuneSection, NetSection
 from rddkit.data import Dataset, normalize
 from rddkit.denoiser import (
@@ -172,3 +178,36 @@ def test_anchor_bounds_drift(toy_model):
         return d
 
     assert drift(1.0, True) < drift(0.0, False)
+
+
+def test_trained_models_are_thread_count_invariant_at_the_training_shape(tmp_path):
+    # hidden 256 x 256 at pretraining batch 128 and fine-tuning batch 64 with
+    # the anchor: the float32 training matmuls are large enough to be split
+    # across BLAS threads, and the model files must not depend on the split
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["benchmark", "make", "--n", "512", "--seed", "3", "--out", data]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schedule": {"T": 20, "beta_end": 0.1},
+        "net": {"embed_dim": 32, "hidden_dims": [256, 256]},
+        "pretrain": {"batch_size": 128},
+        "finetune": {"S": 2, "m": 128, "batch_size": 64, "kl_anchor": True},
+    }))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def models(threads):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        outdir = tmp_path / f"threads{threads}"
+        for argv in (["pretrain", "--data", data, "--epochs", "2", "--seed", "6"],
+                     ["finetune", "--model", str(outdir / "model.rddm"), "--seed", "7"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rddkit.cli"] + argv +
+                ["--config", str(config), "--outdir", str(outdir)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        return [(outdir / name).read_bytes() for name in ("model.rddm", "model_ft.rddm")]
+
+    assert models(1) == models(2)

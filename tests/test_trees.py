@@ -264,9 +264,13 @@ def test_fit_input_validation():
         fit_ensemble(X, y)
     y[3] = 0.0
     for bad in ({"n_trees": 0}, {"max_depth": -1}, {"shrinkage": 0.0},
-                {"shrinkage": np.nan}):
+                {"shrinkage": np.nan}, {"shrinkage": np.inf}):
         with pytest.raises(ConfigError):
             fit_ensemble(X, y, **bad)
+    # a finite shrinkage so large that the boosted fit overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="boosting diverged"):
+        fit_ensemble(X, y, shrinkage=1e300)
     # non-finite inputs: one NaN cell in a step feature used to make every
     # tree ignore that feature
     X = np.random.default_rng(3).uniform(-1, 1, size=(60, 2))
@@ -328,11 +332,16 @@ def test_load_rejects_malformed_trees(tmp_path):
     n = ens.trees[0].feature.shape[0]
     first = 36 + 4                          # header, then tree 0's node count
     left = first + 4 * n + 8 * n
+    leaf = left + 8 * n + 8 * int(np.flatnonzero(ens.trees[0].feature < 0)[0])
     assert ens.trees[0].feature[0] >= 0     # the root is a split
+    inf = np.float64(np.inf).tobytes()
     for name, offset, value in (("child", left, n.to_bytes(4, "little")),
                                 ("loop", left, (0).to_bytes(4, "little")),
                                 ("feature", first, (3).to_bytes(4, "little")),
-                                ("threshold", first + 4 * n, np.float64(np.nan).tobytes())):
+                                ("threshold", first + 4 * n, np.float64(np.nan).tobytes()),
+                                ("leaf", leaf, inf),
+                                ("shrinkage", 20, inf),
+                                ("base", 28, np.float64(np.nan).tobytes())):
         bad = bytearray(raw)
         bad[offset:offset + len(value)] = value
         # re-sealed, as a faulty writer would, so the load reaches the tree checks
@@ -341,7 +350,9 @@ def test_load_rejects_malformed_trees(tmp_path):
         path.write_bytes(bytes(bad))
         # the message, not only the file name, names the fault
         expected = {"child": "child index", "loop": "cycle", "feature": "feature index",
-                    "threshold": "NaN threshold"}[name]
+                    "threshold": "NaN threshold", "leaf": "tree 0: non-finite leaf value",
+                    "shrinkage": "non-finite shrinkage inf",
+                    "base": "base prediction nan"}[name]
         with pytest.raises(DataError, match=expected):
             load_ensemble(path)
 
