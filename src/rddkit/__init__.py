@@ -43,6 +43,7 @@ from rddkit.hull import (
     HullDims,
     ResistanceResult,
     scale_params,
+    constraint_violation,
     half_breadth,
     wetted_surface_area,
     michell_wave_resistance,
@@ -50,6 +51,7 @@ from rddkit.hull import (
     friction_coefficient,
     friction_resistance,
     aggregate_total_resistance,
+    aggregate_resistances,
 )
 from rddkit.trees import TreeEnsemble, fit_ensemble, predict_ensemble, r2_score
 from rddkit.metrics import BoxplotStats, boxplot_stats, kde, beyond_distribution

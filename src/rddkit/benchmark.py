@@ -10,7 +10,7 @@ samplers must leave the training distribution to score well.
 import numpy as np
 
 from rddkit.data import Dataset
-from rddkit.hull import aggregate_total_resistance, scale_params
+from rddkit.hull import N_PARAMS, aggregate_resistances
 from rddkit.rewards import SyntheticTargetReward
 
 MIXTURE_MODES = np.array([[-1.0, 0.0], [1.0, 0.0]])
@@ -56,14 +56,10 @@ def sample_hull_params(n, seed, ranges=HULL_PARAM_RANGES):
     """Uniform hull parameter vectors inside the feasible sub-ranges."""
     rng = np.random.default_rng(seed)
     lo, hi = ranges[:, 0], ranges[:, 1]
-    return lo + (hi - lo) * rng.random((n, 6))
+    return lo + (hi - lo) * rng.random((n, N_PARAMS))
 
 
 def hull_resistance_dataset(n, seed, loa=80.0):
     """(parameters, aggregate resistance) pairs for surrogate fitting."""
     P = sample_hull_params(n, seed)
-    y = np.empty(n)
-    for i in range(n):
-        dims = scale_params(P[i], loa)
-        y[i] = aggregate_total_resistance(dims).aggregate
-    return Dataset(X=P, rewards=y)
+    return Dataset(X=P, rewards=aggregate_resistances(P, loa))

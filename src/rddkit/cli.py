@@ -25,12 +25,11 @@ from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
 from rddkit.finetune import finetune
-from rddkit.hull import aggregate_total_resistance, scale_params
+from rddkit.hull import N_PARAMS, aggregate_total_resistance, scale_params
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import train_ddpm
 from rddkit.rewards import (
     AIRFOIL_WIDTH,
-    HULL_WIDTH,
     AirfoilFeasibilityReward,
     HullResistanceReward,
     SurrogateReward,
@@ -64,13 +63,14 @@ def _outpath(outdir, name):
     return os.path.join(outdir, name)
 
 
-def _archive_run(outdir, command, cfg, timings, outputs):
+def _archive_run(args, outdir, cfg, timings, outputs):
     """Drop the resolved config and a timing log next to the outputs."""
+    command = args.command
     if cfg is not None:
         cfgmod.save_config(cfg, _outpath(outdir, f"{command}.config.json"))
     record = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "outputs": outputs,
@@ -96,7 +96,7 @@ def _build_reward(rc, d):
                               f"got {target.size}")
         return SyntheticTargetReward(target)
     if rc.kind == "hull":
-        _check_reward_width(rc.kind, HULL_WIDTH, d)
+        _check_reward_width(rc.kind, N_PARAMS, d)
         return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset)
     if rc.kind in ("surrogate", "airfoil"):
         ensemble = load_ensemble(rc.surrogate_path)
@@ -169,7 +169,7 @@ def cmd_pretrain(args):
         fh.write("epoch,mean_loss\n")
         for i, loss in enumerate(history):
             fh.write(f"{i},{format(loss, '.17g')}\n")
-    _archive_run(outdir, "pretrain", cfg, timings, [model_path, hist_path])
+    _archive_run(args, outdir, cfg, timings, [model_path, hist_path])
     log.info("saved model to %s (final loss %.6f)", model_path,
              history[-1] if history else float("nan"))
     return 0
@@ -177,8 +177,6 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _load_config(args)
-    outdir = _ensure_outdir(args.outdir or cfg.outdir)
-    cfg.outdir = outdir
     if args.seed is not None:
         cfg.finetune.seed = args.seed
     cfgmod.validate(cfg)
@@ -188,6 +186,8 @@ def cmd_finetune(args):
     timings = {"load": time.perf_counter() - t0}
 
     reward = _build_reward(cfg.reward, params_pre.d)
+    outdir = _ensure_outdir(args.outdir or cfg.outdir)
+    cfg.outdir = outdir
     t0 = time.perf_counter()
     params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
     timings["finetune"] = time.perf_counter() - t0
@@ -201,15 +201,13 @@ def cmd_finetune(args):
         for row in history:
             fh.write(f"{row['iteration']},{format(row['mean_reward'], '.17g')},"
                      f"{format(row['mean_loss'], '.17g')}\n")
-    _archive_run(outdir, "finetune", cfg, timings, [model_path, hist_path])
+    _archive_run(args, outdir, cfg, timings, [model_path, hist_path])
     log.info("saved fine-tuned model to %s", model_path)
     return 0
 
 
 def cmd_sample(args):
     cfg = _load_config(args)
-    outdir = _ensure_outdir(args.outdir or cfg.outdir)
-    cfg.outdir = outdir
     if args.M is not None:
         cfg.svdd.M = args.M
     if args.alpha is not None:
@@ -225,6 +223,8 @@ def cmd_sample(args):
     timings = {"load": time.perf_counter() - t0}
 
     reward = _build_reward(cfg.reward, params.d)
+    outdir = _ensure_outdir(args.outdir or cfg.outdir)
+    cfg.outdir = outdir
     t0 = time.perf_counter()
     X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
     timings["sample"] = time.perf_counter() - t0
@@ -240,14 +240,13 @@ def cmd_sample(args):
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    _archive_run(outdir, "sample", cfg, timings, [samples_path, summary_path])
+    _archive_run(args, outdir, cfg, timings, [samples_path, summary_path])
     log.info("wrote %d samples to %s (mean reward %.4f)",
              len(rewards), samples_path, summary["mean_reward"])
     return 0
 
 
 def cmd_eval(args):
-    outdir = _ensure_outdir(args.outdir)
     t0 = time.perf_counter()
     samples = load_dataset(args.samples)
     train = load_dataset(args.train)
@@ -257,6 +256,7 @@ def cmd_eval(args):
         if data.n == 0:
             raise DataError(f"{path}: no rows to evaluate")
     timings = {"load": time.perf_counter() - t0}
+    outdir = _ensure_outdir(args.outdir)
 
     t0 = time.perf_counter()
     stats = {
@@ -277,7 +277,7 @@ def cmd_eval(args):
         fh.write("reward,density_samples,density_training\n")
         for g, a, b in zip(grid, dens_s, dens_t):
             fh.write(f"{format(g, '.17g')},{format(a, '.17g')},{format(b, '.17g')}\n")
-    _archive_run(outdir, "eval", None, timings, [stats_path, dens_path])
+    _archive_run(args, outdir, None, timings, [stats_path, dens_path])
     frac = stats["beyond_distribution"]["fraction_above_training_max"]
     log.info("%.1f%% of samples beat the best training reward", 100.0 * frac)
     return 0
@@ -344,8 +344,8 @@ def cmd_hull_eval(args):
         p = np.array([float(v) for v in args.params.split(",")], dtype=np.float64)
     except ValueError:
         p = None
-    if p is None or p.shape != (6,):
-        raise ConfigError("--params: expected 6 comma-separated numbers")
+    if p is None or p.shape != (N_PARAMS,):
+        raise ConfigError(f"--params: expected {N_PARAMS} comma-separated numbers")
     dims = scale_params(p, args.loa)
     result = aggregate_total_resistance(dims).to_dict()
     text = json.dumps(result, indent=2)
@@ -453,7 +453,7 @@ def build_parser():
     hsub = p.add_subparsers(dest="subcommand", required=True)
     q = hsub.add_parser("eval", help="resistance curves for one parameter vector")
     q.add_argument("--params", required=True,
-                   help="6 comma-separated fractions in (0, 1]")
+                   help=f"{N_PARAMS} comma-separated fractions in (0, 1]")
     q.add_argument("--loa", type=_length, default=80.0)
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)
@@ -477,11 +477,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; fold those into the config code
         return 0 if e.code in (0, None) else 1
+    args.argv = argv
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

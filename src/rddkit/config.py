@@ -103,6 +103,9 @@ class FinetuneSection:
             raise ConfigError("finetune.alpha: must be > 0")
         if self.gamma <= 0:
             raise ConfigError("finetune.gamma: must be > 0")
+        # a negative kappa would silently switch the KL anchor off
+        if self.anchor_kappa < 0:
+            raise ConfigError("finetune.anchor_kappa: must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("finetune.batch_size: must be >= 1")
         if self.seed < 0:
@@ -151,6 +154,9 @@ class RewardSection:
             raise ConfigError("reward.target: expected a non-empty list of numbers")
         if self.kind == "hull" and self.loa <= 0:
             raise ConfigError("reward.loa: must be > 0")
+        # a scale <= 0 would reward more drag, or give every hull the same reward
+        if self.kind == "hull" and self.scale <= 0:
+            raise ConfigError("reward.scale: must be > 0")
         if self.kind in ("surrogate", "airfoil") and not self.surrogate_path:
             raise ConfigError("reward.surrogate_path: required for surrogate rewards")
         if self.kind == "airfoil":

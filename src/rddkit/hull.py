@@ -39,6 +39,7 @@ U_MAX = 8.0       # upper end of the Michell integral in u, lambda = cosh(u)
 
 FROUDE_NUMBERS = np.linspace(0.1, 0.45, 8)
 DRAFT_FRACTIONS = (0.25, 0.33, 0.5, 0.67)
+N_PARAMS = 6      # the fractions that scale_params maps onto a hull
 
 
 @dataclass
@@ -68,10 +69,10 @@ class HullDims:
 
 
 def scale_params(p, loa):
-    """Map the 6-vector of fractions onto physical dimensions."""
+    """Map the vector of N_PARAMS fractions onto physical dimensions."""
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (6,):
-        raise ValueError(f"expected 6 hull parameters, got shape {p.shape}")
+    if p.shape != (N_PARAMS,):
+        raise ValueError(f"expected {N_PARAMS} hull parameters, got shape {p.shape}")
     if not np.all((p > 0) & (p <= 1)):
         raise InfeasibleHullError(f"hull parameters must lie in (0, 1]: {p}")
     dims = HullDims(
@@ -84,6 +85,18 @@ def scale_params(p, loa):
         WL=float(p[5] * p[3] * loa),
     )
     return dims.validate()
+
+
+def constraint_violation(P):
+    """Infeasibility, (n,), of (n, N_PARAMS) parameter rows: 0 when every
+    fraction lies in [1e-3, 1] and p0 + p1 <= 1, else the summed overshoot of
+    that range or, inside it, the taper excess p0 + p1 - 1; NaN for a NaN row."""
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] != N_PARAMS:
+        raise ValueError(f"hull designs are (n, {N_PARAMS}) rows, got shape {P.shape}")
+    violation = np.sum(np.maximum(0.0, P - 1.0) + np.maximum(0.0, 1e-3 - P), axis=1)
+    taper = P[:, 0] + P[:, 1] - 1.0
+    return np.where((violation == 0.0) & (taper > 0.0), taper, violation)
 
 
 def _deck_halfbeam(x, dims):
@@ -365,3 +378,9 @@ def aggregate_total_resistance(dims, n_lambda=256):
         aggregate=float(np.add.accumulate(R_T.ravel())[-1]),
         R_w_halving_change=change,
     )
+
+
+def aggregate_resistances(P, loa):
+    """Aggregate total resistance, (n,), of (n, N_PARAMS) parameter rows."""
+    return np.fromiter((aggregate_total_resistance(scale_params(p, loa)).aggregate for p in P),
+                       dtype=np.float64, count=len(P))

@@ -18,9 +18,10 @@ while preserving the reward ordering.
 
 import numpy as np
 
+from rddkit import hull, trees
+
 SOFT_EXP_CLAMP = 20.0
 AIRFOIL_WIDTH = 384   # 192 interleaved (x, y) outline points
-HULL_WIDTH = 6        # the fractions of hull.scale_params
 
 
 def soft_weight(r, alpha):
@@ -110,12 +111,10 @@ class SurrogateReward:
     """Boosted-tree surrogate prediction."""
 
     def __init__(self, ensemble):
-        from rddkit.trees import predict_ensemble
-
-        self._predict = lambda X: predict_ensemble(ensemble, X)
+        self.ensemble = ensemble
 
     def batch(self, X):
-        return self._predict(np.asarray(X, dtype=np.float64))
+        return trees.predict_ensemble(self.ensemble, np.asarray(X, dtype=np.float64))
 
 
 class AirfoilFeasibilityReward:
@@ -135,10 +134,9 @@ class AirfoilFeasibilityReward:
 class HullResistanceReward:
     """Scaled negative aggregate resistance of the parametric hull.
 
-    Infeasible parameter vectors (outside [1e-3, 1] or violating the taper
-    length constraint p0 + p1 <= 1) are charged a fixed penalty plus the
-    violation magnitude instead of raising, so samplers can keep going; a
-    NaN row is charged the fixed penalty alone.
+    A row that hull.constraint_violation finds infeasible is charged a fixed
+    penalty plus its violation instead of raising, so samplers can keep
+    going; a NaN row is charged the fixed penalty alone.
     """
 
     infeasible_base = 1000.0
@@ -149,18 +147,11 @@ class HullResistanceReward:
         self.offset = float(offset)
 
     def batch(self, X):
-        from rddkit.hull import aggregate_total_resistance, scale_params
-
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != HULL_WIDTH:
-            raise ValueError(f"hull designs are (n, {HULL_WIDTH}) rows, got shape {X.shape}")
-        violation = np.sum(np.maximum(0.0, X - 1.0) + np.maximum(0.0, 1e-3 - X), axis=1)
-        taper = X[:, 0] + X[:, 1] - 1.0
-        violation = np.where((violation == 0.0) & (taper > 0.0), taper, violation)
+        violation = hull.constraint_violation(X)
         out = np.where(np.isnan(violation), -self.infeasible_base,
                        -(self.infeasible_base + violation))
-        feasible = np.flatnonzero(violation == 0.0)
-        R_T = [aggregate_total_resistance(scale_params(X[i], self.loa)).aggregate
-               for i in feasible]
-        out[feasible] = ship_reward(np.array(R_T), self.scale, self.offset)
+        feasible = violation == 0.0
+        out[feasible] = ship_reward(hull.aggregate_resistances(X[feasible], self.loa),
+                                    self.scale, self.offset)
         return out

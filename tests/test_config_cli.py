@@ -134,6 +134,9 @@ def test_validate_cross_field_errors():
                 reward__lambda_range=-5.0), r"reward\.lambda_range"),
         (broken(reward__kind="airfoil", reward__surrogate_path="a.rddt",
                 reward__lambda_intersect=-1.0), r"reward\.lambda_intersect"),
+        (broken(finetune__anchor_kappa=-0.01), r"finetune\.anchor_kappa: must be >= 0"),
+        (broken(reward__kind="hull", reward__scale=0.0), r"reward\.scale: must be > 0"),
+        (broken(reward__kind="hull", reward__scale=-1e-6), r"reward\.scale: must be > 0"),
     ]
     for cfg, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
@@ -199,6 +202,7 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
                              "--outdir", str(tmp_path / "width")]) == 1
             assert f"reward.kind: '{kind}' rewards take {width} inputs, the model has 2" \
                 in caplog.text
+            assert not (tmp_path / "width").exists()
     # negative airfoil penalty weights would reward what they should penalise
     for key in ("lambda_range", "lambda_intersect"):
         cfg = write_json(tmp_path / f"{key}.json", {"reward": {
@@ -254,6 +258,11 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
                          "--M", "2", "--n-traj", "2"] + extra) == 1
         assert "svdd.alpha: must be finite" in caplog.text
     assert not (tmp_path / "nan" / "sample_summary.json").exists()
+    # flag overrides are validated before the output directory is made
+    for flag, value in (("--M", "0"), ("--n-traj", "0"), ("--alpha", "-1")):
+        assert cli.main(["sample", "--model", str(model), "--outdir", str(tmp_path / "never"),
+                         flag, value]) == 1
+        assert not (tmp_path / "never").exists()
     # hull lengths must be finite and positive
     hull = "0.5,0.25,0.12,0.08,0.5,0.75"
     for argv in (["hull", "eval", "--params", hull], ["hull", "dataset", "--n", "2", "--out", out]):
@@ -279,7 +288,8 @@ def test_data_errors_exit_2(tmp_path, caplog):
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
     assert cli.main(["eval", "--samples", str(plain), "--train", str(plain),
-                     "--outdir", str(tmp_path)]) == 2
+                     "--outdir", str(tmp_path / "never")]) == 2
+    assert not (tmp_path / "never").exists()
     # an empty samples or training file names itself
     empty = tmp_path / "empty.csv"
     empty.write_text("x0,x1,reward\n")
@@ -406,6 +416,8 @@ def test_full_workflow(tmp_path, capsys):
     assert archived["schedule"]["T"] == 8
     record = json.loads((run / "pretrain.run.json").read_text())
     assert set(record) >= {"command", "finished_at", "timings_seconds", "outputs"}
+    assert record["argv"] == ["pretrain", "--config", str(cfg), "--data", str(data),
+                              "--outdir", str(run)]
 
     assert cli.main(["finetune", "--config", str(cfg),
                      "--model", str(run / "model.rddm"),

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from rddkit.benchmark import sample_hull_params
 from rddkit.exceptions import InfeasibleHullError
 from rddkit.hull import (
     DRAFT_FRACTIONS,
     FROUDE_NUMBERS,
     HullDims,
+    aggregate_resistances,
     aggregate_total_resistance,
+    constraint_violation,
     friction_coefficient,
     friction_resistance,
     half_breadth,
@@ -59,6 +62,41 @@ def test_scale_params_rejects_bad_inputs():
     # taper lengths longer than the hull
     with pytest.raises(InfeasibleHullError):
         scale_params([0.7, 0.7, 0.1, 0.1, 0.5, 0.5], 80.0)
+
+
+def test_constraint_violation_boundaries():
+    P = np.array([
+        [1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3],   # every fraction on the floor
+        [0.3, 0.3, 1.0, 1.0, 1.0, 1.0],         # on the ceiling
+        [0.25, 0.75, 0.1, 0.1, 0.5, 0.5],       # p0 + p1 == 1
+        [np.nan, 0.25, 0.12, 0.08, 0.5, 0.75],
+        [1.5, 0.3, 0.1, 5e-4, 0.5, 0.5],        # overshoot above and below
+        [0.75, 0.5, 0.1, 0.1, 0.5, 0.5],        # taper excess only
+        [1.5, 0.75, 0.1, 0.1, 0.5, 0.5],        # overshoot takes precedence
+    ])
+    v = constraint_violation(P)
+    assert v.shape == (len(P),)
+    assert np.array_equal(v[:3], [0.0, 0.0, 0.0])
+    assert np.isnan(v[3])
+    assert v[4] == pytest.approx(0.5 + 5e-4, rel=1e-12)
+    assert v[5] == 0.25
+    assert v[6] == 0.5
+    assert constraint_violation(np.empty((0, 6))).shape == (0,)
+    for bad in (P[0], P[:, :5]):
+        with pytest.raises(ValueError):
+            constraint_violation(bad)
+
+
+def test_aggregate_resistances_equals_per_row_aggregates():
+    P = sample_hull_params(5, 3)
+    agg = aggregate_resistances(P, 60.0)
+    assert agg.shape == (5,) and agg.dtype == np.float64
+    assert np.array_equal(agg, [aggregate_total_resistance(scale_params(p, 60.0)).aggregate
+                                for p in P])
+    empty = aggregate_resistances(np.empty((0, 6)), 60.0)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    with pytest.raises(InfeasibleHullError):
+        aggregate_resistances(np.vstack([P, [[0.7, 0.7, 0.1, 0.1, 0.5, 0.5]]]), 60.0)
 
 
 def test_halfbreadth_landmarks():
@@ -196,6 +234,21 @@ def test_halving_change_flags_low_froude_cell(recwarn):
     assert res.to_dict()["R_w_halving_change"] == change.tolist()
     # convergence is reported as data, not as a warning
     assert len(recwarn) == 0
+
+
+def test_default_quadrature_against_a_4096_node_oracle():
+    # the halving change overstates the error of the default 256 nodes:
+    # 14-17 % at Fr = 0.1 for the canonical hull, against a true error of
+    # about 1.5 % there, and the aggregates hardly move
+    P = sample_hull_params(40, 0)
+    oracle = np.array([aggregate_total_resistance(scale_params(p, 80.0), n_lambda=4096).aggregate
+                       for p in P])
+    assert np.all(np.abs(aggregate_resistances(P, 80.0) - oracle) < 5e-4 * oracle)
+    dims = canonical_dims()
+    res = aggregate_total_resistance(dims)
+    fine = aggregate_total_resistance(dims, n_lambda=4096).R_w[0]
+    assert np.all(np.abs(res.R_w[0] - fine) < 0.03 * fine)
+    assert np.all(res.R_w_halving_change[0] > 0.1)
 
 
 def test_michell_input_validation():
