@@ -17,8 +17,8 @@ MIXTURE_MODES = np.array([[-1.0, 0.0], [1.0, 0.0]])
 MIXTURE_STD = 0.35
 SYNTHETIC_TARGET = np.array([3.0, 0.0])
 
-# sensible sub-ranges of the (0, 1] parameter cube; keeps hulls boat-shaped
-# and the taper constraint p1 + p2 <= 1 satisfied by construction
+# sensible sub-ranges of the feasible [1e-3, 1] parameter cube; keeps hulls
+# boat-shaped and the taper constraint p1 + p2 <= 1 satisfied by construction
 HULL_PARAM_RANGES = np.array([
     [0.15, 0.45],   # bow taper fraction
     [0.15, 0.45],   # stern taper fraction

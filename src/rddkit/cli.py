@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -53,13 +54,11 @@ def _load_config(args):
 
 
 def _ensure_outdir(path):
-    import os
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def _outpath(outdir, name):
-    import os
     return os.path.join(outdir, name)
 
 
@@ -284,7 +283,6 @@ def cmd_eval(args):
 
 
 def cmd_surrogate_fit(args):
-    import os
     t0 = time.perf_counter()
     data = load_dataset(args.data)
     if data.rewards is None:
@@ -312,6 +310,7 @@ def cmd_surrogate_fit(args):
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    _archive_run(args, outdir, None, timings, [args.out, report_path])
     log.info("fitted %d trees; train MSE %s -> %s", ensemble.n_trees,
              report["train_mse_first"], report["train_mse_last"])
     return 0
@@ -453,7 +452,8 @@ def build_parser():
     hsub = p.add_subparsers(dest="subcommand", required=True)
     q = hsub.add_parser("eval", help="resistance curves for one parameter vector")
     q.add_argument("--params", required=True,
-                   help=f"{N_PARAMS} comma-separated fractions in (0, 1]")
+                   help=f"{N_PARAMS} comma-separated fractions in [0.001, 1], "
+                        "bow and stern taper summing to at most 1")
     q.add_argument("--loa", type=_length, default=80.0)
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)

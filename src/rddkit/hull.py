@@ -69,12 +69,15 @@ class HullDims:
 
 
 def scale_params(p, loa):
-    """Map the vector of N_PARAMS fractions onto physical dimensions."""
+    """Map the vector of N_PARAMS fractions onto physical dimensions;
+    InfeasibleHullError exactly when constraint_violation rejects it."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (N_PARAMS,):
         raise ValueError(f"expected {N_PARAMS} hull parameters, got shape {p.shape}")
-    if not np.all((p > 0) & (p <= 1)):
-        raise InfeasibleHullError(f"hull parameters must lie in (0, 1]: {p}")
+    violation = constraint_violation(p[None])[0]
+    if not violation == 0.0:
+        raise InfeasibleHullError(f"hull parameters violate the design constraints by "
+                                  f"{violation}: {p}")
     dims = HullDims(
         LOA=float(loa),
         L_b=float(p[0] * loa),

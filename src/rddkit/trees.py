@@ -179,74 +179,6 @@ class TreeEnsemble:
         self.bin_tables = _bin_tables(self.trees, self.d)
 
 
-class _TreeBuilder:
-    def __init__(self, bins, thresholds, max_depth):
-        d, n_thr = thresholds.shape
-        self.n_bins = n_thr + 1
-        # feature f's bins shifted to [f * n_bins, (f + 1) * n_bins), so one
-        # bincount covers every feature
-        self.flat_bins = bins + np.arange(d) * self.n_bins   # (n, d)
-        self.thresholds = thresholds    # (d, n_thr)
-        self.max_depth = max_depth
-        self.fitted = np.empty(bins.shape[0])  # leaf value of each training row
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value = [], [], []
-
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _leaf(self, node, idx, value):
-        self.value[node] = value
-        self.fitted[idx] = value
-        return node
-
-    def build(self, idx, resid, depth):
-        node = self._new_node()
-        n = idx.shape[0]
-        r = resid[idx]
-        total = r.sum()
-        if depth >= self.max_depth or n < 2:
-            return self._leaf(node, idx, total / n)
-        d, n_thr = self.thresholds.shape
-        b = self.flat_bins[idx]
-        size = d * self.n_bins
-        counts = np.bincount(b.ravel(), minlength=size).reshape(d, self.n_bins)
-        sums = np.bincount(b.ravel(), weights=np.repeat(r, d),
-                           minlength=size).reshape(d, self.n_bins)
-        nl = np.cumsum(counts, axis=1)[:, :n_thr]
-        sl = np.cumsum(sums, axis=1)[:, :n_thr]
-        nr = n - nl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = sl * sl / nl + (total - sl) ** 2 / nr - total * total / n
-        gain[(nl == 0) | (nr == 0)] = -np.inf
-        # row-major argmax: the lowest feature, then the lowest threshold
-        f, k = divmod(int(np.argmax(gain)), n_thr)
-        if not gain[f, k] > 0.0:
-            return self._leaf(node, idx, total / n)
-        go_left = b[:, f] <= f * self.n_bins + k
-        li = self.build(idx[go_left], resid, depth + 1)
-        ri = self.build(idx[~go_left], resid, depth + 1)
-        self.feature[node] = f
-        self.threshold[node] = float(self.thresholds[f, k])
-        self.left[node] = li
-        self.right[node] = ri
-        return node
-
-    def freeze(self):
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            value=np.array(self.value, dtype=np.float64),
-        )
-
-
 def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     """Fit boosted trees on (X, y); returns (ensemble, per-round train MSE)."""
     if n_trees < 1 or max_depth < 0 or not 0.0 < shrinkage < np.inf:
@@ -264,24 +196,71 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     if np.all(y == y[0]):
         return TreeEnsemble(base, [], shrinkage, max_depth, 0, X.shape[1]), []
 
-    qs = np.arange(1, _N_THRESHOLDS + 1) / (_N_THRESHOLDS + 1)
+    d, n_thr = X.shape[1], _N_THRESHOLDS
+    n_bins = n_thr + 1
+    qs = np.arange(1, n_thr + 1) / n_bins
     thresholds = np.quantile(X, qs, axis=0).T          # (d, n_thr)
     bins = np.empty(X.shape, dtype=np.int64)
-    for f in range(X.shape[1]):
-        # bin b means thresholds[f, k] >= x exactly for k >= b
-        bins[:, f] = np.searchsorted(thresholds[f], X[:, f], side="left")
+    for f in range(d):
+        # bin f * n_bins + b means thresholds[f, k] >= x exactly for k >= b;
+        # feature f's bins fill [f * n_bins, (f + 1) * n_bins), so one
+        # bincount covers every feature
+        bins[:, f] = f * n_bins + np.searchsorted(thresholds[f], X[:, f], side="left")
 
     F = np.full(X.shape[0], base)
+    fitted = np.empty(X.shape[0])   # leaf value of each training row
     trees, mse_history = [], []
-    all_idx = np.arange(X.shape[0])
     for _ in range(n_trees):
         resid = y - F
-        builder = _TreeBuilder(bins, thresholds, max_depth)
-        builder.build(all_idx, resid, 0)
-        trees.append(builder.freeze())
-        # bins[:, f] <= k exactly when x <= thresholds[f, k], so each training
-        # row's leaf is the one the tree routes it to
-        F = F + shrinkage * builder.fitted
+        feature, threshold, left, right, value = [], [], [], [], []
+        # (rows, depth, parent, the parent's child list); the right child is
+        # pushed before the left, so nodes are numbered in preorder
+        stack = [(np.arange(X.shape[0]), 0, -1, None)]
+        while stack:
+            idx, depth, parent, side = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                side[parent] = node
+            n = idx.shape[0]
+            r = resid[idx]
+            total = r.sum()
+            f = -1
+            if depth < max_depth and n >= 2:
+                b = bins[idx]
+                counts = np.bincount(b.ravel(), minlength=d * n_bins).reshape(d, n_bins)
+                sums = np.bincount(b.ravel(), weights=np.repeat(r, d),
+                                   minlength=d * n_bins).reshape(d, n_bins)
+                nl = np.cumsum(counts, axis=1)[:, :n_thr]
+                sl = np.cumsum(sums, axis=1)[:, :n_thr]
+                nr = n - nl
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gain = sl * sl / nl + (total - sl) ** 2 / nr - total * total / n
+                gain[(nl == 0) | (nr == 0)] = -np.inf
+                # row-major argmax: the lowest feature, then the lowest threshold
+                f, k = divmod(int(np.argmax(gain)), n_thr)
+                if not gain[f, k] > 0.0:
+                    f = -1
+            feature.append(f)
+            left.append(-1)
+            right.append(-1)
+            if f < 0:
+                threshold.append(0.0)
+                value.append(total / n)
+                fitted[idx] = total / n
+                continue
+            threshold.append(float(thresholds[f, k]))
+            value.append(0.0)
+            go_left = b[:, f] <= f * n_bins + k
+            stack.append((idx[~go_left], depth + 1, node, right))
+            stack.append((idx[go_left], depth + 1, node, left))
+        trees.append(Tree(feature=np.array(feature, dtype=np.int32),
+                          threshold=np.array(threshold, dtype=np.float64),
+                          left=np.array(left, dtype=np.int32),
+                          right=np.array(right, dtype=np.int32),
+                          value=np.array(value, dtype=np.float64)))
+        # bins[:, f] <= f * n_bins + k exactly when x <= thresholds[f, k], so
+        # each training row's leaf is the one the tree routes it to
+        F = F + shrinkage * fitted
         mse_history.append(float(np.mean((y - F) ** 2)))
         if not np.isfinite(mse_history[-1]):
             raise NumericalError(f"boosting diverged at tree {len(trees)}: train MSE "

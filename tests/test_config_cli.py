@@ -280,9 +280,10 @@ def test_data_errors_exit_2(tmp_path, caplog):
         (tmp_path / name).write_text(body)
         assert cli.main(["pretrain", "--data", str(tmp_path / name), "--epochs", "1",
                          "--outdir", str(tmp_path)]) == 2
-    # a hull outside the feasible cube, or with a NaN parameter, is a data
-    # problem, not a crash
-    for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
+    # a hull outside the feasible cube, below its 1e-3 floor, with tapers
+    # longer than the hull or with a NaN parameter is a data problem, not a crash
+    for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",
+                   "0.5,0.5000000000001,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
         assert cli.main(["hull", "eval", "--params", params]) == 2
     # reward-free samples cannot be evaluated
     plain = tmp_path / "plain.csv"
@@ -473,6 +474,12 @@ def test_hull_dataset_feeds_surrogate(tmp_path):
     assert ds.X.shape == (12, 6)
     assert np.all(np.isfinite(ds.rewards))
     surr = tmp_path / "surr.rddt"
-    assert cli.main(["surrogate", "fit", "--data", str(out), "--out", str(surr),
-                     "--trees", "5", "--depth", "2"]) == 0
+    argv = ["surrogate", "fit", "--data", str(out), "--out", str(surr),
+            "--trees", "5", "--depth", "2"]
+    assert cli.main(argv) == 0
     assert surr.exists()
+    record = json.loads((tmp_path / "surrogate.run.json").read_text())
+    assert set(record) == {"command", "argv", "finished_at", "timings_seconds", "outputs"}
+    assert record["argv"] == argv
+    assert set(record["timings_seconds"]) == {"load", "fit"}
+    assert record["outputs"] == [str(surr), str(tmp_path / "surrogate_fit.json")]

@@ -62,6 +62,12 @@ def test_scale_params_rejects_bad_inputs():
     # taper lengths longer than the hull
     with pytest.raises(InfeasibleHullError):
         scale_params([0.7, 0.7, 0.1, 0.1, 0.5, 0.5], 80.0)
+    # the rule is constraint_violation's: a fraction below its 1e-3 floor,
+    # and a taper sum above 1 by less than HullDims.validate's tolerance
+    for p in ([0.0005, 0.25, 0.12, 0.08, 0.5, 0.75], [0.5, 0.5 + 1e-13, 0.1, 0.1, 0.5, 0.5]):
+        assert constraint_violation(np.array([p]))[0] > 0.0
+        with pytest.raises(InfeasibleHullError):
+            scale_params(p, 80.0)
 
 
 def test_constraint_violation_boundaries():
@@ -333,7 +339,10 @@ def test_aggregate_increases_with_beam():
 
 
 def test_aggregate_near_zero_beam_is_friction_dominated():
-    dims = scale_params([0.25, 0.25, 1e-9, 0.08, 0.5, 0.75], 80.0)
+    # a beam fraction of 1e-9 is below scale_params' 1e-3 floor, so the
+    # dimensions it would give are built directly
+    dims = HullDims(LOA=80.0, L_b=0.25 * 80.0, L_s=0.25 * 80.0, B_d=1e-9 * 80.0,
+                    D_d=0.08 * 80.0, B_s=0.5 * 1e-9 * 80.0 / 2.0, WL=0.75 * 0.08 * 80.0).validate()
     res = aggregate_total_resistance(dims)
     assert res.R_w.sum() < 0.01 * res.aggregate
     assert res.aggregate == pytest.approx(res.R_f.sum(), rel=1e-6)

@@ -223,6 +223,19 @@ def test_refit_writes_the_reference_bytes(tmp_path):
     assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
+@pytest.mark.parametrize("n, d, n_trees, max_depth", [
+    (96, 6, 200, 4), (120, 4, 40, 5), (50, 3, 3, 0), (200, 4, 30, 3)])
+def test_last_train_mse_is_the_mse_of_the_predictions(n, d, n_trees, max_depth):
+    # the fit keeps each training row's leaf value as it grows a tree; the
+    # history is built from those, so it must match the bin-table predictor
+    # on every training row
+    X, y = make_regression(n, d, seed=n)
+    X[:, -1] = np.round(X[:, -1] * 4) / 4      # repeated values: tied thresholds
+    ens, history = fit_ensemble(X, y, n_trees=n_trees, max_depth=max_depth)
+    assert len(history) == n_trees
+    assert history[-1] == np.mean((y - predict_ensemble(ens, X)) ** 2)
+
+
 def test_single_vector_prediction():
     X, y = make_regression(100, 3, seed=3)
     ens, _ = fit_ensemble(X, y, n_trees=10, max_depth=3)
