@@ -5,23 +5,28 @@ denoiser, fine-tune it toward a reward, draw guided or unguided samples,
 evaluate sample sets against training data, fit and score the hull
 resistance surrogate, and evaluate single hulls.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+Each command returns its run record and main archives it; a flag that
+overrides the run config names the config key as its argparse dest.
+
+Exit codes: 0 success, 1 usage or configuration error, 2 data or file error,
 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
 from rddkit import benchmark, config as cfgmod
-from rddkit.data import Dataset, denormalize, load_dataset, normalize, save_samples
+from rddkit.data import denormalize, load_dataset, normalize, save_samples
 from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
@@ -46,37 +51,63 @@ log = logging.getLogger("rddkit")
 # shared helpers
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        cfg = cfgmod.parse_config(args.config)
-    else:
-        cfg = cfgmod.validate(cfgmod.RunConfig())
-    return cfg
+    """The --config file (or the defaults), then every flag given whose argparse
+    dest names a config key ('svdd.M', 'pretrain.seed', 'dataset'), validated."""
+    cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.RunConfig()
+    for key, value in vars(args).items():
+        section, _, name = key.rpartition(".")
+        owner = getattr(cfg, section) if section else cfg
+        if value is not None and name in {f.name for f in dataclasses.fields(owner)}:
+            setattr(owner, name, value)
+    return cfgmod.validate(cfg)
 
 
-def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+@contextmanager
+def _stage(timings, name):
+    """Record the wall time of the with-block as timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
     return path
 
 
-def _outpath(outdir, name):
-    return os.path.join(outdir, name)
+def _write_table(path, header, rows):
+    """CSV of numbers written in round-trip '.17g' form."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    return path
+
+
+def _report(result, out, timings):
+    """Print a JSON result; with --out, also save it there and return its run record."""
+    if out:
+        _write_json(out, result)
+    print(json.dumps(result, indent=2))
+    return (os.path.dirname(out) or ".", None, timings, [out]) if out else None
 
 
 def _archive_run(args, outdir, cfg, timings, outputs):
-    """Drop the resolved config and a timing log next to the outputs."""
-    command = args.command
+    """Drop the resolved config and a timing log next to the outputs, as
+    <name>.config.json and <name>.run.json; `surrogate fit` is named surrogate_fit."""
+    words = [args.command] + ([args.subcommand] if getattr(args, "subcommand", None) else [])
+    name = "_".join(words)
     if cfg is not None:
-        cfgmod.save_config(cfg, _outpath(outdir, f"{command}.config.json"))
-    record = {
-        "command": command,
+        cfgmod.save_config(cfg, os.path.join(outdir, f"{name}.config.json"))
+    _write_json(os.path.join(outdir, f"{name}.run.json"), {
+        "command": " ".join(words),
         "argv": args.argv,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "outputs": outputs,
-    }
-    with open(_outpath(outdir, f"{command}.run.json"), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def _check_reward_width(kind, width, d):
@@ -117,225 +148,154 @@ def _load_model_bundle(path):
     return params, sched, meta, stats
 
 
-def _reward_summary(rewards):
-    r = np.asarray(rewards, dtype=np.float64)
-    return {
-        "n": int(r.size),
-        "mean_reward": float(np.mean(r)),
-        "median_reward": float(np.median(r)),
-        "max_reward": float(np.max(r)),
-        "min_reward": float(np.min(r)),
-    }
+def _load_labelled(path, purpose):
+    data = load_dataset(path)
+    if data.rewards is None:
+        raise DataError(f"{path}: needs a reward column {purpose}")
+    return data
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns its run record (outdir, cfg, timings,
+# outputs) for main to archive, or None when it wrote no file
 
 def cmd_pretrain(args):
     cfg = _load_config(args)
-    data_path = args.data or cfg.dataset
-    if not data_path:
+    if not cfg.dataset:
         raise ConfigError("no dataset given: pass --data or set 'dataset' in the config")
-    cfg.dataset = data_path
-    if args.epochs is not None:
-        cfg.pretrain.epochs = args.epochs
-    if args.seed is not None:
-        cfg.pretrain.seed = args.seed
-    cfgmod.validate(cfg)
-    outdir = _ensure_outdir(args.outdir or cfg.outdir)
-    cfg.outdir = outdir
+    os.makedirs(cfg.outdir, exist_ok=True)
 
     timings = {}
-    t0 = time.perf_counter()
-    dataset = load_dataset(data_path)
-    norm, stats = normalize(dataset)
-    timings["load"] = time.perf_counter() - t0
-
+    with _stage(timings, "load"):
+        norm, stats = normalize(load_dataset(cfg.dataset))
     sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-    t0 = time.perf_counter()
-    params, history = train_ddpm(norm, sched, cfg.net,
-                                 epochs=cfg.pretrain.epochs,
-                                 batch_size=cfg.pretrain.batch_size,
-                                 seed=cfg.pretrain.seed,
-                                 learning_rate=cfg.pretrain.learning_rate)
-    timings["train"] = time.perf_counter() - t0
+    with _stage(timings, "train"):
+        params, history = train_ddpm(norm, sched, cfg.net,
+                                     epochs=cfg.pretrain.epochs,
+                                     batch_size=cfg.pretrain.batch_size,
+                                     seed=cfg.pretrain.seed,
+                                     learning_rate=cfg.pretrain.learning_rate)
 
-    model_path = _outpath(outdir, args.model_name)
+    model_path = os.path.join(cfg.outdir, args.model_name)
     save_model(model_path, params, cfg.schedule.T, cfg.schedule.beta_start,
                cfg.schedule.beta_end, stats=stats)
-    hist_path = _outpath(outdir, "pretrain_history.csv")
-    with open(hist_path, "w") as fh:
-        fh.write("epoch,mean_loss\n")
-        for i, loss in enumerate(history):
-            fh.write(f"{i},{format(loss, '.17g')}\n")
-    _archive_run(args, outdir, cfg, timings, [model_path, hist_path])
+    hist_path = _write_table(os.path.join(cfg.outdir, "pretrain_history.csv"),
+                             "epoch,mean_loss", enumerate(history))
     log.info("saved model to %s (final loss %.6f)", model_path,
              history[-1] if history else float("nan"))
-    return 0
+    return cfg.outdir, cfg, timings, [model_path, hist_path]
 
 
 def cmd_finetune(args):
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg.finetune.seed = args.seed
-    cfgmod.validate(cfg)
-
-    t0 = time.perf_counter()
-    params_pre, sched, meta, stats = _load_model_bundle(args.model)
-    timings = {"load": time.perf_counter() - t0}
-
+    timings = {}
+    with _stage(timings, "load"):
+        params_pre, sched, meta, stats = _load_model_bundle(args.model)
     reward = _build_reward(cfg.reward, params_pre.d)
-    outdir = _ensure_outdir(args.outdir or cfg.outdir)
-    cfg.outdir = outdir
-    t0 = time.perf_counter()
-    params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
-    timings["finetune"] = time.perf_counter() - t0
+    os.makedirs(cfg.outdir, exist_ok=True)
+    with _stage(timings, "finetune"):
+        params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
 
-    model_path = _outpath(outdir, args.model_name)
+    model_path = os.path.join(cfg.outdir, args.model_name)
     save_model(model_path, params, meta["T"], meta["beta_start"],
                meta["beta_end"], stats=stats)
-    hist_path = _outpath(outdir, "finetune_history.csv")
-    with open(hist_path, "w") as fh:
-        fh.write("iteration,mean_reward,mean_loss\n")
-        for row in history:
-            fh.write(f"{row['iteration']},{format(row['mean_reward'], '.17g')},"
-                     f"{format(row['mean_loss'], '.17g')}\n")
-    _archive_run(args, outdir, cfg, timings, [model_path, hist_path])
+    hist_path = _write_table(os.path.join(cfg.outdir, "finetune_history.csv"),
+                             "iteration,mean_reward,mean_loss",
+                             ((r["iteration"], r["mean_reward"], r["mean_loss"])
+                              for r in history))
     log.info("saved fine-tuned model to %s", model_path)
-    return 0
+    return cfg.outdir, cfg, timings, [model_path, hist_path]
 
 
 def cmd_sample(args):
     cfg = _load_config(args)
-    if args.M is not None:
-        cfg.svdd.M = args.M
-    if args.alpha is not None:
-        cfg.svdd.alpha = args.alpha
-    if args.n_traj is not None:
-        cfg.svdd.n_traj = args.n_traj
-    if args.seed is not None:
-        cfg.svdd.seed = args.seed
-    cfgmod.validate(cfg)
-
-    t0 = time.perf_counter()
-    params, sched, meta, stats = _load_model_bundle(args.model)
-    timings = {"load": time.perf_counter() - t0}
-
+    timings = {}
+    with _stage(timings, "load"):
+        params, sched, meta, stats = _load_model_bundle(args.model)
     reward = _build_reward(cfg.reward, params.d)
-    outdir = _ensure_outdir(args.outdir or cfg.outdir)
-    cfg.outdir = outdir
-    t0 = time.perf_counter()
-    X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
-    timings["sample"] = time.perf_counter() - t0
+    os.makedirs(cfg.outdir, exist_ok=True)
+    with _stage(timings, "sample"):
+        X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
 
     designs = denormalize(X0, stats) if stats is not None else X0
-    samples_path = _outpath(outdir, args.samples_name)
+    samples_path = os.path.join(cfg.outdir, args.samples_name)
     save_samples(samples_path, designs, rewards)
-
-    summary = _reward_summary(rewards)
-    summary.update({"M": cfg.svdd.M, "alpha": cfg.svdd.alpha, "seed": cfg.svdd.seed,
-                    "wall_seconds": round(timings["sample"], 6)})
-    summary_path = _outpath(outdir, "sample_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    _archive_run(args, outdir, cfg, timings, [samples_path, summary_path])
+    r = np.asarray(rewards, dtype=np.float64)
+    summary = {"n": int(r.size), "mean_reward": float(np.mean(r)),
+               "median_reward": float(np.median(r)), "max_reward": float(np.max(r)),
+               "min_reward": float(np.min(r)), "M": cfg.svdd.M, "alpha": cfg.svdd.alpha,
+               "seed": cfg.svdd.seed, "wall_seconds": round(timings["sample"], 6)}
+    summary_path = _write_json(os.path.join(cfg.outdir, "sample_summary.json"), summary)
     log.info("wrote %d samples to %s (mean reward %.4f)",
              len(rewards), samples_path, summary["mean_reward"])
-    return 0
+    return cfg.outdir, cfg, timings, [samples_path, summary_path]
 
 
 def cmd_eval(args):
-    t0 = time.perf_counter()
-    samples = load_dataset(args.samples)
-    train = load_dataset(args.train)
-    for path, data in ((args.samples, samples), (args.train, train)):
-        if data.rewards is None:
-            raise DataError(f"{path}: needs a reward column for evaluation")
-        if data.n == 0:
-            raise DataError(f"{path}: no rows to evaluate")
-    timings = {"load": time.perf_counter() - t0}
-    outdir = _ensure_outdir(args.outdir)
+    timings = {}
+    with _stage(timings, "load"):
+        samples = _load_labelled(args.samples, "for evaluation")
+        train = _load_labelled(args.train, "for evaluation")
+        for path, data in ((args.samples, samples), (args.train, train)):
+            if data.n == 0:
+                raise DataError(f"{path}: no rows to evaluate")
+    os.makedirs(args.outdir, exist_ok=True)
 
-    t0 = time.perf_counter()
-    stats = {
-        "samples": boxplot_stats(samples.rewards).to_dict(),
-        "training": boxplot_stats(train.rewards).to_dict(),
-        "beyond_distribution": beyond_distribution(samples.rewards, train.rewards),
-    }
-    grid, dens_s = kde(samples.rewards)
-    dens_t = kde(train.rewards, grid=grid)[1]
-    timings["eval"] = time.perf_counter() - t0
+    with _stage(timings, "eval"):
+        stats = {
+            "samples": boxplot_stats(samples.rewards).to_dict(),
+            "training": boxplot_stats(train.rewards).to_dict(),
+            "beyond_distribution": beyond_distribution(samples.rewards, train.rewards),
+        }
+        grid, dens_s = kde(samples.rewards)
+        dens_t = kde(train.rewards, grid=grid)[1]
 
-    stats_path = _outpath(outdir, "eval_stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump(stats, fh, indent=2)
-        fh.write("\n")
-    dens_path = _outpath(outdir, "reward_density.csv")
-    with open(dens_path, "w") as fh:
-        fh.write("reward,density_samples,density_training\n")
-        for g, a, b in zip(grid, dens_s, dens_t):
-            fh.write(f"{format(g, '.17g')},{format(a, '.17g')},{format(b, '.17g')}\n")
-    _archive_run(args, outdir, None, timings, [stats_path, dens_path])
+    stats_path = _write_json(os.path.join(args.outdir, "eval_stats.json"), stats)
+    dens_path = _write_table(os.path.join(args.outdir, "reward_density.csv"),
+                             "reward,density_samples,density_training",
+                             zip(grid, dens_s, dens_t))
     frac = stats["beyond_distribution"]["fraction_above_training_max"]
     log.info("%.1f%% of samples beat the best training reward", 100.0 * frac)
-    return 0
+    return args.outdir, None, timings, [stats_path, dens_path]
 
 
 def cmd_surrogate_fit(args):
-    t0 = time.perf_counter()
-    data = load_dataset(args.data)
-    if data.rewards is None:
-        raise DataError(f"{args.data}: needs a reward column to fit against")
-    timings = {"load": time.perf_counter() - t0}
-
-    t0 = time.perf_counter()
-    ensemble, mse_history = fit_ensemble(data.X, data.rewards,
-                                         n_trees=args.trees,
-                                         max_depth=args.depth,
-                                         shrinkage=args.shrinkage)
-    timings["fit"] = time.perf_counter() - t0
+    timings = {}
+    with _stage(timings, "load"):
+        data = _load_labelled(args.data, "to fit against")
+    with _stage(timings, "fit"):
+        ensemble, mse_history = fit_ensemble(data.X, data.rewards,
+                                             n_trees=args.trees,
+                                             max_depth=args.depth,
+                                             shrinkage=args.shrinkage)
     save_ensemble(args.out, ensemble)
 
     outdir = os.path.dirname(args.out) or "."
-    report = {
-        "n_rows": int(data.n),
-        "n_trees": ensemble.n_trees,
-        "max_depth": ensemble.max_depth,
-        "shrinkage": ensemble.shrinkage,
-        "train_mse_first": mse_history[0] if mse_history else None,
-        "train_mse_last": mse_history[-1] if mse_history else None,
-    }
-    report_path = _outpath(outdir, "surrogate_fit.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    _archive_run(args, outdir, None, timings, [args.out, report_path])
+    report = {"n_rows": int(data.n), "n_trees": ensemble.n_trees,
+              "max_depth": ensemble.max_depth, "shrinkage": ensemble.shrinkage,
+              "train_mse_first": mse_history[0] if mse_history else None,
+              "train_mse_last": mse_history[-1] if mse_history else None}
+    report_path = _write_json(os.path.join(outdir, "surrogate_fit.json"), report)
     log.info("fitted %d trees; train MSE %s -> %s", ensemble.n_trees,
              report["train_mse_first"], report["train_mse_last"])
-    return 0
+    return outdir, None, timings, [args.out, report_path]
 
 
 def cmd_surrogate_eval(args):
-    data = load_dataset(args.data)
-    if data.rewards is None:
-        raise DataError(f"{args.data}: needs a reward column to score against")
-    ensemble = load_ensemble(args.model)
-    if data.d != ensemble.d:
-        raise DataError(f"{args.data}: {data.d} input columns, but the surrogate "
-                        f"{args.model} takes {ensemble.d}")
-    pred = predict_ensemble(ensemble, data.X)
-    result = {
+    timings = {}
+    with _stage(timings, "load"):
+        data = _load_labelled(args.data, "to score against")
+        ensemble = load_ensemble(args.model)
+        if data.d != ensemble.d:
+            raise DataError(f"{args.data}: {data.d} input columns, but the surrogate "
+                            f"{args.model} takes {ensemble.d}")
+    with _stage(timings, "predict"):
+        pred = predict_ensemble(ensemble, data.X)
+    return _report({
         "n_rows": int(data.n),
         "r2": r2_score(pred, data.rewards),
         "mse": float(np.mean((pred - data.rewards) ** 2)),
-    }
-    text = json.dumps(result, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
+    }, args.out, timings)
 
 
 def cmd_hull_eval(args):
@@ -345,31 +305,29 @@ def cmd_hull_eval(args):
         p = None
     if p is None or p.shape != (N_PARAMS,):
         raise ConfigError(f"--params: expected {N_PARAMS} comma-separated numbers")
-    dims = scale_params(p, args.loa)
-    result = aggregate_total_resistance(dims).to_dict()
-    text = json.dumps(result, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
+    timings = {}
+    with _stage(timings, "eval"):
+        result = aggregate_total_resistance(scale_params(p, args.loa)).to_dict()
+    return _report(result, args.out, timings)
 
 
 def cmd_hull_dataset(args):
-    t0 = time.perf_counter()
-    data = benchmark.hull_resistance_dataset(args.n, args.seed, loa=args.loa)
+    timings = {}
+    with _stage(timings, "label"):
+        data = benchmark.hull_resistance_dataset(args.n, args.seed, loa=args.loa)
     save_samples(args.out, data.X, data.rewards)
-    log.info("wrote %d labeled hulls to %s in %.1fs", args.n, args.out,
-             time.perf_counter() - t0)
-    return 0
+    log.info("wrote %d labeled hulls to %s in %.1fs", args.n, args.out, timings["label"])
+    return os.path.dirname(args.out) or ".", None, timings, [args.out]
 
 
 def cmd_benchmark_make(args):
-    data = benchmark.make_mixture_dataset(
-        args.n, args.seed, reward=benchmark.default_benchmark_reward())
+    timings = {}
+    with _stage(timings, "make"):
+        data = benchmark.make_mixture_dataset(
+            args.n, args.seed, reward=benchmark.default_benchmark_reward())
     save_samples(args.out, data.X, data.rewards)
     log.info("wrote %d benchmark rows to %s", args.n, args.out)
-    return 0
+    return os.path.dirname(args.out) or ".", None, timings, [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +359,11 @@ def build_parser():
 
     p = sub.add_parser("pretrain", help="train a denoiser on a CSV dataset")
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--data", help="training CSV (overrides config dataset)")
+    p.add_argument("--data", dest="dataset", help="training CSV (overrides config)")
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model.rddm")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=_count)
+    p.add_argument("--epochs", dest="pretrain.epochs", type=int)
+    p.add_argument("--seed", dest="pretrain.seed", type=_count)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="reward-weighted fine-tuning of a model")
@@ -413,7 +371,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="pretrained model file")
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--model-name", default="model_ft.rddm")
-    p.add_argument("--seed", type=_count)
+    p.add_argument("--seed", dest="finetune.seed", type=_count)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("sample", help="draw guided or unguided samples")
@@ -421,10 +379,10 @@ def build_parser():
     p.add_argument("--model", required=True, help="model file to sample from")
     p.add_argument("--outdir", help="output directory (overrides config)")
     p.add_argument("--samples-name", default="samples.csv")
-    p.add_argument("--M", type=int, help="candidates per step (1 = unguided)")
-    p.add_argument("--alpha", type=float, help="selection temperature")
-    p.add_argument("--n-traj", type=int, help="number of samples")
-    p.add_argument("--seed", type=_count)
+    p.add_argument("--M", dest="svdd.M", type=int, help="candidates per step (1 = unguided)")
+    p.add_argument("--alpha", dest="svdd.alpha", type=float, help="selection temperature")
+    p.add_argument("--n-traj", dest="svdd.n_traj", type=int, help="number of samples")
+    p.add_argument("--seed", dest="svdd.seed", type=_count)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="compare sample rewards to training rewards")
@@ -484,17 +442,17 @@ def main(argv=None):
         # argparse exits 2 on usage errors; fold those into the config code
         return 0 if e.code in (0, None) else 1
     args.argv = argv
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        return args.func(args)
+        record = args.func(args)
+        if record is not None:
+            _archive_run(args, *record)
+        return 0
     except ConfigError as e:
         log.error("config error: %s", e)
         return 1
-    except (DataError, InfeasibleHullError, FileNotFoundError) as e:
+    except (DataError, InfeasibleHullError, OSError) as e:
         log.error("data error: %s", e)
         return 2
     except NumericalError as e:

@@ -52,15 +52,13 @@ def _normalized_weights(rewards, alpha):
 
 
 def weighted_epoch(designs, rewards, alpha, params, opt_state, sched,
-                   rng=None, batch_size=64, params_pre=None, kappa=0.0):
+                   rng, batch_size=64, params_pre=None, kappa=0.0):
     """One weighted pass over the collected designs, updating params and opt_state in place.
 
     designs is the (m, d) array of terminal designs in model coordinates;
     rewards is one real per design (already evaluated on the physical,
     denormalized designs). Returns (mean reward, mean loss).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     X0 = np.asarray(designs, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.shape[0] != X0.shape[0]:

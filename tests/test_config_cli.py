@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -364,6 +367,21 @@ def test_data_errors_exit_2(tmp_path, caplog):
             caplog.clear()
             assert cli.main(argv) == 2
             assert f"{bad}: line 5: non-finite value in column x0" in caplog.text
+    # file-system errors: a directory where a file belongs, a file where the
+    # output directory belongs
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    for argv, culprit in (
+            (["benchmark", "make", "--n", "2", "--out", str(a_dir)], a_dir),
+            (["pretrain", "--data", str(labelled), "--outdir", str(a_file)], a_file),
+            (["eval", "--samples", str(labelled), "--train", str(labelled),
+              "--outdir", str(a_file)], a_file),
+            (["pretrain", "--data", str(a_dir), "--outdir", str(tmp_path / "p")], a_dir),
+            (["surrogate", "eval", "--model", str(a_dir), "--data", str(data)], a_dir)):
+        caplog.clear()
+        assert cli.main(argv) == 2
+        assert f"data error: [Errno" in caplog.text and str(culprit) in caplog.text
 
 
 def test_numerical_errors_exit_3(tmp_path):
@@ -478,8 +496,103 @@ def test_hull_dataset_feeds_surrogate(tmp_path):
             "--trees", "5", "--depth", "2"]
     assert cli.main(argv) == 0
     assert surr.exists()
-    record = json.loads((tmp_path / "surrogate.run.json").read_text())
+    record = json.loads((tmp_path / "surrogate_fit.run.json").read_text())
     assert set(record) == {"command", "argv", "finished_at", "timings_seconds", "outputs"}
     assert record["argv"] == argv
     assert set(record["timings_seconds"]) == {"load", "fit"}
     assert record["outputs"] == [str(surr), str(tmp_path / "surrogate_fit.json")]
+
+
+def test_every_command_writes_its_run_record(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    bench, surr = str(out / "bench.csv"), str(out / "surr.rddt")
+    hull = "0.25,0.25,0.12,0.08,0.5,0.75"
+    cases = (
+        ("hull_dataset", ["hull", "dataset", "--n", "12", "--seed", "3",
+                          "--out", str(out / "hulls.csv")]),
+        ("benchmark_make", ["benchmark", "make", "--n", "30", "--seed", "0", "--out", bench]),
+        ("surrogate_fit", ["surrogate", "fit", "--data", bench, "--out", surr,
+                           "--trees", "3", "--depth", "2"]),
+        ("surrogate_eval", ["surrogate", "eval", "--model", surr, "--data", bench,
+                            "--out", str(out / "scored.json")]),
+        ("hull_eval", ["hull", "eval", "--params", hull, "--out", str(out / "hull.json")]),
+    )
+    for name, argv in cases:
+        assert cli.main(argv) == 0
+        record = json.loads((out / f"{name}.run.json").read_text())
+        assert record["command"] == name.replace("_", " ")
+        assert record["argv"] == argv
+        assert record["timings_seconds"]
+        assert record["outputs"] and all(os.path.exists(p) for p in record["outputs"])
+        assert not (out / f"{name}.config.json").exists()
+    # without --out the two eval commands only print
+    listed = sorted(os.listdir(out))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for argv in (["surrogate", "eval", "--model", surr, "--data", bench],
+                 ["hull", "eval", "--params", hull]):
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+    assert sorted(os.listdir(out)) == listed
+    assert os.listdir(cwd) == []
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every runnable command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for word, child in action.choices.items():
+            yield from _leaf_parsers(child, words + (word,))
+
+
+def _config_keys(section, prefix=""):
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _config_keys(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
+def test_override_flags_name_config_keys(tmp_path):
+    keys = set(_config_keys(cfgmod.RunConfig()))
+    overrides = {}
+    for command, parser in _leaf_parsers(cli.build_parser()):
+        dests = {a.dest for a in parser._actions}
+        # a dotted dest can only be a config key; a renamed key fails here
+        # instead of silently dropping its flag
+        assert {d for d in dests if "." in d} <= keys, command
+        if "config" in dests:
+            overrides[command] = dests & keys
+            assert dests - keys == {"help", "config", "model", "model_name",
+                                    "samples_name"} & dests, command
+    assert overrides == {
+        "pretrain": {"dataset", "outdir", "pretrain.epochs", "pretrain.seed"},
+        "finetune": {"outdir", "finetune.seed"},
+        "sample": {"outdir", "svdd.M", "svdd.alpha", "svdd.n_traj", "svdd.seed"},
+    }
+
+    model = write_model(tmp_path / "m.rddm")
+    run = tmp_path / "run"
+    assert cli.main(["sample", "--model", str(model), "--outdir", str(run), "--M", "3",
+                     "--alpha", "0.1", "--n-traj", "4", "--seed", "9"]) == 0
+    archived = json.loads((run / "sample.config.json").read_text())
+    assert archived["svdd"] == {"M": 3, "alpha": 0.1, "n_traj": 4, "seed": 9}
+    assert archived["outdir"] == str(run)
+
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1\n" + "".join(f"{i * 0.1},{(i * 0.7) % 1}\n" for i in range(20)))
+    cfg = write_json(tmp_path / "small.json", {"net": {"embed_dim": 4, "hidden_dims": [8]},
+                                                "pretrain": {"epochs": 50, "seed": 0}})
+    assert cli.main(["pretrain", "--config", cfg, "--data", str(data), "--outdir", str(run),
+                     "--epochs", "2", "--seed", "5"]) == 0
+    archived = json.loads((run / "pretrain.config.json").read_text())
+    assert archived["dataset"] == str(data)
+    assert archived["pretrain"]["epochs"] == 2 and archived["pretrain"]["seed"] == 5
+    assert len((run / "pretrain_history.csv").read_text().splitlines()) == 3
