@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from rddkit import benchmark, config as cfgmod
-from rddkit.data import denormalize, load_dataset, normalize, save_samples
+from rddkit.data import denormalize, load_dataset, normalize, save_samples, write_csv
 from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
@@ -74,15 +74,6 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    return path
-
-
-def _write_table(path, header, rows):
-    """CSV of numbers written in round-trip '.17g' form."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
     return path
 
 
@@ -179,8 +170,9 @@ def cmd_pretrain(args):
     model_path = os.path.join(cfg.outdir, args.model_name)
     save_model(model_path, params, cfg.schedule.T, cfg.schedule.beta_start,
                cfg.schedule.beta_end, stats=stats)
-    hist_path = _write_table(os.path.join(cfg.outdir, "pretrain_history.csv"),
-                             "epoch,mean_loss", enumerate(history))
+    hist_path = write_csv(os.path.join(cfg.outdir, "pretrain_history.csv"),
+                          ["epoch", "mean_loss"],
+                          np.column_stack([np.arange(len(history)), history]))
     log.info("saved model to %s (final loss %.6f)", model_path,
              history[-1] if history else float("nan"))
     return cfg.outdir, cfg, timings, [model_path, hist_path]
@@ -199,10 +191,9 @@ def cmd_finetune(args):
     model_path = os.path.join(cfg.outdir, args.model_name)
     save_model(model_path, params, meta["T"], meta["beta_start"],
                meta["beta_end"], stats=stats)
-    hist_path = _write_table(os.path.join(cfg.outdir, "finetune_history.csv"),
-                             "iteration,mean_reward,mean_loss",
-                             ((r["iteration"], r["mean_reward"], r["mean_loss"])
-                              for r in history))
+    columns = ["iteration", "mean_reward", "mean_loss"]
+    hist_path = write_csv(os.path.join(cfg.outdir, "finetune_history.csv"), columns,
+                          np.column_stack([[r[k] for r in history] for k in columns]))
     log.info("saved fine-tuned model to %s", model_path)
     return cfg.outdir, cfg, timings, [model_path, hist_path]
 
@@ -251,9 +242,9 @@ def cmd_eval(args):
         dens_t = kde(train.rewards, grid=grid)[1]
 
     stats_path = _write_json(os.path.join(args.outdir, "eval_stats.json"), stats)
-    dens_path = _write_table(os.path.join(args.outdir, "reward_density.csv"),
-                             "reward,density_samples,density_training",
-                             zip(grid, dens_s, dens_t))
+    dens_path = write_csv(os.path.join(args.outdir, "reward_density.csv"),
+                          ["reward", "density_samples", "density_training"],
+                          np.column_stack([grid, dens_s, dens_t]))
     frac = stats["beyond_distribution"]["fraction_above_training_max"]
     log.info("%.1f%% of samples beat the best training reward", 100.0 * frac)
     return args.outdir, None, timings, [stats_path, dens_path]
@@ -289,6 +280,9 @@ def cmd_surrogate_eval(args):
         if data.d != ensemble.d:
             raise DataError(f"{args.data}: {data.d} input columns, but the surrogate "
                             f"{args.model} takes {ensemble.d}")
+        if data.n < 2:
+            raise DataError(f"{args.data}: need at least 2 rows to score a surrogate, "
+                            f"got {data.n}")
     with _stage(timings, "predict"):
         pred = predict_ensemble(ensemble, data.X)
     return _report({

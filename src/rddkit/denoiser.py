@@ -19,7 +19,7 @@ import numpy as np
 
 from rddkit.data import BinaryReader, NormStats, write_binary
 from rddkit.diffusion import forward_marginal
-from rddkit.exceptions import ConfigError, TrainingDivergenceError
+from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
 _FORMAT_VERSION = 3
@@ -261,7 +261,10 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
 
 
 def load_model(path):
-    """Read a model file; returns (params, meta dict, stats or None)."""
+    """Read a model file; returns (params, meta dict, stats or None).
+
+    A non-finite weight, normalization mean or std, or beta raises DataError,
+    even under a valid checksum."""
     r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "model")
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
@@ -272,6 +275,12 @@ def load_model(path):
     stats = NormStats(mean=r.array("<f8", d), std=r.array("<f8", d)) if has_stats else None
     theta = r.array("<f8", sum(i * o + o for i, o in _layer_shapes(d, embed_dim, hidden)))
     r.finish()
+    checks = [("beta", [beta_start, beta_end]), ("weight", theta)]
+    if stats is not None:
+        checks += [("normalization mean", stats.mean), ("normalization std", stats.std)]
+    for name, values in checks:
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}: non-finite {name} in the model file")
     params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden)
     meta = {"T": T, "beta_start": beta_start, "beta_end": beta_end}
     return params, meta, stats

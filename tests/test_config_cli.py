@@ -9,7 +9,7 @@ import pytest
 
 from rddkit import cli
 from rddkit import config as cfgmod
-from rddkit.data import load_dataset, write_binary
+from rddkit.data import NormStats, load_dataset, write_binary
 from rddkit.denoiser import init_params, save_model
 from rddkit.exceptions import ConfigError
 from rddkit.trees import fit_ensemble, save_ensemble
@@ -347,6 +347,13 @@ def test_data_errors_exit_2(tmp_path, caplog):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         assert cli.main(["surrogate", "fit", "--data", str(tmp_path / name),
                          "--out", str(tmp_path / "bad.rddt")]) == 2
+    # too few rows to score a surrogate on name the file
+    for name, lines in (("one.csv", rows[:2]), ("none.csv", rows[:1])):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        caplog.clear()
+        assert cli.main(["surrogate", "eval", "--model", str(tmp_path / "s.rddt"),
+                         "--data", str(tmp_path / name)]) == 2
+        assert f"{tmp_path / name}: need at least 2 rows" in caplog.text
     # scoring a surrogate on rows of another width names the file and both widths
     wide = tmp_path / "wide.csv"
     wide.write_text("x0,x1,x2,reward\n" + "".join(f"{i * 0.1},0.5,0.25,{i % 3}\n"
@@ -382,6 +389,28 @@ def test_data_errors_exit_2(tmp_path, caplog):
         caplog.clear()
         assert cli.main(argv) == 2
         assert f"data error: [Errno" in caplog.text and str(culprit) in caplog.text
+
+
+def test_non_finite_model_values_exit_2(tmp_path, caplog):
+    # re-saved through save_model, so each file's checksum is valid
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
+    nan_weight = dataclasses.replace(params, theta=params.theta.copy())
+    nan_weight.theta[7] = np.nan
+    stats = NormStats(mean=np.zeros(2), std=np.ones(2))
+    inf_std = NormStats(mean=np.zeros(2), std=np.array([1.0, np.inf]))
+    nan_mean = NormStats(mean=np.array([np.nan, 0.0]), std=np.ones(2))
+    for name, p, s, beta_end, culprit in (
+            ("nan_weight.rddm", nan_weight, stats, 0.02, "weight"),
+            ("inf_std.rddm", params, inf_std, 0.02, "normalization std"),
+            ("nan_mean.rddm", params, nan_mean, 0.02, "normalization mean"),
+            ("inf_beta.rddm", params, None, np.inf, "beta")):
+        save_model(str(tmp_path / name), p, T=10, beta_start=1e-4, beta_end=beta_end, stats=s)
+        out = tmp_path / f"out_{name}"
+        caplog.clear()
+        assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
+                         "--outdir", str(out)]) == 2
+        assert f"{tmp_path / name}: non-finite {culprit}" in caplog.text
+        assert not out.exists()
 
 
 def test_numerical_errors_exit_3(tmp_path):
