@@ -133,12 +133,6 @@ def _build_reward(rc, d):
     raise ConfigError(f"reward.kind: unknown reward '{rc.kind}'")
 
 
-def _load_model_bundle(path):
-    params, meta, stats = load_model(path)
-    sched = make_schedule(meta["T"], meta["beta_start"], meta["beta_end"])
-    return params, sched, meta, stats
-
-
 def _load_labelled(path, purpose):
     data = load_dataset(path)
     if data.rewards is None:
@@ -182,15 +176,14 @@ def cmd_finetune(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params_pre, sched, meta, stats = _load_model_bundle(args.model)
+        params_pre, sched, stats = load_model(args.model)
     reward = _build_reward(cfg.reward, params_pre.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "finetune"):
         params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, meta["T"], meta["beta_start"],
-               meta["beta_end"], stats=stats)
+    save_model(model_path, params, sched.T, sched.betas[1], sched.betas[-1], stats=stats)
     columns = ["iteration", "mean_reward", "mean_loss"]
     hist_path = write_csv(os.path.join(cfg.outdir, "finetune_history.csv"), columns,
                           np.column_stack([[r[k] for r in history] for k in columns]))
@@ -202,7 +195,7 @@ def cmd_sample(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params, sched, meta, stats = _load_model_bundle(args.model)
+        params, sched, stats = load_model(args.model)
     reward = _build_reward(cfg.reward, params.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "sample"):

@@ -46,6 +46,8 @@ class ScheduleSection:
             raise ConfigError("schedule.T: must be >= 1")
         if not (0.0 < self.beta_start < 1.0) or not (0.0 < self.beta_end < 1.0):
             raise ConfigError("schedule.beta_start/beta_end: must lie in (0, 1)")
+        if self.beta_start > self.beta_end:
+            raise ConfigError("schedule.beta_start: must not exceed schedule.beta_end")
 
 
 @dataclass

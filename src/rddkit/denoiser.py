@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rddkit.data import BinaryReader, NormStats, write_binary
-from rddkit.diffusion import forward_marginal
+from rddkit.diffusion import forward_marginal, make_schedule
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
@@ -261,9 +261,10 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
 
 
 def load_model(path):
-    """Read a model file; returns (params, meta dict, stats or None).
+    """Read a model file; returns (params, NoiseSchedule, stats or None).
 
-    A non-finite weight, normalization mean or std, or beta raises DataError,
+    A non-finite weight, normalization mean or std, or beta, and a stored
+    schedule that make_schedule rejects, raise DataError naming the file,
     even under a valid checksum."""
     r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "model")
     d, embed_dim = r.unpack("<II")
@@ -281,6 +282,9 @@ def load_model(path):
     for name, values in checks:
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: non-finite {name} in the model file")
+    try:
+        sched = make_schedule(T, beta_start, beta_end)
+    except ConfigError as e:
+        raise DataError(f"{path}: bad noise schedule in the model file: {e}") from None
     params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden)
-    meta = {"T": T, "beta_start": beta_start, "beta_end": beta_end}
-    return params, meta, stats
+    return params, sched, stats

@@ -7,20 +7,25 @@ iteration to pure-current at the last), scores the terminal designs with the
 black-box reward, and takes one weighted noise-matching pass over the
 collected designs with per-sample weights
 
-    w_i = exp(clamp(r_i / alpha, -20, 20)),  normalized to batch mean 1.
+    w_i proportional to exp(r_i / alpha),  normalized to batch mean 1,
+
+formed by rewards.soft_weight, the soft-value weight SVDD selection uses:
+the exponent is shifted by the largest reward, so no weight overflows and a
+constant added to every reward changes no weight. Equal rewards give weights
+of exactly 1, the unweighted objective. A non-finite reward stops the run
+with a NumericalError before any weight is formed.
 
 An optional anchor term kappa * ||eps_theta - eps_pretrained||^2 bounds the
 drift away from the pretrained predictions.
 """
 
-import warnings
-
 import numpy as np
 
 from rddkit.data import denormalize
 from rddkit.denoiser import clone_params, init_opt_state
+from rddkit.exceptions import NumericalError
 from rddkit.pretrain import ddpm_epoch
-from rddkit.rewards import SOFT_EXP_CLAMP, soft_weight
+from rddkit.rewards import soft_weight
 from rddkit.sampler import _reverse_chain
 
 
@@ -38,16 +43,7 @@ def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
 
 
 def _normalized_weights(rewards, alpha):
-    z = np.asarray(rewards, dtype=np.float64) / alpha
-    if np.all(z >= SOFT_EXP_CLAMP) or np.all(z <= -SOFT_EXP_CLAMP):
-        warnings.warn(
-            "all fine-tuning weights clamp-saturated; alpha is degenerate "
-            "for this reward scale"
-        )
-    w = soft_weight(np.asarray(rewards, dtype=np.float64), alpha)
-    if np.all(w == w[0]):
-        # equal rewards reduce exactly to the unweighted objective
-        return np.ones_like(w)
+    w = soft_weight(rewards, alpha)
     return w / w.mean()
 
 
@@ -93,6 +89,10 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         X0 = rollin_collect(params, params_pre, sched, cfg.m, ss_collect, switch_t=switch_t)
         phys = denormalize(X0, stats) if stats is not None else X0
         rewards = reward.batch(phys)
+        n_bad = np.count_nonzero(~np.isfinite(rewards))
+        if n_bad:
+            raise NumericalError(f"fine-tuning iteration {s}: {n_bad} of {cfg.m} "
+                                 "rewards are non-finite")
         mean_r, mean_loss = weighted_epoch(
             X0, rewards, cfg.alpha, params, opt_state, sched,
             rng=np.random.default_rng(ss_epoch),

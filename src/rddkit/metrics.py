@@ -10,7 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _KDE_GRID = 512    # points of the default kde grid
-_KDE_BLOCK = 64    # grid points per block of kde: each (rows, n) temporary is 64 * n * 8 bytes
+# kde works in one (rows, n) float64 buffer: at most 64 grid points and 64 KiB
+# (below glibc's 128 KiB mmap threshold), and one grid point past 8192 data points
+_KDE_BLOCK = 64
+_KDE_BUFFER_WORDS = 8192
 
 
 @dataclass
@@ -79,7 +82,9 @@ def kde(values, bandwidth=None, grid=None):
     bandwidth defaults to Silverman's rule; the default grid has 512 points
     spanning the data range plus 4 bandwidths on each side (wide enough that
     the trapezoid integral of the density is 1 to within 1e-3). Sums run over
-    blocks of grid points. Returns (grid, density).
+    blocks of grid points, computed in place in one buffer of at most 64 KiB
+    (one grid point's row when there are more than 8192 data points).
+    Returns (grid, density).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -93,9 +98,16 @@ def kde(values, bandwidth=None, grid=None):
     else:
         grid = np.asarray(grid, dtype=np.float64)
     density = np.empty(grid.shape[0])
-    for lo in range(0, grid.shape[0], _KDE_BLOCK):
-        z = (grid[lo:lo + _KDE_BLOCK, None] - v[None, :]) / bandwidth
-        density[lo:lo + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
+    rows = max(1, min(_KDE_BLOCK, _KDE_BUFFER_WORDS // v.size))
+    buf = np.empty((rows, v.size))
+    for lo in range(0, grid.shape[0], rows):
+        z = buf[:grid.shape[0] - lo]    # the last block may be short
+        np.subtract(grid[lo:lo + rows, None], v, out=z)
+        np.divide(z, bandwidth, out=z)
+        np.multiply(z, z, out=z)
+        np.multiply(z, -0.5, out=z)
+        np.exp(z, out=z)
+        z.sum(axis=1, out=density[lo:lo + rows])
     density /= v.size * bandwidth * np.sqrt(2.0 * np.pi)
     return grid, density
 

@@ -11,26 +11,32 @@ reward, never differentiate it. The general form is
 where g_hat is a feasibility penalty. AirfoilFeasibilityReward.batch
 subtracts the airfoil penalty (coordinate overshoot and closed polyline
 self-intersection) from a base reward's batch; HullResistanceReward.batch
-charges geometric constraint violation in place of the resistance. Soft
-weights are w = exp(clamp(r / alpha, -20, 20)); the clamp keeps exp finite
-while preserving the reward ordering.
+charges geometric constraint violation in place of the resistance.
+
+soft_weight is the one soft-value weight of the toolkit, exp(v / alpha)
+shifted by the maximum of v: SVDD selection weighs each row of candidates
+with it, and fine-tuning the collected designs. The shift leaves every
+ratio of weights unchanged, so the weights do not depend on a constant
+added to the values, and exp never overflows.
 """
 
 import numpy as np
 
 from rddkit import hull, trees
 
-SOFT_EXP_CLAMP = 20.0
 AIRFOIL_WIDTH = 384   # 192 interleaved (x, y) outline points
 
 
-def soft_weight(r, alpha):
-    """exp(r / alpha) with the exponent clamped to +-20."""
+def soft_weight(values, alpha):
+    """exp((v - max v) / alpha) along the last axis of an array of values.
+
+    The largest weight of each row is exactly 1, and a row of equal values
+    gets weights of exactly 1.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    z = np.clip(np.asarray(r, dtype=np.float64) / alpha, -SOFT_EXP_CLAMP, SOFT_EXP_CLAMP)
-    out = np.exp(z)
-    return float(out) if np.ndim(r) == 0 else out
+    v = np.asarray(values, dtype=np.float64)
+    return np.exp((v - v.max(axis=-1, keepdims=True)) / alpha)
 
 
 def synthetic_benchmark_reward(X, target):

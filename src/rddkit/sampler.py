@@ -40,6 +40,7 @@ import numpy as np
 from rddkit.data import denormalize
 from rddkit.diffusion import posterior_mean_x0, reverse_step
 from rddkit.denoiser import predict_noise
+from rddkit.rewards import soft_weight
 
 # selection temperatures below this pick the best candidate deterministically
 GREEDY_THRESHOLD = 1e-9
@@ -73,11 +74,11 @@ def _candidate_values(params, sched, reward, stats, cands, t_next):
 
 
 def _select(values, alpha, u):
-    """One categorical draw per row from exp(values/alpha) weights.
+    """One categorical draw per row from the soft weights exp(values/alpha).
 
-    The exponent is shifted by the row max before exponentiation, which
-    leaves the categorical distribution unchanged and cannot overflow.
-    Non-finite value rows fall back to uniform selection.
+    rewards.soft_weight shifts each row by its max, which leaves the
+    categorical distribution unchanged and cannot overflow. Non-finite value
+    rows fall back to uniform selection.
     """
     values = np.asarray(values, dtype=np.float64)
     bad = ~np.all(np.isfinite(values), axis=1)
@@ -88,8 +89,7 @@ def _select(values, alpha, u):
         values[bad] = 0.0
     if alpha < GREEDY_THRESHOLD:
         return np.argmax(values, axis=1)
-    shifted = (values - values.max(axis=1, keepdims=True)) / alpha
-    w = np.exp(shifted)
+    w = soft_weight(values, alpha)
     p = w / w.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
     zeta = (cum < u[:, None]).sum(axis=1)

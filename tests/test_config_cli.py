@@ -124,6 +124,7 @@ def test_validate_cross_field_errors():
     cases = [
         (broken(schedule__T=0), r"schedule\.T"),
         (broken(schedule__beta_end=1.5), r"schedule\.beta"),
+        (broken(schedule__beta_start=0.05, schedule__beta_end=0.02), r"schedule\.beta_start"),
         (broken(net__embed_dim=7), r"net\.embed_dim"),
         (broken(pretrain__learning_rate=0.0), r"pretrain\.learning_rate"),
         (broken(finetune__m=1), r"finetune\.m"),
@@ -325,6 +326,17 @@ def test_data_errors_exit_2(tmp_path, caplog):
     assert cli.main(["sample", "--model", str(tmp_path / "v2.rddm"), "--n-traj", "2",
                      "--outdir", str(tmp_path)]) == 2
     assert "unsupported model format version 2" in caplog.text
+    # a stored schedule make_schedule rejects, under a valid checksum, names the file
+    for name, T, beta_start, beta_end in (("t0.rddm", 0, 1e-4, 0.02),
+                                          ("reversed.rddm", 10, 0.05, 0.02),
+                                          ("beta_big.rddm", 10, 1e-4, 1.5)):
+        save_model(str(tmp_path / name), params, T=T, beta_start=beta_start, beta_end=beta_end)
+        for argv in (["sample", "--model", str(tmp_path / name), "--n-traj", "2"],
+                     ["finetune", "--model", str(tmp_path / name)]):
+            caplog.clear()
+            assert cli.main(argv + ["--outdir", str(tmp_path / "never")]) == 2
+            assert f"{tmp_path / name}: bad noise schedule" in caplog.text
+    assert not (tmp_path / "never").exists()
     # truncated, over-long, damaged and version-1 surrogate files
     rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]
     data = tmp_path / "labelled.csv"
@@ -437,6 +449,7 @@ def test_hull_eval_prints_resistance_json(capsys):
     assert np.allclose(total, np.array(out["R_T"]))
 
 
+@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_full_workflow(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert cli.main(["benchmark", "make", "--n", "300", "--seed", "0",

@@ -247,8 +247,11 @@ def test_model_file_round_trip(tmp_path):
     stats = NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.5, 2.5]))
     path = os.path.join(tmp_path, "m.rddm")
     save_model(path, params, T=42, beta_start=2e-4, beta_end=0.07, stats=stats)
-    loaded, meta, lstats = load_model(path)
-    assert meta == {"T": 42, "beta_start": 2e-4, "beta_end": 0.07}
+    loaded, sched, lstats = load_model(path)
+    ref = make_schedule(42, 2e-4, 0.07)
+    assert sched.T == 42 and (sched.betas[1], sched.betas[-1]) == (2e-4, 0.07)
+    for name in ("betas", "alphas", "alpha_bars", "sigmas"):
+        assert np.array_equal(getattr(sched, name), getattr(ref, name))
     assert np.array_equal(lstats.mean, stats.mean)
     assert np.array_equal(lstats.std, stats.std)
     assert np.array_equal(params.theta, loaded.theta)

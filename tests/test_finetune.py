@@ -16,7 +16,7 @@ from rddkit.denoiser import (
     predict_noise,
 )
 from rddkit.diffusion import make_schedule
-from rddkit.exceptions import ConfigError
+from rddkit.exceptions import ConfigError, NumericalError
 from rddkit.finetune import (
     _normalized_weights,
     finetune,
@@ -74,9 +74,16 @@ def test_huge_alpha_weights_go_to_one():
     assert np.max(np.abs(w - 1.0)) < 1e-6
 
 
-def test_clamp_saturation_warns():
-    with pytest.warns(UserWarning):
-        _normalized_weights(np.array([1e5, 2e5]), 1.0)
+def test_weights_do_not_depend_on_a_reward_offset():
+    for r, alpha in ((np.array([-0.3, -0.2, -0.1]), 1.0),
+                     (np.random.default_rng(2).uniform(-5.0, 0.0, size=40), 0.5)):
+        w = _normalized_weights(r, alpha)
+        assert np.ptp(w) > 0.1
+        for shift in (50.0, -50.0):
+            np.testing.assert_allclose(_normalized_weights(r + shift, alpha), w, rtol=1e-12)
+    np.testing.assert_allclose(_normalized_weights(np.array([-0.3, -0.2, -0.1]), 1.0),
+                               3 * np.exp([-0.2, -0.1, 0.0]) / np.exp([-0.2, -0.1, 0.0]).sum(),
+                               rtol=1e-12)
 
 
 def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
@@ -150,6 +157,42 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
     cfg = FinetuneSection(S=4, m=8, alpha=0.5, batch_size=8, seed=2, kl_anchor=False)
     _, history = finetune(params, Constant(), cfg, sched, stats=stats)
     assert [h["mean_reward"] for h in history] == [-2.0] * 4
+
+
+def test_finetune_does_not_depend_on_a_reward_offset(toy_model):
+    params, sched, stats = toy_model
+    base = SyntheticTargetReward(np.array([1.5, 0.0]))
+
+    class Offset:
+        def batch(self, X):
+            return base.batch(X) + 50.0
+
+    cfg = FinetuneSection(S=3, m=32, alpha=0.5, gamma=1e-3, batch_size=16, seed=9)
+    tuned, history = finetune(params, base, cfg, sched, stats=stats)
+    shifted, shifted_history = finetune(params, Offset(), cfg, sched, stats=stats)
+    assert not np.array_equal(tuned.theta, params.theta)
+    np.testing.assert_allclose(shifted.theta, tuned.theta, rtol=1e-6)
+    for h, g in zip(history, shifted_history):
+        assert g["mean_reward"] - h["mean_reward"] == pytest.approx(50.0)
+
+
+def test_non_finite_rewards_stop_finetuning(toy_model):
+    params, sched, stats = toy_model
+
+    class BreaksOnSecondCall:
+        calls = 0
+
+        def batch(self, X):
+            self.calls += 1
+            r = -np.sum(X * X, axis=1)
+            if self.calls == 2:
+                r[[0, 3]] = np.inf
+                r[5] = np.nan
+            return r
+
+    cfg = FinetuneSection(S=3, m=8, alpha=0.5, batch_size=8, seed=2)
+    with pytest.raises(NumericalError, match=r"iteration 2: 3 of 8 rewards are non-finite"):
+        finetune(params, BreaksOnSecondCall(), cfg, sched, stats=stats)
 
 
 def test_finetune_improves_mean_reward(toy_model):

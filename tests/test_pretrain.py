@@ -20,6 +20,7 @@ def test_zero_epochs_returns_initialized_params():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_training_is_deterministic_per_seed():
     ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
     sched = make_schedule(10)

@@ -48,14 +48,18 @@ def reference_airfoil_reward(model, x):
     return float(model.base.batch(x[None, :])[0]) - g_hat
 
 
-def test_soft_weight_basic_and_clamped():
-    assert soft_weight(0.0, 1.0) == 1.0
-    assert soft_weight(2.0, 2.0) == pytest.approx(np.e)
-    # exponent clamps at |r / alpha| = 20
-    assert soft_weight(1e9, 1.0) == pytest.approx(np.exp(20.0))
-    assert soft_weight(-1e9, 1.0) == pytest.approx(np.exp(-20.0))
+def test_soft_weight_max_is_one_and_huge_values_stay_finite():
+    w = soft_weight(np.array([0.0, 2.0, -2.0]), 2.0)
+    assert w[1] == 1.0
+    assert w[0] == pytest.approx(np.exp(-1.0)) and w[2] == pytest.approx(np.exp(-2.0))
+    # magnitudes far beyond exp's range give finite weights in reward order
+    r = np.array([-1e12, 5e11, -3.0, 1e12, 0.0])
+    w = soft_weight(r, 1.0)
+    assert np.all(np.isfinite(w)) and w.max() == 1.0
+    assert np.all(np.diff(w[np.argsort(r)]) >= 0.0)
+    assert np.array_equal(soft_weight(np.full((3, 4), 1e300), 0.5), np.ones((3, 4)))
     with pytest.raises(ValueError):
-        soft_weight(1.0, 0.0)
+        soft_weight(np.array([1.0]), 0.0)
 
 
 def test_soft_weight_temperature_limit():
@@ -64,11 +68,16 @@ def test_soft_weight_temperature_limit():
     assert np.max(np.abs(w - 1.0)) < 1e-6
 
 
-def test_soft_weight_vectorized_matches_scalar():
-    r = np.array([-50.0, -1.0, 0.0, 3.0, 50.0])
-    w = soft_weight(r, 1.7)
-    for ri, wi in zip(r, w):
-        assert wi == soft_weight(float(ri), 1.7)
+def test_soft_weight_weighs_each_row_of_a_batch_on_its_own():
+    R = np.array([[-50.0, -1.0, 0.0, 3.0, 50.0],
+                  [7.0, 7.0, 7.0, 7.0, 7.0],
+                  [1e6, -1e6, 1e6 - 1.7, 0.0, 1e6]])
+    W = soft_weight(R, 1.7)
+    for r, w in zip(R, W):
+        assert np.array_equal(w, soft_weight(r, 1.7))
+        assert np.array_equal(w, np.exp((r - r.max()) / 1.7))
+    assert np.array_equal(W[1], np.ones(5))
+    assert W[2, 2] == pytest.approx(np.exp(-1.0))
 
 
 def test_synthetic_reward():
