@@ -8,8 +8,9 @@ the parameter vector, so a float32 copy of theta gives a float32 pass.
 Training uses this as mixed precision: each step runs forward and backprop
 on a float32 copy of the float64 master theta, and float64 Adam updates the
 master from the gradient cast back to float64. The sampler scores candidates
-on a float32 copy too. The master parameters, the Adam moments and model
-files are float64, and everything is deterministic given a seed.
+on a float32 copy too, and the fine-tuning roll-in runs both of its policies
+on float32 copies. The master parameters, the Adam moments and model files
+are float64, and everything is deterministic given a seed.
 """
 
 import struct
@@ -113,6 +114,11 @@ def init_params(d, net, seed):
 
 def clone_params(params):
     return replace(params, theta=params.theta.copy())
+
+
+def float32_params(params):
+    """params with a float32 theta: a float32 copy, or the same array if already float32."""
+    return replace(params, theta=params.theta.astype(np.float32, copy=False))
 
 
 def init_opt_state(params, learning_rate=1e-3):

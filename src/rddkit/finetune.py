@@ -17,27 +17,37 @@ with a NumericalError before any weight is formed.
 
 An optional anchor term kappa * ||eps_theta - eps_pretrained||^2 bounds the
 drift away from the pretrained predictions.
+
+The roll-in's network passes run in float32, as the training step's do: a
+run makes one float32 copy of the pretrained parameters, which serves every
+roll-in and the anchor, and each iteration casts the current parameters
+afresh because Adam moves them. The chain state, the reverse steps, the RNG
+streams and the collected designs stay float64.
 """
 
 import numpy as np
 
 from rddkit.data import denormalize
-from rddkit.denoiser import clone_params, init_opt_state
+from rddkit.denoiser import clone_params, float32_params, init_opt_state
 from rddkit.exceptions import NumericalError
 from rddkit.pretrain import ddpm_epoch
-from rddkit.rewards import soft_weight
+from rddkit.rewards import evaluate, soft_weight
 from rddkit.sampler import _reverse_chain
 
 
 def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
-    """Terminal designs, (m, d), of m trajectories from the mixed roll-in policy.
+    """Terminal designs, (m, d) float64, of m trajectories from the mixed roll-in policy.
 
     Steps with t > switch_t use the current parameters; steps with
     t <= switch_t use the pretrained ones. switch_t = T reproduces the
-    pretrained sampler, switch_t = 0 the current one.
+    pretrained sampler, switch_t = 0 the current one. Both policies'
+    network passes run on float32 copies of their parameters (a float32
+    params is used as it is); the chain itself runs in float64, so the
+    designs are those ancestral sampling gives on the float32 copies.
     """
     X0, _, _ = _reverse_chain(
-        params_current, sched, m, seed, M=1, params_pre=params_pre, switch_t=switch_t,
+        float32_params(params_current), sched, m, seed, M=1,
+        params_pre=float32_params(params_pre), switch_t=switch_t,
     )
     return X0
 
@@ -77,6 +87,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
     """
     cfg.check()
     params = clone_params(params_pre)
+    pre32 = float32_params(params_pre)   # the roll-in's pretrained policy and the anchor
     opt_state = init_opt_state(params, learning_rate=cfg.gamma)
     root = np.random.SeedSequence(cfg.seed)
     history = []
@@ -86,9 +97,9 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         else:
             switch_t = round(sched.T * (cfg.S - s) / (cfg.S - 1))
         ss_collect, ss_epoch = root.spawn(2)
-        X0 = rollin_collect(params, params_pre, sched, cfg.m, ss_collect, switch_t=switch_t)
+        X0 = rollin_collect(params, pre32, sched, cfg.m, ss_collect, switch_t=switch_t)
         phys = denormalize(X0, stats) if stats is not None else X0
-        rewards = reward.batch(phys)
+        rewards = evaluate(reward, phys)
         n_bad = np.count_nonzero(~np.isfinite(rewards))
         if n_bad:
             raise NumericalError(f"fine-tuning iteration {s}: {n_bad} of {cfg.m} "
@@ -97,7 +108,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
             X0, rewards, cfg.alpha, params, opt_state, sched,
             rng=np.random.default_rng(ss_epoch),
             batch_size=cfg.batch_size,
-            params_pre=params_pre if cfg.kl_anchor else None,
+            params_pre=pre32 if cfg.kl_anchor else None,
             kappa=cfg.anchor_kappa if cfg.kl_anchor else 0.0,
         )
         history.append({"iteration": s, "mean_reward": mean_r, "mean_loss": mean_loss})

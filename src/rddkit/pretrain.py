@@ -15,6 +15,7 @@ import numpy as np
 
 from rddkit.denoiser import (
     clone_params,
+    float32_params,
     init_opt_state,
     init_params,
     loss_and_grad_arrays,
@@ -35,15 +36,16 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     consumes the identical RNG stream and reproduces pretraining bit for bit.
 
     Each step is mixed precision: the loss gradient is computed on a float32
-    copy of params.theta (and of the anchor), then cast to float64 for the
-    Adam update of the float64 master theta and moments.
+    copy of params.theta (and of the anchor, unless it is float32 already),
+    then cast to float64 for the Adam update of the float64 master theta and
+    moments.
     """
     n, d = X0.shape
     steps = max(1, math.ceil(n / batch_size))
     losses = np.empty(steps)
     params32 = replace(params, theta=np.empty(params.theta.shape, dtype=np.float32))
     if anchor_params is not None:
-        anchor_params = replace(anchor_params, theta=anchor_params.theta.astype(np.float32))
+        anchor_params = float32_params(anchor_params)
     grad32 = np.empty_like(params32.theta)
     grad = np.empty_like(params.theta)
     for k in range(steps):

@@ -2,7 +2,8 @@
 
 A reward is any object with one method, batch(X), that maps an (n, d)
 array of physical designs to an (n,) float64 array of rewards, row by row
-and without side effects. Samplers and the fine-tuner always score whole
+and without side effects. Samplers and the fine-tuner call it through
+evaluate, the one place that checks that shape, and always score whole
 batches (SVDD scores n x M candidates per step) and only ever evaluate a
 reward, never differentiate it. The general form is
 
@@ -37,6 +38,20 @@ def soft_weight(values, alpha):
         raise ValueError(f"alpha must be positive, got {alpha}")
     v = np.asarray(values, dtype=np.float64)
     return np.exp((v - v.max(axis=-1, keepdims=True)) / alpha)
+
+
+def evaluate(reward, X):
+    """reward.batch(X) as an (n,) float64 array: one reward per row of the n designs X.
+
+    Any other shape, (n, 1) included, raises ValueError naming the reward
+    class, the expected shape and the one returned.
+    """
+    n = len(X)
+    r = np.asarray(reward.batch(X), dtype=np.float64)
+    if r.shape != (n,):
+        raise ValueError(f"{type(reward).__name__}.batch returned shape {r.shape} "
+                         f"for {n} designs; expected ({n},)")
+    return r
 
 
 def synthetic_benchmark_reward(X, target):

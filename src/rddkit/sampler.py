@@ -21,26 +21,28 @@ trajectory, on the number of trajectories run together.
 
 Soft values only rank candidates, so the denoiser pass that scores them
 runs in float32 on a float32 copy of the parameters; x0_hat, the reward and
-the selection stay float64, as do the current-state pass, the candidate
-states and everything the chain carries. That pass is nine tenths of the
-network rows of a guided run with M = 10.
+the selection stay float64, as do the candidate states and everything the
+chain carries. That pass is nine tenths of the network rows of a guided run
+with M = 10. The current-state pass runs in the dtype of the parameters the
+chain is given: float64 for sampling, float32 for the fine-tuning roll-in,
+whose float32 noise prediction enters the float64 reverse step.
 
-Rewards are black boxes with one method, batch: a guided step scores its
-n x M candidates in one call, and the n final designs take one more. Only
+Rewards are black boxes with one method, batch, called through
+rewards.evaluate, which checks for one reward per row: a guided step scores
+its n x M candidates in one call, and the n final designs take one more. Only
 evaluation is ever requested, never a gradient. Results do not depend on
 execution order, and the output of a seed is byte-identical whatever the
 BLAS thread count.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from rddkit.data import denormalize
 from rddkit.diffusion import posterior_mean_x0, reverse_step
-from rddkit.denoiser import predict_noise
-from rddkit.rewards import soft_weight
+from rddkit.denoiser import float32_params, predict_noise
+from rddkit.rewards import evaluate, soft_weight
 
 # selection temperatures below this pick the best candidate deterministically
 GREEDY_THRESHOLD = 1e-9
@@ -66,11 +68,10 @@ def _candidate_values(params, sched, reward, stats, cands, t_next):
     if t_next == 0:
         x0_hat = flat
     else:
-        params32 = replace(params, theta=params.theta.astype(np.float32))
-        eps_hat = predict_noise(params32, flat, t_next, sched.T)
+        eps_hat = predict_noise(float32_params(params), flat, t_next, sched.T)
         x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
     phys = denormalize(x0_hat, stats) if stats is not None else x0_hat
-    return reward.batch(phys).reshape(n, M)
+    return evaluate(reward, phys).reshape(n, M)
 
 
 def _select(values, alpha, u):
@@ -189,4 +190,4 @@ def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
         record_values=record_values,
     )
     phys = denormalize(X0, stats) if stats is not None else X0
-    return X0, reward.batch(phys), zetas, values
+    return X0, evaluate(reward, phys), zetas, values

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from rddkit import cli
+from rddkit import cli, sampler
 from rddkit.config import FinetuneSection, NetSection
 from rddkit.data import Dataset, normalize
 from rddkit.denoiser import (
     clone_params,
+    float32_params,
     init_opt_state,
     init_params,
     predict_noise,
@@ -112,9 +113,11 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
 
 
 def test_rollin_identical_policies_match_ancestral(toy_model):
+    # the roll-in's passes run on float32 copies, so its reference is
+    # ancestral sampling on the float32-cast params
     params, sched, _ = toy_model
     X0 = rollin_collect(params, params, sched, m=6, seed=21)
-    X_anc = ancestral_sample(params, sched, 6, seed=21)
+    X_anc = ancestral_sample(float32_params(params), sched, 6, seed=21)
     assert X0.shape == (6, 2)
     assert np.array_equal(X0, X_anc)
 
@@ -125,8 +128,36 @@ def test_rollin_pure_pretrained_switch(toy_model):
     params, sched, _ = toy_model
     other = init_params(2, SMALL, 999)
     a = rollin_collect(other, params, sched, m=5, seed=8, switch_t=sched.T)
-    b = ancestral_sample(params, sched, 5, seed=8)
+    b = ancestral_sample(float32_params(params), sched, 5, seed=8)
     assert np.array_equal(a, b)
+
+
+def test_rollin_matches_the_float64_chain(toy_model, monkeypatch):
+    # the oracle is the float64 chain under the same mixed policy; the
+    # roll-in's passes run on float32 params and its float64 designs may
+    # differ from the oracle by rounding only (about 3e-8 measured; bound 1e-6)
+    params, sched, _ = toy_model
+    current = init_params(2, SMALL, 1000)
+    switch_t = sched.T // 2
+    oracle, _, _ = sampler._reverse_chain(current, sched, 64, 21,
+                                          params_pre=params, switch_t=switch_t)
+    thetas = []
+
+    def spy(p, *args):
+        thetas.append(p.theta)
+        return predict_noise(p, *args)
+
+    monkeypatch.setattr(sampler, "predict_noise", spy)
+    X0 = rollin_collect(current, params, sched, m=64, seed=21, switch_t=switch_t)
+    assert X0.dtype == np.float64
+    np.testing.assert_allclose(X0, oracle, rtol=0, atol=1e-6)
+    # steps T..switch_t+1 on the current policy, switch_t..1 on the pretrained one
+    expected = ([float32_params(current).theta] * (sched.T - switch_t)
+                + [float32_params(params).theta] * switch_t)
+    assert len(thetas) == sched.T
+    for got, want in zip(thetas, expected):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 def test_rollin_determinism(toy_model):
@@ -195,6 +226,19 @@ def test_non_finite_rewards_stop_finetuning(toy_model):
         finetune(params, BreaksOnSecondCall(), cfg, sched, stats=stats)
 
 
+def test_a_reward_column_stops_finetuning_by_name(toy_model):
+    params, sched, stats = toy_model
+
+    class ColumnReward:
+        def batch(self, X):
+            return -np.sum(X * X, axis=1, keepdims=True)
+
+    cfg = FinetuneSection(S=2, m=8, batch_size=8, seed=2)
+    with pytest.raises(ValueError, match=r"ColumnReward\.batch returned shape \(8, 1\) "
+                                         r"for 8 designs; expected \(8,\)"):
+        finetune(params, ColumnReward(), cfg, sched, stats=stats)
+
+
 def test_finetune_improves_mean_reward(toy_model):
     params, sched, stats = toy_model
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
@@ -224,9 +268,10 @@ def test_anchor_bounds_drift(toy_model):
 
 
 def test_trained_models_are_thread_count_invariant_at_the_training_shape(tmp_path):
-    # hidden 256 x 256 at pretraining batch 128 and fine-tuning batch 64 with
-    # the anchor: the float32 training matmuls are large enough to be split
-    # across BLAS threads, and the model files must not depend on the split
+    # hidden 256 x 256 at pretraining batch 128, and fine-tuning with the
+    # anchor at batch 64 and the default 256-trajectory roll-in: the float32
+    # training and roll-in matmuls are large enough to be split across BLAS
+    # threads, and the model files must not depend on the split
     data = str(tmp_path / "data.csv")
     assert cli.main(["benchmark", "make", "--n", "512", "--seed", "3", "--out", data]) == 0
     config = tmp_path / "config.json"
@@ -234,7 +279,7 @@ def test_trained_models_are_thread_count_invariant_at_the_training_shape(tmp_pat
         "schedule": {"T": 20, "beta_end": 0.1},
         "net": {"embed_dim": 32, "hidden_dims": [256, 256]},
         "pretrain": {"batch_size": 128},
-        "finetune": {"S": 2, "m": 128, "batch_size": 64, "kl_anchor": True},
+        "finetune": {"S": 2, "m": 256, "batch_size": 64, "kl_anchor": True},
     }))
     src = os.path.dirname(os.path.dirname(cli.__file__))
 

@@ -258,6 +258,24 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
     assert dtypes == [np.float32] * 6
 
 
+class ColumnReward:
+    """Returns its rewards as an (n, 1) column instead of (n,)."""
+
+    def batch(self, X):
+        return REWARD.batch(X)[:, None]
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_a_reward_column_is_rejected_by_name(toy_model, M):
+    # M = 3 fails at the first candidate scoring, M = 1 at the final designs
+    params, sched, stats = toy_model
+    cfg = SvddSection(M=M, alpha=0.5, n_traj=4, seed=0)
+    n = 4 * M
+    with pytest.raises(ValueError, match=rf"ColumnReward\.batch returned shape \({n}, 1\) "
+                                         rf"for {n} designs; expected \({n},\)"):
+        svdd_generate(params, sched, cfg, ColumnReward(), stats=stats)
+
+
 def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_path):
     # hidden 256 and 10 x 200 = 2000 candidate rows per step: the shape of a
     # guided run, where the float32 candidate pass is large enough to be
