@@ -3,14 +3,13 @@
 A small fully connected network on the concatenation of the noisy design
 vector and a sinusoidal time embedding. Gradients are exact reverse
 accumulation written out by hand; the parameter update is bias-corrected
-Adam. The forward pass, the loss gradient and backprop run in the dtype of
-the parameter vector, so a float32 copy of theta gives a float32 pass.
-Training uses this as mixed precision: each step runs forward and backprop
-on a float32 copy of the float64 master theta, and float64 Adam updates the
-master from the gradient cast back to float64. The sampler scores candidates
-on a float32 copy too, and the fine-tuning roll-in runs both of its policies
-on float32 copies. The master parameters, the Adam moments and model files
-are float64, and everything is deterministic given a seed.
+Adam. Precision is the dtype of the theta passed in: the forward pass, the
+loss gradient, backprop, the Adam moments and the Adam update all run in
+it. Training keeps a float32 master theta with float32 moments and returns
+its exact float64 widening; the sampler scores candidates on a float32 copy
+of theta, and the fine-tuning roll-in runs both of its policies in float32.
+Sampling, evaluation and model files are float64, and everything is
+deterministic given a seed.
 """
 
 import struct
@@ -29,7 +28,7 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator
 
 @dataclass
 class DenoiserParams:
-    """Every weight and bias in one float64 vector theta.
+    """Every weight and bias in one vector theta, float64 or float32.
 
     The layout is W0 (row-major), b0, W1, b1, ...; layer_views gives the
     per-layer arrays of theta, or of any vector in the same layout (the
@@ -51,7 +50,7 @@ class DenoiserParams:
 
 @dataclass
 class OptimizerState:
-    """Adam moments m and v in the parameter layout, plus a (2, n) scratch."""
+    """Adam moments m and v in the parameter layout and dtype, plus a (2, n) scratch."""
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray
@@ -121,10 +120,16 @@ def float32_params(params):
     return replace(params, theta=params.theta.astype(np.float32, copy=False))
 
 
+def float64_copy(params):
+    """A copy of params with a float64 theta; widening a float32 theta is exact."""
+    return replace(params, theta=params.theta.astype(np.float64))
+
+
 def init_opt_state(params, learning_rate=1e-3):
-    n = params.theta.size
-    return OptimizerState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, n)),
-                          learning_rate=learning_rate)
+    """Zero Adam moments and a scratch in the dtype of params.theta."""
+    n, dtype = params.theta.size, params.theta.dtype
+    return OptimizerState(m=np.zeros(n, dtype), v=np.zeros(n, dtype),
+                          scratch=np.empty((2, n), dtype), learning_rate=learning_rate)
 
 
 def _forward(params, X, ts, T):
@@ -224,11 +229,13 @@ def adam_step(params, opt_state, grad):
 
     m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g, and theta -=
     learning_rate (m / c1) / (sqrt(v / c2) + eps), each evaluated left to
-    right (beta1 0.9, beta2 0.999, eps 1e-8). A non-finite gradient raises
-    before anything is changed.
+    right (beta1 0.9, beta2 0.999, eps 1e-8). The update runs in the dtype of
+    params.theta, which the moments and the gradient share. A non-finite
+    gradient raises, with a float64 copy of theta as the checkpoint, before
+    anything is changed.
     """
     if not np.all(np.isfinite(grad)):
-        raise TrainingDivergenceError("non-finite gradient", checkpoint=clone_params(params))
+        raise TrainingDivergenceError("non-finite gradient", checkpoint=float64_copy(params))
     s = opt_state
     s.step_count += 1
     c1 = 1.0 - _BETA1 ** s.step_count
@@ -255,7 +262,8 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
     hidden dims, u32 T, f8 beta_start/beta_end, u8 stats flag (+ mean/std
-    vectors), then theta as f8 (its length follows from the header).
+    vectors), then theta as f8 (its length follows from the header); a
+    float32 theta is widened exactly.
     """
     n = len(params.hidden_dims)
     header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,

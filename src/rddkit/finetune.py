@@ -18,17 +18,19 @@ with a NumericalError before any weight is formed.
 An optional anchor term kappa * ||eps_theta - eps_pretrained||^2 bounds the
 drift away from the pretrained predictions.
 
-The roll-in's network passes run in float32, as the training step's do: a
-run makes one float32 copy of the pretrained parameters, which serves every
-roll-in and the anchor, and each iteration casts the current parameters
-afresh because Adam moves them. The chain state, the reverse steps, the RNG
-streams and the collected designs stay float64.
+Fine-tuning runs in float32, as pretraining does: a run makes one float32
+copy of the pretrained parameters, which is the roll-in's pretrained policy
+and the anchor, and trains a clone of it with float32 Adam moments. That
+float32 master is also the roll-in's current policy, so no iteration casts
+anything. The chain state, the reverse steps, the RNG streams and the
+collected designs stay float64, and the fine-tuned model is returned as the
+exact float64 widening of the master.
 """
 
 import numpy as np
 
 from rddkit.data import denormalize
-from rddkit.denoiser import clone_params, float32_params, init_opt_state
+from rddkit.denoiser import clone_params, float32_params, float64_copy, init_opt_state
 from rddkit.exceptions import NumericalError
 from rddkit.pretrain import ddpm_epoch
 from rddkit.rewards import evaluate, soft_weight
@@ -41,9 +43,10 @@ def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
     Steps with t > switch_t use the current parameters; steps with
     t <= switch_t use the pretrained ones. switch_t = T reproduces the
     pretrained sampler, switch_t = 0 the current one. Both policies'
-    network passes run on float32 copies of their parameters (a float32
-    params is used as it is); the chain itself runs in float64, so the
-    designs are those ancestral sampling gives on the float32 copies.
+    network passes run in float32, on float32 copies of float64 parameters
+    and on float32 parameters as they are; the chain itself runs in
+    float64, so the designs are those ancestral sampling gives on the
+    float32 parameters.
     """
     X0, _, _ = _reverse_chain(
         float32_params(params_current), sched, m, seed, M=1,
@@ -82,12 +85,15 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
 
     cfg is a config.FinetuneSection, checked before any work. Returns
     (fine-tuned params, history) where history rows are dicts with
-    iteration, mean_reward and mean_loss. The pretrained parameters are
-    never mutated.
+    iteration, mean_reward and mean_loss, and the params are float64: the
+    widening of the float32 master, or with S = 0 a copy of params_pre
+    unchanged. The pretrained parameters are never mutated.
     """
     cfg.check()
-    params = clone_params(params_pre)
+    if cfg.S == 0:
+        return float64_copy(params_pre), []
     pre32 = float32_params(params_pre)   # the roll-in's pretrained policy and the anchor
+    params = clone_params(pre32)         # the float32 master
     opt_state = init_opt_state(params, learning_rate=cfg.gamma)
     root = np.random.SeedSequence(cfg.seed)
     history = []
@@ -112,4 +118,4 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
             kappa=cfg.anchor_kappa if cfg.kl_anchor else 0.0,
         )
         history.append({"iteration": s, "mean_reward": mean_r, "mean_loss": mean_loss})
-    return params, history
+    return float64_copy(params), history

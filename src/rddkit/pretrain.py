@@ -4,18 +4,23 @@ Training minimizes the standard noise-matching loss: draw a row, a uniform
 timestep and a Gaussian noise vector, jump to x_t with the closed-form
 marginal, and regress the network output onto the drawn noise. Minibatches
 are sampled with replacement; one epoch makes ceil(n / batch) steps.
+
+Training runs in float32 (mixed precision after Micikevicius et al. 2018,
+with the master weights in float32 too): the float64 initialization is cast
+once, the forward pass, backprop and Adam work on that float32 master and
+float32 moments, and the trained model is returned as the exact float64
+widening of the master.
 """
 
 import logging
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from rddkit.denoiser import (
-    clone_params,
     float32_params,
+    float64_copy,
     init_opt_state,
     init_params,
     loss_and_grad_arrays,
@@ -35,34 +40,27 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     reward-weighted fine-tuning epoch, so a uniform-weight fine-tuning pass
     consumes the identical RNG stream and reproduces pretraining bit for bit.
 
-    Each step is mixed precision: the loss gradient is computed on a float32
-    copy of params.theta (and of the anchor, unless it is float32 already),
-    then cast to float64 for the Adam update of the float64 master theta and
-    moments.
+    Each step runs the loss gradient and the Adam update in the dtype of
+    params.theta, which opt_state shares: float32 for train_ddpm and
+    finetune. A divergence's checkpoint is a float64 copy of params.
     """
     n, d = X0.shape
     steps = max(1, math.ceil(n / batch_size))
     losses = np.empty(steps)
-    params32 = replace(params, theta=np.empty(params.theta.shape, dtype=np.float32))
-    if anchor_params is not None:
-        anchor_params = float32_params(anchor_params)
-    grad32 = np.empty_like(params32.theta)
     grad = np.empty_like(params.theta)
     for k in range(steps):
         idx = rng.integers(0, n, size=batch_size)
         ts = rng.integers(1, sched.T + 1, size=batch_size)
         EPS = rng.standard_normal((batch_size, d))
         w = weights[idx] if weights is not None else np.ones(batch_size)
-        np.copyto(params32.theta, params.theta)
         loss, _ = loss_and_grad_arrays(
-            params32, X0[idx], ts, EPS, sched, w,
-            anchor_params=anchor_params, kappa=kappa, out=grad32,
+            params, X0[idx], ts, EPS, sched, w,
+            anchor_params=anchor_params, kappa=kappa, out=grad,
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(
-                f"non-finite loss at step {k}", checkpoint=clone_params(params)
+                f"non-finite loss at step {k}", checkpoint=float64_copy(params)
             )
-        np.copyto(grad, grad32)
         adam_step(params, opt_state, grad)
         losses[k] = loss
     return float(losses.mean())
@@ -71,14 +69,18 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
 def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3):
     """Train a denoiser, shaped by the config.NetSection net, on a normalized dataset.
 
-    Returns (params, per-epoch loss history). Zero epochs returns the
-    freshly initialized parameters unchanged. The learning rate follows a
+    Returns (params, per-epoch loss history), params float64: the widening
+    of the float32 master that was trained. Zero epochs returns the freshly
+    initialized float64 parameters unchanged. The learning rate follows a
     cosine ramp from its initial value down to 1% of it; without the ramp
     the terminal Adam noise leaves a visible mode-mass bias in the samples.
     """
     X0 = np.asarray(dataset.X, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = init_params(X0.shape[1], net, rng)
+    init = init_params(X0.shape[1], net, rng)
+    if epochs <= 0:
+        return init, []
+    params = float32_params(init)
     opt_state = init_opt_state(params, learning_rate=learning_rate)
     lr_min = learning_rate / 100.0
     history = []
@@ -88,11 +90,11 @@ def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3
         mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, batch_size)
         history.append(mean_loss)
         log.info("epoch %d/%d loss %.6f", epoch + 1, epochs, mean_loss)
-    if history and history[-1] >= history[0] and epochs > 1:
+    if history[-1] >= history[0] and epochs > 1:
         warnings.warn(
             f"training did not reduce the loss ({history[0]:.4g} -> {history[-1]:.4g})"
         )
-    return params, history
+    return float64_copy(params), history
 
 
 def ancestral_sample(params, sched, n, seed):

@@ -20,7 +20,8 @@ split, so no draw depends on the block size, nor, the streams being per
 trajectory, on the number of trajectories run together.
 
 Soft values only rank candidates, so the denoiser pass that scores them
-runs in float32 on a float32 copy of the parameters; x0_hat, the reward and
+runs in float32, on a float32 copy of each policy's parameters made once per
+chain (float32 parameters are used as they are); x0_hat, the reward and
 the selection stay float64, as do the candidate states and everything the
 chain carries. That pass is nine tenths of the network rows of a guided run
 with M = 10. The current-state pass runs in the dtype of the parameters the
@@ -60,8 +61,9 @@ def _spawn_generators(seed, n):
 def _candidate_values(params, sched, reward, stats, cands, t_next):
     """Float64 soft values of (n, M, d) candidate states that live at timestep t_next.
 
-    The noise prediction runs on a float32 copy of params; x0_hat is formed
-    from the float64 states.
+    The noise prediction runs in float32, on params as they are if float32
+    (the chain passes each policy's float32 copy), else on a float32 copy;
+    x0_hat is formed from the float64 states.
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
@@ -116,6 +118,9 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
     d = params.d
     if M > 1 and reward is None:
         raise ValueError("candidate selection with M > 1 needs a reward model")
+    # the candidate passes' float32 parameters of each policy, cast once per chain
+    params32 = float32_params(params)
+    pre32 = float32_params(params_pre) if params_pre is not None else None
     rngs = _spawn_generators(seed, n_traj)
     if x_start is not None:
         X = np.array(x_start, dtype=np.float64, copy=True)
@@ -144,7 +149,8 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
     rows = np.arange(n_traj)
 
     for k, t in enumerate(range(t_hi, 0, -1)):
-        p_t = params_pre if (params_pre is not None and t <= switch_t) else params
+        pre = params_pre is not None and t <= switch_t
+        p_t, p32_t = (params_pre, pre32) if pre else (params, params32)
         eps = predict_noise(p_t, X, t, sched.T)
         z = None
         if t > 1:
@@ -157,14 +163,14 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
         cands = np.broadcast_to(reverse_step(X[:, None], t, eps[:, None], sched, z),
                                 (n_traj, M, d))
         if M > 1:
-            vals = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
+            vals = _candidate_values(p32_t, sched, reward, stats, cands, t - 1)
             zeta = _select(vals, alpha, U[:, k])
             if record_values:
                 values[:, k] = vals
         else:
             zeta = np.zeros(n_traj, dtype=np.int64)
             if record_values and reward is not None:
-                values[:, k] = _candidate_values(p_t, sched, reward, stats, cands, t - 1)
+                values[:, k] = _candidate_values(p32_t, sched, reward, stats, cands, t - 1)
         X = cands[rows, zeta]
         zetas[:, k] = zeta + 1
     return X, zetas, values

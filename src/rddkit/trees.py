@@ -22,6 +22,12 @@ no split on its path cleared it. The leaves are the ones a descent reaches
 and their values are summed in the same tree order, so predictions are
 bit-identical to a node-by-node walk. A NaN threshold has no rank, so
 loading one is a DataError.
+
+Rows are predicted in blocks sized so that each per-block array holds at
+most 64 KiB (40 rows at 200 one-word trees). The temporaries of a call
+then come from reused heap memory: arrays of megabytes, which blocks of
+thousands of rows would make, are mapped and unmapped by the allocator on
+every call, and their pages faulted in afresh.
 """
 
 import struct
@@ -46,9 +52,10 @@ class Tree:
     value: np.ndarray      # float64, meaningful at leaves
 
 
-# rows per block of a predict call; bounds each (rows, trees, words) bitmask
-# array at 4096 * n_trees * words * 8 bytes
-_PREDICT_BLOCK = 4096
+# bytes of each (rows, words * n_trees + 1) array of a predict block. Kept
+# well below glibc's 128 KiB mmap threshold, so a block's temporaries are
+# reused heap memory, not pages mapped and faulted in afresh on every call
+_PREDICT_BLOCK_BYTES = 64 * 1024
 
 # _LOW_BITS[b] has bits 0 .. b-1 set, for b = 0 .. 64
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
@@ -305,6 +312,12 @@ def _predict_block(ensemble, X):
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
+def _predict_block_rows(t):
+    """Rows per predict block of the bin tables t: one (rows, words * n_trees + 1)
+    array of 8-byte words fits _PREDICT_BLOCK_BYTES (at least one row)."""
+    return max(1, _PREDICT_BLOCK_BYTES // (8 * (t.words * t.offset.shape[0] + 1)))
+
+
 def predict_ensemble(ensemble, X):
     """base + shrinkage * sum of tree outputs; accepts (d,) or (n, d)."""
     X = np.asarray(X, dtype=np.float64)
@@ -314,8 +327,9 @@ def predict_ensemble(ensemble, X):
     if X.shape[1] != ensemble.d:
         raise ValueError(f"input dim {X.shape[1]} does not match model dim {ensemble.d}")
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _PREDICT_BLOCK):
-        out[lo:lo + _PREDICT_BLOCK] = _predict_block(ensemble, X[lo:lo + _PREDICT_BLOCK])
+    block = _predict_block_rows(ensemble.bin_tables)
+    for lo in range(0, X.shape[0], block):
+        out[lo:lo + block] = _predict_block(ensemble, X[lo:lo + block])
     return out[0] if single else out
 
 

@@ -152,7 +152,7 @@ def test_anchor_gradient_matches_finite_differences():
 
 
 def test_float32_gradient_agrees_with_float64():
-    # training backpropagates on a float32 copy of theta. Over 30 seeds of
+    # training backpropagates on a float32 theta. Over 30 seeds of
     # this setup the relative error (2-norm) of the float32 gradient was at
     # most 2.4e-7, with or without the anchor term, and 1.7e-5 for the anchor
     # term alone, whose 1 % drift loses digits to cancellation; each bound is
@@ -189,19 +189,25 @@ def test_gradient_written_into_out():
     assert np.array_equal(buf, fresh)
 
 
-def test_adam_step_matches_reference_update():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_step_matches_reference_update(dtype):
+    # the update runs in the dtype of theta, which the moments share
     params = small_net(seed=5)
+    params = replace(params, theta=params.theta.astype(dtype))
     opt = init_opt_state(params, learning_rate=1e-2)
+    assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == dtype
     sched = make_schedule(10)
     batch = make_batch(6, 4, 2, 10)
     _, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
+    assert grad.dtype == dtype
     before = params.theta.copy()
     theta = params.theta
     adam_step(params, opt, grad)
     m = 0.1 * grad
     v = 0.001 * grad * grad
     step = 1e-2 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
-    assert np.allclose(params.theta, before - step)
+    assert params.theta.dtype == opt.m.dtype == opt.v.dtype == dtype
+    assert np.allclose(params.theta, before - step, rtol=1e-5 if dtype == np.float32 else 1e-8)
     assert np.array_equal(opt.m, (1.0 - 0.9) * grad)
     assert np.array_equal(opt.v, (1.0 - 0.999) * grad * grad)
     assert opt.step_count == 1
@@ -240,6 +246,19 @@ def test_adam_rejects_non_finite_gradients():
     assert np.array_equal(opt.m, m)
     assert np.array_equal(opt.v, v)
     assert opt.step_count == 1
+
+
+def test_float32_divergence_checkpoint_is_widened_to_float64():
+    params = small_net(seed=8)
+    params = replace(params, theta=params.theta.astype(np.float32))
+    opt = init_opt_state(params)
+    grad = np.full_like(params.theta, np.inf)
+    with pytest.raises(TrainingDivergenceError) as err:
+        adam_step(params, opt, grad)
+    checkpoint = err.value.checkpoint.theta
+    assert checkpoint.dtype == np.float64
+    assert np.array_equal(checkpoint, params.theta.astype(np.float64))
+    assert not np.shares_memory(checkpoint, params.theta)
 
 
 def test_model_file_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -169,13 +170,44 @@ def test_rollin_determinism(toy_model):
 
 
 def test_finetune_s0_identity(toy_model):
-    params, sched, stats = toy_model
+    # fresh float64 draws, which float32 cannot hold exactly: S = 0 returns
+    # them as they are, not rounded through the float32 master
+    _, sched, stats = toy_model
+    params = init_params(2, SMALL, 5)
+    assert not np.array_equal(params.theta, params.theta.astype(np.float32))
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
     cfg = FinetuneSection(S=0, m=4, seed=0)
     out, history = finetune(params, reward, cfg, sched, stats=stats)
     assert history == []
+    assert out.theta.dtype == np.float64 and out.theta is not params.theta
     for a, b in zip(out.layer_weights, params.layer_weights):
         assert np.array_equal(a, b)
+
+
+def test_finetune_trains_a_float32_master(toy_model, training_steps, monkeypatch):
+    # every step runs on one float32 master, against the float32 anchor; the
+    # roll-in's current policy is that master itself, not a copy of it
+    params, sched, stats = toy_model
+    rollin_thetas = []
+
+    def chain_spy(p, *args, **kwargs):
+        rollin_thetas.append((p.theta, kwargs["params_pre"].theta))
+        return sampler._reverse_chain(p, *args, **kwargs)
+
+    # the package's finetune attribute is the function; the module is imported by name
+    monkeypatch.setattr(importlib.import_module("rddkit.finetune"), "_reverse_chain", chain_spy)
+    cfg = FinetuneSection(S=3, m=16, batch_size=8, seed=2, kl_anchor=True)
+    reward = SyntheticTargetReward(np.array([1.5, 0.0]))
+    tuned, _ = finetune(params, reward, cfg, sched, stats=stats)
+    assert len(training_steps.adam) == 3 * 2
+    training_steps.assert_float32_master(tuned)
+    master = training_steps.adam[-1][0].theta
+    anchor = training_steps.loss[0][1].theta
+    assert anchor.dtype == np.float32
+    assert np.array_equal(anchor, params.theta.astype(np.float32))
+    assert all(a.theta is anchor for _, a in training_steps.loss)
+    assert len(rollin_thetas) == 3
+    assert all(cur is master and pre is anchor for cur, pre in rollin_thetas)
 
 
 def test_finetune_constant_reward_history_is_flat(toy_model):

@@ -16,6 +16,9 @@ def test_zero_epochs_returns_initialized_params():
     params, history = train_ddpm(ds, sched, SMALL, epochs=0, batch_size=8, seed=4)
     reference = init_params(2, SMALL, np.random.default_rng(np.random.SeedSequence(4)))
     assert history == []
+    # the float64 init itself, not its float32 rounding
+    assert params.theta.dtype == np.float64
+    assert not np.array_equal(reference.theta, reference.theta.astype(np.float32))
     for a, b in zip(params.layer_weights, reference.layer_weights):
         assert np.array_equal(a, b)
 
@@ -29,6 +32,15 @@ def test_training_is_deterministic_per_seed():
     assert h1 == h2
     for a, b in zip(p1.layer_weights, p2.layer_weights):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
+def test_training_runs_on_a_float32_master(training_steps):
+    ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
+    params, _ = train_ddpm(ds, make_schedule(10), SMALL, epochs=2, batch_size=16, seed=7)
+    assert len(training_steps.loss) == len(training_steps.adam) == 2 * 4
+    assert all(anchor is None for _, anchor in training_steps.loss)
+    training_steps.assert_float32_master(params)
 
 
 def test_fixed_batch_overfit():
@@ -111,5 +123,7 @@ def test_divergence_aborts_with_checkpoint():
         train_ddpm(Dataset(X=X), sched, SMALL, epochs=2, batch_size=16, seed=0)
     assert exc_info.value.checkpoint is not None
     assert isinstance(exc_info.value, NumericalError)
+    # the float32 master, widened to float64
+    assert exc_info.value.checkpoint.theta.dtype == np.float64
     for wl in exc_info.value.checkpoint.layer_weights:
         assert np.all(np.isfinite(wl))

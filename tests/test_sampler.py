@@ -9,7 +9,7 @@ from scipy import stats as sstats
 from rddkit import sampler
 from rddkit.config import NetSection, SvddSection
 from rddkit.data import Dataset, NormStats, denormalize, normalize
-from rddkit.denoiser import init_params, predict_noise, save_model
+from rddkit.denoiser import float32_params, init_params, predict_noise, save_model
 from rddkit.diffusion import make_schedule, posterior_mean_x0, reverse_step
 from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ancestral_sample, train_ddpm
@@ -256,6 +256,32 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
             assert vals.dtype == np.float64
             np.testing.assert_allclose(vals, oracle, rtol=1e-5)
     assert dtypes == [np.float32] * 6
+
+
+def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
+    # the candidate passes of a whole chain share one float32 copy per policy
+    params, sched, stats = toy_model
+    other = init_params(2, SMALL, 7)
+    casts, thetas = [], []
+
+    def cast_spy(p):
+        casts.append(p.theta)
+        return float32_params(p)
+
+    def predict_spy(p, *args):
+        thetas.append(p.theta)
+        return predict_noise(p, *args)
+
+    monkeypatch.setattr(sampler, "float32_params", cast_spy)
+    monkeypatch.setattr(sampler, "predict_noise", predict_spy)
+    sampler._reverse_chain(params, sched, 6, 4, M=3, reward=REWARD, stats=stats,
+                           params_pre=other, switch_t=5)
+    # casting float32 params copies nothing; only the two float64 policies copy
+    copied = [c for c in casts if c.dtype != np.float32]
+    assert len(copied) == 2 and copied[0] is params.theta and copied[1] is other.theta
+    candidate = [th for th in thetas if th.dtype == np.float32]
+    assert len(candidate) == sched.T - 1      # t = 1 scores its candidates at t_next = 0
+    assert len({id(th) for th in candidate}) == 2
 
 
 class ColumnReward:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -196,12 +197,29 @@ def test_prediction_matches_oracle_on_shallow_leaves():
 def test_prediction_matches_oracle_past_one_block(tmp_path):
     X, y = make_regression(200, 3, seed=12)
     ens, _ = fit_ensemble(X, y, n_trees=6, max_depth=3, shrinkage=0.4)
-    Xt = np.random.default_rng(2).uniform(-1, 1, size=(trees._PREDICT_BLOCK + 37, 3))
+    block = trees._predict_block_rows(ens.bin_tables)
+    Xt = np.random.default_rng(2).uniform(-1, 1, size=(block + 37, 3))
     expected = manual_predict(ens, Xt)
     assert np.array_equal(predict_ensemble(ens, Xt), expected)
     path = tmp_path / "m.rddt"
     save_ensemble(path, ens)
     assert np.array_equal(predict_ensemble(load_ensemble(path), Xt), expected)
+
+
+def test_prediction_temporaries_stay_small():
+    # per-block arrays of at most 64 KiB keep a call's temporaries on the
+    # heap; 4096-row blocks of this ensemble peak at about 20 MB
+    X, y = make_regression(300, 6, seed=13)
+    ens, _ = fit_ensemble(X, y, n_trees=200, max_depth=4)
+    assert trees._predict_block_rows(ens.bin_tables) == 40
+    Xt = np.random.default_rng(3).uniform(-1, 1, size=(4000, 6))
+    tracemalloc.start()
+    try:
+        predict_ensemble(ens, Xt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_refit_writes_the_reference_bytes(tmp_path):
