@@ -155,11 +155,7 @@ def cmd_pretrain(args):
         norm, stats = normalize(load_dataset(cfg.dataset))
     sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
     with _stage(timings, "train"):
-        params, history = train_ddpm(norm, sched, cfg.net,
-                                     epochs=cfg.pretrain.epochs,
-                                     batch_size=cfg.pretrain.batch_size,
-                                     seed=cfg.pretrain.seed,
-                                     learning_rate=cfg.pretrain.learning_rate)
+        params, history = train_ddpm(norm, sched, cfg.net, cfg.pretrain)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
     save_model(model_path, params, cfg.schedule.T, cfg.schedule.beta_start,

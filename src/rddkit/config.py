@@ -2,10 +2,12 @@
 rejection, and serialization that echoes every defaulted field so an
 archived config fully reproduces a run.
 
-The sections are also the library's parameter objects: init_params and
-train_ddpm take a NetSection, finetune a FinetuneSection and svdd_generate
-an SvddSection. Each section's check() is the one validation of its fields;
-validate runs them all and the library entry points run their own.
+The sections are also the library's parameter objects: init_params takes a
+NetSection, train_ddpm a NetSection and a PretrainSection, finetune and
+weighted_epoch a FinetuneSection, svdd_generate an SvddSection, and
+make_schedule the fields of a ScheduleSection. Each section holds the one
+default and the one check() of its fields; validate runs them all and the
+library entry points run their own.
 """
 
 import dataclasses

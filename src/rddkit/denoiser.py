@@ -12,11 +12,13 @@ Sampling, evaluation and model files are float64, and everything is
 deterministic given a seed.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from rddkit.config import NetSection
 from rddkit.data import BinaryReader, NormStats, write_binary
 from rddkit.diffusion import forward_marginal, make_schedule
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
@@ -54,8 +56,8 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray
+    learning_rate: float
     step_count: int = 0
-    learning_rate: float = 1e-3
 
 
 def _layer_shapes(d, embed_dim, hidden_dims):
@@ -74,25 +76,31 @@ def layer_views(params, vec):
     return views
 
 
+@functools.lru_cache(maxsize=16)
+def _embedding_table(dim, T):
+    """The read-only (T + 1, dim) float64 embeddings of the timesteps 0..T."""
+    half = dim // 2
+    freqs = np.ones(1) if half == 1 else float(max(T, 2)) ** (-np.arange(half) / (half - 1))
+    args = np.multiply.outer(np.arange(T + 1, dtype=np.float64), freqs)
+    emb = np.empty((T + 1, dim), dtype=np.float64)
+    emb[:, 0::2] = np.sin(args)
+    emb[:, 1::2] = np.cos(args)
+    emb.flags.writeable = False
+    return emb
+
+
 def time_embedding(t, dim, T):
     """Sinusoidal embedding of the timestep.
 
     Interleaved sin/cos of t scaled by dim/2 geometrically spaced
     frequencies spanning 1 down to 1/T, so the whole step range 0..T maps
-    onto distinct phases. t may be a scalar or an integer array.
+    onto distinct phases. t may be a scalar or an integer array in 0..T;
+    the rows come from a table built once per (dim, T), and a scalar t
+    gets a read-only row.
     """
     if dim % 2 != 0:
         raise ConfigError(f"embedding dim must be even, got {dim}")
-    half = dim // 2
-    if half == 1:
-        freqs = np.ones(1)
-    else:
-        freqs = float(max(T, 2)) ** (-np.arange(half) / (half - 1))
-    args = np.multiply.outer(np.asarray(t, dtype=np.float64), freqs)
-    emb = np.empty(args.shape[:-1] + (dim,), dtype=np.float64)
-    emb[..., 0::2] = np.sin(args)
-    emb[..., 1::2] = np.cos(args)
-    return emb
+    return _embedding_table(dim, T)[t]
 
 
 def init_params(d, net, seed):
@@ -125,7 +133,7 @@ def float64_copy(params):
     return replace(params, theta=params.theta.astype(np.float64))
 
 
-def init_opt_state(params, learning_rate=1e-3):
+def init_opt_state(params, learning_rate):
     """Zero Adam moments and a scratch in the dtype of params.theta."""
     n, dtype = params.theta.size, params.theta.dtype
     return OptimizerState(m=np.zeros(n, dtype), v=np.zeros(n, dtype),
@@ -277,9 +285,10 @@ def save_model(path, params, T, beta_start, beta_end, stats=None):
 def load_model(path):
     """Read a model file; returns (params, NoiseSchedule, stats or None).
 
-    A non-finite weight, normalization mean or std, or beta, and a stored
-    schedule that make_schedule rejects, raise DataError naming the file,
-    even under a valid checksum."""
+    A non-finite weight, normalization mean or std, or beta, a stored
+    network shape that config.NetSection rejects and a stored schedule that
+    make_schedule rejects raise DataError naming the file, even under a
+    valid checksum."""
     r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "model")
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
@@ -296,6 +305,10 @@ def load_model(path):
     for name, values in checks:
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: non-finite {name} in the model file")
+    try:
+        NetSection(embed_dim, list(hidden)).check()
+    except ConfigError as e:
+        raise DataError(f"{path}: bad network shape in the model file: {e}") from None
     try:
         sched = make_schedule(T, beta_start, beta_end)
     except ConfigError as e:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rddkit.exceptions import ConfigError, NumericalError
+from rddkit.config import ScheduleSection
+from rddkit.exceptions import NumericalError
 
 # posterior_mean_x0 divides by sqrt(abar_t); below this the estimate is garbage
 ALPHA_BAR_FLOOR = 1e-12
@@ -42,25 +43,18 @@ class NoiseSchedule:
     sigmas: np.ndarray
 
 
-def make_schedule(T, beta_start=1e-4, beta_end=0.02):
-    """Build a linear beta schedule and its derived alpha tables."""
-    if T < 1:
-        raise ConfigError(f"T must be >= 1, got {T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(
-            f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
-        )
-    if T == 1:
-        betas_t = np.array([beta_start], dtype=np.float64)
-    else:
-        betas_t = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+def make_schedule(T, beta_start=ScheduleSection.beta_start, beta_end=ScheduleSection.beta_end):
+    """Build a linear beta schedule and its derived alpha tables.
 
-    betas = np.concatenate([[0.0], betas_t])
+    The arguments are the fields of a config.ScheduleSection, and its
+    check() is their validation.
+    """
+    ScheduleSection(T, beta_start, beta_end).check()
+    betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     sigmas = np.sqrt(betas)
-    if T >= 1:
-        sigmas[1] = 0.0
+    sigmas[1] = 0.0
     return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars, sigmas=sigmas)
 
 

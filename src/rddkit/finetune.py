@@ -60,22 +60,25 @@ def _normalized_weights(rewards, alpha):
     return w / w.mean()
 
 
-def weighted_epoch(designs, rewards, alpha, params, opt_state, sched,
-                   rng, batch_size=64, params_pre=None, kappa=0.0):
+def weighted_epoch(designs, rewards, params, opt_state, sched, rng, cfg, params_pre=None):
     """One weighted pass over the collected designs, updating params and opt_state in place.
 
     designs is the (m, d) array of terminal designs in model coordinates;
     rewards is one real per design (already evaluated on the physical,
-    denormalized designs). Returns (mean reward, mean loss).
+    denormalized designs). cfg is a config.FinetuneSection, checked first:
+    its alpha sets the weights and its batch_size the minibatches, and with
+    cfg.kl_anchor the frozen params_pre, if given, anchor the predictions
+    with weight cfg.anchor_kappa. Returns (mean reward, mean loss).
     """
+    cfg.check()
     X0 = np.asarray(designs, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.shape[0] != X0.shape[0]:
         raise ValueError("one reward per design required")
-    weights = _normalized_weights(rewards, alpha)
+    weights = _normalized_weights(rewards, cfg.alpha)
     mean_loss = ddpm_epoch(
-        params, opt_state, X0, sched, rng, batch_size,
-        weights=weights, anchor_params=params_pre, kappa=kappa,
+        params, opt_state, X0, sched, rng, cfg.batch_size, weights=weights,
+        anchor_params=params_pre if cfg.kl_anchor else None, kappa=cfg.anchor_kappa,
     )
     return float(rewards.mean()), mean_loss
 
@@ -94,7 +97,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         return float64_copy(params_pre), []
     pre32 = float32_params(params_pre)   # the roll-in's pretrained policy and the anchor
     params = clone_params(pre32)         # the float32 master
-    opt_state = init_opt_state(params, learning_rate=cfg.gamma)
+    opt_state = init_opt_state(params, cfg.gamma)
     root = np.random.SeedSequence(cfg.seed)
     history = []
     for s in range(1, cfg.S + 1):
@@ -110,12 +113,8 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
         if n_bad:
             raise NumericalError(f"fine-tuning iteration {s}: {n_bad} of {cfg.m} "
                                  "rewards are non-finite")
-        mean_r, mean_loss = weighted_epoch(
-            X0, rewards, cfg.alpha, params, opt_state, sched,
-            rng=np.random.default_rng(ss_epoch),
-            batch_size=cfg.batch_size,
-            params_pre=pre32 if cfg.kl_anchor else None,
-            kappa=cfg.anchor_kappa if cfg.kl_anchor else 0.0,
-        )
+        mean_r, mean_loss = weighted_epoch(X0, rewards, params, opt_state, sched,
+                                           np.random.default_rng(ss_epoch), cfg,
+                                           params_pre=pre32)
         history.append({"iteration": s, "mean_reward": mean_r, "mean_loss": mean_loss})
     return float64_copy(params), history

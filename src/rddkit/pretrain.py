@@ -66,28 +66,31 @@ def ddpm_epoch(params, opt_state, X0, sched, rng, batch_size,
     return float(losses.mean())
 
 
-def train_ddpm(dataset, sched, net, epochs, batch_size, seed, learning_rate=1e-3):
+def train_ddpm(dataset, sched, net, pretrain):
     """Train a denoiser, shaped by the config.NetSection net, on a normalized dataset.
 
-    Returns (params, per-epoch loss history), params float64: the widening
-    of the float32 master that was trained. Zero epochs returns the freshly
+    pretrain is a config.PretrainSection, checked before any work. Returns
+    (params, per-epoch loss history), params float64: the widening of the
+    float32 master that was trained. Zero epochs returns the freshly
     initialized float64 parameters unchanged. The learning rate follows a
     cosine ramp from its initial value down to 1% of it; without the ramp
     the terminal Adam noise leaves a visible mode-mass bias in the samples.
     """
+    pretrain.check()
+    epochs, lr = pretrain.epochs, pretrain.learning_rate
     X0 = np.asarray(dataset.X, dtype=np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(pretrain.seed))
     init = init_params(X0.shape[1], net, rng)
-    if epochs <= 0:
+    if epochs == 0:
         return init, []
     params = float32_params(init)
-    opt_state = init_opt_state(params, learning_rate=learning_rate)
-    lr_min = learning_rate / 100.0
+    opt_state = init_opt_state(params, lr)
+    lr_min = lr / 100.0
     history = []
     for epoch in range(epochs):
         ramp = 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-        opt_state.learning_rate = lr_min + (learning_rate - lr_min) * ramp
-        mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, batch_size)
+        opt_state.learning_rate = lr_min + (lr - lr_min) * ramp
+        mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, pretrain.batch_size)
         history.append(mean_loss)
         log.info("epoch %d/%d loss %.6f", epoch + 1, epochs, mean_loss)
     if history[-1] >= history[0] and epochs > 1:

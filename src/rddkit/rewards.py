@@ -73,33 +73,21 @@ def check_self_intersection(points):
     """Count properly crossing non-adjacent segment pairs of a closed polyline.
 
     Proper means the two segments cross at an interior point of both; shared
-    endpoints and collinear touching do not count. Exact sign-of-area tests,
-    all pairs evaluated with numpy broadcasting.
+    endpoints and collinear touching do not count. Exact sign-of-area tests
+    from one (n, n) matrix S[i, k] = cross(E_i, P_k - P_i), with segment
+    E_i = P_{i+1} - P_i: segment j's endpoints lie strictly on opposite sides
+    of segment i's line exactly when S[i, j] * S[i, j+1] < 0.
     """
     P = np.asarray(points, dtype=np.float64)
-    n = P.shape[0]
-    if n < 3:
+    if P.shape[0] < 3:
         raise ValueError("need at least 3 points")
-    A = P
-    B = np.roll(P, -1, axis=0)
-
-    def cross(o, p, q):
-        # z-component of (p - o) x (q - o); shapes broadcast
-        return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-                - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
-
-    Ai, Bi = A[:, None, :], B[:, None, :]
-    Cj, Dj = A[None, :, :], B[None, :, :]
-    d1 = cross(Ai, Bi, Cj)
-    d2 = cross(Ai, Bi, Dj)
-    d3 = cross(Cj, Dj, Ai)
-    d4 = cross(Cj, Dj, Bi)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    nonadjacent = (j - i >= 2) & ~((i == 0) & (j == n - 1))
-    return int(np.count_nonzero(proper & nonadjacent))
+    E = np.roll(P, -1, axis=0) - P
+    S = (E[:, None, 0] * (P[None, :, 1] - P[:, None, 1])
+         - E[:, None, 1] * (P[None, :, 0] - P[:, None, 0]))
+    straddle = S * np.roll(S, -1, axis=1) < 0
+    # S[i, i] = 0, so no segment straddles itself or a neighbour it shares an
+    # endpoint with, and the symmetric matrix counts each crossing pair twice
+    return int(np.count_nonzero(straddle & straddle.T)) // 2
 
 
 def airfoil_feasibility_penalty(designs, lambda_range=10.0, lambda_intersect=1.0):

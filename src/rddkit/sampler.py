@@ -61,16 +61,16 @@ def _spawn_generators(seed, n):
 def _candidate_values(params, sched, reward, stats, cands, t_next):
     """Float64 soft values of (n, M, d) candidate states that live at timestep t_next.
 
-    The noise prediction runs in float32, on params as they are if float32
-    (the chain passes each policy's float32 copy), else on a float32 copy;
-    x0_hat is formed from the float64 states.
+    The noise prediction runs in the dtype of params, float32 as the chain
+    passes each policy's float32 copy; x0_hat is formed from the float64
+    states.
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
     if t_next == 0:
         x0_hat = flat
     else:
-        eps_hat = predict_noise(float32_params(params), flat, t_next, sched.T)
+        eps_hat = predict_noise(params, flat, t_next, sched.T)
         x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
     phys = denormalize(x0_hat, stats) if stats is not None else x0_hat
     return evaluate(reward, phys).reshape(n, M)

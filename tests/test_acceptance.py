@@ -18,10 +18,11 @@ import pytest
 from scipy import stats as sstats
 
 from rddkit import benchmark
-from rddkit.config import FinetuneSection, NetSection, SvddSection
+from rddkit.config import FinetuneSection, NetSection, PretrainSection, SvddSection
 from rddkit.data import Dataset, denormalize, normalize
 from rddkit.denoiser import (
     clone_params,
+    float32_params,
     init_opt_state,
     init_params,
     layer_views,
@@ -56,7 +57,7 @@ def pretrained(bench_data):
     sched = make_schedule(100, beta_end=0.1)
     t0 = time.perf_counter()
     params, history = train_ddpm(norm, sched, NetSection(),
-                                 epochs=200, batch_size=128, seed=0)
+                                 PretrainSection(epochs=200, batch_size=128, seed=0))
     TIMINGS["pretrain"] = time.perf_counter() - t0
     return {"params": params, "sched": sched, "stats": stats,
             "norm": norm, "history": history}
@@ -201,7 +202,7 @@ def test_criterion_06_soft_value_approximation():
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(20, beta_end=0.2)
     params, _ = train_ddpm(norm, sched, NetSection(hidden_dims=[64, 64]),
-                           epochs=100, batch_size=128, seed=3)
+                           PretrainSection(epochs=100, batch_size=128, seed=3))
     reward = SyntheticTargetReward(np.array([1.5]))
     alpha = 1.0
     rhos = {}
@@ -209,7 +210,8 @@ def test_criterion_06_soft_value_approximation():
         rows = norm.X[rng.choice(2000, size=50, replace=False)]
         eps = rng.standard_normal(rows.shape)
         states = forward_marginal(rows, t, eps, sched)
-        v_hat = _candidate_values(params, sched, reward, stats, states[:, None, :], t)[:, 0]
+        v_hat = _candidate_values(float32_params(params), sched, reward, stats,
+                                  states[:, None, :], t)[:, 0]
         v_mc = np.empty(50)
         for i, s in enumerate(states):
             X0, _, _ = _reverse_chain(params, sched, 1000, 1000 + i, M=1,
@@ -244,10 +246,11 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
     X = norm.X[:256]
     base = init_params(norm.d, NetSection(embed_dim=8, hidden_dims=[32]), 9)
     p_a, p_b = clone_params(base), clone_params(base)
-    ddpm_epoch(p_a, init_opt_state(base), X, sched,
+    cfg = FinetuneSection(alpha=0.8, batch_size=64)
+    ddpm_epoch(p_a, init_opt_state(base, cfg.gamma), X, sched,
                np.random.default_rng(np.random.SeedSequence(55)), 64)
-    weighted_epoch(X, np.full(256, 7.25), 0.8, p_b, init_opt_state(base), sched,
-                   rng=np.random.default_rng(np.random.SeedSequence(55)), batch_size=64)
+    weighted_epoch(X, np.full(256, 7.25), p_b, init_opt_state(base, cfg.gamma), sched,
+                   np.random.default_rng(np.random.SeedSequence(55)), cfg)
     bitwise = np.array_equal(p_a.theta, p_b.theta) and not np.array_equal(p_a.theta, base.theta)
     print(f"criterion 07: history slope {slope:.4f} (> 0), post mean "
           f"{post_r.mean():.3f} vs pre {pre_r.mean():.3f}, p {p_val:.1e} "

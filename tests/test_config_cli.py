@@ -10,7 +10,7 @@ import pytest
 from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit.data import NormStats, load_dataset, write_binary
-from rddkit.denoiser import init_params, save_model
+from rddkit.denoiser import DenoiserParams, init_params, save_model
 from rddkit.exceptions import ConfigError
 from rddkit.trees import fit_ensemble, save_ensemble
 
@@ -336,6 +336,18 @@ def test_data_errors_exit_2(tmp_path, caplog):
             caplog.clear()
             assert cli.main(argv + ["--outdir", str(tmp_path / "never")]) == 2
             assert f"{tmp_path / name}: bad noise schedule" in caplog.text
+    # so does a stored network shape that net.check rejects: an odd embedding,
+    # no hidden layer, a zero-width one
+    for name, embed_dim, hidden in (("odd_embed.rddm", 7, (8,)), ("no_hidden.rddm", 4, ()),
+                                    ("zero_width.rddm", 4, (8, 0))):
+        dims = [2 + embed_dim, *hidden, 2]
+        theta = np.zeros(sum(i * o + o for i, o in zip(dims[:-1], dims[1:])))
+        save_model(str(tmp_path / name), DenoiserParams(theta, 2, embed_dim, hidden),
+                   T=10, beta_start=1e-4, beta_end=0.02)
+        caplog.clear()
+        assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
+                         "--outdir", str(tmp_path / "never")]) == 2
+        assert f"{tmp_path / name}: bad network shape" in caplog.text
     assert not (tmp_path / "never").exists()
     # truncated, over-long, damaged and version-1 surrogate files
     rows = ["x0,x1,reward"] + [f"{i * 0.1},{i * 0.3 % 1},{i % 3}" for i in range(12)]

@@ -47,6 +47,24 @@ def test_time_embedding_basic_properties():
         time_embedding(np.array([1]), 7, 100)
 
 
+@pytest.mark.parametrize("dim, T", [(32, 100), (8, 15), (32, 1000), (2, 10), (6, 7)])
+def test_time_embedding_table_rows_equal_the_direct_formula(dim, T):
+    half = dim // 2
+    freqs = np.ones(1) if half == 1 else float(max(T, 2)) ** (-np.arange(half) / (half - 1))
+
+    def direct(t):
+        args = np.multiply.outer(np.asarray(t, dtype=np.float64), freqs)
+        emb = np.empty(args.shape[:-1] + (dim,))
+        emb[..., 0::2] = np.sin(args)
+        emb[..., 1::2] = np.cos(args)
+        return emb
+
+    ts = np.random.default_rng(dim + T).integers(0, T + 1, size=50)
+    assert np.array_equal(time_embedding(ts, dim, T), direct(ts))
+    for t in (0, 1, T // 2, T):
+        assert np.array_equal(time_embedding(t, dim, T), direct(t))
+
+
 def test_predict_noise_shapes():
     params = small_net()
     x = np.zeros(2)
@@ -232,7 +250,7 @@ def test_hundred_adam_steps_reduce_loss():
 
 def test_adam_rejects_non_finite_gradients():
     params = small_net(seed=8)
-    opt = init_opt_state(params)
+    opt = init_opt_state(params, 1e-3)
     sched = make_schedule(10)
     batch = make_batch(9, 4, 2, 10)
     adam_step(params, opt, loss_and_grad_arrays(params, *batch, sched, np.ones(4))[1])
@@ -251,7 +269,7 @@ def test_adam_rejects_non_finite_gradients():
 def test_float32_divergence_checkpoint_is_widened_to_float64():
     params = small_net(seed=8)
     params = replace(params, theta=params.theta.astype(np.float32))
-    opt = init_opt_state(params)
+    opt = init_opt_state(params, 1e-3)
     grad = np.full_like(params.theta, np.inf)
     with pytest.raises(TrainingDivergenceError) as err:
         adam_step(params, opt, grad)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rddkit import cli, sampler
-from rddkit.config import FinetuneSection, NetSection
+from rddkit.config import FinetuneSection, NetSection, PretrainSection
 from rddkit.data import Dataset, normalize
 from rddkit.denoiser import (
     clone_params,
@@ -38,7 +38,7 @@ def toy_model():
                         rng.standard_normal((150, 2)) * 0.3 + 1])
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(15)
-    params, _ = train_ddpm(norm, sched, SMALL, epochs=20, batch_size=32, seed=1)
+    params, _ = train_ddpm(norm, sched, SMALL, PretrainSection(epochs=20, batch_size=32, seed=1))
     return params, sched, stats
 
 
@@ -100,8 +100,8 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
     p2 = clone_params(params)
     o2 = init_opt_state(p2, learning_rate=1e-3)
     rng2 = np.random.default_rng(np.random.SeedSequence(77))
-    mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), 0.9, p2, o2, sched,
-                                   rng=rng2, batch_size=16)
+    mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), p2, o2, sched, rng2,
+                                   FinetuneSection(alpha=0.9, batch_size=16))
 
     assert loss1 == loss2
     assert mean_r == 4.2

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
-from rddkit.config import NetSection
+from rddkit.config import NetSection, PretrainSection
 from rddkit.data import Dataset, normalize
 from rddkit.denoiser import init_opt_state, init_params, predict_noise
 from rddkit.diffusion import make_schedule
+from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ancestral_sample, ddpm_epoch, train_ddpm
 
 SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
+@pytest.mark.parametrize("field, value", [("epochs", -3), ("batch_size", 0),
+                                          ("learning_rate", float("nan")), ("seed", -1)])
+def test_pretrain_section_is_checked_before_training(field, value):
+    ds = Dataset(X=np.random.default_rng(0).standard_normal((20, 2)))
+    bad = PretrainSection(**{"epochs": 2, "batch_size": 8, field: value})
+    with pytest.raises(ConfigError, match=rf"pretrain\.{field}"):
+        train_ddpm(ds, make_schedule(10), SMALL, bad)
+
+
 def test_zero_epochs_returns_initialized_params():
     ds = Dataset(X=np.random.default_rng(0).standard_normal((20, 2)))
     sched = make_schedule(10)
-    params, history = train_ddpm(ds, sched, SMALL, epochs=0, batch_size=8, seed=4)
+    params, history = train_ddpm(ds, sched, SMALL, PretrainSection(epochs=0, batch_size=8, seed=4))
     reference = init_params(2, SMALL, np.random.default_rng(np.random.SeedSequence(4)))
     assert history == []
     # the float64 init itself, not its float32 rounding
@@ -27,8 +37,8 @@ def test_zero_epochs_returns_initialized_params():
 def test_training_is_deterministic_per_seed():
     ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
     sched = make_schedule(10)
-    p1, h1 = train_ddpm(ds, sched, SMALL, epochs=3, batch_size=16, seed=7)
-    p2, h2 = train_ddpm(ds, sched, SMALL, epochs=3, batch_size=16, seed=7)
+    p1, h1 = train_ddpm(ds, sched, SMALL, PretrainSection(epochs=3, batch_size=16, seed=7))
+    p2, h2 = train_ddpm(ds, sched, SMALL, PretrainSection(epochs=3, batch_size=16, seed=7))
     assert h1 == h2
     for a, b in zip(p1.layer_weights, p2.layer_weights):
         assert np.array_equal(a, b)
@@ -37,7 +47,8 @@ def test_training_is_deterministic_per_seed():
 @pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_training_runs_on_a_float32_master(training_steps):
     ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
-    params, _ = train_ddpm(ds, make_schedule(10), SMALL, epochs=2, batch_size=16, seed=7)
+    params, _ = train_ddpm(ds, make_schedule(10), SMALL,
+                           PretrainSection(epochs=2, batch_size=16, seed=7))
     assert len(training_steps.loss) == len(training_steps.adam) == 2 * 4
     assert all(anchor is None for _, anchor in training_steps.loss)
     training_steps.assert_float32_master(params)
@@ -70,7 +81,7 @@ def test_training_reduces_loss_on_mixture():
                         rng.standard_normal((100, 2)) * 0.2 + 1])
     norm, _ = normalize(Dataset(X=X))
     sched = make_schedule(20)
-    params, history = train_ddpm(norm, sched, SMALL, epochs=30, batch_size=32, seed=0)
+    params, history = train_ddpm(norm, sched, SMALL, PretrainSection(epochs=30, batch_size=32))
     assert history[-1] < history[0]
 
 
@@ -120,7 +131,7 @@ def test_divergence_aborts_with_checkpoint():
     sched = make_schedule(10)
     from rddkit.exceptions import NumericalError, TrainingDivergenceError
     with pytest.raises(TrainingDivergenceError) as exc_info:
-        train_ddpm(Dataset(X=X), sched, SMALL, epochs=2, batch_size=16, seed=0)
+        train_ddpm(Dataset(X=X), sched, SMALL, PretrainSection(epochs=2, batch_size=16))
     assert exc_info.value.checkpoint is not None
     assert isinstance(exc_info.value, NumericalError)
     # the float32 master, widened to float64

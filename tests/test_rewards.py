@@ -139,6 +139,11 @@ def test_self_intersection_matches_brute_force_oracle():
         n = int(rng.integers(4, 12))
         pts = rng.random((n, 2))
         assert check_self_intersection(pts) == brute_force_crossings(pts)
+    # points on a small integer grid: collinear, touching and repeated points
+    for k in range(200):
+        n = int(rng.integers(3, 14))
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        assert check_self_intersection(pts) == brute_force_crossings(pts)
 
 
 def _oval(n=192):

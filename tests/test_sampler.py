@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sstats
 
 from rddkit import sampler
-from rddkit.config import NetSection, SvddSection
+from rddkit.config import NetSection, PretrainSection, SvddSection
 from rddkit.data import Dataset, NormStats, denormalize, normalize
 from rddkit.denoiser import float32_params, init_params, predict_noise, save_model
 from rddkit.diffusion import make_schedule, posterior_mean_x0, reverse_step
@@ -40,7 +40,7 @@ def svdd_step(xt, t, params, sched, cfg, rng, u, reward, stats=None):
     else:
         one = reverse_step(X, t, eps, sched, None)
         cands = np.repeat(one[:, None, :], M, axis=1)
-    vals = _candidate_values(params, sched, reward, stats, cands, t - 1)
+    vals = _candidate_values(float32_params(params), sched, reward, stats, cands, t - 1)
     sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
 
@@ -52,7 +52,7 @@ def toy_model():
                         rng.standard_normal((150, 2)) * 0.3 + 1])
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(15)
-    params, _ = train_ddpm(norm, sched, SMALL, epochs=20, batch_size=32, seed=1)
+    params, _ = train_ddpm(norm, sched, SMALL, PretrainSection(epochs=20, batch_size=32, seed=1))
     return params, sched, stats
 
 
@@ -219,6 +219,7 @@ def test_guidance_beats_unguided_on_average(toy_model):
 
 def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
     params, sched, stats = toy_model
+    params = float32_params(params)
     x = np.array([0.3, 0.7])
     cands = x[None, None, :]
     v1 = _candidate_values(params, sched, REWARD, stats, cands, 5)[0, 0]
@@ -250,7 +251,7 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
         cands = rng.standard_normal((5, 4, params.d))
         flat = cands.reshape(20, params.d)
         for t in (1, 7, sched.T - 1):
-            vals = _candidate_values(params, sched, reward, stats, cands, t)
+            vals = _candidate_values(float32_params(params), sched, reward, stats, cands, t)
             x0_hat = posterior_mean_x0(flat, t, predict_noise(params, flat, t, sched.T), sched)
             oracle = reward.batch(denormalize(x0_hat, stats)).reshape(5, 4)
             assert vals.dtype == np.float64
