@@ -15,7 +15,7 @@ from rddkit.diffusion import (
     reverse_step,
     posterior_mean_x0,
 )
-from rddkit.config import NetSection, PretrainSection, FinetuneSection, SvddSection
+from rddkit.config import NetSection, PretrainSection, FinetuneSection, SvddSection, RewardSection
 from rddkit.denoiser import (
     DenoiserParams,
     OptimizerState,

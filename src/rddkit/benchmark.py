@@ -11,7 +11,6 @@ import numpy as np
 
 from rddkit.data import Dataset
 from rddkit.hull import N_PARAMS, aggregate_resistances
-from rddkit.rewards import SyntheticTargetReward
 
 MIXTURE_MODES = np.array([[-1.0, 0.0], [1.0, 0.0]])
 MIXTURE_STD = 0.35
@@ -48,10 +47,6 @@ def nearest_mode_fractions(X, modes=MIXTURE_MODES):
     return np.bincount(nearest, minlength=modes.shape[0]) / X.shape[0]
 
 
-def default_benchmark_reward():
-    return SyntheticTargetReward(SYNTHETIC_TARGET)
-
-
 def sample_hull_params(n, seed, ranges=HULL_PARAM_RANGES):
     """Uniform hull parameter vectors inside the feasible sub-ranges."""
     rng = np.random.default_rng(seed)
@@ -59,7 +54,7 @@ def sample_hull_params(n, seed, ranges=HULL_PARAM_RANGES):
     return lo + (hi - lo) * rng.random((n, N_PARAMS))
 
 
-def hull_resistance_dataset(n, seed, loa=80.0):
+def hull_resistance_dataset(n, seed, loa):
     """(parameters, aggregate resistance) pairs for surrogate fitting."""
     P = sample_hull_params(n, seed)
     return Dataset(X=P, rewards=aggregate_resistances(P, loa))

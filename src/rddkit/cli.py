@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from rddkit import benchmark, config as cfgmod
+from rddkit import benchmark, config as cfgmod, rewards as rewardmod
 from rddkit.data import denormalize, load_dataset, normalize, save_samples, write_csv
 from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
@@ -34,13 +34,6 @@ from rddkit.finetune import finetune
 from rddkit.hull import N_PARAMS, aggregate_total_resistance, scale_params
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import train_ddpm
-from rddkit.rewards import (
-    AIRFOIL_WIDTH,
-    AirfoilFeasibilityReward,
-    HullResistanceReward,
-    SurrogateReward,
-    SyntheticTargetReward,
-)
 from rddkit.sampler import svdd_generate
 from rddkit.trees import fit_ensemble, load_ensemble, predict_ensemble, r2_score, save_ensemble
 
@@ -101,36 +94,10 @@ def _archive_run(args, outdir, cfg, timings, outputs):
     })
 
 
-def _check_reward_width(kind, width, d):
-    if d != width:
-        raise ConfigError(f"reward.kind: '{kind}' rewards take {width} inputs, "
-                          f"the model has {d}")
-
-
 def _build_reward(rc, d):
-    """Reward model from the reward config section, for d-dimensional designs."""
-    if rc.kind == "synthetic":
-        target = np.asarray(rc.target, dtype=np.float64) if rc.target is not None \
-            else benchmark.SYNTHETIC_TARGET
-        if target.shape != (d,):
-            raise ConfigError(f"reward.target: needs {d} entries to match the model, "
-                              f"got {target.size}")
-        return SyntheticTargetReward(target)
-    if rc.kind == "hull":
-        _check_reward_width(rc.kind, N_PARAMS, d)
-        return HullResistanceReward(loa=rc.loa, scale=rc.scale, offset=rc.offset)
-    if rc.kind in ("surrogate", "airfoil"):
-        ensemble = load_ensemble(rc.surrogate_path)
-        if ensemble.d != d:
-            raise ConfigError(f"reward.surrogate_path: surrogate takes {ensemble.d} inputs, "
-                              f"the model has {d}")
-        base = SurrogateReward(ensemble)
-        if rc.kind == "surrogate":
-            return base
-        _check_reward_width(rc.kind, AIRFOIL_WIDTH, d)
-        return AirfoilFeasibilityReward(base, lambda_range=rc.lambda_range,
-                                        lambda_intersect=rc.lambda_intersect)
-    raise ConfigError(f"reward.kind: unknown reward '{rc.kind}'")
+    """The reward rewards.from_section builds from rc; this loads the tree file it scores with."""
+    ensemble = load_ensemble(rc.surrogate_path) if rc.kind in ("surrogate", "airfoil") else None
+    return rewardmod.from_section(rc, d, ensemble)
 
 
 def _load_labelled(path, purpose):
@@ -307,7 +274,7 @@ def cmd_benchmark_make(args):
     timings = {}
     with _stage(timings, "make"):
         data = benchmark.make_mixture_dataset(
-            args.n, args.seed, reward=benchmark.default_benchmark_reward())
+            args.n, args.seed, reward=rewardmod.SyntheticTargetReward(benchmark.SYNTHETIC_TARGET))
     save_samples(args.out, data.X, data.rewards)
     log.info("wrote %d benchmark rows to %s", args.n, args.out)
     return os.path.dirname(args.out) or ".", None, timings, [args.out]
@@ -395,13 +362,13 @@ def build_parser():
     q.add_argument("--params", required=True,
                    help=f"{N_PARAMS} comma-separated fractions in [0.001, 1], "
                         "bow and stern taper summing to at most 1")
-    q.add_argument("--loa", type=_length, default=80.0)
+    q.add_argument("--loa", type=_length, default=cfgmod.RewardSection.loa)
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)
     q = hsub.add_parser("dataset", help="random labeled hulls for surrogate fitting")
     q.add_argument("--n", type=_count, default=5000)
     q.add_argument("--seed", type=_count, default=0)
-    q.add_argument("--loa", type=_length, default=80.0)
+    q.add_argument("--loa", type=_length, default=cfgmod.RewardSection.loa)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_hull_dataset)
 

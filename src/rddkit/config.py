@@ -4,10 +4,11 @@ archived config fully reproduces a run.
 
 The sections are also the library's parameter objects: init_params takes a
 NetSection, train_ddpm a NetSection and a PretrainSection, finetune and
-weighted_epoch a FinetuneSection, svdd_generate an SvddSection, and
-make_schedule the fields of a ScheduleSection. Each section holds the one
-default and the one check() of its fields; validate runs them all and the
-library entry points run their own.
+weighted_epoch a FinetuneSection, svdd_generate an SvddSection,
+rewards.from_section a RewardSection, and make_schedule the fields of a
+ScheduleSection. Each section holds the one default and the one check() of
+its fields; validate runs them all and the library entry points run their
+own.
 """
 
 import dataclasses
@@ -156,6 +157,8 @@ class RewardSection:
                 f"reward.kind: must be one of {_REWARD_KINDS}, got '{self.kind}'")
         if self.target is not None and not _list_of(self.target, (int, float)):
             raise ConfigError("reward.target: expected a non-empty list of numbers")
+        if self.target is not None and not all(map(math.isfinite, self.target)):
+            raise ConfigError(f"reward.target: must be finite, got {self.target!r}")
         if self.kind == "hull" and self.loa <= 0:
             raise ConfigError("reward.loa: must be > 0")
         # a scale <= 0 would reward more drag, or give every hull the same reward

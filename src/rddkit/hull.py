@@ -40,6 +40,7 @@ U_MAX = 8.0       # upper end of the Michell integral in u, lambda = cosh(u)
 FROUDE_NUMBERS = np.linspace(0.1, 0.45, 8)
 DRAFT_FRACTIONS = (0.25, 0.33, 0.5, 0.67)
 N_PARAMS = 6      # the fractions that scale_params maps onto a hull
+N_LAMBDA = 256    # Simpson intervals of the Michell integral
 
 
 @dataclass
@@ -267,7 +268,7 @@ def _slope_transform(dims, omega):
     return Xc, Xs
 
 
-def michell_wave_resistance(dims, U, draft_fraction, n_lambda=256, with_convergence=False):
+def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA, with_convergence=False):
     """Thin-ship wave resistance at speed U and the given draft fraction.
 
     U and draft_fraction broadcast against each other (speeds down a column
@@ -353,7 +354,7 @@ class ResistanceResult:
         }
 
 
-def aggregate_total_resistance(dims, n_lambda=256):
+def aggregate_total_resistance(dims, n_lambda=N_LAMBDA):
     """Total resistance over the 8 x 4 Froude/draft grid.
 
     The whole grid goes through one Michell call and the wetted area, which

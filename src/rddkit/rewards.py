@@ -23,7 +23,8 @@ added to the values, and exp never overflows.
 
 import numpy as np
 
-from rddkit import hull, trees
+from rddkit import benchmark, hull, trees
+from rddkit.exceptions import ConfigError
 
 AIRFOIL_WIDTH = 384   # 192 interleaved (x, y) outline points
 
@@ -90,7 +91,7 @@ def check_self_intersection(points):
     return int(np.count_nonzero(straddle & straddle.T)) // 2
 
 
-def airfoil_feasibility_penalty(designs, lambda_range=10.0, lambda_intersect=1.0):
+def airfoil_feasibility_penalty(designs, lambda_range, lambda_intersect):
     """Penalties, (n,), for (n, 384) rows of 192 interleaved (x, y) airfoil points.
 
     Charges lambda_range per unit of coordinate overshoot outside [0, 1]
@@ -129,7 +130,7 @@ class SurrogateReward:
 class AirfoilFeasibilityReward:
     """Surrogate lift-to-drag style score minus the feasibility penalty."""
 
-    def __init__(self, base, lambda_range=10.0, lambda_intersect=1.0):
+    def __init__(self, base, lambda_range, lambda_intersect):
         self.base = base
         self.lambda_range = lambda_range
         self.lambda_intersect = lambda_intersect
@@ -150,7 +151,7 @@ class HullResistanceReward:
 
     infeasible_base = 1000.0
 
-    def __init__(self, loa=80.0, scale=1e-6, offset=0.0):
+    def __init__(self, loa, scale, offset=0.0):
         self.loa = float(loa)
         self.scale = float(scale)
         self.offset = float(offset)
@@ -164,3 +165,34 @@ class HullResistanceReward:
         out[feasible] = ship_reward(hull.aggregate_resistances(X[feasible], self.loa),
                                     self.scale, self.offset)
         return out
+
+
+def from_section(section, d, ensemble=None):
+    """The reward a config.RewardSection describes, for d-dimensional designs.
+
+    The one map from a section to a reward: it runs section.check() and the
+    width checks, raising ConfigError, while the reward classes take their
+    values as given and check nothing. The surrogate and airfoil kinds score
+    with ensemble, the trees fitted to section.surrogate_path.
+    """
+    section.check()
+    kind = section.kind
+    if kind == "synthetic":
+        target = benchmark.SYNTHETIC_TARGET if section.target is None \
+            else np.asarray(section.target, dtype=np.float64)
+        if target.shape != (d,):
+            raise ConfigError(f"reward.target: needs {d} entries to match the model, "
+                              f"got {target.size}")
+        return SyntheticTargetReward(target)
+    if kind != "hull" and ensemble.d != d:
+        raise ConfigError(f"reward.surrogate_path: surrogate takes {ensemble.d} inputs, "
+                          f"the model has {d}")
+    width = {"hull": hull.N_PARAMS, "airfoil": AIRFOIL_WIDTH}.get(kind, d)
+    if d != width:
+        raise ConfigError(f"reward.kind: '{kind}' rewards take {width} inputs, the model has {d}")
+    if kind == "hull":
+        return HullResistanceReward(section.loa, section.scale, section.offset)
+    base = SurrogateReward(ensemble)
+    if kind == "surrogate":
+        return base
+    return AirfoilFeasibilityReward(base, section.lambda_range, section.lambda_intersect)

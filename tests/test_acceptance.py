@@ -65,7 +65,7 @@ def pretrained(bench_data):
 
 @pytest.fixture(scope="session")
 def finetuned(pretrained):
-    reward = benchmark.default_benchmark_reward()
+    reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     cfg = FinetuneSection(S=50, m=256, alpha=1.0, gamma=1e-3, seed=5)
     t0 = time.perf_counter()
     params_ft, history = finetune(pretrained["params"], reward, cfg,
@@ -160,7 +160,7 @@ def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
 
 
 def test_criterion_04_m1_degeneracy(pretrained):
-    reward = benchmark.default_benchmark_reward()
+    reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     plain = ancestral_sample(pretrained["params"], pretrained["sched"], 64, seed=77)
     cfg = SvddSection(M=1, alpha=0.2, n_traj=64, seed=77)
     guided, _, zetas, _ = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward,
@@ -173,7 +173,7 @@ def test_criterion_04_m1_degeneracy(pretrained):
 
 def test_criterion_05_guidance_monotonicity(pretrained):
     t0 = time.perf_counter()
-    reward = benchmark.default_benchmark_reward()
+    reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     rewards = {}
     for M in (1, 3, 5, 10):
         cfg = SvddSection(M=M, alpha=0.2, n_traj=1000, seed=11)
@@ -338,7 +338,7 @@ def test_criterion_10_michell_integral():
 
 def test_criterion_11_surrogate_quality():
     t0 = time.perf_counter()
-    data = benchmark.hull_resistance_dataset(5000, seed=17)
+    data = benchmark.hull_resistance_dataset(5000, seed=17, loa=80.0)
     perm = np.random.default_rng(99).permutation(5000)
     tr, te = perm[:4000], perm[4000:]
     ens, mse = fit_ensemble(data.X[tr], data.rewards[tr])

@@ -107,6 +107,8 @@ def test_type_errors_name_the_key(tmp_path):
         ({"schedule": {"beta_end": float("nan")}}, r"schedule\.beta_end: must be finite"),
         ({"finetune": {"gamma": float("-inf")}}, r"finetune\.gamma: must be finite"),
         ({"reward": {"loa": float("inf")}}, r"reward\.loa: must be finite"),
+        ({"reward": {"target": [float("nan"), 0.0]}}, r"reward\.target: must be finite"),
+        ({"reward": {"target": [float("inf"), 0.0]}}, r"reward\.target: must be finite"),
     ]
     for i, (obj, msg) in enumerate(cases):
         with pytest.raises(ConfigError, match=msg):
@@ -262,6 +264,15 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
                          "--M", "2", "--n-traj", "2"] + extra) == 1
         assert "svdd.alpha: must be finite" in caplog.text
     assert not (tmp_path / "nan" / "sample_summary.json").exists()
+    # a non-finite synthetic target, a list the float-field check does not see
+    for i, value in enumerate((float("nan"), float("inf"))):
+        target = write_json(tmp_path / f"target_{i}.json", {"reward": {"target": [value, 0.0]}})
+        for command, extra in (("sample", ["--M", "2", "--n-traj", "2"]), ("finetune", [])):
+            caplog.clear()
+            assert cli.main([command, "--config", target, "--model", str(model),
+                             "--outdir", str(tmp_path / "target")] + extra) == 1
+            assert "reward.target: must be finite" in caplog.text
+            assert not (tmp_path / "target").exists()
     # flag overrides are validated before the output directory is made
     for flag, value in (("--M", "0"), ("--n-traj", "0"), ("--alpha", "-1")):
         assert cli.main(["sample", "--model", str(model), "--outdir", str(tmp_path / "never"),

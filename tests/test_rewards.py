@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rddkit.exceptions import InfeasibleHullError
+from rddkit import benchmark
+from rddkit.config import RewardSection
+from rddkit.exceptions import ConfigError, InfeasibleHullError
 from rddkit.hull import aggregate_total_resistance, scale_params
 from rddkit.rewards import (
     AirfoilFeasibilityReward,
@@ -10,6 +12,7 @@ from rddkit.rewards import (
     SyntheticTargetReward,
     airfoil_feasibility_penalty,
     check_self_intersection,
+    from_section,
     ship_reward,
     soft_weight,
     synthetic_benchmark_reward,
@@ -154,7 +157,7 @@ def _oval(n=192):
 def test_airfoil_penalty_zero_for_clean_profile():
     design = _oval().reshape(-1)
     assert design.shape == (384,)
-    assert airfoil_feasibility_penalty(design[None, :])[0] == 0.0
+    assert airfoil_feasibility_penalty(design[None, :], 10.0, 1.0)[0] == 0.0
 
 
 def test_airfoil_penalty_counts_range_violations():
@@ -179,7 +182,7 @@ def test_airfoil_penalty_rejects_wrong_shape():
     # a single unstacked 384-vector is not a batch either
     for X in (np.zeros(10), np.zeros((2, 10)), np.zeros(384)):
         with pytest.raises(ValueError):
-            airfoil_feasibility_penalty(X)
+            airfoil_feasibility_penalty(X, 10.0, 1.0)
 
 
 def _airfoil_rows():
@@ -237,7 +240,7 @@ def test_hull_reward_feasible_and_infeasible():
 
 
 def test_hull_reward_prefers_slender_hull():
-    model = HullResistanceReward(loa=40.0)
+    model = HullResistanceReward(loa=40.0, scale=1e-6)
     wide, slim = model.batch(np.array([[0.3, 0.3, 0.20, 0.08, 0.6, 0.6],
                                        [0.3, 0.3, 0.10, 0.08, 0.6, 0.6]]))
     assert slim > wide
@@ -263,3 +266,65 @@ def test_hull_reward_batch_equals_per_row_rewards():
     assert np.all(np.isfinite(r[[0, 5, 7]])) and np.all(r[[1, 2, 3, 4]] < -1000.0)
     with pytest.raises(ValueError):
         model.batch(P[0])
+
+
+def _fitted(d, seed):
+    X = np.random.default_rng(seed).random((40, d))
+    return fit_ensemble(X, X[:, 0] - X[:, -1], n_trees=4, max_depth=2)[0]
+
+
+def test_from_section_builds_each_kind_as_its_class():
+    """Each kind's reward scores a fixed batch bit for bit as the class built by hand."""
+    mix = np.random.default_rng(3).normal(size=(16, 2))
+    hulls = np.array([[0.3, 0.3, 0.12, 0.08, 0.6, 0.6], [0.25, 0.2, 0.1, 0.06, 0.5, 0.7],
+                      [1.5, 0.3, 0.12, 0.08, 0.6, 0.6]])
+    surrogate, airfoil = _fitted(3, 5), _fitted(384, 6)
+    cases = [
+        (RewardSection(), 2, None, SyntheticTargetReward(benchmark.SYNTHETIC_TARGET), mix),
+        (RewardSection(target=[1.5, -0.5]), 2, None, SyntheticTargetReward([1.5, -0.5]), mix),
+        (RewardSection(kind="hull", loa=40.0, scale=2e-6, offset=0.25), 6, None,
+         HullResistanceReward(40.0, 2e-6, 0.25), hulls),
+        (RewardSection(kind="surrogate", surrogate_path="s.rddt"), 3, surrogate,
+         SurrogateReward(surrogate), np.random.default_rng(7).random((16, 3))),
+        (RewardSection(kind="airfoil", surrogate_path="a.rddt", lambda_range=0.3,
+                       lambda_intersect=7.0), 384, airfoil,
+         AirfoilFeasibilityReward(SurrogateReward(airfoil), 0.3, 7.0), _airfoil_rows()),
+    ]
+    for section, d, ensemble, by_hand, X in cases:
+        reward = from_section(section, d, ensemble)
+        assert type(reward) is type(by_hand)
+        assert np.array_equal(reward.batch(X), by_hand.batch(X))
+
+
+def test_from_section_runs_the_section_check():
+    # a negative scale would score more drag higher, and a negative penalty
+    # weight would reward coordinates outside [0, 1]
+    with pytest.raises(ConfigError, match=r"reward\.scale: must be > 0"):
+        from_section(RewardSection(kind="hull", scale=-1e-6), 6)
+    with pytest.raises(ConfigError, match=r"reward\.lambda_range: must be >= 0"):
+        from_section(RewardSection(kind="airfoil", surrogate_path="a.rddt", lambda_range=-10.0),
+                     384, _fitted(384, 6))
+    with pytest.raises(ConfigError, match=r"reward\.target: must be finite"):
+        from_section(RewardSection(target=[np.nan, 0.0]), 2)
+
+
+def test_from_section_checks_the_design_width():
+    narrow = _fitted(2, 5)
+    cases = [
+        (RewardSection(target=[1.0]), 2, None, "reward.target: needs 2 entries to match the "
+                                                "model, got 1"),
+        (RewardSection(), 3, None, "reward.target: needs 3 entries to match the model, got 2"),
+        (RewardSection(kind="hull"), 2, None, "reward.kind: 'hull' rewards take 6 inputs, "
+                                              "the model has 2"),
+        (RewardSection(kind="surrogate", surrogate_path="s.rddt"), 3, narrow,
+         "reward.surrogate_path: surrogate takes 2 inputs, the model has 3"),
+        # the surrogate's width is checked before the airfoil width
+        (RewardSection(kind="airfoil", surrogate_path="a.rddt"), 3, narrow,
+         "reward.surrogate_path: surrogate takes 2 inputs, the model has 3"),
+        (RewardSection(kind="airfoil", surrogate_path="a.rddt"), 2, narrow,
+         "reward.kind: 'airfoil' rewards take 384 inputs, the model has 2"),
+    ]
+    for section, d, ensemble, message in cases:
+        with pytest.raises(ConfigError) as err:
+            from_section(section, d, ensemble)
+        assert str(err.value) == message
