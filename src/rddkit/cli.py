@@ -100,6 +100,15 @@ def _build_reward(rc, d):
     return rewardmod.from_section(rc, d, ensemble)
 
 
+def _load_model(path, cfg):
+    """load_model(path), with cfg.schedule and cfg.net set to the file's, so
+    the archived config states the schedule and network that ran."""
+    params, sched, stats = load_model(path)
+    cfg.schedule = cfgmod.ScheduleSection(sched.T, float(sched.betas[1]), float(sched.betas[-1]))
+    cfg.net = cfgmod.NetSection(params.embed_dim, list(params.hidden_dims))
+    return params, sched, stats
+
+
 def _load_labelled(path, purpose):
     data = load_dataset(path)
     if data.rewards is None:
@@ -125,8 +134,7 @@ def cmd_pretrain(args):
         params, history = train_ddpm(norm, sched, cfg.net, cfg.pretrain)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, cfg.schedule.T, cfg.schedule.beta_start,
-               cfg.schedule.beta_end, stats=stats)
+    save_model(model_path, params, sched, stats=stats)
     hist_path = write_csv(os.path.join(cfg.outdir, "pretrain_history.csv"),
                           ["epoch", "mean_loss"],
                           np.column_stack([np.arange(len(history)), history]))
@@ -139,14 +147,14 @@ def cmd_finetune(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params_pre, sched, stats = load_model(args.model)
+        params_pre, sched, stats = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params_pre.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "finetune"):
         params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, sched.T, sched.betas[1], sched.betas[-1], stats=stats)
+    save_model(model_path, params, sched, stats=stats)
     columns = ["iteration", "mean_reward", "mean_loss"]
     hist_path = write_csv(os.path.join(cfg.outdir, "finetune_history.csv"), columns,
                           np.column_stack([[r[k] for r in history] for k in columns]))
@@ -158,7 +166,7 @@ def cmd_sample(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params, sched, stats = load_model(args.model)
+        params, sched, stats = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "sample"):

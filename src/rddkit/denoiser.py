@@ -265,17 +265,18 @@ def adam_step(params, opt_state, grad):
     np.subtract(params.theta, a, out=params.theta)
 
 
-def save_model(path, params, T, beta_start, beta_end, stats=None):
+def save_model(path, params, sched, stats=None):
     """Write the binary model file, a data.write_binary container.
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
-    hidden dims, u32 T, f8 beta_start/beta_end, u8 stats flag (+ mean/std
-    vectors), then theta as f8 (its length follows from the header); a
-    float32 theta is widened exactly.
+    hidden dims, u32 T, f8 beta_start/beta_end (the first and last beta of
+    the NoiseSchedule sched), u8 stats flag (+ mean/std vectors), then theta
+    as f8 (its length follows from the header); a float32 theta is widened
+    exactly.
     """
     n = len(params.hidden_dims)
     header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,
-                         T, beta_start, beta_end)
+                         sched.T, sched.betas[1], sched.betas[-1])
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
     write_binary(path, _MAGIC, _FORMAT_VERSION,
                  [header, struct.pack("<B", stats is not None)] +

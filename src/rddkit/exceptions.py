@@ -29,4 +29,5 @@ class TrainingDivergenceError(NumericalError):
 
 
 class InfeasibleHullError(ValueError):
-    """Hull parameter vector violates the geometric constraints."""
+    """Hull parameters that hull.constraint_violation rejects, or an LOA that
+    is not a finite length above 0."""

@@ -45,6 +45,8 @@ N_LAMBDA = 256    # Simpson intervals of the Michell integral
 
 @dataclass
 class HullDims:
+    """Physical dimensions in metres; scale_params builds them from fractions
+    that constraint_violation accepts. Taper lengths may be zero."""
     LOA: float
     L_b: float
     L_s: float
@@ -53,33 +55,20 @@ class HullDims:
     B_s: float
     WL: float
 
-    def validate(self):
-        """Geometric sanity; taper lengths may be zero for degenerate studies."""
-        if min(self.LOA, self.B_d, self.D_d, self.WL) <= 0:
-            raise InfeasibleHullError(f"LOA, B_d, D_d, WL must be positive: {self}")
-        if self.L_b < 0 or self.L_s < 0 or self.B_s < 0:
-            raise InfeasibleHullError(f"negative taper length or stern beam: {self}")
-        if self.L_b + self.L_s > self.LOA * (1 + 1e-12):
-            raise InfeasibleHullError(
-                f"taper lengths {self.L_b} + {self.L_s} exceed LOA {self.LOA}")
-        if self.B_s > self.B_d / 2 * (1 + 1e-12):
-            raise InfeasibleHullError(f"stern beam {self.B_s} exceeds B_d/2 {self.B_d / 2}")
-        if self.WL > self.D_d * (1 + 1e-12):
-            raise InfeasibleHullError(f"waterline depth {self.WL} exceeds depth {self.D_d}")
-        return self
-
 
 def scale_params(p, loa):
-    """Map the vector of N_PARAMS fractions onto physical dimensions;
-    InfeasibleHullError exactly when constraint_violation rejects it."""
+    """Map the vector of N_PARAMS fractions onto physical dimensions.
+
+    InfeasibleHullError exactly when constraint_violation rejects p, or when
+    loa is not a finite length above 0; every dimension is a fraction of loa."""
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (N_PARAMS,):
-        raise ValueError(f"expected {N_PARAMS} hull parameters, got shape {p.shape}")
     violation = constraint_violation(p[None])[0]
     if not violation == 0.0:
         raise InfeasibleHullError(f"hull parameters violate the design constraints by "
                                   f"{violation}: {p}")
-    dims = HullDims(
+    if not 0 < loa < math.inf:
+        raise InfeasibleHullError(f"LOA must be a finite length above 0, got {loa}")
+    return HullDims(
         LOA=float(loa),
         L_b=float(p[0] * loa),
         L_s=float(p[1] * loa),
@@ -88,13 +77,13 @@ def scale_params(p, loa):
         B_s=float(p[4] * p[2] * loa / 2.0),
         WL=float(p[5] * p[3] * loa),
     )
-    return dims.validate()
 
 
 def constraint_violation(P):
     """Infeasibility, (n,), of (n, N_PARAMS) parameter rows: 0 when every
     fraction lies in [1e-3, 1] and p0 + p1 <= 1, else the summed overshoot of
-    that range or, inside it, the taper excess p0 + p1 - 1; NaN for a NaN row."""
+    that range or, inside it, the taper excess p0 + p1 - 1; NaN for a NaN row.
+    This is the one feasibility rule of hull parameters."""
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != N_PARAMS:
         raise ValueError(f"hull designs are (n, {N_PARAMS}) rows, got shape {P.shape}")
@@ -103,35 +92,26 @@ def constraint_violation(P):
     return np.where((violation == 0.0) & (taper > 0.0), taper, violation)
 
 
-def _deck_halfbeam(x, dims):
-    """Half-breadth at z = 0 for x in [0, LOA]; vectorized."""
+def _deck(x, dims):
+    """Deck half-beam and its slope d/dx at x in [0, LOA]; vectorized.
+
+    The slope is continuous because the tapers join the plateau flat."""
     x = np.asarray(x, dtype=np.float64)
     half = dims.B_d / 2.0
-    out = np.full(x.shape, half)
+    beam = np.full(x.shape, half)
+    slope = np.zeros(x.shape)
     if dims.L_b > 0:
         m = x < dims.L_b
         r = 1.0 - x[m] / dims.L_b
-        out[m] = half * (1.0 - r * r)
+        beam[m] = half * (1.0 - r * r)
+        slope[m] = (dims.B_d / dims.L_b) * r
     x_s = dims.LOA - dims.L_s
     if dims.L_s > 0:
         m = x > x_s
         u = (x[m] - x_s) / dims.L_s
-        out[m] = dims.B_s / 2.0 + (dims.B_d - dims.B_s) / 2.0 * (1.0 - u * u)
-    return out
-
-
-def _deck_slope(x, dims):
-    """d(deck halfbeam)/dx; continuous because the tapers join flat."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x.shape)
-    if dims.L_b > 0:
-        m = x < dims.L_b
-        out[m] = (dims.B_d / dims.L_b) * (1.0 - x[m] / dims.L_b)
-    x_s = dims.LOA - dims.L_s
-    if dims.L_s > 0:
-        m = x > x_s
-        out[m] = -((dims.B_d - dims.B_s) / dims.L_s) * ((x[m] - x_s) / dims.L_s)
-    return out
+        beam[m] = dims.B_s / 2.0 + (dims.B_d - dims.B_s) / 2.0 * (1.0 - u * u)
+        slope[m] = -((dims.B_d - dims.B_s) / dims.L_s) * u
+    return beam, slope
 
 
 def half_breadth(x, z, dims):
@@ -142,7 +122,7 @@ def half_breadth(x, z, dims):
         raise ValueError(f"x outside [0, {dims.LOA}]")
     if np.any(z > 0) or np.any(z < -dims.D_d):
         raise ValueError(f"z outside [-{dims.D_d}, 0]")
-    val = _deck_halfbeam(x, dims) * (1.0 - (z / dims.D_d) ** 2)
+    val = _deck(x, dims)[0] * (1.0 - (z / dims.D_d) ** 2)
     return float(val) if val.ndim == 0 else val
 
 
@@ -163,8 +143,7 @@ def _surface_patch(dims, x_lo, x_hi, t_draft, nx, nz):
     zs = np.linspace(-t_draft, 0.0, nz + 1, axis=-1)        # (n_draft, nz + 1)
     wx = _simpson_weights(nx, (x_hi - x_lo) / nx)
     wz = _simpson_weights(nz, (t_draft / nz)[:, None])
-    deck = _deck_halfbeam(xs, dims)[:, None]
-    slope = _deck_slope(xs, dims)[:, None]
+    deck, slope = (v[:, None] for v in _deck(xs, dims))
     zrow = zs[:, None, :]
     fz = 1.0 - (zrow / dims.D_d) ** 2
     eta_x = slope * fz
@@ -268,19 +247,17 @@ def _slope_transform(dims, omega):
     return Xc, Xs
 
 
-def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA, with_convergence=False):
+def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA):
     """Thin-ship wave resistance at speed U and the given draft fraction.
 
+    Returns (R_w, change): change is the relative move of each R_w under
+    node halving, |R(n) - R(n/2)| / R(n), and 0 where R_w is 0. The
+    oscillation rate grows like 1/Fr^2, so low-Froude cells move most.
     U and draft_fraction broadcast against each other (speeds down a column
     and drafts along a row give the whole grid in one call); scalar inputs
-    return a float. The lambda integral runs over lambda = cosh(u),
+    give two floats. The lambda integral runs over lambda = cosh(u),
     u in [0, U_MAX], with composite Simpson on n_lambda intervals;
     sqrt(lambda^2 - 1) cancels against the substitution Jacobian.
-
-    With with_convergence, returns (R_w, change) where change is the
-    relative move of each R_w under node halving, |R(n) - R(n/2)| / R(n),
-    and 0 where R_w is 0. The oscillation rate grows like 1/Fr^2, so
-    low-Froude cells move most.
     """
     U = np.asarray(U, dtype=np.float64)
     df = np.asarray(draft_fraction, dtype=np.float64)
@@ -303,8 +280,6 @@ def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA, with_con
     val_fine = integrand @ _simpson_weights(n_lambda, U_MAX / n_lambda)
     R_w = 4.0 * RHO * G ** 2 / (math.pi * U ** 2) * val_fine
     R_w = float(R_w) if R_w.ndim == 0 else R_w
-    if not with_convergence:
-        return R_w
     val_coarse = integrand[..., ::2] @ _simpson_weights(n_lambda // 2, 2 * U_MAX / n_lambda)
     with np.errstate(divide="ignore", invalid="ignore"):
         change = np.where(val_fine > 0, np.abs(val_fine - val_coarse) / val_fine, 0.0)
@@ -366,8 +341,7 @@ def aggregate_total_resistance(dims, n_lambda=N_LAMBDA):
     drafts = np.array(DRAFT_FRACTIONS)
     U = froude * math.sqrt(G * dims.LOA)
     C_f = np.array([friction_coefficient(Re) for Re in U * dims.LOA / NU])
-    R_w, change = michell_wave_resistance(dims, U[:, None], drafts[None, :], n_lambda=n_lambda,
-                                          with_convergence=True)
+    R_w, change = michell_wave_resistance(dims, U[:, None], drafts[None, :], n_lambda=n_lambda)
     s_at = wetted_surface_area(dims, drafts)
     R_f = friction_resistance(C_f[:, None], U[:, None], s_at[None, :], dims)
     R_T = R_w + R_f

@@ -178,12 +178,15 @@ class TreeEnsemble:
     trees: list
     shrinkage: float
     max_depth: int
-    n_trees: int
     d: int
     bin_tables: _BinTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bin_tables = _bin_tables(self.trees, self.d)
+
+    @property
+    def n_trees(self):
+        return len(self.trees)
 
 
 def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
@@ -201,7 +204,7 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
         raise DataError("inputs must be finite")
     base = float(y.mean())
     if np.all(y == y[0]):
-        return TreeEnsemble(base, [], shrinkage, max_depth, 0, X.shape[1]), []
+        return TreeEnsemble(base, [], shrinkage, max_depth, X.shape[1]), []
 
     d, n_thr = X.shape[1], _N_THRESHOLDS
     n_bins = n_thr + 1
@@ -272,7 +275,7 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
         if not np.isfinite(mse_history[-1]):
             raise NumericalError(f"boosting diverged at tree {len(trees)}: train MSE "
                                  f"{mse_history[-1]} (shrinkage {shrinkage})")
-    ensemble = TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, X.shape[1])
+    ensemble = TreeEnsemble(base, trees, shrinkage, max_depth, X.shape[1])
     return ensemble, mse_history
 
 
@@ -380,6 +383,6 @@ def load_ensemble(path):
         ))
     r.finish()
     try:
-        return TreeEnsemble(base, trees, shrinkage, max_depth, n_trees, d)
+        return TreeEnsemble(base, trees, shrinkage, max_depth, d)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None

@@ -302,16 +302,16 @@ def test_criterion_10_michell_integral():
     # zero beam: no displacement, no waves
     flat = HullDims(LOA=80.0, L_b=20.0, L_s=20.0, B_d=0.0, D_d=6.4, B_s=0.0, WL=4.8)
     U = 0.3 * math.sqrt(9.81 * 80.0)
-    rw_zero = michell_wave_resistance(flat, U, 0.5)
+    rw_zero = michell_wave_resistance(flat, U, 0.5)[0]
 
     narrow = scale_params([0.25, 0.25, 0.08, 0.08, 0.5, 0.75], 80.0)
     wide = scale_params([0.25, 0.25, 0.16, 0.08, 0.5, 0.75], 80.0)
-    ratio = michell_wave_resistance(wide, U, 0.5) / michell_wave_resistance(narrow, U, 0.5)
+    ratio = michell_wave_resistance(wide, U, 0.5)[0] / michell_wave_resistance(narrow, U, 0.5)[0]
     scaling_err = abs(ratio / 4.0 - 1.0)
 
     canonical = scale_params([0.25, 0.25, 0.12, 0.08, 0.5, 0.75], 80.0)
-    base = michell_wave_resistance(canonical, U, 0.5, n_lambda=256)
-    fine = michell_wave_resistance(canonical, U, 0.5, n_lambda=512)
+    base = michell_wave_resistance(canonical, U, 0.5, n_lambda=256)[0]
+    fine = michell_wave_resistance(canonical, U, 0.5, n_lambda=512)[0]
     convergence = abs(fine - base) / abs(base)
 
     rng = np.random.default_rng(10)

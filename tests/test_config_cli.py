@@ -11,6 +11,7 @@ from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit.data import NormStats, load_dataset, write_binary
 from rddkit.denoiser import DenoiserParams, init_params, save_model
+from rddkit.diffusion import NoiseSchedule, make_schedule
 from rddkit.exceptions import ConfigError
 from rddkit.trees import fit_ensemble, save_ensemble
 
@@ -25,8 +26,14 @@ def write_json(path, obj):
 def write_model(path):
     """A small untrained 2-d model file."""
     params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
-    save_model(str(path), params, T=10, beta_start=1e-4, beta_end=0.02)
+    save_model(str(path), params, make_schedule(10, 1e-4, 0.02))
     return path
+
+
+def stored_schedule(T, beta_start, beta_end):
+    """A NoiseSchedule holding only the T and end betas that save_model
+    writes, for model files whose schedule make_schedule rejects."""
+    return NoiseSchedule(T, np.array([0.0, beta_start, beta_end]), None, None, None)
 
 
 def v1_model_bytes(params, last_bias_len=None):
@@ -341,7 +348,7 @@ def test_data_errors_exit_2(tmp_path, caplog):
     for name, T, beta_start, beta_end in (("t0.rddm", 0, 1e-4, 0.02),
                                           ("reversed.rddm", 10, 0.05, 0.02),
                                           ("beta_big.rddm", 10, 1e-4, 1.5)):
-        save_model(str(tmp_path / name), params, T=T, beta_start=beta_start, beta_end=beta_end)
+        save_model(str(tmp_path / name), params, stored_schedule(T, beta_start, beta_end))
         for argv in (["sample", "--model", str(tmp_path / name), "--n-traj", "2"],
                      ["finetune", "--model", str(tmp_path / name)]):
             caplog.clear()
@@ -354,7 +361,7 @@ def test_data_errors_exit_2(tmp_path, caplog):
         dims = [2 + embed_dim, *hidden, 2]
         theta = np.zeros(sum(i * o + o for i, o in zip(dims[:-1], dims[1:])))
         save_model(str(tmp_path / name), DenoiserParams(theta, 2, embed_dim, hidden),
-                   T=10, beta_start=1e-4, beta_end=0.02)
+                   make_schedule(10, 1e-4, 0.02))
         caplog.clear()
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
                          "--outdir", str(tmp_path / "never")]) == 2
@@ -439,7 +446,7 @@ def test_non_finite_model_values_exit_2(tmp_path, caplog):
             ("inf_std.rddm", params, inf_std, 0.02, "normalization std"),
             ("nan_mean.rddm", params, nan_mean, 0.02, "normalization mean"),
             ("inf_beta.rddm", params, None, np.inf, "beta")):
-        save_model(str(tmp_path / name), p, T=10, beta_start=1e-4, beta_end=beta_end, stats=s)
+        save_model(str(tmp_path / name), p, stored_schedule(10, 1e-4, beta_end), stats=s)
         out = tmp_path / f"out_{name}"
         caplog.clear()
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
@@ -603,6 +610,27 @@ def test_every_command_writes_its_run_record(tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)
     assert sorted(os.listdir(out)) == listed
     assert os.listdir(cwd) == []
+
+
+@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
+def test_finetune_and_sample_archive_the_model_files_schedule_and_network(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1\n" + "".join(f"{i * 0.1},{(i * 0.7) % 1}\n" for i in range(20)))
+    ran = {"schedule": {"T": 12, "beta_start": 1e-4, "beta_end": 0.1},
+           "net": {"embed_dim": 8, "hidden_dims": [16]}}
+    cfg = write_json(tmp_path / "pre.json", {**ran, "pretrain": {"epochs": 1}})
+    run = tmp_path / "run"
+    assert cli.main(["pretrain", "--config", cfg, "--data", str(data),
+                     "--outdir", str(run)]) == 0
+    # neither config names a schedule or a network, so both hold the defaults
+    small = write_json(tmp_path / "ft.json", {"finetune": {"S": 1, "m": 4, "batch_size": 4}})
+    for command, argv in (
+            ("finetune", ["finetune", "--config", small, "--model", str(run / "model.rddm")]),
+            ("sample", ["sample", "--model", str(run / "model.rddm"), "--M", "2",
+                        "--n-traj", "4"])):
+        assert cli.main(argv + ["--outdir", str(run)]) == 0
+        archived = json.loads((run / f"{command}.config.json").read_text())
+        assert {k: archived[k] for k in ran} == ran, command
 
 
 def _leaf_parsers(parser, words=()):

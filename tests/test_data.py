@@ -21,6 +21,7 @@ from rddkit.data import (
     write_csv,
 )
 from rddkit.denoiser import init_params, load_model, save_model
+from rddkit.diffusion import make_schedule
 from rddkit.exceptions import DataError, NumericalError
 from rddkit.trees import fit_ensemble, load_ensemble, save_ensemble
 
@@ -303,7 +304,7 @@ def flips_that_load(good, path, load):
 def test_every_flipped_byte_of_a_model_file_is_rejected(tmp_path):
     params = init_params(1, NetSection(embed_dim=2, hidden_dims=[2]), 0)
     good = tmp_path / "m.rddm"
-    save_model(good, params, T=5, beta_start=1e-4, beta_end=0.02,
+    save_model(good, params, make_schedule(5, 1e-4, 0.02),
                stats=NormStats(mean=np.zeros(1), std=np.ones(1)))
     load_model(good)
     assert flips_that_load(good, tmp_path / "bad.rddm", load_model) == []

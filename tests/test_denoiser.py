@@ -283,7 +283,7 @@ def test_model_file_round_trip(tmp_path):
     params = small_net(seed=11, d=3, hidden=(8, 8), embed=6)
     stats = NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.5, 2.5]))
     path = os.path.join(tmp_path, "m.rddm")
-    save_model(path, params, T=42, beta_start=2e-4, beta_end=0.07, stats=stats)
+    save_model(path, params, make_schedule(42, 2e-4, 0.07), stats=stats)
     loaded, sched, lstats = load_model(path)
     ref = make_schedule(42, 2e-4, 0.07)
     assert sched.T == 42 and (sched.betas[1], sched.betas[-1]) == (2e-4, 0.07)
@@ -304,7 +304,7 @@ def test_model_file_round_trip(tmp_path):
 def test_model_file_without_stats(tmp_path):
     params = small_net(seed=12)
     path = os.path.join(tmp_path, "m.rddm")
-    save_model(path, params, T=10, beta_start=1e-4, beta_end=0.02)
+    save_model(path, params, make_schedule(10, 1e-4, 0.02))
     _, _, lstats = load_model(path)
     assert lstats is None
 

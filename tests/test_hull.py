@@ -9,6 +9,7 @@ from rddkit.hull import (
     DRAFT_FRACTIONS,
     FROUDE_NUMBERS,
     HullDims,
+    _deck,
     aggregate_resistances,
     aggregate_total_resistance,
     constraint_violation,
@@ -24,6 +25,15 @@ from rddkit.hull import (
 
 def canonical_dims(loa=80.0):
     return scale_params([0.25, 0.25, 0.12, 0.08, 0.5, 0.75], loa)
+
+
+# one hull of each taper layout
+SHAPES = {
+    "canonical": canonical_dims(),
+    "no_bow_taper": HullDims(LOA=60.0, L_b=0.0, L_s=15.0, B_d=7.0, D_d=5.0, B_s=1.5, WL=4.0),
+    "no_stern_taper": HullDims(LOA=60.0, L_b=15.0, L_s=0.0, B_d=7.0, D_d=5.0, B_s=3.5, WL=4.0),
+    "prism": HullDims(LOA=50.0, L_b=0.0, L_s=0.0, B_d=6.0, D_d=4.0, B_s=3.0, WL=4.0),
+}
 
 
 # ---------------------------------------------------------------- geometry
@@ -63,11 +73,18 @@ def test_scale_params_rejects_bad_inputs():
     with pytest.raises(InfeasibleHullError):
         scale_params([0.7, 0.7, 0.1, 0.1, 0.5, 0.5], 80.0)
     # the rule is constraint_violation's: a fraction below its 1e-3 floor,
-    # and a taper sum above 1 by less than HullDims.validate's tolerance
+    # and a taper sum above 1 by only 1e-13
     for p in ([0.0005, 0.25, 0.12, 0.08, 0.5, 0.75], [0.5, 0.5 + 1e-13, 0.1, 0.1, 0.5, 0.5]):
         assert constraint_violation(np.array([p]))[0] > 0.0
         with pytest.raises(InfeasibleHullError):
             scale_params(p, 80.0)
+
+
+def test_scale_params_rejects_a_bad_loa():
+    p = [0.25, 0.25, 0.12, 0.08, 0.5, 0.75]
+    for loa in (np.nan, np.inf, -np.inf, 0.0, -80.0):
+        with pytest.raises(InfeasibleHullError, match="LOA"):
+            scale_params(p, loa)
 
 
 def test_constraint_violation_boundaries():
@@ -124,6 +141,22 @@ def test_halfbreadth_continuous_at_taper_joints():
         assert abs(lo - hi) < 1e-8
 
 
+@pytest.mark.parametrize("dims", SHAPES.values(), ids=list(SHAPES))
+def test_deck_slope_matches_the_half_beam_difference(dims):
+    # each piece of the deck curve is at most quadratic, so a central
+    # difference inside it is exact up to rounding
+    x_s = dims.LOA - dims.L_s
+    pieces = [(0.0, dims.L_b), (dims.L_b, x_s), (x_s, dims.LOA)]
+    for lo, hi in pieces:
+        if hi <= lo:
+            continue
+        x = lo + (hi - lo) * np.linspace(0.1, 0.9, 9)
+        h = 1e-3 * (hi - lo)
+        diff = (half_breadth(x + h, 0.0, dims) - half_breadth(x - h, 0.0, dims)) / (2 * h)
+        slope = _deck(x, dims)[1]
+        assert np.allclose(slope, diff, rtol=1e-8, atol=1e-10 * dims.B_d / dims.LOA)
+
+
 def test_halfbreadth_domain_errors():
     dims = canonical_dims()
     with pytest.raises(ValueError):
@@ -149,8 +182,7 @@ def test_halfbreadth_nonnegative_grid():
 
 def test_wetted_area_prism_closed_form():
     # no tapers: the integrand is x-independent and the z-integral is analytic
-    dims = HullDims(LOA=50.0, L_b=0.0, L_s=0.0, B_d=6.0, D_d=4.0, B_s=3.0, WL=4.0)
-    dims.validate()
+    dims = SHAPES["prism"]
     t = 0.75 * dims.WL
     c = dims.B_d / dims.D_d ** 2
     z_int = t / 2 * math.sqrt(1 + (c * t) ** 2) + math.asinh(c * t) / (2 * c)
@@ -197,15 +229,15 @@ def speed_at(fr, dims):
 def test_michell_zero_beam_is_zero():
     dims = HullDims(LOA=80.0, L_b=20.0, L_s=20.0, B_d=0.0, D_d=6.4, B_s=0.0, WL=4.8)
     U = speed_at(0.3, dims)
-    assert michell_wave_resistance(dims, U, 0.5) == 0.0
+    assert michell_wave_resistance(dims, U, 0.5) == (0.0, 0.0)
 
 
 def test_michell_beam_squared_scaling():
     base = scale_params([0.25, 0.25, 0.08, 0.08, 0.5, 0.75], 80.0)
     wide = scale_params([0.25, 0.25, 0.16, 0.08, 0.5, 0.75], 80.0)
     U = speed_at(0.3, base)
-    r1 = michell_wave_resistance(base, U, 0.5)
-    r2 = michell_wave_resistance(wide, U, 0.5)
+    r1 = michell_wave_resistance(base, U, 0.5)[0]
+    r2 = michell_wave_resistance(wide, U, 0.5)[0]
     assert r2 == pytest.approx(4.0 * r1, rel=1e-9)
 
 
@@ -213,8 +245,8 @@ def test_michell_node_doubling_at_moderate_froude():
     dims = canonical_dims()
     U = speed_at(0.3, dims)
     for df in DRAFT_FRACTIONS:
-        base = michell_wave_resistance(dims, U, df, n_lambda=256)
-        fine = michell_wave_resistance(dims, U, df, n_lambda=512)
+        base = michell_wave_resistance(dims, U, df, n_lambda=256)[0]
+        fine = michell_wave_resistance(dims, U, df, n_lambda=512)[0]
         assert abs(fine - base) < 1e-3 * abs(base)
 
 
@@ -231,10 +263,10 @@ def test_halving_change_flags_low_froude_cell(recwarn):
     assert default[0, 3] < change[0, 3]
     # the grid value is the scalar call's, which halves the same nodes
     U = speed_at(0.1, dims)
-    rw, cell = michell_wave_resistance(dims, U, 0.67, n_lambda=64, with_convergence=True)
+    rw, cell = michell_wave_resistance(dims, U, 0.67, n_lambda=64)
     assert cell == pytest.approx(change[0, 3], rel=1e-12)
-    fine = michell_wave_resistance(dims, U, 0.67, n_lambda=64)
-    coarse = michell_wave_resistance(dims, U, 0.67, n_lambda=32)
+    fine = michell_wave_resistance(dims, U, 0.67, n_lambda=64)[0]
+    coarse = michell_wave_resistance(dims, U, 0.67, n_lambda=32)[0]
     assert cell == pytest.approx(abs(fine - coarse) / fine, rel=1e-9)
     assert rw == fine
     assert res.to_dict()["R_w_halving_change"] == change.tolist()
@@ -275,7 +307,7 @@ def test_michell_nonnegative_random_hulls():
         p = lo + (hi - lo) * rng.random(6)
         dims = scale_params(p, 60.0)
         fr = 0.1 + 0.35 * rng.random()
-        rw = michell_wave_resistance(dims, speed_at(fr, dims), 0.5)
+        rw = michell_wave_resistance(dims, speed_at(fr, dims), 0.5)[0]
         assert rw >= 0.0
 
 
@@ -342,18 +374,13 @@ def test_aggregate_near_zero_beam_is_friction_dominated():
     # a beam fraction of 1e-9 is below scale_params' 1e-3 floor, so the
     # dimensions it would give are built directly
     dims = HullDims(LOA=80.0, L_b=0.25 * 80.0, L_s=0.25 * 80.0, B_d=1e-9 * 80.0,
-                    D_d=0.08 * 80.0, B_s=0.5 * 1e-9 * 80.0 / 2.0, WL=0.75 * 0.08 * 80.0).validate()
+                    D_d=0.08 * 80.0, B_s=0.5 * 1e-9 * 80.0 / 2.0, WL=0.75 * 0.08 * 80.0)
     res = aggregate_total_resistance(dims)
     assert res.R_w.sum() < 0.01 * res.aggregate
     assert res.aggregate == pytest.approx(res.R_f.sum(), rel=1e-6)
 
 
-@pytest.mark.parametrize("dims", [
-    canonical_dims(),
-    HullDims(LOA=60.0, L_b=0.0, L_s=15.0, B_d=7.0, D_d=5.0, B_s=1.5, WL=4.0),
-    HullDims(LOA=60.0, L_b=15.0, L_s=0.0, B_d=7.0, D_d=5.0, B_s=3.5, WL=4.0),
-    HullDims(LOA=50.0, L_b=0.0, L_s=0.0, B_d=6.0, D_d=4.0, B_s=3.0, WL=4.0),
-], ids=["canonical", "no_bow_taper", "no_stern_taper", "prism"])
+@pytest.mark.parametrize("dims", SHAPES.values(), ids=list(SHAPES))
 def test_aggregate_grid_matches_scalar_cells(dims):
     res = aggregate_total_resistance(dims)
     for j, df in enumerate(DRAFT_FRACTIONS):
@@ -361,8 +388,8 @@ def test_aggregate_grid_matches_scalar_cells(dims):
         assert isinstance(s_at, float)
         for i, fr in enumerate(FROUDE_NUMBERS):
             U = speed_at(float(fr), dims)
-            rw = michell_wave_resistance(dims, U, df)
-            assert isinstance(rw, float)
+            rw, change = michell_wave_resistance(dims, U, df)
+            assert isinstance(rw, float) and isinstance(change, float)
             rf = friction_resistance(friction_coefficient(U * dims.LOA / 1.19e-6), U, s_at, dims)
             assert res.R_w[i, j] == pytest.approx(rw, rel=1e-12, abs=0.0)
             assert res.R_f[i, j] == pytest.approx(rf, rel=1e-12, abs=0.0)
@@ -389,12 +416,11 @@ def test_grid_calls_match_elementwise_calls():
     for j, df in enumerate(drafts):
         assert areas[j] == pytest.approx(wetted_surface_area(dims, float(df)), rel=1e-12)
     U = np.array([speed_at(0.15, dims), speed_at(0.4, dims)])
-    grid, change = michell_wave_resistance(dims, U[:, None], drafts[None, :],
-                                           with_convergence=True)
+    grid, change = michell_wave_resistance(dims, U[:, None], drafts[None, :])
     assert grid.shape == change.shape == (2, 4)
     for i in range(2):
         for j in range(4):
-            cell, c = michell_wave_resistance(dims, U[i], drafts[j], with_convergence=True)
+            cell, c = michell_wave_resistance(dims, U[i], drafts[j])
             assert grid[i, j] == pytest.approx(cell, rel=1e-12)
             assert change[i, j] == pytest.approx(c, rel=1e-9, abs=1e-15)
     with pytest.raises(ValueError):

@@ -309,7 +309,7 @@ def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_pa
     # split across BLAS threads
     model = tmp_path / "model.rddm"
     params = init_params(2, NetSection(embed_dim=32, hidden_dims=[256, 256]), 0)
-    save_model(str(model), params, T=5, beta_start=1e-4, beta_end=0.1)
+    save_model(str(model), params, make_schedule(5, 1e-4, 0.1))
     src = os.path.dirname(os.path.dirname(sampler.__file__))
 
     def samples(threads):

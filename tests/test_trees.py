@@ -448,7 +448,8 @@ def test_shared_subtrees_predict_like_the_walk_or_are_rejected():
                         left=np.array([1, 3, -1, -1], dtype=np.int32),
                         right=np.array([2, 3, -1, -1], dtype=np.int32),
                         value=np.array([0.0, 0.0, 1.0, 2.0]))
-    ens = trees.TreeEnsemble(0.25, [shared], 1.0, 2, 1, 2)
+    ens = trees.TreeEnsemble(0.25, [shared], 1.0, 2, 2)
+    assert ens.n_trees == 1
     Xt = np.random.default_rng(24).uniform(-1, 1, size=(50, 2))
     assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
     # a chain of splits whose children are both the next node: 2^7 paths, 8 nodes
@@ -458,4 +459,4 @@ def test_shared_subtrees_predict_like_the_walk_or_are_rejected():
                        right=np.array(list(range(1, 8)) + [-1], dtype=np.int32),
                        value=np.zeros(8))
     with pytest.raises(DataError, match="paths"):
-        trees.TreeEnsemble(0.0, [chain], 1.0, 7, 1, 1)
+        trees.TreeEnsemble(0.0, [chain], 1.0, 7, 1)
