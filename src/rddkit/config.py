@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from rddkit.exceptions import ConfigError
+from rddkit.hull import LOA_RANGE
 
 
 def _list_of(value, types):
@@ -159,8 +160,9 @@ class RewardSection:
             raise ConfigError("reward.target: expected a non-empty list of numbers")
         if self.target is not None and not all(map(math.isfinite, self.target)):
             raise ConfigError(f"reward.target: must be finite, got {self.target!r}")
-        if self.kind == "hull" and self.loa <= 0:
-            raise ConfigError("reward.loa: must be > 0")
+        if self.kind == "hull" and not LOA_RANGE[0] <= self.loa <= LOA_RANGE[1]:
+            raise ConfigError(f"reward.loa: must lie in [{LOA_RANGE[0]}, {LOA_RANGE[1]:g}] m, "
+                              f"got {self.loa}")
         # a scale <= 0 would reward more drag, or give every hull the same reward
         if self.kind == "hull" and self.scale <= 0:
             raise ConfigError("reward.scale: must be > 0")

@@ -43,11 +43,8 @@ class DenoiserParams:
 
     @property
     def layer_weights(self):
+        """The per-layer W of theta; rddbench/tracing.py counts FLOPs from it."""
         return [W for W, _ in layer_views(self, self.theta)]
-
-    @property
-    def layer_biases(self):
-        return [b for _, b in layer_views(self, self.theta)]
 
 
 @dataclass

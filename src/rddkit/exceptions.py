@@ -29,5 +29,5 @@ class TrainingDivergenceError(NumericalError):
 
 
 class InfeasibleHullError(ValueError):
-    """Hull parameters that hull.constraint_violation rejects, or an LOA that
-    is not a finite length above 0."""
+    """Hull parameters that hull.constraint_violation rejects, or an LOA
+    outside hull.LOA_RANGE."""

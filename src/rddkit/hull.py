@@ -41,6 +41,10 @@ FROUDE_NUMBERS = np.linspace(0.1, 0.45, 8)
 DRAFT_FRACTIONS = (0.25, 0.33, 0.5, 0.67)
 N_PARAMS = 6      # the fractions that scale_params maps onto a hull
 N_LAMBDA = 256    # Simpson intervals of the Michell integral
+# lengths overall, in metres, that the resistance model is evaluated at: a
+# shorter hull gives Reynolds numbers below the friction line's floor of 100,
+# and a much longer one overflows the wave terms
+LOA_RANGE = (0.1, 1e4)
 
 
 @dataclass
@@ -60,14 +64,15 @@ def scale_params(p, loa):
     """Map the vector of N_PARAMS fractions onto physical dimensions.
 
     InfeasibleHullError exactly when constraint_violation rejects p, or when
-    loa is not a finite length above 0; every dimension is a fraction of loa."""
+    loa lies outside LOA_RANGE; every dimension is a fraction of loa."""
     p = np.asarray(p, dtype=np.float64)
     violation = constraint_violation(p[None])[0]
     if not violation == 0.0:
         raise InfeasibleHullError(f"hull parameters violate the design constraints by "
                                   f"{violation}: {p}")
-    if not 0 < loa < math.inf:
-        raise InfeasibleHullError(f"LOA must be a finite length above 0, got {loa}")
+    if not LOA_RANGE[0] <= loa <= LOA_RANGE[1]:
+        raise InfeasibleHullError(f"LOA must lie in [{LOA_RANGE[0]}, {LOA_RANGE[1]:g}] m, "
+                                  f"got {loa}")
     return HullDims(
         LOA=float(loa),
         L_b=float(p[0] * loa),

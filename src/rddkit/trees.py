@@ -6,7 +6,9 @@ per round. The model is a step function of the input, so it has no useful
 gradient anywhere; callers treat it as a black box. Fitting is fully
 deterministic: candidate thresholds come from quantiles and split-gain ties
 break toward the lowest feature index, then the lowest threshold. Inputs
-and targets must be finite.
+and targets must be finite. A tree is its node list in preorder, which
+alone fixes its shape, so no child indices are kept or stored; a list that
+is not one binary tree in preorder is a DataError.
 
 Prediction reads bin tables built once per ensemble, after QuickScorer
 (Lucchese et al. 2015) instead of descending each tree node by node. Each
@@ -39,16 +41,15 @@ from rddkit.data import BinaryReader, write_binary
 from rddkit.exceptions import ConfigError, DataError, NumericalError
 
 _MAGIC = b"RDDT"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _N_THRESHOLDS = 32    # per-feature quantile thresholds a split may use
 
 
 @dataclass
 class Tree:
+    """Nodes in preorder: a split, its left subtree, then its right subtree."""
     feature: np.ndarray    # int32, -1 marks a leaf
     threshold: np.ndarray  # float64
-    left: np.ndarray       # int32
-    right: np.ndarray      # int32
     value: np.ndarray      # float64, meaningful at leaves
 
 
@@ -95,62 +96,47 @@ def _bin_tables(trees, d):
                               ).astype(dtype)
 
     feature, threshold = flat("feature", np.intp), flat("threshold", np.float64)
-    left, right, value = flat("left", np.intp), flat("right", np.intp), flat("value", np.float64)
+    value = flat("value", np.float64)
     tree_of = np.repeat(np.arange(n_trees), sizes)
     internal = feature >= 0
-    n_of = sizes[tree_of]
+    node = np.arange(feature.shape[0], dtype=np.intp)
+
+    def before(x):
+        """Per node, the sum of x over the nodes before it in its tree."""
+        total = np.cumsum(x) - x
+        return total - total[roots][tree_of]
+
+    # each split opens one more subtree and each leaf closes one; n_open[i]
+    # subtrees are open as node i fills one of them. The nodes are one tree
+    # in preorder exactly when the count first reaches zero at the last node
+    step = np.where(internal, 1, -1)
+    n_open = 1 + before(step)
+    last = node == (roots + sizes - 1)[tree_of]
     for bad, message in (
-            (internal & ((left < 0) | (left >= n_of) | (right < 0) | (right >= n_of)),
-             "child index outside its {n} nodes"),
+            ((n_open + step == 0) != last, "nodes are not one binary tree in preorder"),
             (internal & (feature >= d), f"feature index outside the {d} inputs"),
             (internal & np.isnan(threshold), "NaN threshold at an internal node"),
             (~internal & ~np.isfinite(value), "non-finite leaf value")):
         hit = tree_of[bad]
         if hit.size:
-            k = int(hit.min())
-            raise DataError(f"tree {k}: " + message.format(n=sizes[k]))
-    node = np.arange(feature.shape[0], dtype=np.intp)
-    left = np.where(internal, left + roots[tree_of], node)
-    right = np.where(internal, right + roots[tree_of], node)
-    # node heights and leaf counts by fixed-point iteration; a tree of n
-    # nodes is less than n deep, so no fixed point within as many rounds as
-    # the largest tree has nodes means a cycle. Leaf counts are capped so a
-    # cycle cannot overflow them; a shared subtree counts once per path.
-    cap = feature.shape[0] + 1
-    height = np.zeros(feature.shape[0], dtype=np.intp)
-    leaves = (~internal).astype(np.intp)
-    for _ in range(int(sizes.max(initial=1))):
-        leaves = np.where(internal, np.minimum(leaves[left] + leaves[right], cap), 1)
-        new = np.where(internal, 1 + np.maximum(height[left], height[right]), 0)
-        if np.array_equal(new, height):
-            break
-        height = new
-    else:
-        raise DataError("tree nodes form a cycle")
-    shared = leaves[roots] > sizes
-    if np.any(shared):
-        k = int(np.flatnonzero(shared)[0])
-        raise DataError(f"tree {k}: more root-to-leaf paths than its {sizes[k]} nodes")
+            raise DataError(f"tree {int(hit.min())}: {message}")
 
-    # walk every tree level by level; the entry for a node reached at leaf
-    # number lo sends its left child to lo and its right child past the
-    # left subtree's leaves
-    node, tree, lo = roots, np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
-    splits, exits = [], []
-    for _ in range(int(height[roots].max(initial=0)) + 1):
-        inner = internal[node]
-        exits.append((tree[~inner], lo[~inner], node[~inner]))
-        node, tree, lo = node[inner], tree[inner], lo[inner]
-        mid = lo + leaves[left[node]]
-        splits.append((tree, node, lo, mid))
-        node = np.concatenate([left[node], right[node]])
-        tree, lo = np.concatenate([tree, tree]), np.concatenate([lo, mid])
-    s_tree, s_node, s_lo, s_mid = (np.concatenate(a) for a in zip(*splits))
-    e_tree, e_lo, e_node = (np.concatenate(a) for a in zip(*exits))
+    # a split's left subtree follows it and ends where the count first drops
+    # back to the split's own: its right child is the next node of its tree
+    # with the same count (lexsort is stable, so ties keep node order)
+    order = np.lexsort((n_open, tree_of))
+    succ = np.empty_like(order)
+    succ[order[:-1]] = order[1:]
+    # a node's leaf number is the count of leaves before it, so a split's left
+    # subtree holds the leaves from its own number to its right child's
+    leaf_no = before(~internal)
+    s_node = node[internal]
+    s_tree, s_lo, s_mid = tree_of[s_node], leaf_no[s_node], leaf_no[succ[s_node]]
 
-    words = max(1, -(-int(leaves[roots].max(initial=1)) // 64))
+    leaves = (int(sizes.max(initial=1)) + 1) // 2   # a binary tree of n nodes has (n + 1) / 2
+    words = max(1, -(-leaves // 64))
     leaf_values = np.zeros((n_trees, 64 * words))
-    leaf_values[e_tree, e_lo] = value[e_node]
+    leaf_values[tree_of[~internal], leaf_no[~internal]] = value[~internal]
     # the mask of a split keeps every bit but its left subtree's [lo, mid)
     base = 64 * np.arange(words)
     masks = ~(_LOW_BITS[np.clip(s_mid[:, None] - base, 0, 64)]
@@ -222,15 +208,11 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     trees, mse_history = [], []
     for _ in range(n_trees):
         resid = y - F
-        feature, threshold, left, right, value = [], [], [], [], []
-        # (rows, depth, parent, the parent's child list); the right child is
-        # pushed before the left, so nodes are numbered in preorder
-        stack = [(np.arange(X.shape[0]), 0, -1, None)]
+        feature, threshold, value = [], [], []
+        # (rows, depth); right is pushed before left, so nodes come in preorder
+        stack = [(np.arange(X.shape[0]), 0)]
         while stack:
-            idx, depth, parent, side = stack.pop()
-            node = len(feature)
-            if parent >= 0:
-                side[parent] = node
+            idx, depth = stack.pop()
             n = idx.shape[0]
             r = resid[idx]
             total = r.sum()
@@ -251,8 +233,6 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
                 if not gain[f, k] > 0.0:
                     f = -1
             feature.append(f)
-            left.append(-1)
-            right.append(-1)
             if f < 0:
                 threshold.append(0.0)
                 value.append(total / n)
@@ -261,13 +241,9 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
             threshold.append(float(thresholds[f, k]))
             value.append(0.0)
             go_left = b[:, f] <= f * n_bins + k
-            stack.append((idx[~go_left], depth + 1, node, right))
-            stack.append((idx[go_left], depth + 1, node, left))
-        trees.append(Tree(feature=np.array(feature, dtype=np.int32),
-                          threshold=np.array(threshold, dtype=np.float64),
-                          left=np.array(left, dtype=np.int32),
-                          right=np.array(right, dtype=np.int32),
-                          value=np.array(value, dtype=np.float64)))
+            stack.append((idx[~go_left], depth + 1))
+            stack.append((idx[go_left], depth + 1))
+        trees.append(Tree(np.array(feature, dtype=np.int32), np.array(threshold), np.array(value)))
         # bins[:, f] <= f * n_bins + k exactly when x <= thresholds[f, k], so
         # each training row's leaf is the one the tree routes it to
         F = F + shrinkage * fitted
@@ -352,15 +328,14 @@ def r2_score(predictions, targets):
 def save_ensemble(path, ensemble):
     """Write the surrogate file, a data.write_binary container whose payload
     is u32 d, n_trees, max_depth, f8 shrinkage, base prediction, then per tree
-    a u32 node count and its feature, threshold, left, right, value arrays."""
+    a u32 node count and its preorder feature (i4), threshold (f8) and value
+    (f8) arrays."""
     chunks = [struct.pack("<IIIdd", ensemble.d, len(ensemble.trees), ensemble.max_depth,
                           ensemble.shrinkage, ensemble.base_prediction)]
     for tree in ensemble.trees:
         chunks += [struct.pack("<I", tree.feature.shape[0]),
                    np.ascontiguousarray(tree.feature, dtype="<i4").tobytes(),
                    np.ascontiguousarray(tree.threshold, dtype="<f8").tobytes(),
-                   np.ascontiguousarray(tree.left, dtype="<i4").tobytes(),
-                   np.ascontiguousarray(tree.right, dtype="<i4").tobytes(),
                    np.ascontiguousarray(tree.value, dtype="<f8").tobytes()]
     write_binary(path, _MAGIC, _FORMAT_VERSION, chunks)
 
@@ -373,14 +348,8 @@ def load_ensemble(path):
         raise DataError(f"{path}: non-finite shrinkage {shrinkage} or base prediction {base}")
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = r.unpack("<I")
-        trees.append(Tree(
-            feature=r.array("<i4", n_nodes),
-            threshold=r.array("<f8", n_nodes),
-            left=r.array("<i4", n_nodes),
-            right=r.array("<i4", n_nodes),
-            value=r.array("<f8", n_nodes),
-        ))
+        (n,) = r.unpack("<I")
+        trees.append(Tree(r.array("<i4", n), r.array("<f8", n), r.array("<f8", n)))
     r.finish()
     try:
         return TreeEnsemble(base, trees, shrinkage, max_depth, d)

@@ -119,10 +119,9 @@ def test_criterion_02_gradient_exactness():
 
     h = 1e-6
     worst = 0.0
-    for arrays, grads in ((lambda p: p.layer_weights, dW),
-                          (lambda p: p.layer_biases, db)):
+    for kind, grads in ((0, dW), (1, db)):
         for li, g in enumerate(grads):
-            arr = arrays(params)[li]
+            arr = layer_views(params, params.theta)[li][kind]
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

@@ -10,7 +10,7 @@ import pytest
 from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit.data import NormStats, load_dataset, write_binary
-from rddkit.denoiser import DenoiserParams, init_params, save_model
+from rddkit.denoiser import DenoiserParams, init_params, layer_views, save_model
 from rddkit.diffusion import NoiseSchedule, make_schedule
 from rddkit.exceptions import ConfigError
 from rddkit.trees import fit_ensemble, save_ensemble
@@ -42,7 +42,7 @@ def v1_model_bytes(params, last_bias_len=None):
     parts = [b"RDDM", struct.pack("<IIII", 1, params.d, params.embed_dim, n),
              struct.pack(f"<{n}I", *params.hidden_dims), struct.pack("<II", 1, 10),
              struct.pack("<dd", 1e-4, 0.02), b"\x00", struct.pack("<I", n + 1)]
-    for i, (W, b) in enumerate(zip(params.layer_weights, params.layer_biases)):
+    for i, (W, b) in enumerate(layer_views(params, params.theta)):
         if i == n and last_bias_len is not None:
             b = b[:last_bias_len]
         parts += [struct.pack("<II", *W.shape), W.tobytes(), struct.pack("<I", b.size),
@@ -150,6 +150,8 @@ def test_validate_cross_field_errors():
         (broken(finetune__anchor_kappa=-0.01), r"finetune\.anchor_kappa: must be >= 0"),
         (broken(reward__kind="hull", reward__scale=0.0), r"reward\.scale: must be > 0"),
         (broken(reward__kind="hull", reward__scale=-1e-6), r"reward\.scale: must be > 0"),
+        (broken(reward__kind="hull", reward__loa=0.001), r"reward\.loa: must lie in \[0\.1, "),
+        (broken(reward__kind="hull", reward__loa=1e300), r"reward\.loa: must lie in \[0\.1, "),
     ]
     for cfg, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
@@ -280,6 +282,14 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
                              "--outdir", str(tmp_path / "target")] + extra) == 1
             assert "reward.target: must be finite" in caplog.text
             assert not (tmp_path / "target").exists()
+    # a hull length outside hull.LOA_RANGE
+    for loa in (0.001, 1e300):
+        short = write_json(tmp_path / "loa.json", {"reward": {"kind": "hull", "loa": loa}})
+        caplog.clear()
+        assert cli.main(["sample", "--config", short, "--model", str(model),
+                         "--outdir", str(tmp_path / "loa")]) == 1
+        assert "reward.loa: must lie in" in caplog.text
+        assert not (tmp_path / "loa").exists()
     # flag overrides are validated before the output directory is made
     for flag, value in (("--M", "0"), ("--n-traj", "0"), ("--alpha", "-1")):
         assert cli.main(["sample", "--model", str(model), "--outdir", str(tmp_path / "never"),
@@ -307,6 +317,13 @@ def test_data_errors_exit_2(tmp_path, caplog):
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",
                    "0.5,0.5000000000001,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
         assert cli.main(["hull", "eval", "--params", params]) == 2
+    # so is a hull length outside hull.LOA_RANGE: below it the friction line
+    # has no Reynolds number, above it the wave terms overflow
+    for loa in ("0.001", "1e300"):
+        caplog.clear()
+        assert cli.main(["hull", "eval", "--params", "0.25,0.25,0.12,0.08,0.5,0.75",
+                         "--loa", loa]) == 2
+        assert "LOA must lie in" in caplog.text
     # reward-free samples cannot be evaluated
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")

@@ -293,10 +293,10 @@ def test_model_file_round_trip(tmp_path):
     assert np.array_equal(lstats.std, stats.std)
     assert np.array_equal(params.theta, loaded.theta)
     assert (loaded.d, loaded.embed_dim, loaded.hidden_dims) == (3, 6, (8, 8))
-    for a, b in zip(params.layer_weights, loaded.layer_weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(params.layer_biases, loaded.layer_biases):
-        assert np.array_equal(a, b)
+    for (Wa, ba), (Wb, bb) in zip(layer_views(params, params.theta),
+                                  layer_views(loaded, loaded.theta)):
+        assert np.array_equal(Wa, Wb)
+        assert np.array_equal(ba, bb)
     x = np.array([0.3, -0.1, 0.8])
     assert np.array_equal(predict_noise(params, x, 7, 42), predict_noise(loaded, x, 7, 42))
 

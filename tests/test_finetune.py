@@ -15,6 +15,7 @@ from rddkit.denoiser import (
     float32_params,
     init_opt_state,
     init_params,
+    layer_views,
     predict_noise,
 )
 from rddkit.diffusion import make_schedule
@@ -106,10 +107,9 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
     assert loss1 == loss2
     assert mean_r == 4.2
     assert not np.array_equal(p1.theta, params.theta)
-    for a, b in zip(p1.layer_weights, p2.layer_weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(p1.layer_biases, p2.layer_biases):
-        assert np.array_equal(a, b)
+    for (Wa, ba), (Wb, bb) in zip(layer_views(p1, p1.theta), layer_views(p2, p2.theta)):
+        assert np.array_equal(Wa, Wb)
+        assert np.array_equal(ba, bb)
     assert np.array_equal(o1.m, o2.m) and np.array_equal(o1.v, o2.v)
 
 

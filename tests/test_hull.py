@@ -8,6 +8,7 @@ from rddkit.exceptions import InfeasibleHullError
 from rddkit.hull import (
     DRAFT_FRACTIONS,
     FROUDE_NUMBERS,
+    LOA_RANGE,
     HullDims,
     _deck,
     aggregate_resistances,
@@ -82,9 +83,13 @@ def test_scale_params_rejects_bad_inputs():
 
 def test_scale_params_rejects_a_bad_loa():
     p = [0.25, 0.25, 0.12, 0.08, 0.5, 0.75]
-    for loa in (np.nan, np.inf, -np.inf, 0.0, -80.0):
+    for loa in (np.nan, np.inf, -np.inf, 0.0, -80.0, 0.001, 1e100, 1e300):
         with pytest.raises(InfeasibleHullError, match="LOA"):
             scale_params(p, loa)
+    # both ends of the range are lengths the resistance model evaluates
+    for loa in LOA_RANGE:
+        total = aggregate_total_resistance(scale_params(p, loa))
+        assert np.all(np.isfinite(total.R_T)) and np.isfinite(total.aggregate)
 
 
 def test_constraint_violation_boundaries():

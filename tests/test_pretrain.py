@@ -109,10 +109,7 @@ def test_untrained_zero_net_variance_matches_closed_form():
     # with eps_theta = 0 the chain is linear; propagate the variance exactly
     cfg = NetSection(embed_dim=8, hidden_dims=[16])
     params = init_params(2, cfg, 0)
-    for wl in params.layer_weights:
-        wl[:] = 0.0
-    for bl in params.layer_biases:
-        bl[:] = 0.0
+    params.theta[:] = 0.0   # every weight and bias
     sched = make_schedule(30)
     X = ancestral_sample(params, sched, 4000, seed=11)
     var = np.ones(2)

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import struct
 import tracemalloc
 import zlib
 
@@ -14,6 +16,27 @@ from rddkit.trees import (
     r2_score,
     save_ensemble,
 )
+
+
+def preorder_children(feature):
+    """Left and right child arrays (-1 at leaves) of a preorder node list,
+    decoded recursively; None if the list is not one binary tree in preorder."""
+    n = len(feature)
+    left, right = np.full(n, -1, dtype=np.int32), np.full(n, -1, dtype=np.int32)
+
+    def end_of_subtree(i):
+        if i >= n:
+            raise IndexError(i)
+        if feature[i] < 0:
+            return i + 1
+        left[i], right[i] = i + 1, end_of_subtree(i + 1)
+        return end_of_subtree(right[i])
+
+    try:
+        complete = end_of_subtree(0) == n
+    except IndexError:
+        return None
+    return (left, right) if complete else None
 
 
 def make_regression(n, d, seed, noise=0.05):
@@ -95,8 +118,9 @@ def test_root_split_matches_exhaustive_search():
         assert tree.threshold[0] == thresholds[f, k]
         # leaves carry the mean residual of their side
         mask = X[:, f] <= thresholds[f, k]
-        left_leaf = tree.value[tree.left[0]]
-        right_leaf = tree.value[tree.right[0]]
+        left, right = preorder_children(tree.feature)
+        left_leaf = tree.value[left[0]]
+        right_leaf = tree.value[right[0]]
         assert left_leaf == pytest.approx(resid[mask].mean(), rel=1e-12)
         assert right_leaf == pytest.approx(resid[~mask].mean(), rel=1e-12)
 
@@ -133,14 +157,15 @@ def test_heldout_r2_on_learnable_function():
     assert history[-1] < history[0]
 
 
-def walk(tree, row):
+def walk(tree, children, row):
     """One row down one tree, node by node."""
+    left, right = children
     node = 0
     while tree.feature[node] >= 0:
         if row[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
+            node = left[node]
         else:
-            node = tree.right[node]
+            node = right[node]
     return tree.value[node]
 
 
@@ -148,7 +173,8 @@ def manual_predict(ens, X):
     """The oracle: a per-row walk, trees accumulated in order."""
     manual = np.full(X.shape[0], ens.base_prediction)
     for tree in ens.trees:
-        manual += ens.shrinkage * np.array([walk(tree, row) for row in X])
+        children = preorder_children(tree.feature)
+        manual += ens.shrinkage * np.array([walk(tree, children, row) for row in X])
     return manual
 
 
@@ -181,13 +207,13 @@ def test_prediction_matches_oracle_on_shallow_leaves():
     X, y = make_regression(12, 3, seed=4)
     ens, _ = fit_ensemble(X, y, n_trees=10, max_depth=8, shrinkage=0.5)
 
-    def leaf_depths(tree, node=0, depth=0):
+    def leaf_depths(tree, children, node=0, depth=0):
         if tree.feature[node] < 0:
             return [depth]
-        return (leaf_depths(tree, tree.left[node], depth + 1)
-                + leaf_depths(tree, tree.right[node], depth + 1))
+        return (leaf_depths(tree, children, children[0][node], depth + 1)
+                + leaf_depths(tree, children, children[1][node], depth + 1))
 
-    depths = [leaf_depths(tree) for tree in ens.trees]
+    depths = [leaf_depths(tree, preorder_children(tree.feature)) for tree in ens.trees]
     assert max(max(d) for d in depths) < 8
     assert any(min(d) < max(d) for d in depths)
     Xt = np.random.default_rng(1).uniform(-1.2, 1.2, size=(60, 3))
@@ -222,6 +248,22 @@ def test_prediction_temporaries_stay_small():
     assert peak < 512 * 1024
 
 
+def with_children(raw, version):
+    """The bytes of an ensemble file in the layout of versions 1 and 2: each
+    tree's left and right child arrays (i4) between threshold and value,
+    sealed with a CRC32 for version 2 only."""
+    payload, off = [raw[8:36]], 36
+    for _ in range(struct.unpack_from("<I", raw, 12)[0]):
+        (n,) = struct.unpack_from("<I", raw, off)
+        feature = np.frombuffer(raw, dtype="<i4", count=n, offset=off + 4)
+        left, right = preorder_children(feature)
+        payload += [raw[off:off + 4 + 12 * n], left.astype("<i4").tobytes(),
+                    right.astype("<i4").tobytes(), raw[off + 4 + 12 * n:off + 4 + 20 * n]]
+        off += 4 + 20 * n
+    body = raw[:4] + version.to_bytes(4, "little") + b"".join(payload)
+    return body + zlib.crc32(body).to_bytes(4, "little") if version == 2 else body
+
+
 def test_refit_writes_the_reference_bytes(tmp_path):
     # pinned digest: any change to split choice, tie-breaks, leaf values or
     # the file layout shows here
@@ -233,11 +275,11 @@ def test_refit_writes_the_reference_bytes(tmp_path):
     path = tmp_path / "m.rddt"
     save_ensemble(path, ens)
     raw = path.read_bytes()
-    # the digest is of the version-1 bytes: version 2 added only the trailing CRC32
-    v1 = raw[:4] + (1).to_bytes(4, "little") + raw[8:-4]
-    assert hashlib.sha256(v1).hexdigest() == (
+    # the digest is of the version-1 bytes: version 2 added the trailing
+    # CRC32, and version 3 dropped the child arrays, which preorder implies
+    assert hashlib.sha256(with_children(raw, 1)).hexdigest() == (
         "ae5d6bce356979d601e643ebe70cd8e0a82d85f1c21aa80225bbd46c79218ac9")
-    assert raw[4:8] == (2).to_bytes(4, "little")
+    assert raw[4:8] == (3).to_bytes(4, "little")
     assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
@@ -352,6 +394,11 @@ def test_load_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_ensemble(bad)
+    # an intact version-2 file, child arrays and all, has no second reader
+    v2 = tmp_path / "v2.rddt"
+    v2.write_bytes(with_children(good.read_bytes(), 2))
+    with pytest.raises(DataError, match="unsupported surrogate format version 2"):
+        load_ensemble(v2)
 
 
 def test_load_rejects_malformed_trees(tmp_path):
@@ -362,12 +409,12 @@ def test_load_rejects_malformed_trees(tmp_path):
     raw = good.read_bytes()
     n = ens.trees[0].feature.shape[0]
     first = 36 + 4                          # header, then tree 0's node count
-    left = first + 4 * n + 8 * n
-    leaf = left + 8 * n + 8 * int(np.flatnonzero(ens.trees[0].feature < 0)[0])
+    first_leaf = int(np.flatnonzero(ens.trees[0].feature < 0)[0])
+    leaf = first + 12 * n + 8 * first_leaf
     assert ens.trees[0].feature[0] >= 0     # the root is a split
     inf = np.float64(np.inf).tobytes()
-    for name, offset, value in (("child", left, n.to_bytes(4, "little")),
-                                ("loop", left, (0).to_bytes(4, "little")),
+    for name, offset, value in (("root_leaf", first, (-1).to_bytes(4, "little", signed=True)),
+                                ("leaf_split", first + 4 * first_leaf, (0).to_bytes(4, "little")),
                                 ("feature", first, (3).to_bytes(4, "little")),
                                 ("threshold", first + 4 * n, np.float64(np.nan).tobytes()),
                                 ("leaf", leaf, inf),
@@ -380,7 +427,9 @@ def test_load_rejects_malformed_trees(tmp_path):
         path = tmp_path / f"{name}.rddt"
         path.write_bytes(bytes(bad))
         # the message, not only the file name, names the fault
-        expected = {"child": "child index", "loop": "cycle", "feature": "feature index",
+        expected = {"root_leaf": "tree 0: nodes are not one binary tree",
+                    "leaf_split": "tree 0: nodes are not one binary tree",
+                    "feature": "feature index",
                     "threshold": "NaN threshold", "leaf": "tree 0: non-finite leaf value",
                     "shrinkage": "non-finite shrinkage inf",
                     "base": "base prediction nan"}[name]
@@ -441,22 +490,25 @@ def test_prediction_matches_oracle_on_thresholds_shared_by_trees():
     assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
 
 
-def test_shared_subtrees_predict_like_the_walk_or_are_rejected():
-    # node 3 is both children of node 1: three root-to-leaf paths, four nodes
-    shared = trees.Tree(feature=np.array([0, 1, -1, -1], dtype=np.int32),
-                        threshold=np.array([0.0, 0.5, 0.0, 0.0]),
-                        left=np.array([1, 3, -1, -1], dtype=np.int32),
-                        right=np.array([2, 3, -1, -1], dtype=np.int32),
-                        value=np.array([0.0, 0.0, 1.0, 2.0]))
-    ens = trees.TreeEnsemble(0.25, [shared], 1.0, 2, 2)
-    assert ens.n_trees == 1
-    Xt = np.random.default_rng(24).uniform(-1, 1, size=(50, 2))
-    assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
-    # a chain of splits whose children are both the next node: 2^7 paths, 8 nodes
-    chain = trees.Tree(feature=np.array([0] * 7 + [-1], dtype=np.int32),
-                       threshold=np.zeros(8),
-                       left=np.array(list(range(1, 8)) + [-1], dtype=np.int32),
-                       right=np.array(list(range(1, 8)) + [-1], dtype=np.int32),
-                       value=np.zeros(8))
-    with pytest.raises(DataError, match="paths"):
-        trees.TreeEnsemble(0.0, [chain], 1.0, 7, 1)
+def test_every_small_node_list_is_accepted_exactly_when_it_is_one_tree():
+    # every split/leaf pattern of 1 to 11 nodes; the accepted ones must
+    # predict like the walk, on random rows and on every threshold
+    rng = np.random.default_rng(24)
+    X = rng.uniform(-1, 1, size=(40, 2))
+    accepted = 0
+    for n in range(1, 12):
+        for splits in itertools.product((False, True), repeat=n):
+            feature = np.where(splits, np.arange(n) % 2, -1).astype(np.int32)
+            tree = trees.Tree(feature=feature, threshold=rng.uniform(-0.8, 0.8, size=n),
+                              value=np.where(splits, 0.0, np.arange(1.0, n + 1)))
+            if preorder_children(feature) is None:
+                with pytest.raises(DataError, match="tree 0: nodes are not one binary tree"):
+                    trees.TreeEnsemble(0.25, [tree], 1.0, n, 2)
+                continue
+            ens = trees.TreeEnsemble(0.25, [tree], 1.0, n, 2)
+            assert ens.n_trees == 1
+            Xt = np.vstack([X, threshold_rows(ens, X).reshape(-1, 2)])
+            assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+            accepted += 1
+    # one tree of each odd size 2k + 1 per shape: Catalan numbers 1, 1, 2, 5, 14, 42
+    assert accepted == 65
