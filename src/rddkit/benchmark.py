@@ -28,29 +28,26 @@ HULL_PARAM_RANGES = np.array([
 ])
 
 
-def make_mixture_dataset(n, seed, modes=MIXTURE_MODES, std=MIXTURE_STD, reward=None):
-    """n draws from the mixture; optional reward labels for analysis runs."""
+def make_mixture_dataset(n, seed):
+    """n unlabelled draws from the mixture."""
     rng = np.random.default_rng(seed)
-    modes = np.asarray(modes, dtype=np.float64)
-    comp = rng.integers(0, modes.shape[0], size=n)
-    X = modes[comp] + std * rng.standard_normal((n, modes.shape[1]))
-    rewards = reward.batch(X) if reward is not None else None
-    return Dataset(X=X, rewards=rewards)
+    comp = rng.integers(0, MIXTURE_MODES.shape[0], size=n)
+    X = MIXTURE_MODES[comp] + MIXTURE_STD * rng.standard_normal((n, MIXTURE_MODES.shape[1]))
+    return Dataset(X=X)
 
 
-def nearest_mode_fractions(X, modes=MIXTURE_MODES):
-    """Fraction of rows claimed by each mode under nearest-mode assignment."""
+def nearest_mode_fractions(X):
+    """Fraction of rows claimed by each mixture mode under nearest-mode assignment."""
     X = np.asarray(X, dtype=np.float64)
-    modes = np.asarray(modes, dtype=np.float64)
-    d2 = ((X[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((X[:, None, :] - MIXTURE_MODES[None, :, :]) ** 2).sum(axis=2)
     nearest = np.argmin(d2, axis=1)
-    return np.bincount(nearest, minlength=modes.shape[0]) / X.shape[0]
+    return np.bincount(nearest, minlength=MIXTURE_MODES.shape[0]) / X.shape[0]
 
 
-def sample_hull_params(n, seed, ranges=HULL_PARAM_RANGES):
-    """Uniform hull parameter vectors inside the feasible sub-ranges."""
+def sample_hull_params(n, seed):
+    """Uniform hull parameter vectors inside HULL_PARAM_RANGES."""
     rng = np.random.default_rng(seed)
-    lo, hi = ranges[:, 0], ranges[:, 1]
+    lo, hi = HULL_PARAM_RANGES[:, 0], HULL_PARAM_RANGES[:, 1]
     return lo + (hi - lo) * rng.random((n, N_PARAMS))
 
 

@@ -103,10 +103,10 @@ def _build_reward(rc, d):
 def _load_model(path, cfg):
     """load_model(path), with cfg.schedule and cfg.net set to the file's, so
     the archived config states the schedule and network that ran."""
-    params, sched, stats = load_model(path)
+    params, sched = load_model(path)
     cfg.schedule = cfgmod.ScheduleSection(sched.T, float(sched.betas[1]), float(sched.betas[-1]))
     cfg.net = cfgmod.NetSection(params.embed_dim, list(params.hidden_dims))
-    return params, sched, stats
+    return params, sched
 
 
 def _load_labelled(path, purpose):
@@ -134,7 +134,7 @@ def cmd_pretrain(args):
         params, history = train_ddpm(norm, sched, cfg.net, cfg.pretrain)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, sched, stats=stats)
+    save_model(model_path, dataclasses.replace(params, stats=stats), sched)
     hist_path = write_csv(os.path.join(cfg.outdir, "pretrain_history.csv"),
                           ["epoch", "mean_loss"],
                           np.column_stack([np.arange(len(history)), history]))
@@ -147,14 +147,14 @@ def cmd_finetune(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params_pre, sched, stats = _load_model(args.model, cfg)
+        params_pre, sched = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params_pre.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "finetune"):
-        params, history = finetune(params_pre, reward, cfg.finetune, sched, stats=stats)
+        params, history = finetune(params_pre, reward, cfg.finetune, sched)
 
     model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, sched, stats=stats)
+    save_model(model_path, params, sched)
     columns = ["iteration", "mean_reward", "mean_loss"]
     hist_path = write_csv(os.path.join(cfg.outdir, "finetune_history.csv"), columns,
                           np.column_stack([[r[k] for r in history] for k in columns]))
@@ -166,15 +166,14 @@ def cmd_sample(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params, sched, stats = _load_model(args.model, cfg)
+        params, sched = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "sample"):
-        X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward, stats=stats)
+        X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward)
 
-    designs = denormalize(X0, stats) if stats is not None else X0
     samples_path = os.path.join(cfg.outdir, args.samples_name)
-    save_samples(samples_path, designs, rewards)
+    save_samples(samples_path, denormalize(X0, params.stats), rewards)
     r = np.asarray(rewards, dtype=np.float64)
     summary = {"n": int(r.size), "mean_reward": float(np.mean(r)),
                "median_reward": float(np.median(r)), "max_reward": float(np.max(r)),
@@ -281,9 +280,10 @@ def cmd_hull_dataset(args):
 def cmd_benchmark_make(args):
     timings = {}
     with _stage(timings, "make"):
-        data = benchmark.make_mixture_dataset(
-            args.n, args.seed, reward=rewardmod.SyntheticTargetReward(benchmark.SYNTHETIC_TARGET))
-    save_samples(args.out, data.X, data.rewards)
+        X = benchmark.make_mixture_dataset(args.n, args.seed).X
+        reward = rewardmod.SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
+        rewards = rewardmod.evaluate(reward, X)
+    save_samples(args.out, X, rewards)
     log.info("wrote %d benchmark rows to %s", args.n, args.out)
     return os.path.dirname(args.out) or ".", None, timings, [args.out]
 

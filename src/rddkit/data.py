@@ -119,8 +119,8 @@ def normalize(dataset):
 
 
 def denormalize(x, stats):
-    """Map z-score coordinates back to physical coordinates."""
-    return np.asarray(x) * stats.std + stats.mean
+    """Map z-score coordinates back to physical coordinates; stats None returns x."""
+    return x if stats is None else np.asarray(x) * stats.std + stats.mean
 
 
 def _parse_block(path, lines, first_line, n_cols):

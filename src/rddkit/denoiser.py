@@ -10,6 +10,9 @@ its exact float64 widening; the sampler scores candidates on a float32 copy
 of theta, and the fine-tuning roll-in runs both of its policies in float32.
 Sampling, evaluation and model files are float64, and everything is
 deterministic given a seed.
+
+A model carries the z-score map of its designs, DenoiserParams.stats (None
+for raw coordinates); every copy made here keeps it, and model files store it.
 """
 
 import functools
@@ -30,7 +33,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator
 
 @dataclass
 class DenoiserParams:
-    """Every weight and bias in one vector theta, float64 or float32.
+    """Every weight and bias in one vector theta, float64 or float32, and
+    the z-score map of the modelled designs (None: raw coordinates).
 
     The layout is W0 (row-major), b0, W1, b1, ...; layer_views gives the
     per-layer arrays of theta, or of any vector in the same layout (the
@@ -40,6 +44,7 @@ class DenoiserParams:
     d: int
     embed_dim: int
     hidden_dims: tuple
+    stats: NormStats = None
 
     @property
     def layer_weights(self):
@@ -262,16 +267,16 @@ def adam_step(params, opt_state, grad):
     np.subtract(params.theta, a, out=params.theta)
 
 
-def save_model(path, params, sched, stats=None):
+def save_model(path, params, sched):
     """Write the binary model file, a data.write_binary container.
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
     hidden dims, u32 T, f8 beta_start/beta_end (the first and last beta of
-    the NoiseSchedule sched), u8 stats flag (+ mean/std vectors), then theta
-    as f8 (its length follows from the header); a float32 theta is widened
-    exactly.
+    the NoiseSchedule sched), u8 stats flag (+ the mean/std vectors of
+    params.stats), then theta as f8 (its length follows from the header); a
+    float32 theta is widened exactly.
     """
-    n = len(params.hidden_dims)
+    n, stats = len(params.hidden_dims), params.stats
     header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,
                          sched.T, sched.betas[1], sched.betas[-1])
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
@@ -281,7 +286,7 @@ def save_model(path, params, sched, stats=None):
 
 
 def load_model(path):
-    """Read a model file; returns (params, NoiseSchedule, stats or None).
+    """Read a model file; returns (params, NoiseSchedule), params.stats the file's stats.
 
     A non-finite weight, normalization mean or std, or beta, a stored
     network shape that config.NetSection rejects and a stored schedule that
@@ -298,7 +303,7 @@ def load_model(path):
     theta = r.array("<f8", sum(i * o + o for i, o in _layer_shapes(d, embed_dim, hidden)))
     r.finish()
     checks = [("beta", [beta_start, beta_end]), ("weight", theta)]
-    if stats is not None:
+    if has_stats:
         checks += [("normalization mean", stats.mean), ("normalization std", stats.std)]
     for name, values in checks:
         if not np.all(np.isfinite(values)):
@@ -311,5 +316,5 @@ def load_model(path):
         sched = make_schedule(T, beta_start, beta_end)
     except ConfigError as e:
         raise DataError(f"{path}: bad noise schedule in the model file: {e}") from None
-    params = DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden)
-    return params, sched, stats
+    return DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden,
+                          stats=stats), sched

@@ -3,9 +3,10 @@
 Each iteration collects m trajectories from a mixed roll-in policy (early
 reverse steps from the current model, late steps from the frozen pretrained
 model, with the switch point annealed from pure-pretrained at the first
-iteration to pure-current at the last), scores the terminal designs with the
-black-box reward, and takes one weighted noise-matching pass over the
-collected designs with per-sample weights
+iteration to pure-current at the last), scores the terminal designs,
+denormalized by the model's stats, with the black-box reward, and takes one
+weighted noise-matching pass over the collected designs with per-sample
+weights
 
     w_i proportional to exp(r_i / alpha),  normalized to batch mean 1,
 
@@ -83,14 +84,14 @@ def weighted_epoch(designs, rewards, params, opt_state, sched, rng, cfg, params_
     return float(rewards.mean()), mean_loss
 
 
-def finetune(params_pre, reward, cfg, sched, stats=None):
+def finetune(params_pre, reward, cfg, sched):
     """Algorithm: S rounds of roll-in collection plus one weighted pass each.
 
     cfg is a config.FinetuneSection, checked before any work. Returns
     (fine-tuned params, history) where history rows are dicts with
     iteration, mean_reward and mean_loss, and the params are float64: the
     widening of the float32 master, or with S = 0 a copy of params_pre
-    unchanged. The pretrained parameters are never mutated.
+    unchanged; both keep params_pre.stats. params_pre is never mutated.
     """
     cfg.check()
     if cfg.S == 0:
@@ -107,8 +108,7 @@ def finetune(params_pre, reward, cfg, sched, stats=None):
             switch_t = round(sched.T * (cfg.S - s) / (cfg.S - 1))
         ss_collect, ss_epoch = root.spawn(2)
         X0 = rollin_collect(params, pre32, sched, cfg.m, ss_collect, switch_t=switch_t)
-        phys = denormalize(X0, stats) if stats is not None else X0
-        rewards = evaluate(reward, phys)
+        rewards = evaluate(reward, denormalize(X0, params.stats))
         n_bad = np.count_nonzero(~np.isfinite(rewards))
         if n_bad:
             raise NumericalError(f"fine-tuning iteration {s}: {n_bad} of {cfg.m} "

@@ -60,19 +60,24 @@ class HullDims:
     WL: float
 
 
+def check_loa(loa):
+    """InfeasibleHullError unless loa lies in LOA_RANGE: the one LOA rule."""
+    if not LOA_RANGE[0] <= loa <= LOA_RANGE[1]:
+        raise InfeasibleHullError(f"LOA must lie in [{LOA_RANGE[0]}, {LOA_RANGE[1]:g}] m, "
+                                  f"got {loa}")
+
+
 def scale_params(p, loa):
     """Map the vector of N_PARAMS fractions onto physical dimensions.
 
     InfeasibleHullError exactly when constraint_violation rejects p, or when
-    loa lies outside LOA_RANGE; every dimension is a fraction of loa."""
+    check_loa rejects loa; every dimension is a fraction of loa."""
     p = np.asarray(p, dtype=np.float64)
     violation = constraint_violation(p[None])[0]
     if not violation == 0.0:
         raise InfeasibleHullError(f"hull parameters violate the design constraints by "
                                   f"{violation}: {p}")
-    if not LOA_RANGE[0] <= loa <= LOA_RANGE[1]:
-        raise InfeasibleHullError(f"LOA must lie in [{LOA_RANGE[0]}, {LOA_RANGE[1]:g}] m, "
-                                  f"got {loa}")
+    check_loa(loa)
     return HullDims(
         LOA=float(loa),
         L_b=float(p[0] * loa),
@@ -364,6 +369,8 @@ def aggregate_total_resistance(dims, n_lambda=N_LAMBDA):
 
 
 def aggregate_resistances(P, loa):
-    """Aggregate total resistance, (n,), of (n, N_PARAMS) parameter rows."""
+    """Aggregate total resistance, (n,), of (n, N_PARAMS) parameter rows;
+    check_loa runs once per batch, so an empty batch refuses a bad loa too."""
+    check_loa(loa)
     return np.fromiter((aggregate_total_resistance(scale_params(p, loa)).aggregate for p in P),
                        dtype=np.float64, count=len(P))

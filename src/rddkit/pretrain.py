@@ -14,7 +14,6 @@ widening of the master.
 
 import logging
 import math
-import warnings
 
 import numpy as np
 
@@ -93,10 +92,6 @@ def train_ddpm(dataset, sched, net, pretrain):
         mean_loss = ddpm_epoch(params, opt_state, X0, sched, rng, pretrain.batch_size)
         history.append(mean_loss)
         log.info("epoch %d/%d loss %.6f", epoch + 1, epochs, mean_loss)
-    if history[-1] >= history[0] and epochs > 1:
-        warnings.warn(
-            f"training did not reduce the loss ({history[0]:.4g} -> {history[-1]:.4g})"
-        )
     return float64_copy(params), history
 
 

@@ -6,10 +6,11 @@ scored by the soft value estimate
 
     v_hat_{t-1}(x) = r(denormalize(x0_hat(x, t-1)))
 
-where x0_hat is the posterior-mean estimate of the clean design, and one
-candidate is kept by a single categorical draw with probabilities
-proportional to exp(v_hat / alpha). With M = 1 the procedure degenerates to
-plain ancestral sampling, bit for bit.
+where x0_hat is the posterior-mean estimate of the clean design and
+denormalize applies the model's own params.stats; one candidate is kept by a
+single categorical draw with probabilities proportional to exp(v_hat /
+alpha). With M = 1 the procedure degenerates to plain ancestral sampling,
+bit for bit.
 
 Each trajectory owns an RNG stream spawned from the root seed, read in this
 order: x_T (unless the chain starts from given states), then for M > 1 the
@@ -58,12 +59,12 @@ def _spawn_generators(seed, n):
     return [np.random.default_rng(s) for s in root.spawn(n)]
 
 
-def _candidate_values(params, sched, reward, stats, cands, t_next):
+def _candidate_values(params, sched, reward, cands, t_next):
     """Float64 soft values of (n, M, d) candidate states that live at timestep t_next.
 
     The noise prediction runs in the dtype of params, float32 as the chain
     passes each policy's float32 copy; x0_hat is formed from the float64
-    states.
+    states and scored denormalized by params.stats.
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
@@ -72,8 +73,7 @@ def _candidate_values(params, sched, reward, stats, cands, t_next):
     else:
         eps_hat = predict_noise(params, flat, t_next, sched.T)
         x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
-    phys = denormalize(x0_hat, stats) if stats is not None else x0_hat
-    return evaluate(reward, phys).reshape(n, M)
+    return evaluate(reward, denormalize(x0_hat, params.stats)).reshape(n, M)
 
 
 def _select(values, alpha, u):
@@ -88,8 +88,7 @@ def _select(values, alpha, u):
     if np.any(bad):
         warnings.warn(f"{int(bad.sum())} candidate row(s) with non-finite values; "
                       "falling back to uniform selection")
-        values = np.where(np.isfinite(values), values, -np.inf)
-        values[bad] = 0.0
+        values = np.where(bad[:, None], 0.0, values)
     if alpha < GREEDY_THRESHOLD:
         return np.argmax(values, axis=1)
     w = soft_weight(values, alpha)
@@ -99,9 +98,8 @@ def _select(values, alpha, u):
     return np.minimum(zeta, values.shape[1] - 1)
 
 
-def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
-                   alpha=1.0, params_pre=None, switch_t=0,
-                   x_start=None, t_start=None, record_values=False):
+def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
+                   params_pre=None, switch_t=0, x_start=None, t_start=None, record_values=False):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
     Per-trajectory stream consumption, in order: the x_T draw (skipped when
@@ -163,27 +161,27 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, stats=None,
         cands = np.broadcast_to(reverse_step(X[:, None], t, eps[:, None], sched, z),
                                 (n_traj, M, d))
         if M > 1:
-            vals = _candidate_values(p32_t, sched, reward, stats, cands, t - 1)
+            vals = _candidate_values(p32_t, sched, reward, cands, t - 1)
             zeta = _select(vals, alpha, U[:, k])
             if record_values:
                 values[:, k] = vals
         else:
             zeta = np.zeros(n_traj, dtype=np.int64)
             if record_values and reward is not None:
-                values[:, k] = _candidate_values(p32_t, sched, reward, stats, cands, t - 1)
+                values[:, k] = _candidate_values(p32_t, sched, reward, cands, t - 1)
         X = cands[rows, zeta]
         zetas[:, k] = zeta + 1
     return X, zetas, values
 
 
-def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
+def svdd_generate(params, sched, svdd, reward, record_values=False):
     """Run svdd.n_traj independent guided trajectories.
 
     Returns (X0, rewards, zetas, values): the (n, d) final designs in model
     coordinates, as ancestral_sample returns them; their (n,) rewards,
-    scored on the denormalized designs; the (n, T) chosen candidate index
-    per step, 1-based; and, only with record_values, the (n, T, M)
-    candidate soft values, else None.
+    scored on the designs denormalized by params.stats; the (n, T) chosen
+    candidate index per step, 1-based; and, only with record_values, the
+    (n, T, M) candidate soft values, else None.
 
     svdd is a config.SvddSection, checked before any work. Deterministic per
     svdd.seed. With svdd.M = 1 the final designs are bit identical to
@@ -192,8 +190,6 @@ def svdd_generate(params, sched, svdd, reward, stats=None, record_values=False):
     svdd.check()
     X0, zetas, values = _reverse_chain(
         params, sched, svdd.n_traj, svdd.seed,
-        M=svdd.M, reward=reward, stats=stats, alpha=svdd.alpha,
-        record_values=record_values,
+        M=svdd.M, reward=reward, alpha=svdd.alpha, record_values=record_values,
     )
-    phys = denormalize(X0, stats) if stats is not None else X0
-    return X0, evaluate(reward, phys), zetas, values
+    return X0, evaluate(reward, denormalize(X0, params.stats)), zetas, values

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def pretrained(bench_data):
     params, history = train_ddpm(norm, sched, NetSection(),
                                  PretrainSection(epochs=200, batch_size=128, seed=0))
     TIMINGS["pretrain"] = time.perf_counter() - t0
-    return {"params": params, "sched": sched, "stats": stats,
+    return {"params": replace(params, stats=stats), "sched": sched, "stats": stats,
             "norm": norm, "history": history}
 
 
@@ -68,8 +69,7 @@ def finetuned(pretrained):
     reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     cfg = FinetuneSection(S=50, m=256, alpha=1.0, gamma=1e-3, seed=5)
     t0 = time.perf_counter()
-    params_ft, history = finetune(pretrained["params"], reward, cfg,
-                                  pretrained["sched"], stats=pretrained["stats"])
+    params_ft, history = finetune(pretrained["params"], reward, cfg, pretrained["sched"])
     TIMINGS["finetune"] = time.perf_counter() - t0
     return {"params": params_ft, "history": history, "reward": reward}
 
@@ -162,8 +162,7 @@ def test_criterion_04_m1_degeneracy(pretrained):
     reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     plain = ancestral_sample(pretrained["params"], pretrained["sched"], 64, seed=77)
     cfg = SvddSection(M=1, alpha=0.2, n_traj=64, seed=77)
-    guided, _, zetas, _ = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward,
-                                        stats=pretrained["stats"])
+    guided, _, zetas, _ = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward)
     identical = np.array_equal(plain, guided)
     print(f"criterion 04: M=1 bit-identical to ancestral: {identical}")
     assert identical
@@ -176,8 +175,7 @@ def test_criterion_05_guidance_monotonicity(pretrained):
     rewards = {}
     for M in (1, 3, 5, 10):
         cfg = SvddSection(M=M, alpha=0.2, n_traj=1000, seed=11)
-        rewards[M] = svdd_generate(pretrained["params"], pretrained["sched"], cfg,
-                                   reward, stats=pretrained["stats"])[1]
+        rewards[M] = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward)[1]
     wall = time.perf_counter() - t0
     p_top = sstats.ttest_ind(rewards[10], rewards[1], equal_var=False,
                              alternative="greater").pvalue
@@ -202,6 +200,7 @@ def test_criterion_06_soft_value_approximation():
     sched = make_schedule(20, beta_end=0.2)
     params, _ = train_ddpm(norm, sched, NetSection(hidden_dims=[64, 64]),
                            PretrainSection(epochs=100, batch_size=128, seed=3))
+    params = replace(params, stats=stats)
     reward = SyntheticTargetReward(np.array([1.5]))
     alpha = 1.0
     rhos = {}
@@ -209,7 +208,7 @@ def test_criterion_06_soft_value_approximation():
         rows = norm.X[rng.choice(2000, size=50, replace=False)]
         eps = rng.standard_normal(rows.shape)
         states = forward_marginal(rows, t, eps, sched)
-        v_hat = _candidate_values(float32_params(params), sched, reward, stats,
+        v_hat = _candidate_values(float32_params(params), sched, reward,
                                   states[:, None, :], t)[:, 0]
         v_mc = np.empty(50)
         for i, s in enumerate(states):
@@ -267,7 +266,7 @@ def test_criterion_08_beyond_distribution(bench_data, pretrained, finetuned):
 
     t0 = time.perf_counter()
     cfg = SvddSection(M=10, alpha=0.2, n_traj=1000, seed=31)
-    guided_r = svdd_generate(finetuned["params"], sched, cfg, reward, stats=stats)[1]
+    guided_r = svdd_generate(finetuned["params"], sched, cfg, reward)[1]
     guided_wall = time.perf_counter() - t0
     frac_guided = float(np.mean(guided_r > r_max))
 

@@ -324,6 +324,13 @@ def test_data_errors_exit_2(tmp_path, caplog):
         assert cli.main(["hull", "eval", "--params", "0.25,0.25,0.12,0.08,0.5,0.75",
                          "--loa", loa]) == 2
         assert "LOA must lie in" in caplog.text
+    # and `hull dataset` refuses it for an empty dataset as for a full one, writing no file
+    for n in ("0", "2"):
+        caplog.clear()
+        out = tmp_path / f"hulls_{n}.csv"
+        assert cli.main(["hull", "dataset", "--n", n, "--loa", "0.001", "--out", str(out)]) == 2
+        assert "LOA must lie in" in caplog.text
+        assert not out.exists()
     # reward-free samples cannot be evaluated
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
@@ -463,7 +470,8 @@ def test_non_finite_model_values_exit_2(tmp_path, caplog):
             ("inf_std.rddm", params, inf_std, 0.02, "normalization std"),
             ("nan_mean.rddm", params, nan_mean, 0.02, "normalization mean"),
             ("inf_beta.rddm", params, None, np.inf, "beta")):
-        save_model(str(tmp_path / name), p, stored_schedule(10, 1e-4, beta_end), stats=s)
+        save_model(str(tmp_path / name), dataclasses.replace(p, stats=s),
+                   stored_schedule(10, 1e-4, beta_end))
         out = tmp_path / f"out_{name}"
         caplog.clear()
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
@@ -496,7 +504,6 @@ def test_hull_eval_prints_resistance_json(capsys):
     assert np.allclose(total, np.array(out["R_T"]))
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_full_workflow(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert cli.main(["benchmark", "make", "--n", "300", "--seed", "0",
@@ -629,7 +636,6 @@ def test_every_command_writes_its_run_record(tmp_path, monkeypatch, capsys):
     assert os.listdir(cwd) == []
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_finetune_and_sample_archive_the_model_files_schedule_and_network(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("x0,x1\n" + "".join(f"{i * 0.1},{(i * 0.7) % 1}\n" for i in range(20)))
@@ -669,7 +675,6 @@ def _config_keys(section, prefix=""):
             yield prefix + f.name
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_override_flags_name_config_keys(tmp_path):
     keys = set(_config_keys(cfgmod.RunConfig()))
     overrides = {}

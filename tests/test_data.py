@@ -2,6 +2,7 @@ import json
 import re
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def test_normalize_constant_column_floors_std():
         ds, stats = normalize(Dataset(X=X))
     assert stats.std[0] == 1e-8
     assert np.allclose(denormalize(ds.X, stats), X, atol=1e-12)
+
+
+def test_denormalize_without_stats_returns_its_input():
+    # a model of raw coordinates carries stats None
+    for x in (np.array([[1.5, -2.0], [0.0, 3.0]]), [[1.0, 2.0]]):
+        assert denormalize(x, None) is x
 
 
 def test_normalize_needs_two_rows():
@@ -222,7 +229,6 @@ def test_writer_refuses_non_finite_cells(tmp_path, bad, in_rewards):
     assert not path.exists()
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_history_and_density_tables_keep_their_bytes(tmp_path):
     data = tmp_path / "data.csv"
     assert cli.main(["benchmark", "make", "--n", "200", "--seed", "3", "--out", str(data)]) == 0
@@ -304,8 +310,8 @@ def flips_that_load(good, path, load):
 def test_every_flipped_byte_of_a_model_file_is_rejected(tmp_path):
     params = init_params(1, NetSection(embed_dim=2, hidden_dims=[2]), 0)
     good = tmp_path / "m.rddm"
-    save_model(good, params, make_schedule(5, 1e-4, 0.02),
-               stats=NormStats(mean=np.zeros(1), std=np.ones(1)))
+    save_model(good, replace(params, stats=NormStats(mean=np.zeros(1), std=np.ones(1))),
+               make_schedule(5, 1e-4, 0.02))
     load_model(good)
     assert flips_that_load(good, tmp_path / "bad.rddm", load_model) == []
 

@@ -283,14 +283,14 @@ def test_model_file_round_trip(tmp_path):
     params = small_net(seed=11, d=3, hidden=(8, 8), embed=6)
     stats = NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.5, 2.5]))
     path = os.path.join(tmp_path, "m.rddm")
-    save_model(path, params, make_schedule(42, 2e-4, 0.07), stats=stats)
-    loaded, sched, lstats = load_model(path)
+    save_model(path, replace(params, stats=stats), make_schedule(42, 2e-4, 0.07))
+    loaded, sched = load_model(path)
     ref = make_schedule(42, 2e-4, 0.07)
     assert sched.T == 42 and (sched.betas[1], sched.betas[-1]) == (2e-4, 0.07)
     for name in ("betas", "alphas", "alpha_bars", "sigmas"):
         assert np.array_equal(getattr(sched, name), getattr(ref, name))
-    assert np.array_equal(lstats.mean, stats.mean)
-    assert np.array_equal(lstats.std, stats.std)
+    assert np.array_equal(loaded.stats.mean, stats.mean)
+    assert np.array_equal(loaded.stats.std, stats.std)
     assert np.array_equal(params.theta, loaded.theta)
     assert (loaded.d, loaded.embed_dim, loaded.hidden_dims) == (3, 6, (8, 8))
     for (Wa, ba), (Wb, bb) in zip(layer_views(params, params.theta),
@@ -305,8 +305,8 @@ def test_model_file_without_stats(tmp_path):
     params = small_net(seed=12)
     path = os.path.join(tmp_path, "m.rddm")
     save_model(path, params, make_schedule(10, 1e-4, 0.02))
-    _, _, lstats = load_model(path)
-    assert lstats is None
+    loaded, _ = load_model(path)
+    assert loaded.stats is None
 
 
 def test_model_file_rejects_garbage(tmp_path):

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rddkit import cli, sampler
-from rddkit.config import FinetuneSection, NetSection, PretrainSection
-from rddkit.data import Dataset, normalize
+from rddkit.config import FinetuneSection, NetSection, PretrainSection, SvddSection
+from rddkit.data import Dataset, NormStats, denormalize, normalize
 from rddkit.denoiser import (
     clone_params,
     float32_params,
@@ -28,6 +29,7 @@ from rddkit.finetune import (
 )
 from rddkit.pretrain import ancestral_sample, ddpm_epoch, train_ddpm
 from rddkit.rewards import SyntheticTargetReward
+from rddkit.sampler import svdd_generate
 
 SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
@@ -40,7 +42,7 @@ def toy_model():
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(15)
     params, _ = train_ddpm(norm, sched, SMALL, PretrainSection(epochs=20, batch_size=32, seed=1))
-    return params, sched, stats
+    return replace(params, stats=stats), sched, stats
 
 
 def test_config_validation(toy_model):
@@ -50,9 +52,9 @@ def test_config_validation(toy_model):
                      (FinetuneSection(alpha=0.0), r"finetune\.alpha"),
                      (FinetuneSection(gamma=-1.0), r"finetune\.gamma")):
         with pytest.raises(ConfigError, match=key):
-            finetune(params, reward, bad, sched, stats=stats)
+            finetune(params, reward, bad, sched)
     # explicit identity run is allowed
-    assert finetune(params, reward, FinetuneSection(S=0), sched, stats=stats)[1] == []
+    assert finetune(params, reward, FinetuneSection(S=0), sched)[1] == []
 
 
 def test_weight_normalization_hand_example():
@@ -173,13 +175,14 @@ def test_finetune_s0_identity(toy_model):
     # fresh float64 draws, which float32 cannot hold exactly: S = 0 returns
     # them as they are, not rounded through the float32 master
     _, sched, stats = toy_model
-    params = init_params(2, SMALL, 5)
+    params = replace(init_params(2, SMALL, 5), stats=stats)
     assert not np.array_equal(params.theta, params.theta.astype(np.float32))
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
     cfg = FinetuneSection(S=0, m=4, seed=0)
-    out, history = finetune(params, reward, cfg, sched, stats=stats)
+    out, history = finetune(params, reward, cfg, sched)
     assert history == []
     assert out.theta.dtype == np.float64 and out.theta is not params.theta
+    assert out.stats is stats
     for a, b in zip(out.layer_weights, params.layer_weights):
         assert np.array_equal(a, b)
 
@@ -198,7 +201,7 @@ def test_finetune_trains_a_float32_master(toy_model, training_steps, monkeypatch
     monkeypatch.setattr(importlib.import_module("rddkit.finetune"), "_reverse_chain", chain_spy)
     cfg = FinetuneSection(S=3, m=16, batch_size=8, seed=2, kl_anchor=True)
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
-    tuned, _ = finetune(params, reward, cfg, sched, stats=stats)
+    tuned, _ = finetune(params, reward, cfg, sched)
     assert len(training_steps.adam) == 3 * 2
     training_steps.assert_float32_master(tuned)
     master = training_steps.adam[-1][0].theta
@@ -210,6 +213,36 @@ def test_finetune_trains_a_float32_master(toy_model, training_steps, monkeypatch
     assert all(cur is master and pre is anchor for cur, pre in rollin_thetas)
 
 
+def test_a_model_scores_rewards_on_its_own_stats(toy_model, monkeypatch):
+    # guided sampling and fine-tuning both score reward.batch(denormalize(X0,
+    # params.stats)) exactly; the stats here are far from the identity
+    params, sched, _ = toy_model
+    stats = NormStats(mean=np.array([3.0, -2.0]), std=np.array([0.5, 4.0]))
+    model = replace(params, stats=stats)
+    reward = SyntheticTargetReward(np.array([1.5, 0.0]))
+
+    X0, rewards, _, values = svdd_generate(model, sched, SvddSection(M=3, n_traj=7, seed=4),
+                                           reward, record_values=True)
+    expected = reward.batch(denormalize(X0, stats))
+    assert np.array_equal(rewards, expected)
+    # at t = 1 the M candidates coincide with the final design and are scored as it is
+    assert np.array_equal(values[:, -1], np.repeat(expected[:, None], 3, axis=1))
+
+    designs = []
+
+    def spy(*args, **kwargs):
+        designs.append(rollin_collect(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(importlib.import_module("rddkit.finetune"), "rollin_collect", spy)
+    cfg = FinetuneSection(S=2, m=8, batch_size=8, seed=2)
+    tuned, history = finetune(model, reward, cfg, sched)
+    assert tuned.stats is stats
+    assert len(designs) == 2
+    for h, X in zip(history, designs):
+        assert h["mean_reward"] == float(reward.batch(denormalize(X, stats)).mean())
+
+
 def test_finetune_constant_reward_history_is_flat(toy_model):
     params, sched, stats = toy_model
 
@@ -218,7 +251,7 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
             return np.full(X.shape[0], -2.0)
 
     cfg = FinetuneSection(S=4, m=8, alpha=0.5, batch_size=8, seed=2, kl_anchor=False)
-    _, history = finetune(params, Constant(), cfg, sched, stats=stats)
+    _, history = finetune(params, Constant(), cfg, sched)
     assert [h["mean_reward"] for h in history] == [-2.0] * 4
 
 
@@ -231,8 +264,8 @@ def test_finetune_does_not_depend_on_a_reward_offset(toy_model):
             return base.batch(X) + 50.0
 
     cfg = FinetuneSection(S=3, m=32, alpha=0.5, gamma=1e-3, batch_size=16, seed=9)
-    tuned, history = finetune(params, base, cfg, sched, stats=stats)
-    shifted, shifted_history = finetune(params, Offset(), cfg, sched, stats=stats)
+    tuned, history = finetune(params, base, cfg, sched)
+    shifted, shifted_history = finetune(params, Offset(), cfg, sched)
     assert not np.array_equal(tuned.theta, params.theta)
     np.testing.assert_allclose(shifted.theta, tuned.theta, rtol=1e-6)
     for h, g in zip(history, shifted_history):
@@ -255,7 +288,7 @@ def test_non_finite_rewards_stop_finetuning(toy_model):
 
     cfg = FinetuneSection(S=3, m=8, alpha=0.5, batch_size=8, seed=2)
     with pytest.raises(NumericalError, match=r"iteration 2: 3 of 8 rewards are non-finite"):
-        finetune(params, BreaksOnSecondCall(), cfg, sched, stats=stats)
+        finetune(params, BreaksOnSecondCall(), cfg, sched)
 
 
 def test_a_reward_column_stops_finetuning_by_name(toy_model):
@@ -268,14 +301,14 @@ def test_a_reward_column_stops_finetuning_by_name(toy_model):
     cfg = FinetuneSection(S=2, m=8, batch_size=8, seed=2)
     with pytest.raises(ValueError, match=r"ColumnReward\.batch returned shape \(8, 1\) "
                                          r"for 8 designs; expected \(8,\)"):
-        finetune(params, ColumnReward(), cfg, sched, stats=stats)
+        finetune(params, ColumnReward(), cfg, sched)
 
 
 def test_finetune_improves_mean_reward(toy_model):
     params, sched, stats = toy_model
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
     cfg = FinetuneSection(S=10, m=64, alpha=0.5, gamma=1e-3, batch_size=16, seed=6)
-    tuned, history = finetune(params, reward, cfg, sched, stats=stats)
+    tuned, history = finetune(params, reward, cfg, sched)
     assert history[-1]["mean_reward"] > history[0]["mean_reward"]
     assert len(history) == 10
 
@@ -289,7 +322,7 @@ def test_anchor_bounds_drift(toy_model):
     def drift(kappa, flag):
         cfg = FinetuneSection(S=8, m=32, alpha=0.5, gamma=2e-3, batch_size=16,
                              seed=4, kl_anchor=flag, anchor_kappa=kappa)
-        tuned, _ = finetune(params, reward, cfg, sched, stats=stats)
+        tuned, _ = finetune(params, reward, cfg, sched)
         d = 0.0
         for t in (3, 8, 13):
             d += np.mean(np.abs(predict_noise(tuned, probe, t, sched.T)

@@ -123,6 +123,9 @@ def test_aggregate_resistances_equals_per_row_aggregates():
                                 for p in P])
     empty = aggregate_resistances(np.empty((0, 6)), 60.0)
     assert empty.shape == (0,) and empty.dtype == np.float64
+    # the LOA rule holds for the batch, so an empty one is refused too
+    with pytest.raises(InfeasibleHullError, match="LOA must lie in"):
+        aggregate_resistances(np.empty((0, 6)), 0.001)
     with pytest.raises(InfeasibleHullError):
         aggregate_resistances(np.vstack([P, [[0.7, 0.7, 0.1, 0.1, 0.5, 0.5]]]), 60.0)
 

@@ -33,7 +33,6 @@ def test_zero_epochs_returns_initialized_params():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_training_is_deterministic_per_seed():
     ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
     sched = make_schedule(10)
@@ -44,7 +43,6 @@ def test_training_is_deterministic_per_seed():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.filterwarnings("ignore:training did not reduce the loss")
 def test_training_runs_on_a_float32_master(training_steps):
     ds = Dataset(X=np.random.default_rng(1).standard_normal((64, 2)))
     params, _ = train_ddpm(ds, make_schedule(10), SMALL,

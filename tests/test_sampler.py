@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rddkit.sampler import (
 SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
-def svdd_step(xt, t, params, sched, cfg, rng, u, reward, stats=None):
+def svdd_step(xt, t, params, sched, cfg, rng, u, reward):
     """One guided reverse step for a single trajectory: the reference that
     the batched engine in svdd_generate is checked against.
 
@@ -40,7 +41,7 @@ def svdd_step(xt, t, params, sched, cfg, rng, u, reward, stats=None):
     else:
         one = reverse_step(X, t, eps, sched, None)
         cands = np.repeat(one[:, None, :], M, axis=1)
-    vals = _candidate_values(float32_params(params), sched, reward, stats, cands, t - 1)
+    vals = _candidate_values(float32_params(params), sched, reward, cands, t - 1)
     sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
 
@@ -53,7 +54,7 @@ def toy_model():
     norm, stats = normalize(Dataset(X=X))
     sched = make_schedule(15)
     params, _ = train_ddpm(norm, sched, SMALL, PretrainSection(epochs=20, batch_size=32, seed=1))
-    return params, sched, stats
+    return replace(params, stats=stats), sched, stats
 
 
 REWARD = SyntheticTargetReward(np.array([1.5, 0.0]))
@@ -65,13 +66,13 @@ def test_config_validation(toy_model):
                      (SvddSection(alpha=-0.5), r"svdd\.alpha"),
                      (SvddSection(alpha=float("nan")), r"svdd\.alpha: must be finite")):
         with pytest.raises(ConfigError, match=key):
-            svdd_generate(params, sched, bad, REWARD, stats=stats)
+            svdd_generate(params, sched, bad, REWARD)
 
 
 def test_m1_bit_identical_to_ancestral(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=1, n_traj=9, seed=5)
-    X_sv, rewards, zetas, values = svdd_generate(params, sched, cfg, REWARD, stats=stats)
+    X_sv, rewards, zetas, values = svdd_generate(params, sched, cfg, REWARD)
     X_anc = ancestral_sample(params, sched, 9, seed=5)
     assert np.array_equal(X_sv, X_anc)
     assert np.all(zetas == 1) and zetas.shape == (9, sched.T)
@@ -105,10 +106,16 @@ def test_selection_greedy_mode(toy_model):
 
 
 def test_selection_uniform_fallback_on_non_finite():
-    values = np.array([[np.nan, np.inf, -np.inf]])
+    # a row with any non-finite value is drawn uniformly, finite or not its
+    # other entries; the finite row is untouched, and so is the caller's array
+    values = np.array([[np.nan, np.inf, -np.inf], [5.0, np.nan, 9.0], [0.0, 50.0, 0.0]])
+    before = values.copy()
+    with pytest.warns(UserWarning, match="^2 candidate row"):
+        zeta = _select(values, 1.0, np.array([0.5, 0.5, 0.5]))
+    assert list(zeta) == [1, 1, 1]  # middle of three with u = 0.5
     with pytest.warns(UserWarning):
-        zeta = _select(values, 1.0, np.array([0.5]))
-    assert zeta[0] == 1  # middle of three with u = 0.5
+        assert list(_select(values, 1.0, np.array([0.2, 0.9, 0.2]))) == [0, 2, 1]
+    np.testing.assert_array_equal(values, before)
 
 
 def test_svdd_step_equal_values_selects_uniformly(toy_model):
@@ -124,8 +131,7 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        _, zeta, vals = svdd_step(x, 7, params, sched, cfg, rng, rng.random(), Constant(),
-                                  stats=stats)
+        _, zeta, vals = svdd_step(x, 7, params, sched, cfg, rng, rng.random(), Constant())
         assert np.all(vals == 2.5)
         counts[zeta - 1] += 1
     chi2 = np.sum((counts - n / 4) ** 2 / (n / 4))
@@ -138,8 +144,7 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     rng = np.random.default_rng(7)
     x = np.array([0.0, 0.0])
     for t in (15, 8, 1):
-        x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, rng.random(), REWARD,
-                                       stats=stats)
+        x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, rng.random(), REWARD)
         assert 1 <= zeta <= 5
         assert zeta - 1 == int(np.argmax(vals))
         assert x_next.shape == (2,)
@@ -154,7 +159,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
     cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
-    X0, _, Z, _ = svdd_generate(params, sched, cfg, REWARD, stats=stats)
+    X0, _, Z, _ = svdd_generate(params, sched, cfg, REWARD)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
@@ -162,7 +167,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
         us = rng.random(sched.T) if M > 1 else np.full(sched.T, np.nan)
         zetas = []
         for k, t in enumerate(range(sched.T, 0, -1)):
-            x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD, stats=stats)
+            x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD)
             zetas.append(zeta)
         assert np.array_equal(Z[i], np.array(zetas))
         np.testing.assert_allclose(X0[i], x, rtol=1e-10, atol=1e-12)
@@ -177,8 +182,8 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
     def chain(n, M, budget, start):
         monkeypatch.setattr(sampler, "NOISE_BLOCK_BYTES", budget)
         kwargs = dict(x_start=x_start[:n], t_start=sched.T - 3) if start else {}
-        return sampler._reverse_chain(params, sched, n, 17, M=M, reward=REWARD, stats=stats,
-                                      alpha=0.5, record_values=True, **kwargs)
+        return sampler._reverse_chain(params, sched, n, 17, M=M, reward=REWARD, alpha=0.5,
+                                      record_values=True, **kwargs)
 
     for M in (1, 3):
         step = 8 * 6 * M * 2
@@ -201,8 +206,7 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
 def test_trajectory_recording(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
-    _, _, zetas, values = svdd_generate(params, sched, cfg, REWARD, stats=stats,
-                                        record_values=True)
+    _, _, zetas, values = svdd_generate(params, sched, cfg, REWARD, record_values=True)
     assert values.shape == (2, sched.T, 3)
     assert zetas.shape == (2, sched.T)
     assert np.all((zetas >= 1) & (zetas <= 3))
@@ -210,10 +214,8 @@ def test_trajectory_recording(toy_model):
 
 def test_guidance_beats_unguided_on_average(toy_model):
     params, sched, stats = toy_model
-    r1 = svdd_generate(params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD,
-                       stats=stats)[1]
-    r5 = svdd_generate(params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD,
-                       stats=stats)[1]
+    r1 = svdd_generate(params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD)[1]
+    r5 = svdd_generate(params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD)[1]
     assert np.mean(r5) > np.mean(r1)
 
 
@@ -222,12 +224,12 @@ def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
     params = float32_params(params)
     x = np.array([0.3, 0.7])
     cands = x[None, None, :]
-    v1 = _candidate_values(params, sched, REWARD, stats, cands, 5)[0, 0]
-    v2 = _candidate_values(params, sched, REWARD, stats, cands, 5)[0, 0]
+    v1 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
+    v2 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
     assert v1 == v2
     # at t = 0 the state is the design itself
     from rddkit.data import denormalize
-    v0 = _candidate_values(params, sched, REWARD, stats, cands, 0)[0, 0]
+    v0 = _candidate_values(params, sched, REWARD, cands, 0)[0, 0]
     assert v0 == REWARD.batch(denormalize(x[None, :], stats))[0]
 
 
@@ -242,8 +244,9 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
 
     monkeypatch.setattr(sampler, "predict_noise", spy)
     toy_params, sched, toy_stats = toy_model
-    wide = init_params(6, NetSection(embed_dim=8, hidden_dims=[64, 64]), 3)
     wide_stats = NormStats(mean=np.linspace(-1.0, 1.0, 6), std=np.linspace(0.5, 2.0, 6))
+    wide = replace(init_params(6, NetSection(embed_dim=8, hidden_dims=[64, 64]), 3),
+                   stats=wide_stats)
     wide_reward = SyntheticTargetReward(np.full(6, 4.0))
     rng = np.random.default_rng(11)
     for params, stats, reward in ((toy_params, toy_stats, REWARD),
@@ -251,7 +254,7 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
         cands = rng.standard_normal((5, 4, params.d))
         flat = cands.reshape(20, params.d)
         for t in (1, 7, sched.T - 1):
-            vals = _candidate_values(float32_params(params), sched, reward, stats, cands, t)
+            vals = _candidate_values(float32_params(params), sched, reward, cands, t)
             x0_hat = posterior_mean_x0(flat, t, predict_noise(params, flat, t, sched.T), sched)
             oracle = reward.batch(denormalize(x0_hat, stats)).reshape(5, 4)
             assert vals.dtype == np.float64
@@ -262,7 +265,7 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
 def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
     # the candidate passes of a whole chain share one float32 copy per policy
     params, sched, stats = toy_model
-    other = init_params(2, SMALL, 7)
+    other = replace(init_params(2, SMALL, 7), stats=stats)
     casts, thetas = [], []
 
     def cast_spy(p):
@@ -275,8 +278,7 @@ def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
 
     monkeypatch.setattr(sampler, "float32_params", cast_spy)
     monkeypatch.setattr(sampler, "predict_noise", predict_spy)
-    sampler._reverse_chain(params, sched, 6, 4, M=3, reward=REWARD, stats=stats,
-                           params_pre=other, switch_t=5)
+    sampler._reverse_chain(params, sched, 6, 4, M=3, reward=REWARD, params_pre=other, switch_t=5)
     # casting float32 params copies nothing; only the two float64 policies copy
     copied = [c for c in casts if c.dtype != np.float32]
     assert len(copied) == 2 and copied[0] is params.theta and copied[1] is other.theta
@@ -300,7 +302,7 @@ def test_a_reward_column_is_rejected_by_name(toy_model, M):
     n = 4 * M
     with pytest.raises(ValueError, match=rf"ColumnReward\.batch returned shape \({n}, 1\) "
                                          rf"for {n} designs; expected \({n},\)"):
-        svdd_generate(params, sched, cfg, ColumnReward(), stats=stats)
+        svdd_generate(params, sched, cfg, ColumnReward())
 
 
 def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_path):
