@@ -124,11 +124,10 @@ def cmd_pretrain(args):
     cfg = _load_config(args)
     if not cfg.dataset:
         raise ConfigError("no dataset given: pass --data or set 'dataset' in the config")
-    os.makedirs(cfg.outdir, exist_ok=True)
-
     timings = {}
     with _stage(timings, "load"):
         norm, stats = normalize(load_dataset(cfg.dataset))
+    os.makedirs(cfg.outdir, exist_ok=True)
     sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
     with _stage(timings, "train"):
         params, history = train_ddpm(norm, sched, cfg.net, cfg.pretrain)

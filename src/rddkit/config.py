@@ -146,7 +146,6 @@ class RewardSection:
     target: list = None            # synthetic: target point; None = benchmark default
     loa: float = 80.0              # hull: overall length in metres
     scale: float = 1e-6            # hull: resistance-to-reward scale
-    offset: float = 0.0            # hull: reward offset
     surrogate_path: str = None     # surrogate / airfoil: fitted tree file
     lambda_range: float = 10.0     # airfoil: out-of-range penalty weight
     lambda_intersect: float = 1.0  # airfoil: self-intersection penalty weight

@@ -169,19 +169,16 @@ def _forward(params, X, ts, T):
 
 
 def predict_noise(params, xt, t, T):
-    """Deterministic forward pass; output has the design dimension d.
+    """Deterministic forward pass over a batch xt of shape (n, d); returns (n, d).
 
-    Accepts a single vector (d,) or a batch (n, d). T is the schedule's
-    step count, which fixes the time-embedding frequencies. The pass runs
-    in the dtype of params.theta, and so does the output.
+    T is the schedule's step count, which fixes the time-embedding
+    frequencies. The pass runs in the dtype of params.theta, and so does
+    the output.
     """
-    xt = np.asarray(xt, dtype=np.float64)
-    single = xt.ndim == 1
-    X = xt[None, :] if single else xt
-    if X.shape[1] != params.d:
-        raise ConfigError(f"input dim {X.shape[1]} does not match model dim {params.d}")
-    out = _forward(params, X, t, T)[-1]
-    return out[0] if single else out
+    X = np.asarray(xt, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.d:
+        raise ConfigError(f"expected (n, {params.d}) inputs for the model, got shape {X.shape}")
+    return _forward(params, X, t, T)[-1]
 
 
 def _backprop(params, acts, dOut, grad):

@@ -151,10 +151,9 @@ class HullResistanceReward:
 
     infeasible_base = 1000.0
 
-    def __init__(self, loa, scale, offset=0.0):
+    def __init__(self, loa, scale):
         self.loa = float(loa)
         self.scale = float(scale)
-        self.offset = float(offset)
 
     def batch(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -163,7 +162,7 @@ class HullResistanceReward:
                        -(self.infeasible_base + violation))
         feasible = violation == 0.0
         out[feasible] = ship_reward(hull.aggregate_resistances(X[feasible], self.loa),
-                                    self.scale, self.offset)
+                                    self.scale, 0.0)
         return out
 
 
@@ -191,7 +190,7 @@ def from_section(section, d, ensemble=None):
     if d != width:
         raise ConfigError(f"reward.kind: '{kind}' rewards take {width} inputs, the model has {d}")
     if kind == "hull":
-        return HullResistanceReward(section.loa, section.scale, section.offset)
+        return HullResistanceReward(section.loa, section.scale)
     base = SurrogateReward(ensemble)
     if kind == "surrogate":
         return base

@@ -1,21 +1,23 @@
 """Reward-directed importance sampling over the reverse diffusion chain.
 
-At every reverse step, M candidate states are proposed from the current
-denoising kernel (shared x_t, independent Gaussian draws). Each candidate is
-scored by the soft value estimate
+At every reverse step t >= 2, M candidate states are proposed from the
+current denoising kernel (shared x_t, independent Gaussian draws). Each
+candidate is scored by the soft value estimate
 
     v_hat_{t-1}(x) = r(denormalize(x0_hat(x, t-1)))
 
 where x0_hat is the posterior-mean estimate of the clean design and
 denormalize applies the model's own params.stats; one candidate is kept by a
 single categorical draw with probabilities proportional to exp(v_hat /
-alpha). With M = 1 the procedure degenerates to plain ancestral sampling,
-bit for bit.
+alpha). The last step, t = 1, is deterministic (sigma_1 = 0): its M
+candidates would be one design, so it chooses nothing and is the plain
+reverse step. With M = 1 the procedure degenerates to plain ancestral
+sampling, bit for bit.
 
 Each trajectory owns an RNG stream spawned from the root seed, read in this
-order: x_T (unless the chain starts from given states), then for M > 1 the
-selection uniforms of every step in one draw, then the candidate noise of
-the steps t > 1. The noise is drawn in blocks of steps whose buffer fits
+order: x_T, then for M > 1 one selection uniform per step, T of them in
+one draw (that of t = 1 is never read), then the candidate noise of the
+steps t > 1. The noise is drawn in blocks of steps whose buffer fits
 NOISE_BLOCK_BYTES; a stream of normals yields the same values however it is
 split, so no draw depends on the block size, nor, the streams being per
 trajectory, on the number of trajectories run together.
@@ -30,11 +32,11 @@ chain is given: float64 for sampling, float32 for the fine-tuning roll-in,
 whose float32 noise prediction enters the float64 reverse step.
 
 Rewards are black boxes with one method, batch, called through
-rewards.evaluate, which checks for one reward per row: a guided step scores
-its n x M candidates in one call, and the n final designs take one more. Only
-evaluation is ever requested, never a gradient. Results do not depend on
-execution order, and the output of a seed is byte-identical whatever the
-BLAS thread count.
+rewards.evaluate, which checks for one reward per row: each guided step
+t >= 2 scores its n x M candidates in one call, and the n final designs take
+one more, T calls in all. Only evaluation is ever requested, never a
+gradient. Results do not depend on execution order, and the output of a
+seed is byte-identical whatever the BLAS thread count.
 """
 
 import warnings
@@ -68,11 +70,8 @@ def _candidate_values(params, sched, reward, cands, t_next):
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
-    if t_next == 0:
-        x0_hat = flat
-    else:
-        eps_hat = predict_noise(params, flat, t_next, sched.T)
-        x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
+    eps_hat = predict_noise(params, flat, t_next, sched.T)
+    x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
     return evaluate(reward, denormalize(x0_hat, params.stats)).reshape(n, M)
 
 
@@ -99,78 +98,69 @@ def _select(values, alpha, u):
 
 
 def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
-                   params_pre=None, switch_t=0, x_start=None, t_start=None, record_values=False):
+                   params_pre=None, switch_t=0, record_values=False):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
-    Per-trajectory stream consumption, in order: the x_T draw (skipped when
-    x_start is given), then for M > 1 one uniform per step in a single
-    draw, then the (M, d) candidate noise of each step t > 1. The noise is
-    drawn K steps at a time into that trajectory's slice of one
-    (n_traj, K, M, d) buffer, K set by NOISE_BLOCK_BYTES; since only normals
-    follow, the values do not depend on K. Trajectories are advanced in
-    lockstep with batched forward passes and one broadcast reverse step per
-    chain step; the RNG draws equal a one-trajectory-at-a-time evaluation
-    exactly, the floats up to the accumulation order of the batched matrix
-    products.
+    Every chain starts from x_T ~ N(0, I) at t = T. The steps t >= 2 propose
+    M candidates and, for M > 1, choose one; the step t = 1 is deterministic,
+    its M candidates would be one design, so it is the plain reverse step.
+    Returns (X0, zetas, values): the (n, d) final states, the (n, T-1)
+    1-based chosen index of each step t >= 2, and with record_values and
+    M > 1 their (n, T-1, M) soft values, else None.
+
+    Per-trajectory stream consumption, in order: the x_T draw, then for
+    M > 1 T selection uniforms in a single draw, then the (M, d) candidate
+    noise of each step t > 1. The uniform of t = 1 is drawn and never read:
+    it keeps the noise at its place in the stream, so a seed gives the
+    guided designs it gave when the last step still chose. The noise is drawn K steps at a time into
+    that trajectory's slice of one (n_traj, K, M, d) buffer, K set by
+    NOISE_BLOCK_BYTES; since only normals follow, the values do not depend
+    on K. Trajectories are advanced in lockstep with batched forward passes
+    and one broadcast reverse step per chain step; the RNG draws equal a
+    one-trajectory-at-a-time evaluation exactly, the floats up to the
+    accumulation order of the batched matrix products.
     """
-    d = params.d
+    d, T = params.d, sched.T
     if M > 1 and reward is None:
         raise ValueError("candidate selection with M > 1 needs a reward model")
     # the candidate passes' float32 parameters of each policy, cast once per chain
     params32 = float32_params(params)
     pre32 = float32_params(params_pre) if params_pre is not None else None
     rngs = _spawn_generators(seed, n_traj)
-    if x_start is not None:
-        X = np.array(x_start, dtype=np.float64, copy=True)
-        if X.ndim == 1:
-            X = np.tile(X, (n_traj, 1))
-        if X.shape != (n_traj, d):
-            raise ValueError(f"x_start must have shape ({n_traj}, {d})")
-        t_hi = int(t_start)
-    else:
-        X = np.empty((n_traj, d))
-        t_hi = sched.T
-    if t_hi < 1 or t_hi > sched.T:
-        raise IndexError(f"start timestep {t_hi} outside 1..{sched.T}")
-    U = np.empty((n_traj, t_hi)) if M > 1 else None
+    X = np.empty((n_traj, d))
+    U = np.empty((n_traj, T)) if M > 1 else None
     for i, rng in enumerate(rngs):
-        if x_start is None:
-            rng.standard_normal(out=X[i])
+        rng.standard_normal(out=X[i])
         if M > 1:
             rng.random(out=U[i])
 
-    n_noisy = t_hi - 1    # steps t > 1 take candidate noise
-    K = max(1, min(n_noisy, NOISE_BLOCK_BYTES // (8 * n_traj * M * d)))
+    K = max(1, min(T - 1, NOISE_BLOCK_BYTES // (8 * n_traj * M * d)))
     Z = np.empty((n_traj, K, M, d))
-    zetas = np.ones((n_traj, t_hi), dtype=np.int64)
-    values = np.empty((n_traj, t_hi, M)) if record_values else None
+    zetas = np.ones((n_traj, T - 1), dtype=np.int64)
+    values = np.empty((n_traj, T - 1, M)) if record_values and M > 1 else None
     rows = np.arange(n_traj)
 
-    for k, t in enumerate(range(t_hi, 0, -1)):
+    for k, t in enumerate(range(T, 0, -1)):
         pre = params_pre is not None and t <= switch_t
         p_t, p32_t = (params_pre, pre32) if pre else (params, params32)
-        eps = predict_noise(p_t, X, t, sched.T)
-        z = None
-        if t > 1:
-            j = k % K
-            if j == 0:
-                for rng, block in zip(rngs, Z):
-                    rng.standard_normal(out=block[:min(K, n_noisy - k)])
-            z = Z[:, j]
-        # (n, M, d) candidates; at t = 1 the step is deterministic and all M coincide
-        cands = np.broadcast_to(reverse_step(X[:, None], t, eps[:, None], sched, z),
-                                (n_traj, M, d))
+        eps = predict_noise(p_t, X, t, T)
+        if t == 1:
+            X = reverse_step(X, 1, eps, sched, None)
+            break
+        j = k % K
+        if j == 0:
+            for rng, block in zip(rngs, Z):
+                rng.standard_normal(out=block[:min(K, T - 1 - k)])
+        cands = reverse_step(X[:, None], t, eps[:, None], sched, Z[:, j])
         if M > 1:
             vals = _candidate_values(p32_t, sched, reward, cands, t - 1)
             zeta = _select(vals, alpha, U[:, k])
+            zetas[:, k] = zeta + 1
             if record_values:
                 values[:, k] = vals
+            X = cands[rows, zeta]
         else:
-            zeta = np.zeros(n_traj, dtype=np.int64)
-            if record_values and reward is not None:
-                values[:, k] = _candidate_values(p32_t, sched, reward, cands, t - 1)
-        X = cands[rows, zeta]
-        zetas[:, k] = zeta + 1
+            X = cands[:, 0]
     return X, zetas, values
 
 
@@ -179,9 +169,10 @@ def svdd_generate(params, sched, svdd, reward, record_values=False):
 
     Returns (X0, rewards, zetas, values): the (n, d) final designs in model
     coordinates, as ancestral_sample returns them; their (n,) rewards,
-    scored on the designs denormalized by params.stats; the (n, T) chosen
-    candidate index per step, 1-based; and, only with record_values, the
-    (n, T, M) candidate soft values, else None.
+    scored once, on the designs denormalized by params.stats; the (n, T-1)
+    chosen candidate index of each step t >= 2, 1-based (all 1 for M = 1);
+    and, only with record_values and svdd.M > 1, the (n, T-1, M) candidate
+    soft values, else None. The deterministic last step chooses nothing.
 
     svdd is a config.SvddSection, checked before any work. Deterministic per
     svdd.seed. With svdd.M = 1 the final designs are bit identical to

@@ -298,18 +298,15 @@ def _predict_block_rows(t):
 
 
 def predict_ensemble(ensemble, X):
-    """base + shrinkage * sum of tree outputs; accepts (d,) or (n, d)."""
+    """base + shrinkage * sum of tree outputs, one per row of the (n, d) batch X."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != ensemble.d:
-        raise ValueError(f"input dim {X.shape[1]} does not match model dim {ensemble.d}")
+    if X.ndim != 2 or X.shape[1] != ensemble.d:
+        raise ValueError(f"expected (n, {ensemble.d}) inputs for the ensemble, got shape {X.shape}")
     out = np.empty(X.shape[0])
     block = _predict_block_rows(ensemble.bin_tables)
     for lo in range(0, X.shape[0], block):
         out[lo:lo + block] = _predict_block(ensemble, X[lo:lo + block])
-    return out[0] if single else out
+    return out
 
 
 def r2_score(predictions, targets):

@@ -89,6 +89,9 @@ def test_unknown_keys_are_rejected_with_paths(tmp_path):
         cfgmod.parse_config(write_json(tmp_path / "e.json", {"schedule": {"kind": "linear"}}))
     with pytest.raises(ConfigError, match=r"net\.activation: unknown key"):
         cfgmod.parse_config(write_json(tmp_path / "f.json", {"net": {"activation": "tanh"}}))
+    # a constant the soft weights cancel
+    with pytest.raises(ConfigError, match=r"reward\.offset: unknown key"):
+        cfgmod.parse_config(write_json(tmp_path / "g.json", {"reward": {"offset": 0.0}}))
 
 
 def test_type_errors_name_the_key(tmp_path):
@@ -305,13 +308,16 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
 
 
 def test_data_errors_exit_2(tmp_path, caplog):
-    assert cli.main(["pretrain", "--data", str(tmp_path / "nope.csv"),
-                     "--outdir", str(tmp_path)]) == 2
-    # normalization needs two rows
-    for name, body in (("header_only.csv", "x0,x1\n"), ("one_row.csv", "x0,x1\n0.5,1.5\n")):
-        (tmp_path / name).write_text(body)
+    # a missing dataset, and one normalization cannot use (it needs two rows),
+    # fail before pretrain makes its output directory
+    for name, body in (("nope.csv", None), ("header_only.csv", "x0,x1\n"),
+                       ("one_row.csv", "x0,x1\n0.5,1.5\n")):
+        if body is not None:
+            (tmp_path / name).write_text(body)
+        outdir = tmp_path / f"out_{name}"
         assert cli.main(["pretrain", "--data", str(tmp_path / name), "--epochs", "1",
-                         "--outdir", str(tmp_path)]) == 2
+                         "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
     # a hull outside the feasible cube, below its 1e-3 floor, with tapers
     # longer than the hull or with a NaN parameter is a data problem, not a crash
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",

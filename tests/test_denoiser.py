@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -67,14 +68,14 @@ def test_time_embedding_table_rows_equal_the_direct_formula(dim, T):
 
 def test_predict_noise_shapes():
     params = small_net()
-    x = np.zeros(2)
-    single = predict_noise(params, x, 3, 10)
-    assert single.shape == (2,)
     batch = predict_noise(params, np.zeros((5, 2)), 3, 10)
     assert batch.shape == (5, 2)
-    assert np.allclose(batch[0], single)
-    with pytest.raises(ConfigError):
-        predict_noise(params, np.zeros((5, 3)), 3, 10)
+    assert np.array_equal(predict_noise(params, np.zeros((1, 2)), 3, 10)[0], batch[0])
+    # a single vector is not a batch; the error names the shape it got
+    for bad in (np.zeros(2), np.zeros((5, 3)), np.zeros((1, 5, 2))):
+        with pytest.raises(ConfigError, match=rf"expected \(n, 2\) inputs for the model, "
+                                              rf"got shape {re.escape(str(bad.shape))}"):
+            predict_noise(params, bad, 3, 10)
 
 
 def test_forward_matches_the_plain_layer_loop():
@@ -297,7 +298,7 @@ def test_model_file_round_trip(tmp_path):
                                   layer_views(loaded, loaded.theta)):
         assert np.array_equal(Wa, Wb)
         assert np.array_equal(ba, bb)
-    x = np.array([0.3, -0.1, 0.8])
+    x = np.array([[0.3, -0.1, 0.8]])
     assert np.array_equal(predict_noise(params, x, 7, 42), predict_noise(loaded, x, 7, 42))
 
 

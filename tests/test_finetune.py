@@ -221,12 +221,8 @@ def test_a_model_scores_rewards_on_its_own_stats(toy_model, monkeypatch):
     model = replace(params, stats=stats)
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
 
-    X0, rewards, _, values = svdd_generate(model, sched, SvddSection(M=3, n_traj=7, seed=4),
-                                           reward, record_values=True)
-    expected = reward.batch(denormalize(X0, stats))
-    assert np.array_equal(rewards, expected)
-    # at t = 1 the M candidates coincide with the final design and are scored as it is
-    assert np.array_equal(values[:, -1], np.repeat(expected[:, None], 3, axis=1))
+    X0, rewards, _, _ = svdd_generate(model, sched, SvddSection(M=3, n_traj=7, seed=4), reward)
+    assert np.array_equal(rewards, reward.batch(denormalize(X0, stats)))
 
     designs = []
 

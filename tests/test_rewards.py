@@ -34,7 +34,7 @@ def reference_hull_reward(model, p):
     except InfeasibleHullError:
         return -model.infeasible_base
     result = aggregate_total_resistance(dims)
-    return ship_reward(result.aggregate, model.scale, model.offset)
+    return -model.scale * result.aggregate
 
 
 def reference_airfoil_penalty(v, lambda_range=10.0, lambda_intersect=1.0):
@@ -221,7 +221,7 @@ def test_airfoil_reward_batch_equals_per_row_rewards():
 
 
 def test_hull_reward_feasible_and_infeasible():
-    model = HullResistanceReward(loa=40.0, scale=1e-6, offset=0.0)
+    model = HullResistanceReward(loa=40.0, scale=1e-6)
 
     def one(p):
         return model.batch(np.array([p]))[0]
@@ -247,7 +247,7 @@ def test_hull_reward_prefers_slender_hull():
 
 
 def test_hull_reward_batch_equals_per_row_rewards():
-    model = HullResistanceReward(loa=40.0, scale=1e-6, offset=0.25)
+    model = HullResistanceReward(loa=40.0, scale=1e-6)
     P = np.array([
         [0.3, 0.3, 0.12, 0.08, 0.6, 0.6],       # feasible
         [1.5, 0.3, 0.12, 0.08, 0.6, 0.6],       # out of the cube, above
@@ -282,8 +282,8 @@ def test_from_section_builds_each_kind_as_its_class():
     cases = [
         (RewardSection(), 2, None, SyntheticTargetReward(benchmark.SYNTHETIC_TARGET), mix),
         (RewardSection(target=[1.5, -0.5]), 2, None, SyntheticTargetReward([1.5, -0.5]), mix),
-        (RewardSection(kind="hull", loa=40.0, scale=2e-6, offset=0.25), 6, None,
-         HullResistanceReward(40.0, 2e-6, 0.25), hulls),
+        (RewardSection(kind="hull", loa=40.0, scale=2e-6), 6, None,
+         HullResistanceReward(40.0, 2e-6), hulls),
         (RewardSection(kind="surrogate", surrogate_path="s.rddt"), 3, surrogate,
          SurrogateReward(surrogate), np.random.default_rng(7).random((16, 3))),
         (RewardSection(kind="airfoil", surrogate_path="a.rddt", lambda_range=0.3,

@@ -30,17 +30,16 @@ def svdd_step(xt, t, params, sched, cfg, rng, u, reward):
     the batched engine in svdd_generate is checked against.
 
     rng draws the candidate noise; u is the step's selection uniform.
-    Returns (selected x_{t-1}, 1-based chosen index, candidate values).
+    Returns (selected x_{t-1}, 1-based chosen index, candidate values); at
+    t = 1 the step is deterministic and returns (x_0, 1, None).
     """
     X = np.asarray(xt, dtype=np.float64)[None, :]
     eps = predict_noise(params, X, t, sched.T)
+    if t == 1:
+        return reverse_step(X, t, eps, sched, None)[0], 1, None
     M = cfg.M
-    if t > 1:
-        Z = rng.standard_normal((M, X.shape[1]))
-        cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
-    else:
-        one = reverse_step(X, t, eps, sched, None)
-        cands = np.repeat(one[:, None, :], M, axis=1)
+    Z = rng.standard_normal((M, X.shape[1]))
+    cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
     vals = _candidate_values(float32_params(params), sched, reward, cands, t - 1)
     sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
@@ -75,7 +74,7 @@ def test_m1_bit_identical_to_ancestral(toy_model):
     X_sv, rewards, zetas, values = svdd_generate(params, sched, cfg, REWARD)
     X_anc = ancestral_sample(params, sched, 9, seed=5)
     assert np.array_equal(X_sv, X_anc)
-    assert np.all(zetas == 1) and zetas.shape == (9, sched.T)
+    assert np.all(zetas == 1) and zetas.shape == (9, sched.T - 1)
     assert np.array_equal(rewards, REWARD.batch(denormalize(X_anc, stats)))
     assert values is None
 
@@ -143,18 +142,22 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     cfg = SvddSection(M=5, alpha=0.0, n_traj=1, seed=0)
     rng = np.random.default_rng(7)
     x = np.array([0.0, 0.0])
-    for t in (15, 8, 1):
+    for t in (15, 8, 2):
         x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, rng.random(), REWARD)
         assert 1 <= zeta <= 5
         assert zeta - 1 == int(np.argmax(vals))
         assert x_next.shape == (2,)
+    # the deterministic last step chooses nothing
+    x_next, zeta, vals = svdd_step(x, 1, params, sched, cfg, rng, rng.random(), REWARD)
+    assert zeta == 1 and vals is None and x_next.shape == (2,)
 
 
 @pytest.mark.parametrize("M", [1, 3])
 def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # the lockstep engine consumes the same spawned streams as a
     # one-trajectory-at-a-time run of svdd_step: x_T, then for M > 1 the
-    # selection uniforms of all steps, then each step's candidate noise.
+    # selection uniforms of all T steps (that of t = 1 unread), then each
+    # step's candidate noise; only the steps t >= 2 report a choice.
     # Identical selections, floats equal up to matmul accumulation order
     # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
@@ -169,7 +172,8 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
         for k, t in enumerate(range(sched.T, 0, -1)):
             x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD)
             zetas.append(zeta)
-        assert np.array_equal(Z[i], np.array(zetas))
+        assert zetas[-1] == 1
+        assert np.array_equal(Z[i], np.array(zetas[:-1]))
         np.testing.assert_allclose(X0[i], x, rtol=1e-10, atol=1e-12)
 
 
@@ -177,29 +181,29 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
     # K, the number of steps drawn per RNG call, follows NOISE_BLOCK_BYTES;
     # a stream of normals gives the same values however it is split
     params, sched, stats = toy_model
-    x_start = np.random.default_rng(5).standard_normal((6, 2))
 
-    def chain(n, M, budget, start):
+    def chain(n, M, budget):
         monkeypatch.setattr(sampler, "NOISE_BLOCK_BYTES", budget)
-        kwargs = dict(x_start=x_start[:n], t_start=sched.T - 3) if start else {}
         return sampler._reverse_chain(params, sched, n, 17, M=M, reward=REWARD, alpha=0.5,
-                                      record_values=True, **kwargs)
+                                      record_values=True)
 
     for M in (1, 3):
         step = 8 * 6 * M * 2
-        for start in (False, True):
-            one = chain(6, M, step, start)
-            whole = chain(6, M, step * sched.T, start)
-            for a, b in zip(one, whole):
-                assert np.array_equal(a, b)
-            # 2 steps per block for 6 trajectories, 4 for 3; the draws are
-            # identical, the floats up to matmul accumulation order across
-            # batch shapes, in float32 for the soft values
-            (X6, z6, v6), (X3, z3, v3) = chain(6, M, 2 * step, start), chain(3, M, 2 * step, start)
-            for a, b in zip((X6, z6, v6), one):
-                assert np.array_equal(a, b)
-            assert np.array_equal(z6[:3], z3)
-            np.testing.assert_allclose(X6[:3], X3, rtol=1e-10, atol=1e-12)
+        one = chain(6, M, step)
+        whole = chain(6, M, step * sched.T)
+        for a, b in zip(one, whole):
+            assert np.array_equal(a, b)
+        # 2 steps per block for 6 trajectories, 4 for 3; the draws are
+        # identical, the floats up to matmul accumulation order across
+        # batch shapes, in float32 for the soft values
+        (X6, z6, v6), (X3, z3, v3) = chain(6, M, 2 * step), chain(3, M, 2 * step)
+        for a, b in zip((X6, z6, v6), one):
+            assert np.array_equal(a, b)
+        assert np.array_equal(z6[:3], z3)
+        np.testing.assert_allclose(X6[:3], X3, rtol=1e-10, atol=1e-12)
+        if M == 1:
+            assert v6 is None and v3 is None
+        else:
             np.testing.assert_allclose(v6[:3], v3, rtol=1e-5)
 
 
@@ -207,8 +211,8 @@ def test_trajectory_recording(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
     _, _, zetas, values = svdd_generate(params, sched, cfg, REWARD, record_values=True)
-    assert values.shape == (2, sched.T, 3)
-    assert zetas.shape == (2, sched.T)
+    assert values.shape == (2, sched.T - 1, 3)
+    assert zetas.shape == (2, sched.T - 1)
     assert np.all((zetas >= 1) & (zetas <= 3))
 
 
@@ -219,18 +223,13 @@ def test_guidance_beats_unguided_on_average(toy_model):
     assert np.mean(r5) > np.mean(r1)
 
 
-def test_soft_value_estimate_is_pure_and_exact_at_t0(toy_model):
+def test_soft_value_estimate_is_pure(toy_model):
     params, sched, stats = toy_model
     params = float32_params(params)
-    x = np.array([0.3, 0.7])
-    cands = x[None, None, :]
+    cands = np.array([0.3, 0.7])[None, None, :]
     v1 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
     v2 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
     assert v1 == v2
-    # at t = 0 the state is the design itself
-    from rddkit.data import denormalize
-    v0 = _candidate_values(params, sched, REWARD, cands, 0)[0, 0]
-    assert v0 == REWARD.batch(denormalize(x[None, :], stats))[0]
 
 
 def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
@@ -283,8 +282,36 @@ def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
     copied = [c for c in casts if c.dtype != np.float32]
     assert len(copied) == 2 and copied[0] is params.theta and copied[1] is other.theta
     candidate = [th for th in thetas if th.dtype == np.float32]
-    assert len(candidate) == sched.T - 1      # t = 1 scores its candidates at t_next = 0
+    assert len(candidate) == sched.T - 1      # one candidate pass per step t >= 2
     assert len({id(th) for th in candidate}) == 2
+
+
+class CountingReward:
+    """REWARD, recording the row count of every batch call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def batch(self, X):
+        self.rows.append(X.shape[0])
+        return REWARD.batch(X)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_the_chain_scores_only_where_candidates_differ(toy_model, M):
+    # a guided run scores n x M candidates at each step t >= 2 and the n final
+    # designs once; the deterministic last step scores nothing
+    params, sched, stats = toy_model
+    n, T = 5, sched.T
+    reward = CountingReward()
+    _, _, zetas, values = svdd_generate(params, sched, SvddSection(M=M, alpha=0.5, n_traj=n),
+                                        reward, record_values=True)
+    if M > 1:
+        assert reward.rows == [n * M] * (T - 1) + [n]   # n*M*(T-1) + n rows in T calls
+        assert values.shape == (n, T - 1, M)
+    else:
+        assert reward.rows == [n] and values is None
+    assert zetas.shape == (n, T - 1)
 
 
 class ColumnReward:

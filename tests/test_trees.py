@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import struct
 import tracemalloc
 import zlib
@@ -199,7 +200,7 @@ def test_prediction_matches_oracle_on_edge_inputs():
     E = np.array(rows)
     pred = predict_ensemble(ens, E)
     assert np.array_equal(pred, manual_predict(ens, E))
-    assert predict_ensemble(ens, E[3]) == pred[3]
+    assert predict_ensemble(ens, E[3:4]) == pred[3]
 
 
 def test_prediction_matches_oracle_on_shallow_leaves():
@@ -301,9 +302,12 @@ def test_single_vector_prediction():
     ens, _ = fit_ensemble(X, y, n_trees=10, max_depth=3)
     batch = predict_ensemble(ens, X[:5])
     for i in range(5):
-        assert predict_ensemble(ens, X[i]) == batch[i]
-    with pytest.raises(ValueError):
-        predict_ensemble(ens, np.zeros(7))
+        assert predict_ensemble(ens, X[i:i + 1]) == batch[i]
+    # a single vector is not a batch; the error names the shape it got
+    for bad in (X[0], np.zeros(7), np.zeros((2, 7)), X[None, :5]):
+        with pytest.raises(ValueError, match=rf"expected \(n, 3\) inputs for the ensemble, "
+                                             rf"got shape {re.escape(str(bad.shape))}"):
+            predict_ensemble(ens, bad)
 
 
 def test_fit_determinism():
@@ -321,7 +325,7 @@ def test_constant_targets_yield_base_only_model(tmp_path):
     assert ens.n_trees == 0
     assert history == []
     assert np.all(predict_ensemble(ens, X) == 2.5)
-    assert predict_ensemble(ens, X[0]) == 2.5
+    assert predict_ensemble(ens, X[:1]) == 2.5
     save_ensemble(tmp_path / "c.rddt", ens)
     back = load_ensemble(tmp_path / "c.rddt")
     assert np.array_equal(predict_ensemble(back, X), manual_predict(back, X))
