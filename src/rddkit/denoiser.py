@@ -9,7 +9,9 @@ it. Training keeps a float32 master theta with float32 moments and returns
 its exact float64 widening; the sampler scores candidates on a float32 copy
 of theta, and the fine-tuning roll-in runs both of its policies in float32.
 Sampling, evaluation and model files are float64, and everything is
-deterministic given a seed.
+deterministic given a seed. Inference (predict_noise) runs the network in
+row blocks of bounded size, so its memory does not grow with the batch;
+training batches are bounded by their batch size and run in one pass.
 
 A model carries the z-score map of its designs, DenoiserParams.stats (None
 for raw coordinates); every copy made here keeps it, and model files store it.
@@ -29,6 +31,11 @@ from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 _MAGIC = b"RDDM"
 _FORMAT_VERSION = 3
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator floor
+
+# size of the hidden activations of one predict_noise block, rows x
+# sum(hidden_dims) in the params' dtype: inference runs the network on at
+# most that many rows at a time (at least one), whatever the batch size
+_PREDICT_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass
@@ -156,7 +163,8 @@ def _forward(params, X, ts, T):
     H = np.concatenate([X, emb], axis=1, dtype=dtype)
     acts = [H]
     layers = layer_views(params, params.theta)
-    # the hidden outputs share one block, computed in place: one large allocation per call
+    # the hidden outputs share one block, computed in place: one large allocation
+    # per call, of at most _PREDICT_BLOCK_BYTES for predict_noise's row blocks
     n, block = X.shape[0], np.empty(X.shape[0] * sum(params.hidden_dims), dtype=dtype)
     for W, b in layers[:-1]:
         H = np.matmul(H, W, out=block[:n * W.shape[1]].reshape(n, W.shape[1]))
@@ -173,12 +181,22 @@ def predict_noise(params, xt, t, T):
 
     T is the schedule's step count, which fixes the time-embedding
     frequencies. The pass runs in the dtype of params.theta, and so does
-    the output.
+    the output. The network sees the rows in blocks whose hidden
+    activations fit _PREDICT_BLOCK_BYTES, each written into the one result,
+    so the working set does not grow with n; a batch larger than one block
+    may differ in its last bits from a single pass over all rows (the
+    matrix products accumulate per block), never with the BLAS thread count.
     """
     X = np.asarray(xt, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.d:
         raise ConfigError(f"expected (n, {params.d}) inputs for the model, got shape {X.shape}")
-    return _forward(params, X, t, T)[-1]
+    n = X.shape[0]
+    rows = max(1, _PREDICT_BLOCK_BYTES // (params.theta.itemsize * sum(params.hidden_dims)))
+    out = np.empty((n, params.d), dtype=params.theta.dtype)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        out[block] = _forward(params, X[block], t if np.ndim(t) == 0 else t[block], T)[-1]
+    return out
 
 
 def _backprop(params, acts, dOut, grad):

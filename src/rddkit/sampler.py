@@ -24,12 +24,16 @@ trajectory, on the number of trajectories run together.
 
 Soft values only rank candidates, so the denoiser pass that scores them
 runs in float32, on a float32 copy of each policy's parameters made once per
-chain (float32 parameters are used as they are); x0_hat, the reward and
-the selection stay float64, as do the candidate states and everything the
-chain carries. That pass is nine tenths of the network rows of a guided run
-with M = 10. The current-state pass runs in the dtype of the parameters the
-chain is given: float64 for sampling, float32 for the fine-tuning roll-in,
-whose float32 noise prediction enters the float64 reverse step.
+guided chain (float32 parameters are used as they are; M = 1 makes none);
+x0_hat, the reward and the selection stay float64, as do the candidate
+states and everything the chain carries. That pass is nine tenths of the
+network rows of a guided run with M = 10. The current-state pass runs in the
+dtype of the parameters the chain is given: float64 for sampling, float32
+for the fine-tuning roll-in, whose float32 noise prediction enters the
+float64 reverse step. predict_noise runs every pass in row blocks of bounded
+size, so the network's working set does not grow with n x M; the n x M
+candidate rows of one step are still one predict_noise call and one reward
+call.
 
 Rewards are black boxes with one method, batch, called through
 rewards.evaluate, which checks for one reward per row: each guided step
@@ -123,9 +127,12 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
     d, T = params.d, sched.T
     if M > 1 and reward is None:
         raise ValueError("candidate selection with M > 1 needs a reward model")
-    # the candidate passes' float32 parameters of each policy, cast once per chain
-    params32 = float32_params(params)
-    pre32 = float32_params(params_pre) if params_pre is not None else None
+    # the candidate passes' float32 parameters of each policy, cast once per
+    # chain; M = 1 has no candidate pass and casts nothing
+    params32 = pre32 = None
+    if M > 1:
+        params32 = float32_params(params)
+        pre32 = float32_params(params_pre) if params_pre is not None else None
     rngs = _spawn_generators(seed, n_traj)
     X = np.empty((n_traj, d))
     U = np.empty((n_traj, T)) if M > 1 else None

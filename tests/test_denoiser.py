@@ -1,10 +1,12 @@
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rddkit import denoiser
 from rddkit.config import NetSection
 from rddkit.data import NormStats
 from rddkit.denoiser import (
@@ -106,6 +108,47 @@ def test_float32_params_give_a_float32_pass():
         out32 = predict_noise(params32, X, t, 20)
         assert out64.dtype == np.float64 and out32.dtype == np.float32
         assert np.max(np.abs(out32 - out64)) < 1e-5
+
+
+def test_predict_noise_blocks_equal_their_separate_passes(monkeypatch):
+    # a budget of three float64 rows (six float32 rows) of hidden activations:
+    # 10 rows are 4 float64 blocks and 2 float32 blocks, each computed as a
+    # call on that block alone would compute it
+    params = small_net(seed=5, d=3, hidden=(16, 8), embed=4)
+    X = np.random.default_rng(3).standard_normal((10, 3))
+    ts = np.random.default_rng(4).integers(0, 21, size=10)
+    whole = {dt: predict_noise(replace(params, theta=params.theta.astype(dt)), X, 7, 20)
+             for dt in (np.float64, np.float32)}
+    monkeypatch.setattr(denoiser, "_PREDICT_BLOCK_BYTES", 3 * 8 * (16 + 8))
+    for dtype, rows in ((np.float64, 3), (np.float32, 6)):
+        p = replace(params, theta=params.theta.astype(dtype))
+        for t in (7, ts):
+            out = predict_noise(p, X, t, 20)
+            parts = [predict_noise(p, X[s:s + rows], t if np.ndim(t) == 0 else t[s:s + rows], 20)
+                     for s in range(0, 10, rows)]
+            assert out.shape == (10, 3) and out.dtype == dtype
+            assert np.array_equal(out, np.concatenate(parts))
+        # blocks change the matmul accumulation order only
+        np.testing.assert_allclose(predict_noise(p, X, 7, 20), whole[dtype],
+                                   rtol=1e-12 if dtype == np.float64 else 1e-5)
+        empty = predict_noise(p, np.zeros((0, 3)), 7, 20)
+        assert empty.shape == (0, 3) and empty.dtype == dtype
+
+
+def test_predict_noise_memory_is_bounded_by_the_block_budget():
+    # the default 256 x 256 net on 20,000 float32 rows: one pass over all
+    # rows would hold 20,000 x 512 float32 activations (41 MB)
+    params = init_params(2, NetSection(), 0)
+    params32 = replace(params, theta=params.theta.astype(np.float32))
+    X = np.random.default_rng(6).standard_normal((20_000, 2))
+    tracemalloc.start()
+    try:
+        out = predict_noise(params32, X, 40, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20_000, 2) and out.dtype == np.float32
+    assert peak < denoiser._PREDICT_BLOCK_BYTES + out.nbytes + 256 * 1024
 
 
 def test_init_params_deterministic_per_seed():

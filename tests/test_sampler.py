@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from rddkit import sampler
+from rddkit import denoiser, sampler
 from rddkit.config import NetSection, PretrainSection, SvddSection
 from rddkit.data import Dataset, NormStats, denormalize, normalize
 from rddkit.denoiser import float32_params, init_params, predict_noise, save_model
@@ -205,6 +205,15 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
             assert v6 is None and v3 is None
         else:
             np.testing.assert_allclose(v6[:3], v3, rtol=1e-5)
+        # 2 float64 or 4 float32 rows per predict_noise block: every network
+        # pass is split, which moves floats by accumulation order only
+        with monkeypatch.context() as m:
+            m.setattr(denoiser, "_PREDICT_BLOCK_BYTES", 2 * 8 * sum(SMALL.hidden_dims))
+            Xb, zb, vb = chain(6, M, step)
+        assert np.array_equal(zb, z6)
+        np.testing.assert_allclose(Xb, X6, rtol=1e-10, atol=1e-12)
+        if M > 1:
+            np.testing.assert_allclose(vb, v6, rtol=1e-5)
 
 
 def test_trajectory_recording(toy_model):
@@ -286,6 +295,22 @@ def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
     assert len({id(th) for th in candidate}) == 2
 
 
+def test_unguided_chains_cast_nothing(toy_model, monkeypatch):
+    # M = 1 has no candidate pass, so a float64 model is never copied to float32
+    params, sched, stats = toy_model
+    casts = []
+
+    def cast_spy(p):
+        casts.append(p.theta.dtype)
+        return float32_params(p)
+
+    monkeypatch.setattr(sampler, "float32_params", cast_spy)
+    assert params.theta.dtype == np.float64
+    ancestral_sample(params, sched, 4, seed=2)
+    svdd_generate(params, sched, SvddSection(M=1, n_traj=4, seed=2), REWARD)
+    assert casts == []
+
+
 class CountingReward:
     """REWARD, recording the row count of every batch call."""
 
@@ -334,8 +359,9 @@ def test_a_reward_column_is_rejected_by_name(toy_model, M):
 
 def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_path):
     # hidden 256 and 10 x 200 = 2000 candidate rows per step: the shape of a
-    # guided run, where the float32 candidate pass is large enough to be
-    # split across BLAS threads
+    # guided run. predict_noise runs that float32 candidate pass as several
+    # row blocks, each large enough to be split across BLAS threads; the
+    # block size does not depend on the thread count
     model = tmp_path / "model.rddm"
     params = init_params(2, NetSection(embed_dim=32, hidden_dims=[256, 256]), 0)
     save_model(str(model), params, make_schedule(5, 1e-4, 0.1))
