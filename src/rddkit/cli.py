@@ -103,10 +103,11 @@ def _build_reward(rc, d):
 def _load_model(path, cfg):
     """load_model(path), with cfg.schedule and cfg.net set to the file's, so
     the archived config states the schedule and network that ran."""
-    params, sched = load_model(path)
-    cfg.schedule = cfgmod.ScheduleSection(sched.T, float(sched.betas[1]), float(sched.betas[-1]))
+    params = load_model(path)
+    betas = params.sched.betas
+    cfg.schedule = cfgmod.ScheduleSection(params.sched.T, float(betas[1]), float(betas[-1]))
     cfg.net = cfgmod.NetSection(params.embed_dim, list(params.hidden_dims))
-    return params, sched
+    return params
 
 
 def _load_labelled(path, purpose):
@@ -132,8 +133,8 @@ def cmd_pretrain(args):
     with _stage(timings, "train"):
         params, history = train_ddpm(norm, sched, cfg.net, cfg.pretrain)
 
-    model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, dataclasses.replace(params, stats=stats), sched)
+    model_path = os.path.join(cfg.outdir, "model.rddm")
+    save_model(model_path, dataclasses.replace(params, stats=stats))
     hist_path = write_csv(os.path.join(cfg.outdir, "pretrain_history.csv"),
                           ["epoch", "mean_loss"],
                           np.column_stack([np.arange(len(history)), history]))
@@ -146,14 +147,14 @@ def cmd_finetune(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params_pre, sched = _load_model(args.model, cfg)
+        params_pre = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params_pre.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "finetune"):
-        params, history = finetune(params_pre, reward, cfg.finetune, sched)
+        params, history = finetune(params_pre, reward, cfg.finetune)
 
-    model_path = os.path.join(cfg.outdir, args.model_name)
-    save_model(model_path, params, sched)
+    model_path = os.path.join(cfg.outdir, "model_ft.rddm")
+    save_model(model_path, params)
     columns = ["iteration", "mean_reward", "mean_loss"]
     hist_path = write_csv(os.path.join(cfg.outdir, "finetune_history.csv"), columns,
                           np.column_stack([[r[k] for r in history] for k in columns]))
@@ -165,13 +166,13 @@ def cmd_sample(args):
     cfg = _load_config(args)
     timings = {}
     with _stage(timings, "load"):
-        params, sched = _load_model(args.model, cfg)
+        params = _load_model(args.model, cfg)
     reward = _build_reward(cfg.reward, params.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "sample"):
-        X0, rewards, _, _ = svdd_generate(params, sched, cfg.svdd, reward)
+        X0, rewards, _, _ = svdd_generate(params, cfg.svdd, reward)
 
-    samples_path = os.path.join(cfg.outdir, args.samples_name)
+    samples_path = os.path.join(cfg.outdir, "samples.csv")
     save_samples(samples_path, denormalize(X0, params.stats), rewards)
     r = np.asarray(rewards, dtype=np.float64)
     summary = {"n": int(r.size), "mean_reward": float(np.mean(r)),
@@ -318,7 +319,6 @@ def build_parser():
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--data", dest="dataset", help="training CSV (overrides config)")
     p.add_argument("--outdir", help="output directory (overrides config)")
-    p.add_argument("--model-name", default="model.rddm")
     p.add_argument("--epochs", dest="pretrain.epochs", type=int)
     p.add_argument("--seed", dest="pretrain.seed", type=_count)
     p.set_defaults(func=cmd_pretrain)
@@ -327,7 +327,6 @@ def build_parser():
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--model", required=True, help="pretrained model file")
     p.add_argument("--outdir", help="output directory (overrides config)")
-    p.add_argument("--model-name", default="model_ft.rddm")
     p.add_argument("--seed", dest="finetune.seed", type=_count)
     p.set_defaults(func=cmd_finetune)
 
@@ -335,7 +334,6 @@ def build_parser():
     p.add_argument("--config", help="JSON run config")
     p.add_argument("--model", required=True, help="model file to sample from")
     p.add_argument("--outdir", help="output directory (overrides config)")
-    p.add_argument("--samples-name", default="samples.csv")
     p.add_argument("--M", dest="svdd.M", type=int, help="candidates per step (1 = unguided)")
     p.add_argument("--alpha", dest="svdd.alpha", type=float, help="selection temperature")
     p.add_argument("--n-traj", dest="svdd.n_traj", type=int, help="number of samples")

@@ -146,14 +146,14 @@ def _parse_block(path, lines, first_line, n_cols):
 
 def load_dataset(path):
     """Parse a design CSV; raises DataError with a line number on bad input,
-    including a nan or inf cell (Python's float() would accept them)."""
+    including a header of no x column and a nan or inf cell (float() takes them)."""
     with open(path, "r") as f:
         lines = f.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
     has_reward = header[-1] == "reward"
-    d = len(header) - 1 if has_reward else len(header)
+    d = max(1, len(header) - 1 if has_reward else len(header))
     expected = [f"x{i}" for i in range(d)] + (["reward"] if has_reward else [])
     if header != expected:
         raise DataError(f"{path}: line 1: bad header, expected x0..x{d - 1}" +

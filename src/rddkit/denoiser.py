@@ -13,8 +13,8 @@ deterministic given a seed. Inference (predict_noise) runs the network in
 row blocks of bounded size, so its memory does not grow with the batch;
 training batches are bounded by their batch size and run in one pass.
 
-A model carries the z-score map of its designs, DenoiserParams.stats (None
-for raw coordinates); every copy made here keeps it, and model files store it.
+A model carries its noise schedule and its designs' z-score map (None for raw
+coordinates), DenoiserParams.sched and .stats; copies and model files keep both.
 """
 
 import functools
@@ -25,7 +25,7 @@ import numpy as np
 
 from rddkit.config import NetSection
 from rddkit.data import BinaryReader, NormStats, write_binary
-from rddkit.diffusion import forward_marginal, make_schedule
+from rddkit.diffusion import NoiseSchedule, forward_marginal, make_schedule
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 _MAGIC = b"RDDM"
@@ -40,8 +40,8 @@ _PREDICT_BLOCK_BYTES = 1024 * 1024
 
 @dataclass
 class DenoiserParams:
-    """Every weight and bias in one vector theta, float64 or float32, and
-    the z-score map of the modelled designs (None: raw coordinates).
+    """One vector theta of every weight and bias (float64 or float32), its noise
+    schedule, and the designs' z-score map (None: raw coordinates).
 
     The layout is W0 (row-major), b0, W1, b1, ...; layer_views gives the
     per-layer arrays of theta, or of any vector in the same layout (the
@@ -51,6 +51,7 @@ class DenoiserParams:
     d: int
     embed_dim: int
     hidden_dims: tuple
+    sched: NoiseSchedule
     stats: NormStats = None
 
     @property
@@ -112,10 +113,10 @@ def time_embedding(t, dim, T):
     return _embedding_table(dim, T)[t]
 
 
-def init_params(d, net, seed):
+def init_params(d, net, sched, seed):
     """Fan-in-scaled uniform initialization from a seeded generator.
 
-    net is a config.NetSection; it is checked before any draw.
+    net is a config.NetSection, checked before any draw; the params carry sched.
     """
     net.check()
     rng = np.random.default_rng(seed)
@@ -125,7 +126,7 @@ def init_params(d, net, seed):
         draws += [rng.uniform(-bound, bound, size=fan_in * fan_out),
                   rng.uniform(-bound, bound, size=fan_out)]
     return DenoiserParams(theta=np.concatenate(draws), d=d, embed_dim=net.embed_dim,
-                          hidden_dims=tuple(net.hidden_dims))
+                          hidden_dims=tuple(net.hidden_dims), sched=sched)
 
 
 def clone_params(params):
@@ -149,14 +150,14 @@ def init_opt_state(params, learning_rate):
                           scratch=np.empty((2, n), dtype), learning_rate=learning_rate)
 
 
-def _forward(params, X, ts, T):
+def _forward(params, X, ts):
     """Forward pass keeping post-activation values for backprop.
 
     X is (n, d); ts a scalar timestep or per-row array. Returns the list of
     layer activations, the first entry being the embedded input. Every
     activation has the dtype of params.theta.
     """
-    emb = time_embedding(ts, params.embed_dim, T)
+    emb = time_embedding(ts, params.embed_dim, params.sched.T)
     if emb.ndim == 1:
         emb = np.broadcast_to(emb, (X.shape[0], params.embed_dim))
     dtype = params.theta.dtype
@@ -176,16 +177,16 @@ def _forward(params, X, ts, T):
     return acts
 
 
-def predict_noise(params, xt, t, T):
+def predict_noise(params, xt, t):
     """Deterministic forward pass over a batch xt of shape (n, d); returns (n, d).
 
-    T is the schedule's step count, which fixes the time-embedding
-    frequencies. The pass runs in the dtype of params.theta, and so does
-    the output. The network sees the rows in blocks whose hidden
-    activations fit _PREDICT_BLOCK_BYTES, each written into the one result,
-    so the working set does not grow with n; a batch larger than one block
-    may differ in its last bits from a single pass over all rows (the
-    matrix products accumulate per block), never with the BLAS thread count.
+    The time embedding spans params.sched.T steps. The pass runs in the
+    dtype of params.theta, and so does the output. The network sees the rows
+    in blocks whose hidden activations fit _PREDICT_BLOCK_BYTES, each written
+    into the one result, so the working set does not grow with n; a batch
+    larger than one block may differ in its last bits from a single pass over
+    all rows (the matrix products accumulate per block), never with the BLAS
+    thread count.
     """
     X = np.asarray(xt, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.d:
@@ -195,7 +196,7 @@ def predict_noise(params, xt, t, T):
     out = np.empty((n, params.d), dtype=params.theta.dtype)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        out[block] = _forward(params, X[block], t if np.ndim(t) == 0 else t[block], T)[-1]
+        out[block] = _forward(params, X[block], t if np.ndim(t) == 0 else t[block])[-1]
     return out
 
 
@@ -218,7 +219,7 @@ def _backprop(params, acts, dOut, grad):
     return grad
 
 
-def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None, kappa=0.0,
+def loss_and_grad_arrays(params, X0, ts, EPS, weights, anchor_params=None, kappa=0.0,
                          out=None):
     """Weighted noise-matching loss and its exact gradient.
 
@@ -226,21 +227,21 @@ def loss_and_grad_arrays(params, X0, ts, EPS, sched, weights, anchor_params=None
 
         mean_i  w_i * || EPS_i - eps_theta(forward_marginal(X0_i, ts_i, EPS_i), ts_i) ||^2
 
-    optionally plus kappa * mean_i ||eps_theta - eps_anchor||^2 which keeps
-    the prediction close to a frozen reference network. The gradient is one
-    vector in the layout and dtype of params.theta, written into out when
-    given; the forward passes and backprop run in that dtype, and the loss is
-    a Python float.
+    with x_t drawn under params.sched, optionally plus kappa * mean_i
+    ||eps_theta - eps_anchor||^2 which keeps the prediction close to a frozen
+    reference network. The gradient is one vector in the layout and dtype of
+    params.theta, written into out when given; the forward passes and
+    backprop run in that dtype, and the loss is a Python float.
     """
     B = X0.shape[0]
-    XT = forward_marginal(X0, ts, EPS, sched)
-    acts = _forward(params, XT, ts, sched.T)
+    XT = forward_marginal(X0, ts, EPS, params.sched)
+    acts = _forward(params, XT, ts)
     pred = acts[-1]
     resid = pred - EPS
     loss = float(np.mean(weights * np.sum(resid * resid, axis=1)))
     dOut = (2.0 / B) * weights[:, None] * resid
     if anchor_params is not None and kappa > 0.0:
-        pred_pre = _forward(anchor_params, XT, ts, sched.T)[-1]
+        pred_pre = _forward(anchor_params, XT, ts)[-1]
         drift = pred - pred_pre
         loss += kappa * float(np.mean(np.sum(drift * drift, axis=1)))
         dOut = dOut + (2.0 * kappa / B) * drift
@@ -282,16 +283,16 @@ def adam_step(params, opt_state, grad):
     np.subtract(params.theta, a, out=params.theta)
 
 
-def save_model(path, params, sched):
+def save_model(path, params):
     """Write the binary model file, a data.write_binary container.
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
     hidden dims, u32 T, f8 beta_start/beta_end (the first and last beta of
-    the NoiseSchedule sched), u8 stats flag (+ the mean/std vectors of
-    params.stats), then theta as f8 (its length follows from the header); a
-    float32 theta is widened exactly.
+    params.sched), u8 stats flag (+ the mean/std vectors of params.stats),
+    then theta as f8 (its length follows from the header); a float32 theta
+    is widened exactly.
     """
-    n, stats = len(params.hidden_dims), params.stats
+    n, sched, stats = len(params.hidden_dims), params.sched, params.stats
     header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,
                          sched.T, sched.betas[1], sched.betas[-1])
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
@@ -301,12 +302,12 @@ def save_model(path, params, sched):
 
 
 def load_model(path):
-    """Read a model file; returns (params, NoiseSchedule), params.stats the file's stats.
+    """Read a model file; returns its params, with the file's schedule and stats.
 
     A non-finite weight, normalization mean or std, or beta, a stored
-    network shape that config.NetSection rejects and a stored schedule that
-    make_schedule rejects raise DataError naming the file, even under a
-    valid checksum."""
+    network shape that config.NetSection rejects or with no design
+    coordinate, and a stored schedule that make_schedule rejects raise
+    DataError naming the file, even under a valid checksum."""
     r = BinaryReader(path, _MAGIC, _FORMAT_VERSION, "model")
     d, embed_dim = r.unpack("<II")
     (n_hidden,) = r.unpack("<I")
@@ -323,6 +324,8 @@ def load_model(path):
     for name, values in checks:
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: non-finite {name} in the model file")
+    if d < 1:
+        raise DataError(f"{path}: bad network shape in the model file: no design coordinate")
     try:
         NetSection(embed_dim, list(hidden)).check()
     except ConfigError as e:
@@ -332,4 +335,4 @@ def load_model(path):
     except ConfigError as e:
         raise DataError(f"{path}: bad noise schedule in the model file: {e}") from None
     return DenoiserParams(theta=theta, d=d, embed_dim=embed_dim, hidden_dims=hidden,
-                          stats=stats), sched
+                          sched=sched, stats=stats)

@@ -17,7 +17,8 @@ of exactly 1, the unweighted objective. A non-finite reward stops the run
 with a NumericalError before any weight is formed.
 
 An optional anchor term kappa * ||eps_theta - eps_pretrained||^2 bounds the
-drift away from the pretrained predictions.
+drift away from the pretrained predictions. All of it runs under the
+schedule the pretrained model carries, which the fine-tuned model keeps.
 
 Fine-tuning runs in float32, as pretraining does: a run makes one float32
 copy of the pretrained parameters, which is the roll-in's pretrained policy
@@ -38,7 +39,7 @@ from rddkit.rewards import evaluate, soft_weight
 from rddkit.sampler import _reverse_chain
 
 
-def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
+def rollin_collect(params_current, params_pre, m, seed, switch_t=0):
     """Terminal designs, (m, d) float64, of m trajectories from the mixed roll-in policy.
 
     Steps with t > switch_t use the current parameters; steps with
@@ -50,7 +51,7 @@ def rollin_collect(params_current, params_pre, sched, m, seed, switch_t=0):
     float32 parameters.
     """
     X0, _, _ = _reverse_chain(
-        float32_params(params_current), sched, m, seed, M=1,
+        float32_params(params_current), m, seed, M=1,
         params_pre=float32_params(params_pre), switch_t=switch_t,
     )
     return X0
@@ -61,7 +62,7 @@ def _normalized_weights(rewards, alpha):
     return w / w.mean()
 
 
-def weighted_epoch(designs, rewards, params, opt_state, sched, rng, cfg, params_pre=None):
+def weighted_epoch(designs, rewards, params, opt_state, rng, cfg, params_pre=None):
     """One weighted pass over the collected designs, updating params and opt_state in place.
 
     designs is the (m, d) array of terminal designs in model coordinates;
@@ -78,20 +79,20 @@ def weighted_epoch(designs, rewards, params, opt_state, sched, rng, cfg, params_
         raise ValueError("one reward per design required")
     weights = _normalized_weights(rewards, cfg.alpha)
     mean_loss = ddpm_epoch(
-        params, opt_state, X0, sched, rng, cfg.batch_size, weights=weights,
+        params, opt_state, X0, rng, cfg.batch_size, weights=weights,
         anchor_params=params_pre if cfg.kl_anchor else None, kappa=cfg.anchor_kappa,
     )
     return float(rewards.mean()), mean_loss
 
 
-def finetune(params_pre, reward, cfg, sched):
+def finetune(params_pre, reward, cfg):
     """Algorithm: S rounds of roll-in collection plus one weighted pass each.
 
     cfg is a config.FinetuneSection, checked before any work. Returns
     (fine-tuned params, history) where history rows are dicts with
     iteration, mean_reward and mean_loss, and the params are float64: the
     widening of the float32 master, or with S = 0 a copy of params_pre
-    unchanged; both keep params_pre.stats. params_pre is never mutated.
+    unchanged; both keep params_pre's sched and stats. params_pre is never mutated.
     """
     cfg.check()
     if cfg.S == 0:
@@ -102,18 +103,15 @@ def finetune(params_pre, reward, cfg, sched):
     root = np.random.SeedSequence(cfg.seed)
     history = []
     for s in range(1, cfg.S + 1):
-        if cfg.S == 1:
-            switch_t = 0
-        else:
-            switch_t = round(sched.T * (cfg.S - s) / (cfg.S - 1))
+        switch_t = round(params.sched.T * (cfg.S - s) / (cfg.S - 1)) if cfg.S > 1 else 0
         ss_collect, ss_epoch = root.spawn(2)
-        X0 = rollin_collect(params, pre32, sched, cfg.m, ss_collect, switch_t=switch_t)
+        X0 = rollin_collect(params, pre32, cfg.m, ss_collect, switch_t=switch_t)
         rewards = evaluate(reward, denormalize(X0, params.stats))
         n_bad = np.count_nonzero(~np.isfinite(rewards))
         if n_bad:
             raise NumericalError(f"fine-tuning iteration {s}: {n_bad} of {cfg.m} "
                                  "rewards are non-finite")
-        mean_r, mean_loss = weighted_epoch(X0, rewards, params, opt_state, sched,
+        mean_r, mean_loss = weighted_epoch(X0, rewards, params, opt_state,
                                            np.random.default_rng(ss_epoch), cfg,
                                            params_pre=pre32)
         history.append({"iteration": s, "mean_reward": mean_r, "mean_loss": mean_loss})

@@ -7,12 +7,12 @@ candidate is scored by the soft value estimate
     v_hat_{t-1}(x) = r(denormalize(x0_hat(x, t-1)))
 
 where x0_hat is the posterior-mean estimate of the clean design and
-denormalize applies the model's own params.stats; one candidate is kept by a
-single categorical draw with probabilities proportional to exp(v_hat /
-alpha). The last step, t = 1, is deterministic (sigma_1 = 0): its M
-candidates would be one design, so it chooses nothing and is the plain
-reverse step. With M = 1 the procedure degenerates to plain ancestral
-sampling, bit for bit.
+denormalize applies the model's own params.stats, as the chain runs under
+its own params.sched; one candidate is kept by a single categorical draw
+with probabilities proportional to exp(v_hat / alpha). The last step, t = 1,
+is deterministic (sigma_1 = 0): its M candidates would be one design, so it
+chooses nothing and is the plain reverse step. With M = 1 the procedure
+degenerates to plain ancestral sampling, bit for bit.
 
 Each trajectory owns an RNG stream spawned from the root seed, read in this
 order: x_T, then for M > 1 one selection uniform per step, T of them in
@@ -65,7 +65,7 @@ def _spawn_generators(seed, n):
     return [np.random.default_rng(s) for s in root.spawn(n)]
 
 
-def _candidate_values(params, sched, reward, cands, t_next):
+def _candidate_values(params, reward, cands, t_next):
     """Float64 soft values of (n, M, d) candidate states that live at timestep t_next.
 
     The noise prediction runs in the dtype of params, float32 as the chain
@@ -74,8 +74,8 @@ def _candidate_values(params, sched, reward, cands, t_next):
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
-    eps_hat = predict_noise(params, flat, t_next, sched.T)
-    x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), sched)
+    eps_hat = predict_noise(params, flat, t_next)
+    x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), params.sched)
     return evaluate(reward, denormalize(x0_hat, params.stats)).reshape(n, M)
 
 
@@ -101,7 +101,7 @@ def _select(values, alpha, u):
     return np.minimum(zeta, values.shape[1] - 1)
 
 
-def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
+def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
                    params_pre=None, switch_t=0, record_values=False):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
@@ -124,7 +124,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
     one-trajectory-at-a-time evaluation exactly, the floats up to the
     accumulation order of the batched matrix products.
     """
-    d, T = params.d, sched.T
+    d, sched, T = params.d, params.sched, params.sched.T
     if M > 1 and reward is None:
         raise ValueError("candidate selection with M > 1 needs a reward model")
     # the candidate passes' float32 parameters of each policy, cast once per
@@ -150,7 +150,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
     for k, t in enumerate(range(T, 0, -1)):
         pre = params_pre is not None and t <= switch_t
         p_t, p32_t = (params_pre, pre32) if pre else (params, params32)
-        eps = predict_noise(p_t, X, t, T)
+        eps = predict_noise(p_t, X, t)
         if t == 1:
             X = reverse_step(X, 1, eps, sched, None)
             break
@@ -160,7 +160,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
                 rng.standard_normal(out=block[:min(K, T - 1 - k)])
         cands = reverse_step(X[:, None], t, eps[:, None], sched, Z[:, j])
         if M > 1:
-            vals = _candidate_values(p32_t, sched, reward, cands, t - 1)
+            vals = _candidate_values(p32_t, reward, cands, t - 1)
             zeta = _select(vals, alpha, U[:, k])
             zetas[:, k] = zeta + 1
             if record_values:
@@ -171,7 +171,7 @@ def _reverse_chain(params, sched, n_traj, seed, *, M=1, reward=None, alpha=1.0,
     return X, zetas, values
 
 
-def svdd_generate(params, sched, svdd, reward, record_values=False):
+def svdd_generate(params, svdd, reward, record_values=False):
     """Run svdd.n_traj independent guided trajectories.
 
     Returns (X0, rewards, zetas, values): the (n, d) final designs in model
@@ -187,7 +187,7 @@ def svdd_generate(params, sched, svdd, reward, record_values=False):
     """
     svdd.check()
     X0, zetas, values = _reverse_chain(
-        params, sched, svdd.n_traj, svdd.seed,
+        params, svdd.n_traj, svdd.seed,
         M=svdd.M, reward=reward, alpha=svdd.alpha, record_values=record_values,
     )
     return X0, evaluate(reward, denormalize(X0, params.stats)), zetas, values

@@ -70,7 +70,7 @@ def finetuned(pretrained):
     reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     cfg = FinetuneSection(S=50, m=256, alpha=1.0, gamma=1e-3, seed=5)
     t0 = time.perf_counter()
-    params_ft, history = finetune(pretrained["params"], reward, cfg, pretrained["sched"])
+    params_ft, history = finetune(pretrained["params"], reward, cfg)
     TIMINGS["finetune"] = time.perf_counter() - t0
     return {"params": params_ft, "history": history, "reward": reward}
 
@@ -106,17 +106,17 @@ def test_criterion_02_gradient_exactness():
     sched = make_schedule(6)
     cfg = NetSection(embed_dim=4, hidden_dims=[4])
     rng = np.random.default_rng(2)
-    params = init_params(2, cfg, rng)
+    params = init_params(2, cfg, sched, rng)
     rows = [(rng.standard_normal(2), int(rng.integers(1, 7)),
              rng.standard_normal(2)) for _ in range(8)]
     X0, ts, EPS = (np.array(col) for col in zip(*rows))
     w = rng.uniform(0.5, 1.5, size=8)
-    _, grad = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
+    _, grad = loss_and_grad_arrays(params, X0, ts, EPS, w)
     dW = [gw for gw, _ in layer_views(params, grad)]
     db = [gb for _, gb in layer_views(params, grad)]
 
     def loss_at(p):
-        return loss_and_grad_arrays(p, X0, ts, EPS, sched, w)[0]
+        return loss_and_grad_arrays(p, X0, ts, EPS, w)[0]
 
     h = 1e-6
     worst = 0.0
@@ -144,7 +144,7 @@ def test_criterion_02_gradient_exactness():
 
 def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
     t0 = time.perf_counter()
-    Xn = ancestral_sample(pretrained["params"], pretrained["sched"], 5000, seed=123)
+    Xn = ancestral_sample(pretrained["params"], 5000, seed=123)
     X = denormalize(Xn, pretrained["stats"])
     wall = TIMINGS["pretrain"] + (time.perf_counter() - t0)
     mean_err = np.abs(X.mean(axis=0) - bench_data.X.mean(axis=0)).max()
@@ -161,9 +161,9 @@ def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
 
 def test_criterion_04_m1_degeneracy(pretrained):
     reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
-    plain = ancestral_sample(pretrained["params"], pretrained["sched"], 64, seed=77)
+    plain = ancestral_sample(pretrained["params"], 64, seed=77)
     cfg = SvddSection(M=1, alpha=0.2, n_traj=64, seed=77)
-    guided, _, zetas, _ = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward)
+    guided, _, zetas, _ = svdd_generate(pretrained["params"], cfg, reward)
     identical = np.array_equal(plain, guided)
     print(f"criterion 04: M=1 bit-identical to ancestral: {identical}")
     assert identical
@@ -176,7 +176,7 @@ def test_criterion_05_guidance_monotonicity(pretrained):
     rewards = {}
     for M in (1, 3, 5, 10):
         cfg = SvddSection(M=M, alpha=0.2, n_traj=1000, seed=11)
-        rewards[M] = svdd_generate(pretrained["params"], pretrained["sched"], cfg, reward)[1]
+        rewards[M] = svdd_generate(pretrained["params"], cfg, reward)[1]
     wall = time.perf_counter() - t0
     p_top = sstats.ttest_ind(rewards[10], rewards[1], equal_var=False,
                              alternative="greater").pvalue
@@ -209,13 +209,13 @@ def test_criterion_06_soft_value_approximation():
         rows = norm.X[rng.choice(2000, size=50, replace=False)]
         eps = rng.standard_normal(rows.shape)
         states = forward_marginal(rows, t, eps, sched)
-        v_hat = _candidate_values(float32_params(params), sched, reward,
+        v_hat = _candidate_values(float32_params(params), reward,
                                   states[:, None, :], t)[:, 0]
         # the Monte Carlo oracle: 1000 plain ancestral completions of each state
         X = np.repeat(states, 1000, axis=0)
         mc_rng = np.random.default_rng(1000 + t)
         for s in range(t, 0, -1):
-            eps_hat = predict_noise(params, X, s, sched.T)
+            eps_hat = predict_noise(params, X, s)
             X = reverse_step(X, s, eps_hat, sched, mc_rng.standard_normal(X.shape))
         r = reward.batch(denormalize(X, stats)).reshape(50, 1000) / alpha
         m = r.max(axis=1)
@@ -236,21 +236,21 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
     sched = pretrained["sched"]
     stats = pretrained["stats"]
     pre_r = reward.batch(denormalize(
-        ancestral_sample(pretrained["params"], sched, 1000, 2024), stats))
+        ancestral_sample(pretrained["params"], 1000, 2024), stats))
     post_r = reward.batch(denormalize(
-        ancestral_sample(finetuned["params"], sched, 1000, 2024), stats))
+        ancestral_sample(finetuned["params"], 1000, 2024), stats))
     p_val = sstats.ttest_ind(post_r, pre_r, equal_var=False,
                              alternative="greater").pvalue
 
     # a uniform-reward pass must reproduce the plain training epoch bitwise
     norm = pretrained["norm"]
     X = norm.X[:256]
-    base = init_params(norm.d, NetSection(embed_dim=8, hidden_dims=[32]), 9)
+    base = init_params(norm.d, NetSection(embed_dim=8, hidden_dims=[32]), sched, 9)
     p_a, p_b = clone_params(base), clone_params(base)
     cfg = FinetuneSection(alpha=0.8, batch_size=64)
-    ddpm_epoch(p_a, init_opt_state(base, cfg.gamma), X, sched,
+    ddpm_epoch(p_a, init_opt_state(base, cfg.gamma), X,
                np.random.default_rng(np.random.SeedSequence(55)), 64)
-    weighted_epoch(X, np.full(256, 7.25), p_b, init_opt_state(base, cfg.gamma), sched,
+    weighted_epoch(X, np.full(256, 7.25), p_b, init_opt_state(base, cfg.gamma),
                    np.random.default_rng(np.random.SeedSequence(55)), cfg)
     bitwise = np.array_equal(p_a.theta, p_b.theta) and not np.array_equal(p_a.theta, base.theta)
     print(f"criterion 07: history slope {slope:.4f} (> 0), post mean "
@@ -263,18 +263,17 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
 
 def test_criterion_08_beyond_distribution(bench_data, pretrained, finetuned):
     reward = finetuned["reward"]
-    sched = pretrained["sched"]
     stats = pretrained["stats"]
     r_max = reward.batch(bench_data.X).max()
 
     t0 = time.perf_counter()
     cfg = SvddSection(M=10, alpha=0.2, n_traj=1000, seed=31)
-    guided_r = svdd_generate(finetuned["params"], sched, cfg, reward)[1]
+    guided_r = svdd_generate(finetuned["params"], cfg, reward)[1]
     guided_wall = time.perf_counter() - t0
     frac_guided = float(np.mean(guided_r > r_max))
 
     pre_r = reward.batch(denormalize(
-        ancestral_sample(pretrained["params"], sched, 1000, 2024), stats))
+        ancestral_sample(pretrained["params"], 1000, 2024), stats))
     frac_unguided = float(np.mean(pre_r > r_max))
     total = TIMINGS["pretrain"] + TIMINGS["finetune"] + guided_wall
     print(f"criterion 08: guided frac above training max {frac_guided:.3f} "

@@ -25,8 +25,9 @@ def write_json(path, obj):
 
 def write_model(path):
     """A small untrained 2-d model file."""
-    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
-    save_model(str(path), params, make_schedule(10, 1e-4, 0.02))
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]),
+                         make_schedule(10, 1e-4, 0.02), 0)
+    save_model(str(path), params)
     return path
 
 
@@ -358,7 +359,8 @@ def test_data_errors_exit_2(tmp_path, caplog):
     assert len(raw) > 300
     flipped = bytearray(raw)
     flipped[-40] ^= 0x01    # a byte of the last layer's weights
-    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]),
+                         make_schedule(10, 1e-4, 0.02), 0)
     for name, body in (("cut.rddm", raw[:300]), ("long.rddm", raw + b"\x00\x00"),
                        ("flipped.rddm", bytes(flipped)), ("v1.rddm", v1_model_bytes(params)),
                        ("v1_short_bias.rddm", v1_model_bytes(params, last_bias_len=1))):
@@ -378,20 +380,23 @@ def test_data_errors_exit_2(tmp_path, caplog):
     for name, T, beta_start, beta_end in (("t0.rddm", 0, 1e-4, 0.02),
                                           ("reversed.rddm", 10, 0.05, 0.02),
                                           ("beta_big.rddm", 10, 1e-4, 1.5)):
-        save_model(str(tmp_path / name), params, stored_schedule(T, beta_start, beta_end))
+        save_model(str(tmp_path / name),
+                   dataclasses.replace(params, sched=stored_schedule(T, beta_start, beta_end)))
         for argv in (["sample", "--model", str(tmp_path / name), "--n-traj", "2"],
                      ["finetune", "--model", str(tmp_path / name)]):
             caplog.clear()
             assert cli.main(argv + ["--outdir", str(tmp_path / "never")]) == 2
             assert f"{tmp_path / name}: bad noise schedule" in caplog.text
     # so does a stored network shape that net.check rejects: an odd embedding,
-    # no hidden layer, a zero-width one
-    for name, embed_dim, hidden in (("odd_embed.rddm", 7, (8,)), ("no_hidden.rddm", 4, ()),
-                                    ("zero_width.rddm", 4, (8, 0))):
-        dims = [2 + embed_dim, *hidden, 2]
+    # no hidden layer, a zero-width one; and a model of no design coordinate
+    for name, d, embed_dim, hidden in (("odd_embed.rddm", 2, 7, (8,)),
+                                       ("no_hidden.rddm", 2, 4, ()),
+                                       ("zero_width.rddm", 2, 4, (8, 0)),
+                                       ("no_design.rddm", 0, 4, (8,))):
+        dims = [d + embed_dim, *hidden, d]
         theta = np.zeros(sum(i * o + o for i, o in zip(dims[:-1], dims[1:])))
-        save_model(str(tmp_path / name), DenoiserParams(theta, 2, embed_dim, hidden),
-                   make_schedule(10, 1e-4, 0.02))
+        save_model(str(tmp_path / name),
+                   DenoiserParams(theta, d, embed_dim, hidden, make_schedule(10, 1e-4, 0.02)))
         caplog.clear()
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
                          "--outdir", str(tmp_path / "never")]) == 2
@@ -446,6 +451,16 @@ def test_data_errors_exit_2(tmp_path, caplog):
             caplog.clear()
             assert cli.main(argv) == 2
             assert f"{bad}: line 5: non-finite value in column x0" in caplog.text
+    # a header of the reward column alone has no design column to train or fit on
+    reward_only = tmp_path / "reward_only.csv"
+    reward_only.write_text("reward\n" + "".join(f"{i % 3}\n" for i in range(12)))
+    for argv in (["pretrain", "--data", str(reward_only), "--epochs", "1",
+                  "--outdir", str(tmp_path / "p")],
+                 ["surrogate", "fit", "--data", str(reward_only),
+                  "--out", str(tmp_path / "bad.rddt")]):
+        caplog.clear()
+        assert cli.main(argv) == 2
+        assert f"{reward_only}: line 1: bad header, expected x0..x0,reward" in caplog.text
     # file-system errors: a directory where a file belongs, a file where the
     # output directory belongs
     a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
@@ -465,7 +480,8 @@ def test_data_errors_exit_2(tmp_path, caplog):
 
 def test_non_finite_model_values_exit_2(tmp_path, caplog):
     # re-saved through save_model, so each file's checksum is valid
-    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]), 0)
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]),
+                         make_schedule(10, 1e-4, 0.02), 0)
     nan_weight = dataclasses.replace(params, theta=params.theta.copy())
     nan_weight.theta[7] = np.nan
     stats = NormStats(mean=np.zeros(2), std=np.ones(2))
@@ -476,8 +492,8 @@ def test_non_finite_model_values_exit_2(tmp_path, caplog):
             ("inf_std.rddm", params, inf_std, 0.02, "normalization std"),
             ("nan_mean.rddm", params, nan_mean, 0.02, "normalization mean"),
             ("inf_beta.rddm", params, None, np.inf, "beta")):
-        save_model(str(tmp_path / name), dataclasses.replace(p, stats=s),
-                   stored_schedule(10, 1e-4, beta_end))
+        save_model(str(tmp_path / name), dataclasses.replace(
+            p, sched=stored_schedule(10, 1e-4, beta_end), stats=s))
         out = tmp_path / f"out_{name}"
         caplog.clear()
         assert cli.main(["sample", "--model", str(tmp_path / name), "--n-traj", "2",
@@ -691,8 +707,7 @@ def test_override_flags_name_config_keys(tmp_path):
         assert {d for d in dests if "." in d} <= keys, command
         if "config" in dests:
             overrides[command] = dests & keys
-            assert dests - keys == {"help", "config", "model", "model_name",
-                                    "samples_name"} & dests, command
+            assert dests - keys == {"help", "config", "model"} & dests, command
     assert overrides == {
         "pretrain": {"dataset", "outdir", "pretrain.epochs", "pretrain.seed"},
         "finetune": {"outdir", "finetune.seed"},

@@ -96,6 +96,13 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DataError, match="line 1"):
         load_dataset(str(p))
 
+    # a reward column alone is no design: d = 0 is refused, with or without rows
+    for text in ("reward\n", "reward\n1.0\n2.0\n"):
+        p.write_text(text)
+        with pytest.raises(DataError, match="line 1: bad header, expected x0..x0,reward") as err:
+            load_dataset(str(p))
+        assert str(err.value).startswith(f"{p}: ")
+
     p.write_text("")
     with pytest.raises(DataError, match="empty"):
         load_dataset(str(p))
@@ -308,10 +315,10 @@ def flips_that_load(good, path, load):
 
 
 def test_every_flipped_byte_of_a_model_file_is_rejected(tmp_path):
-    params = init_params(1, NetSection(embed_dim=2, hidden_dims=[2]), 0)
+    params = init_params(1, NetSection(embed_dim=2, hidden_dims=[2]),
+                         make_schedule(5, 1e-4, 0.02), 0)
     good = tmp_path / "m.rddm"
-    save_model(good, replace(params, stats=NormStats(mean=np.zeros(1), std=np.ones(1))),
-               make_schedule(5, 1e-4, 0.02))
+    save_model(good, replace(params, stats=NormStats(mean=np.zeros(1), std=np.ones(1))))
     load_model(good)
     assert flips_that_load(good, tmp_path / "bad.rddm", load_model) == []
 

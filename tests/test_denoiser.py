@@ -26,9 +26,9 @@ from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, TrainingDivergenceError
 
 
-def small_net(seed=0, d=2, hidden=(4,), embed=4):
+def small_net(seed=0, d=2, hidden=(4,), embed=4, T=10):
     cfg = NetSection(embed_dim=embed, hidden_dims=list(hidden))
-    return init_params(d, cfg, seed)
+    return init_params(d, cfg, make_schedule(T), seed)
 
 
 def make_batch(seed, n, d, T):
@@ -70,14 +70,14 @@ def test_time_embedding_table_rows_equal_the_direct_formula(dim, T):
 
 def test_predict_noise_shapes():
     params = small_net()
-    batch = predict_noise(params, np.zeros((5, 2)), 3, 10)
+    batch = predict_noise(params, np.zeros((5, 2)), 3)
     assert batch.shape == (5, 2)
-    assert np.array_equal(predict_noise(params, np.zeros((1, 2)), 3, 10)[0], batch[0])
+    assert np.array_equal(predict_noise(params, np.zeros((1, 2)), 3)[0], batch[0])
     # a single vector is not a batch; the error names the shape it got
     for bad in (np.zeros(2), np.zeros((5, 3)), np.zeros((1, 5, 2))):
         with pytest.raises(ConfigError, match=rf"expected \(n, 2\) inputs for the model, "
                                               rf"got shape {re.escape(str(bad.shape))}"):
-            predict_noise(params, bad, 3, 10)
+            predict_noise(params, bad, 3)
 
 
 def test_forward_matches_the_plain_layer_loop():
@@ -85,7 +85,7 @@ def test_forward_matches_the_plain_layer_loop():
     # must equal the allocate-per-operation reference bit for bit
     params = small_net(seed=3, d=3, hidden=(8, 5), embed=4)
     X = np.random.default_rng(1).standard_normal((7, 3))
-    acts = _forward(params, X, np.arange(1, 8), 10)
+    acts = _forward(params, X, np.arange(1, 8))
     layers = layer_views(params, params.theta)
     H = acts[0]
     for i, (W, b) in enumerate(layers):
@@ -98,14 +98,14 @@ def test_forward_matches_the_plain_layer_loop():
 def test_float32_params_give_a_float32_pass():
     # the sampler scores candidates on a float32 copy of theta; the float64
     # pass is the oracle, and float32 rounding is all that may separate them
-    params = small_net(seed=4, d=6, hidden=(64, 64), embed=8)
+    params = small_net(seed=4, d=6, hidden=(64, 64), embed=8, T=20)
     params32 = replace(params, theta=params.theta.astype(np.float32))
     X = np.random.default_rng(2).standard_normal((50, 6))
-    assert all(a.dtype == np.float64 for a in _forward(params, X, 7, 20))
-    assert all(a.dtype == np.float32 for a in _forward(params32, X, 7, 20))
+    assert all(a.dtype == np.float64 for a in _forward(params, X, 7))
+    assert all(a.dtype == np.float32 for a in _forward(params32, X, 7))
     for t in (1, 7, 20):
-        out64 = predict_noise(params, X, t, 20)
-        out32 = predict_noise(params32, X, t, 20)
+        out64 = predict_noise(params, X, t)
+        out32 = predict_noise(params32, X, t)
         assert out64.dtype == np.float64 and out32.dtype == np.float32
         assert np.max(np.abs(out32 - out64)) < 1e-5
 
@@ -114,36 +114,36 @@ def test_predict_noise_blocks_equal_their_separate_passes(monkeypatch):
     # a budget of three float64 rows (six float32 rows) of hidden activations:
     # 10 rows are 4 float64 blocks and 2 float32 blocks, each computed as a
     # call on that block alone would compute it
-    params = small_net(seed=5, d=3, hidden=(16, 8), embed=4)
+    params = small_net(seed=5, d=3, hidden=(16, 8), embed=4, T=20)
     X = np.random.default_rng(3).standard_normal((10, 3))
     ts = np.random.default_rng(4).integers(0, 21, size=10)
-    whole = {dt: predict_noise(replace(params, theta=params.theta.astype(dt)), X, 7, 20)
+    whole = {dt: predict_noise(replace(params, theta=params.theta.astype(dt)), X, 7)
              for dt in (np.float64, np.float32)}
     monkeypatch.setattr(denoiser, "_PREDICT_BLOCK_BYTES", 3 * 8 * (16 + 8))
     for dtype, rows in ((np.float64, 3), (np.float32, 6)):
         p = replace(params, theta=params.theta.astype(dtype))
         for t in (7, ts):
-            out = predict_noise(p, X, t, 20)
-            parts = [predict_noise(p, X[s:s + rows], t if np.ndim(t) == 0 else t[s:s + rows], 20)
+            out = predict_noise(p, X, t)
+            parts = [predict_noise(p, X[s:s + rows], t if np.ndim(t) == 0 else t[s:s + rows])
                      for s in range(0, 10, rows)]
             assert out.shape == (10, 3) and out.dtype == dtype
             assert np.array_equal(out, np.concatenate(parts))
         # blocks change the matmul accumulation order only
-        np.testing.assert_allclose(predict_noise(p, X, 7, 20), whole[dtype],
+        np.testing.assert_allclose(predict_noise(p, X, 7), whole[dtype],
                                    rtol=1e-12 if dtype == np.float64 else 1e-5)
-        empty = predict_noise(p, np.zeros((0, 3)), 7, 20)
+        empty = predict_noise(p, np.zeros((0, 3)), 7)
         assert empty.shape == (0, 3) and empty.dtype == dtype
 
 
 def test_predict_noise_memory_is_bounded_by_the_block_budget():
     # the default 256 x 256 net on 20,000 float32 rows: one pass over all
     # rows would hold 20,000 x 512 float32 activations (41 MB)
-    params = init_params(2, NetSection(), 0)
+    params = init_params(2, NetSection(), make_schedule(100), 0)
     params32 = replace(params, theta=params.theta.astype(np.float32))
     X = np.random.default_rng(6).standard_normal((20_000, 2))
     tracemalloc.start()
     try:
-        out = predict_noise(params32, X, 40, 100)
+        out = predict_noise(params32, X, 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,15 +161,14 @@ def test_init_params_deterministic_per_seed():
 def test_gradients_match_central_finite_differences():
     # every parameter entry, small net, double precision
     params = small_net(seed=1)
-    sched = make_schedule(10)
     batch = make_batch(2, 8, 2, 10)
     weights = np.ones(8)
-    _, grad = loss_and_grad_arrays(params, *batch, sched, weights)
+    _, grad = loss_and_grad_arrays(params, *batch, weights)
     assert grad.shape == params.theta.shape
     grads = layer_views(params, grad)
 
     def loss_at(p):
-        return loss_and_grad_arrays(p, *batch, sched, weights)[0]
+        return loss_and_grad_arrays(p, *batch, weights)[0]
 
     h = 1e-6
     for li in range(len(params.layer_weights)):
@@ -190,15 +189,14 @@ def test_gradients_match_central_finite_differences():
 def test_anchor_gradient_matches_finite_differences():
     params = small_net(seed=3)
     anchor = small_net(seed=4)
-    sched = make_schedule(10)
     batch = make_batch(5, 6, 2, 10)
     weights = np.ones(6)
-    _, grad = loss_and_grad_arrays(params, *batch, sched, weights,
+    _, grad = loss_and_grad_arrays(params, *batch, weights,
                                    anchor_params=anchor, kappa=0.1)
     gw = layer_views(params, grad)[0][0]
 
     def loss_at(p):
-        return loss_and_grad_arrays(p, *batch, sched, weights,
+        return loss_and_grad_arrays(p, *batch, weights,
                                     anchor_params=anchor, kappa=0.1)[0]
 
     h = 1e-6
@@ -219,8 +217,7 @@ def test_float32_gradient_agrees_with_float64():
     # most 2.4e-7, with or without the anchor term, and 1.7e-5 for the anchor
     # term alone, whose 1 % drift loses digits to cancellation; each bound is
     # about ten times the worst case
-    sched = make_schedule(100, beta_end=0.1)
-    params = init_params(2, NetSection(), 0)
+    params = init_params(2, NetSection(), make_schedule(100, beta_end=0.1), 0)
     rng = np.random.default_rng(1000)
     anchor = replace(params, theta=params.theta * (1 + 0.01 * rng.standard_normal(
         params.theta.size)))
@@ -231,9 +228,9 @@ def test_float32_gradient_agrees_with_float64():
         return replace(p, theta=p.theta.astype(np.float32))
 
     for weights, kappa, bound in ((w, 0.0, 2e-6), (w, 0.5, 2e-6), (np.zeros(64), 0.5, 2e-4)):
-        l64, g64 = loss_and_grad_arrays(params, *batch, sched, weights,
+        l64, g64 = loss_and_grad_arrays(params, *batch, weights,
                                         anchor_params=anchor, kappa=kappa)
-        l32, g32 = loss_and_grad_arrays(f32(params), *batch, sched, weights,
+        l32, g32 = loss_and_grad_arrays(f32(params), *batch, weights,
                                         anchor_params=f32(anchor), kappa=kappa)
         assert g64.dtype == np.float64 and g32.dtype == np.float32
         assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) < bound
@@ -242,11 +239,10 @@ def test_float32_gradient_agrees_with_float64():
 
 def test_gradient_written_into_out():
     params = small_net(seed=2)
-    sched = make_schedule(10)
     batch = make_batch(3, 5, 2, 10)
-    fresh = loss_and_grad_arrays(params, *batch, sched, np.ones(5))[1]
+    fresh = loss_and_grad_arrays(params, *batch, np.ones(5))[1]
     buf = np.full_like(params.theta, np.nan)
-    loss, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(5), out=buf)
+    loss, grad = loss_and_grad_arrays(params, *batch, np.ones(5), out=buf)
     assert grad is buf
     assert np.array_equal(buf, fresh)
 
@@ -258,9 +254,8 @@ def test_adam_step_matches_reference_update(dtype):
     params = replace(params, theta=params.theta.astype(dtype))
     opt = init_opt_state(params, learning_rate=1e-2)
     assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == dtype
-    sched = make_schedule(10)
     batch = make_batch(6, 4, 2, 10)
-    _, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
+    _, grad = loss_and_grad_arrays(params, *batch, np.ones(4))
     assert grad.dtype == dtype
     before = params.theta.copy()
     theta = params.theta
@@ -282,23 +277,21 @@ def test_adam_step_matches_reference_update(dtype):
 def test_hundred_adam_steps_reduce_loss():
     params = small_net(seed=7, hidden=(16,), embed=8)
     opt = init_opt_state(params, learning_rate=1e-3)
-    sched = make_schedule(10)
     batch = make_batch(8, 32, 2, 10)
     w = np.ones(32)
-    first = loss_and_grad_arrays(params, *batch, sched, w)[0]
+    first = loss_and_grad_arrays(params, *batch, w)[0]
     for _ in range(100):
-        loss, grad = loss_and_grad_arrays(params, *batch, sched, w)
+        loss, grad = loss_and_grad_arrays(params, *batch, w)
         adam_step(params, opt, grad)
-    assert loss_and_grad_arrays(params, *batch, sched, w)[0] < first
+    assert loss_and_grad_arrays(params, *batch, w)[0] < first
 
 
 def test_adam_rejects_non_finite_gradients():
     params = small_net(seed=8)
     opt = init_opt_state(params, 1e-3)
-    sched = make_schedule(10)
     batch = make_batch(9, 4, 2, 10)
-    adam_step(params, opt, loss_and_grad_arrays(params, *batch, sched, np.ones(4))[1])
-    _, grad = loss_and_grad_arrays(params, *batch, sched, np.ones(4))
+    adam_step(params, opt, loss_and_grad_arrays(params, *batch, np.ones(4))[1])
+    _, grad = loss_and_grad_arrays(params, *batch, np.ones(4))
     grad[-1] = np.nan
     theta, m, v = params.theta.copy(), opt.m.copy(), opt.v.copy()
     with pytest.raises(TrainingDivergenceError) as err:
@@ -324,12 +317,13 @@ def test_float32_divergence_checkpoint_is_widened_to_float64():
 
 
 def test_model_file_round_trip(tmp_path):
-    params = small_net(seed=11, d=3, hidden=(8, 8), embed=6)
     stats = NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.5, 2.5]))
-    path = os.path.join(tmp_path, "m.rddm")
-    save_model(path, replace(params, stats=stats), make_schedule(42, 2e-4, 0.07))
-    loaded, sched = load_model(path)
     ref = make_schedule(42, 2e-4, 0.07)
+    params = replace(small_net(seed=11, d=3, hidden=(8, 8), embed=6), sched=ref, stats=stats)
+    path = os.path.join(tmp_path, "m.rddm")
+    save_model(path, params)
+    loaded = load_model(path)
+    sched = loaded.sched
     assert sched.T == 42 and (sched.betas[1], sched.betas[-1]) == (2e-4, 0.07)
     for name in ("betas", "alphas", "alpha_bars", "sigmas"):
         assert np.array_equal(getattr(sched, name), getattr(ref, name))
@@ -342,15 +336,14 @@ def test_model_file_round_trip(tmp_path):
         assert np.array_equal(Wa, Wb)
         assert np.array_equal(ba, bb)
     x = np.array([[0.3, -0.1, 0.8]])
-    assert np.array_equal(predict_noise(params, x, 7, 42), predict_noise(loaded, x, 7, 42))
+    assert np.array_equal(predict_noise(params, x, 7), predict_noise(loaded, x, 7))
 
 
 def test_model_file_without_stats(tmp_path):
     params = small_net(seed=12)
     path = os.path.join(tmp_path, "m.rddm")
-    save_model(path, params, make_schedule(10, 1e-4, 0.02))
-    loaded, _ = load_model(path)
-    assert loaded.stats is None
+    save_model(path, params)
+    assert load_model(path).stats is None
 
 
 def test_model_file_rejects_garbage(tmp_path):

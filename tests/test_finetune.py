@@ -52,9 +52,9 @@ def test_config_validation(toy_model):
                      (FinetuneSection(alpha=0.0), r"finetune\.alpha"),
                      (FinetuneSection(gamma=-1.0), r"finetune\.gamma")):
         with pytest.raises(ConfigError, match=key):
-            finetune(params, reward, bad, sched)
+            finetune(params, reward, bad)
     # explicit identity run is allowed
-    assert finetune(params, reward, FinetuneSection(S=0), sched)[1] == []
+    assert finetune(params, reward, FinetuneSection(S=0))[1] == []
 
 
 def test_weight_normalization_hand_example():
@@ -98,12 +98,12 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
     p1 = clone_params(params)
     o1 = init_opt_state(p1, learning_rate=1e-3)
     rng1 = np.random.default_rng(np.random.SeedSequence(77))
-    loss1 = ddpm_epoch(p1, o1, X, sched, rng1, 16)
+    loss1 = ddpm_epoch(p1, o1, X, rng1, 16)
 
     p2 = clone_params(params)
     o2 = init_opt_state(p2, learning_rate=1e-3)
     rng2 = np.random.default_rng(np.random.SeedSequence(77))
-    mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), p2, o2, sched, rng2,
+    mean_r, loss2 = weighted_epoch(X, np.full(64, 4.2), p2, o2, rng2,
                                    FinetuneSection(alpha=0.9, batch_size=16))
 
     assert loss1 == loss2
@@ -119,8 +119,8 @@ def test_rollin_identical_policies_match_ancestral(toy_model):
     # the roll-in's passes run on float32 copies, so its reference is
     # ancestral sampling on the float32-cast params
     params, sched, _ = toy_model
-    X0 = rollin_collect(params, params, sched, m=6, seed=21)
-    X_anc = ancestral_sample(float32_params(params), sched, 6, seed=21)
+    X0 = rollin_collect(params, params, m=6, seed=21)
+    X_anc = ancestral_sample(float32_params(params), 6, seed=21)
     assert X0.shape == (6, 2)
     assert np.array_equal(X0, X_anc)
 
@@ -129,9 +129,9 @@ def test_rollin_pure_pretrained_switch(toy_model):
     # switch at T routes every step through the pretrained params, so the
     # current params must not matter at all
     params, sched, _ = toy_model
-    other = init_params(2, SMALL, 999)
-    a = rollin_collect(other, params, sched, m=5, seed=8, switch_t=sched.T)
-    b = ancestral_sample(float32_params(params), sched, 5, seed=8)
+    other = init_params(2, SMALL, sched, 999)
+    a = rollin_collect(other, params, m=5, seed=8, switch_t=sched.T)
+    b = ancestral_sample(float32_params(params), 5, seed=8)
     assert np.array_equal(a, b)
 
 
@@ -140,9 +140,9 @@ def test_rollin_matches_the_float64_chain(toy_model, monkeypatch):
     # roll-in's passes run on float32 params and its float64 designs may
     # differ from the oracle by rounding only (about 3e-8 measured; bound 1e-6)
     params, sched, _ = toy_model
-    current = init_params(2, SMALL, 1000)
+    current = init_params(2, SMALL, sched, 1000)
     switch_t = sched.T // 2
-    oracle, _, _ = sampler._reverse_chain(current, sched, 64, 21,
+    oracle, _, _ = sampler._reverse_chain(current, 64, 21,
                                           params_pre=params, switch_t=switch_t)
     thetas = []
 
@@ -151,7 +151,7 @@ def test_rollin_matches_the_float64_chain(toy_model, monkeypatch):
         return predict_noise(p, *args)
 
     monkeypatch.setattr(sampler, "predict_noise", spy)
-    X0 = rollin_collect(current, params, sched, m=64, seed=21, switch_t=switch_t)
+    X0 = rollin_collect(current, params, m=64, seed=21, switch_t=switch_t)
     assert X0.dtype == np.float64
     np.testing.assert_allclose(X0, oracle, rtol=0, atol=1e-6)
     # steps T..switch_t+1 on the current policy, switch_t..1 on the pretrained one
@@ -165,9 +165,9 @@ def test_rollin_matches_the_float64_chain(toy_model, monkeypatch):
 
 def test_rollin_determinism(toy_model):
     params, sched, _ = toy_model
-    other = init_params(2, SMALL, 1000)
-    a = rollin_collect(other, params, sched, m=2, seed=3, switch_t=7)
-    b = rollin_collect(other, params, sched, m=2, seed=3, switch_t=7)
+    other = init_params(2, SMALL, sched, 1000)
+    a = rollin_collect(other, params, m=2, seed=3, switch_t=7)
+    b = rollin_collect(other, params, m=2, seed=3, switch_t=7)
     assert np.array_equal(a, b)
 
 
@@ -175,14 +175,14 @@ def test_finetune_s0_identity(toy_model):
     # fresh float64 draws, which float32 cannot hold exactly: S = 0 returns
     # them as they are, not rounded through the float32 master
     _, sched, stats = toy_model
-    params = replace(init_params(2, SMALL, 5), stats=stats)
+    params = replace(init_params(2, SMALL, sched, 5), stats=stats)
     assert not np.array_equal(params.theta, params.theta.astype(np.float32))
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
     cfg = FinetuneSection(S=0, m=4, seed=0)
-    out, history = finetune(params, reward, cfg, sched)
+    out, history = finetune(params, reward, cfg)
     assert history == []
     assert out.theta.dtype == np.float64 and out.theta is not params.theta
-    assert out.stats is stats
+    assert out.stats is stats and out.sched is sched
     for a, b in zip(out.layer_weights, params.layer_weights):
         assert np.array_equal(a, b)
 
@@ -201,7 +201,7 @@ def test_finetune_trains_a_float32_master(toy_model, training_steps, monkeypatch
     monkeypatch.setattr(importlib.import_module("rddkit.finetune"), "_reverse_chain", chain_spy)
     cfg = FinetuneSection(S=3, m=16, batch_size=8, seed=2, kl_anchor=True)
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
-    tuned, _ = finetune(params, reward, cfg, sched)
+    tuned, _ = finetune(params, reward, cfg)
     assert len(training_steps.adam) == 3 * 2
     training_steps.assert_float32_master(tuned)
     master = training_steps.adam[-1][0].theta
@@ -221,7 +221,7 @@ def test_a_model_scores_rewards_on_its_own_stats(toy_model, monkeypatch):
     model = replace(params, stats=stats)
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
 
-    X0, rewards, _, _ = svdd_generate(model, sched, SvddSection(M=3, n_traj=7, seed=4), reward)
+    X0, rewards, _, _ = svdd_generate(model, SvddSection(M=3, n_traj=7, seed=4), reward)
     assert np.array_equal(rewards, reward.batch(denormalize(X0, stats)))
 
     designs = []
@@ -232,8 +232,8 @@ def test_a_model_scores_rewards_on_its_own_stats(toy_model, monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("rddkit.finetune"), "rollin_collect", spy)
     cfg = FinetuneSection(S=2, m=8, batch_size=8, seed=2)
-    tuned, history = finetune(model, reward, cfg, sched)
-    assert tuned.stats is stats
+    tuned, history = finetune(model, reward, cfg)
+    assert tuned.stats is stats and tuned.sched is sched
     assert len(designs) == 2
     for h, X in zip(history, designs):
         assert h["mean_reward"] == float(reward.batch(denormalize(X, stats)).mean())
@@ -247,7 +247,7 @@ def test_finetune_constant_reward_history_is_flat(toy_model):
             return np.full(X.shape[0], -2.0)
 
     cfg = FinetuneSection(S=4, m=8, alpha=0.5, batch_size=8, seed=2, kl_anchor=False)
-    _, history = finetune(params, Constant(), cfg, sched)
+    _, history = finetune(params, Constant(), cfg)
     assert [h["mean_reward"] for h in history] == [-2.0] * 4
 
 
@@ -260,8 +260,8 @@ def test_finetune_does_not_depend_on_a_reward_offset(toy_model):
             return base.batch(X) + 50.0
 
     cfg = FinetuneSection(S=3, m=32, alpha=0.5, gamma=1e-3, batch_size=16, seed=9)
-    tuned, history = finetune(params, base, cfg, sched)
-    shifted, shifted_history = finetune(params, Offset(), cfg, sched)
+    tuned, history = finetune(params, base, cfg)
+    shifted, shifted_history = finetune(params, Offset(), cfg)
     assert not np.array_equal(tuned.theta, params.theta)
     np.testing.assert_allclose(shifted.theta, tuned.theta, rtol=1e-6)
     for h, g in zip(history, shifted_history):
@@ -284,7 +284,7 @@ def test_non_finite_rewards_stop_finetuning(toy_model):
 
     cfg = FinetuneSection(S=3, m=8, alpha=0.5, batch_size=8, seed=2)
     with pytest.raises(NumericalError, match=r"iteration 2: 3 of 8 rewards are non-finite"):
-        finetune(params, BreaksOnSecondCall(), cfg, sched)
+        finetune(params, BreaksOnSecondCall(), cfg)
 
 
 def test_a_reward_column_stops_finetuning_by_name(toy_model):
@@ -297,14 +297,14 @@ def test_a_reward_column_stops_finetuning_by_name(toy_model):
     cfg = FinetuneSection(S=2, m=8, batch_size=8, seed=2)
     with pytest.raises(ValueError, match=r"ColumnReward\.batch returned shape \(8, 1\) "
                                          r"for 8 designs; expected \(8,\)"):
-        finetune(params, ColumnReward(), cfg, sched)
+        finetune(params, ColumnReward(), cfg)
 
 
 def test_finetune_improves_mean_reward(toy_model):
     params, sched, stats = toy_model
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
     cfg = FinetuneSection(S=10, m=64, alpha=0.5, gamma=1e-3, batch_size=16, seed=6)
-    tuned, history = finetune(params, reward, cfg, sched)
+    tuned, history = finetune(params, reward, cfg)
     assert history[-1]["mean_reward"] > history[0]["mean_reward"]
     assert len(history) == 10
 
@@ -318,11 +318,11 @@ def test_anchor_bounds_drift(toy_model):
     def drift(kappa, flag):
         cfg = FinetuneSection(S=8, m=32, alpha=0.5, gamma=2e-3, batch_size=16,
                              seed=4, kl_anchor=flag, anchor_kappa=kappa)
-        tuned, _ = finetune(params, reward, cfg, sched)
+        tuned, _ = finetune(params, reward, cfg)
         d = 0.0
         for t in (3, 8, 13):
-            d += np.mean(np.abs(predict_noise(tuned, probe, t, sched.T)
-                                - predict_noise(params, probe, t, sched.T)))
+            d += np.mean(np.abs(predict_noise(tuned, probe, t)
+                                - predict_noise(params, probe, t)))
         return d
 
     assert drift(1.0, True) < drift(0.0, False)

@@ -24,8 +24,9 @@ def test_zero_epochs_returns_initialized_params():
     ds = Dataset(X=np.random.default_rng(0).standard_normal((20, 2)))
     sched = make_schedule(10)
     params, history = train_ddpm(ds, sched, SMALL, PretrainSection(epochs=0, batch_size=8, seed=4))
-    reference = init_params(2, SMALL, np.random.default_rng(np.random.SeedSequence(4)))
+    reference = init_params(2, SMALL, sched, np.random.default_rng(np.random.SeedSequence(4)))
     assert history == []
+    assert params.sched is sched
     # the float64 init itself, not its float32 rounding
     assert params.theta.dtype == np.float64
     assert not np.array_equal(reference.theta, reference.theta.astype(np.float32))
@@ -58,16 +59,16 @@ def test_fixed_batch_overfit():
 
     sched = make_schedule(5)
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    params = init_params(2, NetSection(embed_dim=16, hidden_dims=[64, 64]), rng)
+    params = init_params(2, NetSection(embed_dim=16, hidden_dims=[64, 64]), sched, rng)
     opt = init_opt_state(params, learning_rate=3e-3)
     rows = [(rng.standard_normal(2), int(rng.integers(1, 6)), rng.standard_normal(2))
             for _ in range(8)]
     X0, ts, EPS = (np.array(col) for col in zip(*rows))
     w = np.ones(8)
-    first = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)[0]
+    first = loss_and_grad_arrays(params, X0, ts, EPS, w)[0]
     loss = first
     for step in range(2000):
-        loss, grad = loss_and_grad_arrays(params, X0, ts, EPS, sched, w)
+        loss, grad = loss_and_grad_arrays(params, X0, ts, EPS, w)
         adam_step(params, opt, grad)
     assert first > 0.5
     assert loss < 1e-8
@@ -84,32 +85,30 @@ def test_training_reduces_loss_on_mixture():
 
 
 def test_ancestral_sample_empty_and_deterministic():
-    params = init_params(2, SMALL, 0)
-    sched = make_schedule(10)
-    assert ancestral_sample(params, sched, 0, seed=1).shape == (0, 2)
-    a = ancestral_sample(params, sched, 7, seed=1)
-    b = ancestral_sample(params, sched, 7, seed=1)
-    c = ancestral_sample(params, sched, 7, seed=2)
+    params = init_params(2, SMALL, make_schedule(10), 0)
+    assert ancestral_sample(params, 0, seed=1).shape == (0, 2)
+    a = ancestral_sample(params, 7, seed=1)
+    b = ancestral_sample(params, 7, seed=1)
+    c = ancestral_sample(params, 7, seed=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_prefix_stability_across_sample_counts():
     # per-trajectory streams: the first k samples do not depend on n
-    params = init_params(2, SMALL, 0)
-    sched = make_schedule(10)
-    a = ancestral_sample(params, sched, 4, seed=3)
-    b = ancestral_sample(params, sched, 9, seed=3)
+    params = init_params(2, SMALL, make_schedule(10), 0)
+    a = ancestral_sample(params, 4, seed=3)
+    b = ancestral_sample(params, 9, seed=3)
     assert np.array_equal(a, b[:4])
 
 
 def test_untrained_zero_net_variance_matches_closed_form():
     # with eps_theta = 0 the chain is linear; propagate the variance exactly
     cfg = NetSection(embed_dim=8, hidden_dims=[16])
-    params = init_params(2, cfg, 0)
-    params.theta[:] = 0.0   # every weight and bias
     sched = make_schedule(30)
-    X = ancestral_sample(params, sched, 4000, seed=11)
+    params = init_params(2, cfg, sched, 0)
+    params.theta[:] = 0.0   # every weight and bias
+    X = ancestral_sample(params, 4000, seed=11)
     var = np.ones(2)
     for t in range(30, 1, -1):
         var = var / sched.alphas[t] + sched.sigmas[t] ** 2

@@ -25,7 +25,7 @@ from rddkit.sampler import (
 SMALL = NetSection(embed_dim=8, hidden_dims=[32])
 
 
-def svdd_step(xt, t, params, sched, cfg, rng, u, reward):
+def svdd_step(xt, t, params, cfg, rng, u, reward):
     """One guided reverse step for a single trajectory: the reference that
     the batched engine in svdd_generate is checked against.
 
@@ -34,13 +34,14 @@ def svdd_step(xt, t, params, sched, cfg, rng, u, reward):
     t = 1 the step is deterministic and returns (x_0, 1, None).
     """
     X = np.asarray(xt, dtype=np.float64)[None, :]
-    eps = predict_noise(params, X, t, sched.T)
+    sched = params.sched
+    eps = predict_noise(params, X, t)
     if t == 1:
         return reverse_step(X, t, eps, sched, None)[0], 1, None
     M = cfg.M
     Z = rng.standard_normal((M, X.shape[1]))
     cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
-    vals = _candidate_values(float32_params(params), sched, reward, cands, t - 1)
+    vals = _candidate_values(float32_params(params), reward, cands, t - 1)
     sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
 
@@ -65,14 +66,14 @@ def test_config_validation(toy_model):
                      (SvddSection(alpha=-0.5), r"svdd\.alpha"),
                      (SvddSection(alpha=float("nan")), r"svdd\.alpha: must be finite")):
         with pytest.raises(ConfigError, match=key):
-            svdd_generate(params, sched, bad, REWARD)
+            svdd_generate(params, bad, REWARD)
 
 
 def test_m1_bit_identical_to_ancestral(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=1, n_traj=9, seed=5)
-    X_sv, rewards, zetas, values = svdd_generate(params, sched, cfg, REWARD)
-    X_anc = ancestral_sample(params, sched, 9, seed=5)
+    X_sv, rewards, zetas, values = svdd_generate(params, cfg, REWARD)
+    X_anc = ancestral_sample(params, 9, seed=5)
     assert np.array_equal(X_sv, X_anc)
     assert np.all(zetas == 1) and zetas.shape == (9, sched.T - 1)
     assert np.array_equal(rewards, REWARD.batch(denormalize(X_anc, stats)))
@@ -130,7 +131,7 @@ def test_svdd_step_equal_values_selects_uniformly(toy_model):
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        _, zeta, vals = svdd_step(x, 7, params, sched, cfg, rng, rng.random(), Constant())
+        _, zeta, vals = svdd_step(x, 7, params, cfg, rng, rng.random(), Constant())
         assert np.all(vals == 2.5)
         counts[zeta - 1] += 1
     chi2 = np.sum((counts - n / 4) ** 2 / (n / 4))
@@ -143,12 +144,12 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     rng = np.random.default_rng(7)
     x = np.array([0.0, 0.0])
     for t in (15, 8, 2):
-        x_next, zeta, vals = svdd_step(x, t, params, sched, cfg, rng, rng.random(), REWARD)
+        x_next, zeta, vals = svdd_step(x, t, params, cfg, rng, rng.random(), REWARD)
         assert 1 <= zeta <= 5
         assert zeta - 1 == int(np.argmax(vals))
         assert x_next.shape == (2,)
     # the deterministic last step chooses nothing
-    x_next, zeta, vals = svdd_step(x, 1, params, sched, cfg, rng, rng.random(), REWARD)
+    x_next, zeta, vals = svdd_step(x, 1, params, cfg, rng, rng.random(), REWARD)
     assert zeta == 1 and vals is None and x_next.shape == (2,)
 
 
@@ -162,7 +163,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
     cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
-    X0, _, Z, _ = svdd_generate(params, sched, cfg, REWARD)
+    X0, _, Z, _ = svdd_generate(params, cfg, REWARD)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
@@ -170,7 +171,7 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
         us = rng.random(sched.T) if M > 1 else np.full(sched.T, np.nan)
         zetas = []
         for k, t in enumerate(range(sched.T, 0, -1)):
-            x, zeta, _ = svdd_step(x, t, params, sched, cfg, rng, us[k], REWARD)
+            x, zeta, _ = svdd_step(x, t, params, cfg, rng, us[k], REWARD)
             zetas.append(zeta)
         assert zetas[-1] == 1
         assert np.array_equal(Z[i], np.array(zetas[:-1]))
@@ -184,7 +185,7 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
 
     def chain(n, M, budget):
         monkeypatch.setattr(sampler, "NOISE_BLOCK_BYTES", budget)
-        return sampler._reverse_chain(params, sched, n, 17, M=M, reward=REWARD, alpha=0.5,
+        return sampler._reverse_chain(params, n, 17, M=M, reward=REWARD, alpha=0.5,
                                       record_values=True)
 
     for M in (1, 3):
@@ -219,7 +220,7 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
 def test_trajectory_recording(toy_model):
     params, sched, stats = toy_model
     cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
-    _, _, zetas, values = svdd_generate(params, sched, cfg, REWARD, record_values=True)
+    _, _, zetas, values = svdd_generate(params, cfg, REWARD, record_values=True)
     assert values.shape == (2, sched.T - 1, 3)
     assert zetas.shape == (2, sched.T - 1)
     assert np.all((zetas >= 1) & (zetas <= 3))
@@ -227,8 +228,8 @@ def test_trajectory_recording(toy_model):
 
 def test_guidance_beats_unguided_on_average(toy_model):
     params, sched, stats = toy_model
-    r1 = svdd_generate(params, sched, SvddSection(M=1, n_traj=200, seed=9), REWARD)[1]
-    r5 = svdd_generate(params, sched, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD)[1]
+    r1 = svdd_generate(params, SvddSection(M=1, n_traj=200, seed=9), REWARD)[1]
+    r5 = svdd_generate(params, SvddSection(M=5, alpha=0.2, n_traj=200, seed=9), REWARD)[1]
     assert np.mean(r5) > np.mean(r1)
 
 
@@ -236,8 +237,8 @@ def test_soft_value_estimate_is_pure(toy_model):
     params, sched, stats = toy_model
     params = float32_params(params)
     cands = np.array([0.3, 0.7])[None, None, :]
-    v1 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
-    v2 = _candidate_values(params, sched, REWARD, cands, 5)[0, 0]
+    v1 = _candidate_values(params, REWARD, cands, 5)[0, 0]
+    v2 = _candidate_values(params, REWARD, cands, 5)[0, 0]
     assert v1 == v2
 
 
@@ -253,7 +254,7 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
     monkeypatch.setattr(sampler, "predict_noise", spy)
     toy_params, sched, toy_stats = toy_model
     wide_stats = NormStats(mean=np.linspace(-1.0, 1.0, 6), std=np.linspace(0.5, 2.0, 6))
-    wide = replace(init_params(6, NetSection(embed_dim=8, hidden_dims=[64, 64]), 3),
+    wide = replace(init_params(6, NetSection(embed_dim=8, hidden_dims=[64, 64]), sched, 3),
                    stats=wide_stats)
     wide_reward = SyntheticTargetReward(np.full(6, 4.0))
     rng = np.random.default_rng(11)
@@ -262,8 +263,8 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
         cands = rng.standard_normal((5, 4, params.d))
         flat = cands.reshape(20, params.d)
         for t in (1, 7, sched.T - 1):
-            vals = _candidate_values(float32_params(params), sched, reward, cands, t)
-            x0_hat = posterior_mean_x0(flat, t, predict_noise(params, flat, t, sched.T), sched)
+            vals = _candidate_values(float32_params(params), reward, cands, t)
+            x0_hat = posterior_mean_x0(flat, t, predict_noise(params, flat, t), sched)
             oracle = reward.batch(denormalize(x0_hat, stats)).reshape(5, 4)
             assert vals.dtype == np.float64
             np.testing.assert_allclose(vals, oracle, rtol=1e-5)
@@ -273,7 +274,7 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
 def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
     # the candidate passes of a whole chain share one float32 copy per policy
     params, sched, stats = toy_model
-    other = replace(init_params(2, SMALL, 7), stats=stats)
+    other = replace(init_params(2, SMALL, sched, 7), stats=stats)
     casts, thetas = [], []
 
     def cast_spy(p):
@@ -286,7 +287,7 @@ def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
 
     monkeypatch.setattr(sampler, "float32_params", cast_spy)
     monkeypatch.setattr(sampler, "predict_noise", predict_spy)
-    sampler._reverse_chain(params, sched, 6, 4, M=3, reward=REWARD, params_pre=other, switch_t=5)
+    sampler._reverse_chain(params, 6, 4, M=3, reward=REWARD, params_pre=other, switch_t=5)
     # casting float32 params copies nothing; only the two float64 policies copy
     copied = [c for c in casts if c.dtype != np.float32]
     assert len(copied) == 2 and copied[0] is params.theta and copied[1] is other.theta
@@ -306,8 +307,8 @@ def test_unguided_chains_cast_nothing(toy_model, monkeypatch):
 
     monkeypatch.setattr(sampler, "float32_params", cast_spy)
     assert params.theta.dtype == np.float64
-    ancestral_sample(params, sched, 4, seed=2)
-    svdd_generate(params, sched, SvddSection(M=1, n_traj=4, seed=2), REWARD)
+    ancestral_sample(params, 4, seed=2)
+    svdd_generate(params, SvddSection(M=1, n_traj=4, seed=2), REWARD)
     assert casts == []
 
 
@@ -329,7 +330,7 @@ def test_the_chain_scores_only_where_candidates_differ(toy_model, M):
     params, sched, stats = toy_model
     n, T = 5, sched.T
     reward = CountingReward()
-    _, _, zetas, values = svdd_generate(params, sched, SvddSection(M=M, alpha=0.5, n_traj=n),
+    _, _, zetas, values = svdd_generate(params, SvddSection(M=M, alpha=0.5, n_traj=n),
                                         reward, record_values=True)
     if M > 1:
         assert reward.rows == [n * M] * (T - 1) + [n]   # n*M*(T-1) + n rows in T calls
@@ -354,7 +355,7 @@ def test_a_reward_column_is_rejected_by_name(toy_model, M):
     n = 4 * M
     with pytest.raises(ValueError, match=rf"ColumnReward\.batch returned shape \({n}, 1\) "
                                          rf"for {n} designs; expected \({n},\)"):
-        svdd_generate(params, sched, cfg, ColumnReward())
+        svdd_generate(params, cfg, ColumnReward())
 
 
 def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_path):
@@ -363,8 +364,9 @@ def test_guided_samples_are_thread_count_invariant_at_the_candidate_shape(tmp_pa
     # row blocks, each large enough to be split across BLAS threads; the
     # block size does not depend on the thread count
     model = tmp_path / "model.rddm"
-    params = init_params(2, NetSection(embed_dim=32, hidden_dims=[256, 256]), 0)
-    save_model(str(model), params, make_schedule(5, 1e-4, 0.1))
+    params = init_params(2, NetSection(embed_dim=32, hidden_dims=[256, 256]),
+                         make_schedule(5, 1e-4, 0.1), 0)
+    save_model(str(model), params)
     src = os.path.dirname(os.path.dirname(sampler.__file__))
 
     def samples(threads):
