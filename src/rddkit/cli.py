@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from rddkit import benchmark, config as cfgmod, rewards as rewardmod
-from rddkit.data import denormalize, load_dataset, normalize, save_samples, write_csv
+from rddkit.data import load_dataset, normalize, save_samples, write_csv
 from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
@@ -127,7 +127,11 @@ def cmd_pretrain(args):
         raise ConfigError("no dataset given: pass --data or set 'dataset' in the config")
     timings = {}
     with _stage(timings, "load"):
-        norm, stats = normalize(load_dataset(cfg.dataset))
+        data = load_dataset(cfg.dataset)
+        try:
+            norm, stats = normalize(data)
+        except DataError as e:
+            raise DataError(f"{cfg.dataset}: {e}") from None
     os.makedirs(cfg.outdir, exist_ok=True)
     sched = make_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
     with _stage(timings, "train"):
@@ -170,10 +174,10 @@ def cmd_sample(args):
     reward = _build_reward(cfg.reward, params.d)
     os.makedirs(cfg.outdir, exist_ok=True)
     with _stage(timings, "sample"):
-        X0, rewards, _, _ = svdd_generate(params, cfg.svdd, reward)
+        designs, rewards = svdd_generate(params, cfg.svdd, reward)
 
     samples_path = os.path.join(cfg.outdir, "samples.csv")
-    save_samples(samples_path, denormalize(X0, params.stats), rewards)
+    save_samples(samples_path, designs, rewards)
     r = np.asarray(rewards, dtype=np.float64)
     summary = {"n": int(r.size), "mean_reward": float(np.mean(r)),
                "median_reward": float(np.median(r)), "max_reward": float(np.max(r)),

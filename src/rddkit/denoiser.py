@@ -143,6 +143,14 @@ def float64_copy(params):
     return replace(params, theta=params.theta.astype(np.float64))
 
 
+def check_same_schedule(params, other, role):
+    """Raise ConfigError naming both schedules unless other, the role, runs under params.sched."""
+    a, b = params.sched, other.sched
+    if a is not b and (a.T != b.T or not np.array_equal(a.betas, b.betas)):
+        named = [f"T={s.T}, betas {float(s.betas[1])!r} to {float(s.betas[-1])!r}" for s in (b, a)]
+        raise ConfigError(f"{role} runs under {named[0]}, but the model under {named[1]}")
+
+
 def init_opt_state(params, learning_rate):
     """Zero Adam moments and a scratch in the dtype of params.theta."""
     n, dtype = params.theta.size, params.theta.dtype

@@ -5,8 +5,8 @@ reverse steps from the current model, late steps from the frozen pretrained
 model, with the switch point annealed from pure-pretrained at the first
 iteration to pure-current at the last), scores the terminal designs,
 denormalized by the model's stats, with the black-box reward, and takes one
-weighted noise-matching pass over the collected designs with per-sample
-weights
+weighted noise-matching pass over the collected designs, which stay in model
+coordinates, with per-sample weights
 
     w_i proportional to exp(r_i / alpha),  normalized to batch mean 1,
 
@@ -40,21 +40,18 @@ from rddkit.sampler import _reverse_chain
 
 
 def rollin_collect(params_current, params_pre, m, seed, switch_t=0):
-    """Terminal designs, (m, d) float64, of m trajectories from the mixed roll-in policy.
+    """Terminal designs, (m, d) float64 in model coordinates, of m roll-in trajectories.
 
     Steps with t > switch_t use the current parameters; steps with
-    t <= switch_t use the pretrained ones. switch_t = T reproduces the
-    pretrained sampler, switch_t = 0 the current one. Both policies'
-    network passes run in float32, on float32 copies of float64 parameters
-    and on float32 parameters as they are; the chain itself runs in
-    float64, so the designs are those ancestral sampling gives on the
-    float32 parameters.
+    t <= switch_t the pretrained ones, which must share their schedule.
+    switch_t = T reproduces the pretrained sampler, switch_t = 0 the current
+    one. Both policies' network passes run in float32, on float32 copies of
+    float64 parameters and on float32 parameters as they are; the chain
+    runs in float64, so the designs are ancestral sampling's on the float32
+    parameters, before denormalization.
     """
-    X0, _, _ = _reverse_chain(
-        float32_params(params_current), m, seed, M=1,
-        params_pre=float32_params(params_pre), switch_t=switch_t,
-    )
-    return X0
+    return _reverse_chain(float32_params(params_current), m, seed, M=1,
+                          params_pre=float32_params(params_pre), switch_t=switch_t)
 
 
 def _normalized_weights(rewards, alpha):

@@ -1,4 +1,4 @@
-"""Unguided DDPM training and ancestral sampling.
+"""Unguided DDPM training, and ancestral sampling to physical designs.
 
 Training minimizes the standard noise-matching loss: draw a row, a uniform
 timestep and a Gaussian noise vector, jump to x_t with the closed-form
@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
+from rddkit.data import denormalize
 from rddkit.denoiser import (
+    check_same_schedule,
     float32_params,
     float64_copy,
     init_opt_state,
@@ -42,8 +44,11 @@ def ddpm_epoch(params, opt_state, X0, rng, batch_size,
 
     Each step runs the loss gradient and the Adam update in the dtype of
     params.theta, which opt_state shares: float32 for train_ddpm and
-    finetune. A divergence's checkpoint is a float64 copy of params.
+    finetune. A divergence's checkpoint is a float64 copy of params. An
+    anchor under another schedule than params.sched raises ConfigError.
     """
+    if anchor_params is not None:
+        check_same_schedule(params, anchor_params, "the anchor")
     n, d = X0.shape
     steps = max(1, math.ceil(n / batch_size))
     losses = np.empty(steps)
@@ -99,10 +104,7 @@ def train_ddpm(dataset, sched, net, pretrain):
 def ancestral_sample(params, n, seed):
     """Plain reverse-chain sampling: x_T ~ N(0, I), then the T steps of params.sched.
 
-    Returns an (n, d) array in normalized model coordinates; apply the
-    dataset stats to get physical designs. Deterministic per seed.
+    Returns the (n, d) physical designs, the chain's final states
+    denormalized by params.stats. Deterministic per seed.
     """
-    if n == 0:
-        return np.empty((0, params.d))
-    X0, _, _ = _reverse_chain(params, n, seed, M=1)
-    return X0
+    return denormalize(_reverse_chain(params, n, seed, M=1), params.stats)

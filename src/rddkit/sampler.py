@@ -16,8 +16,9 @@ degenerates to plain ancestral sampling, bit for bit.
 
 Each trajectory owns an RNG stream spawned from the root seed, read in this
 order: x_T, then for M > 1 one selection uniform per step, T of them in
-one draw (that of t = 1 is never read), then the candidate noise of the
-steps t > 1. The noise is drawn in blocks of steps whose buffer fits
+one draw (that of t = 1 is never read; it keeps the noise where it was when
+the last step still chose), then the (M, d) candidate noise of the steps
+t > 1. The noise is drawn in blocks of steps whose buffer fits
 NOISE_BLOCK_BYTES; a stream of normals yields the same values however it is
 split, so no draw depends on the block size, nor, the streams being per
 trajectory, on the number of trajectories run together.
@@ -35,7 +36,9 @@ size, so the network's working set does not grow with n x M; the n x M
 candidate rows of one step are still one predict_noise call and one reward
 call.
 
-Rewards are black boxes with one method, batch, called through
+The chain runs in model coordinates; svdd_generate returns its final states
+denormalized, the physical designs, with the rewards scored on exactly those
+rows. Rewards are black boxes with one method, batch, called through
 rewards.evaluate, which checks for one reward per row: each guided step
 t >= 2 scores its n x M candidates in one call, and the n final designs take
 one more, T calls in all. Only evaluation is ever requested, never a
@@ -49,7 +52,7 @@ import numpy as np
 
 from rddkit.data import denormalize
 from rddkit.diffusion import posterior_mean_x0, reverse_step
-from rddkit.denoiser import float32_params, predict_noise
+from rddkit.denoiser import check_same_schedule, float32_params, predict_noise
 from rddkit.rewards import evaluate, soft_weight
 
 # selection temperatures below this pick the best candidate deterministically
@@ -79,54 +82,50 @@ def _candidate_values(params, reward, cands, t_next):
     return evaluate(reward, denormalize(x0_hat, params.stats)).reshape(n, M)
 
 
-def _select(values, alpha, u):
-    """One categorical draw per row from the soft weights exp(values/alpha).
+def _select(vals, alpha, u):
+    """One categorical draw per row from the soft weights exp(vals/alpha).
 
     rewards.soft_weight shifts each row by its max, which leaves the
     categorical distribution unchanged and cannot overflow. Non-finite value
     rows fall back to uniform selection.
     """
-    values = np.asarray(values, dtype=np.float64)
-    bad = ~np.all(np.isfinite(values), axis=1)
+    vals = np.asarray(vals, dtype=np.float64)
+    bad = ~np.all(np.isfinite(vals), axis=1)
     if np.any(bad):
         warnings.warn(f"{int(bad.sum())} candidate row(s) with non-finite values; "
                       "falling back to uniform selection")
-        values = np.where(bad[:, None], 0.0, values)
+        vals = np.where(bad[:, None], 0.0, vals)
     if alpha < GREEDY_THRESHOLD:
-        return np.argmax(values, axis=1)
-    w = soft_weight(values, alpha)
+        return np.argmax(vals, axis=1)
+    w = soft_weight(vals, alpha)
     p = w / w.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
     zeta = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(zeta, values.shape[1] - 1)
+    return np.minimum(zeta, vals.shape[1] - 1)
 
 
 def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
-                   params_pre=None, switch_t=0, record_values=False):
+                   params_pre=None, switch_t=0):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
     Every chain starts from x_T ~ N(0, I) at t = T. The steps t >= 2 propose
     M candidates and, for M > 1, choose one; the step t = 1 is deterministic,
     its M candidates would be one design, so it is the plain reverse step.
-    Returns (X0, zetas, values): the (n, d) final states, the (n, T-1)
-    1-based chosen index of each step t >= 2, and with record_values and
-    M > 1 their (n, T-1, M) soft values, else None.
+    Returns the (n, d) final states in model coordinates. params_pre, the
+    policy of the steps t <= switch_t, must share params.sched.
 
-    Per-trajectory stream consumption, in order: the x_T draw, then for
-    M > 1 T selection uniforms in a single draw, then the (M, d) candidate
-    noise of each step t > 1. The uniform of t = 1 is drawn and never read:
-    it keeps the noise at its place in the stream, so a seed gives the
-    guided designs it gave when the last step still chose. The noise is drawn K steps at a time into
-    that trajectory's slice of one (n_traj, K, M, d) buffer, K set by
-    NOISE_BLOCK_BYTES; since only normals follow, the values do not depend
-    on K. Trajectories are advanced in lockstep with batched forward passes
-    and one broadcast reverse step per chain step; the RNG draws equal a
+    The streams are read in the order the module docstring gives; each
+    noise block is that trajectory's slice of one (n_traj, K, M, d) buffer.
+    Trajectories are advanced in lockstep with batched forward passes and
+    one broadcast reverse step per chain step; the RNG draws equal a
     one-trajectory-at-a-time evaluation exactly, the floats up to the
     accumulation order of the batched matrix products.
     """
     d, sched, T = params.d, params.sched, params.sched.T
     if M > 1 and reward is None:
         raise ValueError("candidate selection with M > 1 needs a reward model")
+    if params_pre is not None:
+        check_same_schedule(params, params_pre, "the pretrained policy")
     # the candidate passes' float32 parameters of each policy, cast once per
     # chain; M = 1 has no candidate pass and casts nothing
     params32 = pre32 = None
@@ -141,10 +140,8 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
         if M > 1:
             rng.random(out=U[i])
 
-    K = max(1, min(T - 1, NOISE_BLOCK_BYTES // (8 * n_traj * M * d)))
+    K = max(1, min(T - 1, NOISE_BLOCK_BYTES // (8 * max(n_traj, 1) * M * d)))
     Z = np.empty((n_traj, K, M, d))
-    zetas = np.ones((n_traj, T - 1), dtype=np.int64)
-    values = np.empty((n_traj, T - 1, M)) if record_values and M > 1 else None
     rows = np.arange(n_traj)
 
     for k, t in enumerate(range(T, 0, -1)):
@@ -162,32 +159,24 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
         if M > 1:
             vals = _candidate_values(p32_t, reward, cands, t - 1)
             zeta = _select(vals, alpha, U[:, k])
-            zetas[:, k] = zeta + 1
-            if record_values:
-                values[:, k] = vals
             X = cands[rows, zeta]
         else:
             X = cands[:, 0]
-    return X, zetas, values
+    return X
 
 
-def svdd_generate(params, svdd, reward, record_values=False):
+def svdd_generate(params, svdd, reward):
     """Run svdd.n_traj independent guided trajectories.
 
-    Returns (X0, rewards, zetas, values): the (n, d) final designs in model
-    coordinates, as ancestral_sample returns them; their (n,) rewards,
-    scored once, on the designs denormalized by params.stats; the (n, T-1)
-    chosen candidate index of each step t >= 2, 1-based (all 1 for M = 1);
-    and, only with record_values and svdd.M > 1, the (n, T-1, M) candidate
-    soft values, else None. The deterministic last step chooses nothing.
+    Returns (designs, rewards): the (n, d) final designs in physical
+    coordinates, the chain's states denormalized by params.stats, and their
+    (n,) rewards, scored once, on exactly those rows.
 
     svdd is a config.SvddSection, checked before any work. Deterministic per
-    svdd.seed. With svdd.M = 1 the final designs are bit identical to
-    ancestral sampling with the same seed.
+    svdd.seed. With svdd.M = 1 the designs are bit identical to
+    ancestral_sample with the same seed.
     """
     svdd.check()
-    X0, zetas, values = _reverse_chain(
-        params, svdd.n_traj, svdd.seed,
-        M=svdd.M, reward=reward, alpha=svdd.alpha, record_values=record_values,
-    )
-    return X0, evaluate(reward, denormalize(X0, params.stats)), zetas, values
+    designs = denormalize(_reverse_chain(params, svdd.n_traj, svdd.seed, M=svdd.M,
+                                         reward=reward, alpha=svdd.alpha), params.stats)
+    return designs, evaluate(reward, designs)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from rddkit import benchmark
+from rddkit import benchmark, sampler
 from rddkit.config import FinetuneSection, NetSection, PretrainSection, SvddSection
 from rddkit.data import Dataset, denormalize, normalize
 from rddkit.denoiser import (
@@ -144,8 +144,7 @@ def test_criterion_02_gradient_exactness():
 
 def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
     t0 = time.perf_counter()
-    Xn = ancestral_sample(pretrained["params"], 5000, seed=123)
-    X = denormalize(Xn, pretrained["stats"])
+    X = ancestral_sample(pretrained["params"], 5000, seed=123)
     wall = TIMINGS["pretrain"] + (time.perf_counter() - t0)
     mean_err = np.abs(X.mean(axis=0) - bench_data.X.mean(axis=0)).max()
     cov_err = np.linalg.norm(np.cov(X.T) - np.cov(bench_data.X.T), "fro")
@@ -159,15 +158,23 @@ def test_criterion_03_pretraining_fidelity(bench_data, pretrained):
     assert wall < 300
 
 
-def test_criterion_04_m1_degeneracy(pretrained):
+def test_criterion_04_m1_degeneracy(pretrained, monkeypatch):
     reward = SyntheticTargetReward(benchmark.SYNTHETIC_TARGET)
     plain = ancestral_sample(pretrained["params"], 64, seed=77)
     cfg = SvddSection(M=1, alpha=0.2, n_traj=64, seed=77)
-    guided, _, zetas, _ = svdd_generate(pretrained["params"], cfg, reward)
+    selections, select = [], sampler._select
+
+    def select_spy(*args):
+        selections.append(args)
+        return select(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_select", select_spy)
+        guided, _ = svdd_generate(pretrained["params"], cfg, reward)
     identical = np.array_equal(plain, guided)
     print(f"criterion 04: M=1 bit-identical to ancestral: {identical}")
     assert identical
-    assert np.all(zetas == 1)
+    assert selections == []     # every step keeps its one candidate
 
 
 def test_criterion_05_guidance_monotonicity(pretrained):
@@ -234,11 +241,9 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
     slope = np.polyfit(np.arange(len(mr)), mr, 1)[0]
     reward = finetuned["reward"]
     sched = pretrained["sched"]
-    stats = pretrained["stats"]
-    pre_r = reward.batch(denormalize(
-        ancestral_sample(pretrained["params"], 1000, 2024), stats))
-    post_r = reward.batch(denormalize(
-        ancestral_sample(finetuned["params"], 1000, 2024), stats))
+    # both models carry the dataset's stats, so the samples are physical designs
+    pre_r = reward.batch(ancestral_sample(pretrained["params"], 1000, 2024))
+    post_r = reward.batch(ancestral_sample(finetuned["params"], 1000, 2024))
     p_val = sstats.ttest_ind(post_r, pre_r, equal_var=False,
                              alternative="greater").pvalue
 
@@ -263,7 +268,6 @@ def test_criterion_07_finetuning_improvement(pretrained, finetuned):
 
 def test_criterion_08_beyond_distribution(bench_data, pretrained, finetuned):
     reward = finetuned["reward"]
-    stats = pretrained["stats"]
     r_max = reward.batch(bench_data.X).max()
 
     t0 = time.perf_counter()
@@ -272,8 +276,7 @@ def test_criterion_08_beyond_distribution(bench_data, pretrained, finetuned):
     guided_wall = time.perf_counter() - t0
     frac_guided = float(np.mean(guided_r > r_max))
 
-    pre_r = reward.batch(denormalize(
-        ancestral_sample(pretrained["params"], 1000, 2024), stats))
+    pre_r = reward.batch(ancestral_sample(pretrained["params"], 1000, 2024))
     frac_unguided = float(np.mean(pre_r > r_max))
     total = TIMINGS["pretrain"] + TIMINGS["finetune"] + guided_wall
     print(f"criterion 08: guided frac above training max {frac_guided:.3f} "

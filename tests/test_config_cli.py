@@ -9,6 +9,7 @@ import pytest
 
 from rddkit import cli
 from rddkit import config as cfgmod
+from rddkit import rewards as rewardmod
 from rddkit.data import NormStats, load_dataset, write_binary
 from rddkit.denoiser import DenoiserParams, init_params, layer_views, save_model
 from rddkit.diffusion import NoiseSchedule, make_schedule
@@ -310,15 +311,17 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
 
 def test_data_errors_exit_2(tmp_path, caplog):
     # a missing dataset, and one normalization cannot use (it needs two rows),
-    # fail before pretrain makes its output directory
+    # fail before pretrain makes its output directory, naming the file
     for name, body in (("nope.csv", None), ("header_only.csv", "x0,x1\n"),
                        ("one_row.csv", "x0,x1\n0.5,1.5\n")):
         if body is not None:
             (tmp_path / name).write_text(body)
         outdir = tmp_path / f"out_{name}"
+        caplog.clear()
         assert cli.main(["pretrain", "--data", str(tmp_path / name), "--epochs", "1",
                          "--outdir", str(outdir)]) == 2
         assert not outdir.exists()
+        assert str(tmp_path / name) in caplog.text
     # a hull outside the feasible cube, below its 1e-3 floor, with tapers
     # longer than the hull or with a NaN parameter is a data problem, not a crash
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",
@@ -570,6 +573,10 @@ def test_full_workflow(tmp_path, capsys):
     samples = load_dataset(str(run / "samples.csv"))
     assert samples.X.shape == (6, 2)
     assert samples.rewards.shape == (6,)
+    # the reward column is the reward of the physical designs written beside
+    # it, bit for bit (%.17g round-trips); the default reward is synthetic
+    reward = rewardmod.from_section(cfgmod.RewardSection(), 2)
+    assert np.array_equal(samples.rewards, reward.batch(samples.X))
     summary = json.loads((run / "sample_summary.json").read_text())
     assert summary["n"] == 6
     assert summary["M"] == 2

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -115,12 +116,18 @@ def test_uniform_weight_epoch_bit_identical_to_pretraining_epoch(toy_model):
     assert np.array_equal(o1.m, o2.m) and np.array_equal(o1.v, o2.v)
 
 
+def model_coordinates(params):
+    """params without their stats, so that ancestral_sample returns the chain's
+    final states as they are, in the model coordinates of the roll-in."""
+    return replace(params, stats=None)
+
+
 def test_rollin_identical_policies_match_ancestral(toy_model):
     # the roll-in's passes run on float32 copies, so its reference is
     # ancestral sampling on the float32-cast params
     params, sched, _ = toy_model
     X0 = rollin_collect(params, params, m=6, seed=21)
-    X_anc = ancestral_sample(float32_params(params), 6, seed=21)
+    X_anc = ancestral_sample(model_coordinates(float32_params(params)), 6, seed=21)
     assert X0.shape == (6, 2)
     assert np.array_equal(X0, X_anc)
 
@@ -131,7 +138,7 @@ def test_rollin_pure_pretrained_switch(toy_model):
     params, sched, _ = toy_model
     other = init_params(2, SMALL, sched, 999)
     a = rollin_collect(other, params, m=5, seed=8, switch_t=sched.T)
-    b = ancestral_sample(float32_params(params), 5, seed=8)
+    b = ancestral_sample(model_coordinates(float32_params(params)), 5, seed=8)
     assert np.array_equal(a, b)
 
 
@@ -142,8 +149,7 @@ def test_rollin_matches_the_float64_chain(toy_model, monkeypatch):
     params, sched, _ = toy_model
     current = init_params(2, SMALL, sched, 1000)
     switch_t = sched.T // 2
-    oracle, _, _ = sampler._reverse_chain(current, 64, 21,
-                                          params_pre=params, switch_t=switch_t)
+    oracle = sampler._reverse_chain(current, 64, 21, params_pre=params, switch_t=switch_t)
     thetas = []
 
     def spy(p, *args):
@@ -169,6 +175,55 @@ def test_rollin_determinism(toy_model):
     a = rollin_collect(other, params, m=2, seed=3, switch_t=7)
     b = rollin_collect(other, params, m=2, seed=3, switch_t=7)
     assert np.array_equal(a, b)
+
+
+def test_a_pretrained_policy_under_another_schedule_is_refused():
+    # its steps would run its network under the current model's schedule; a
+    # schedule equal in T and betas, and another hidden width, are allowed
+    current = init_params(2, SMALL, make_schedule(10), 0)
+    reward = SyntheticTargetReward(np.array([1.5, 0.0]))
+    for pre, named in ((init_params(2, SMALL, make_schedule(40), 1), "T=40, betas 0.0001 to 0.02"),
+                       (init_params(2, SMALL, make_schedule(10, beta_end=0.05), 1),
+                        "T=10, betas 0.0001 to 0.05")):
+        message = f"the pretrained policy runs under {named}, but the model under T=10, " \
+                  "betas 0.0001 to 0.02"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            rollin_collect(current, pre, 4, 0, switch_t=5)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sampler._reverse_chain(current, 4, 0, M=3, reward=reward, params_pre=pre, switch_t=5)
+    wide = init_params(2, NetSection(embed_dim=8, hidden_dims=[64, 64]), make_schedule(10), 2)
+    assert np.all(np.isfinite(rollin_collect(current, wide, 4, 0, switch_t=5)))
+
+
+def test_an_anchor_under_another_schedule_is_refused(monkeypatch):
+    # its predictions would embed t over its own T; the check runs once per
+    # epoch, before the first step changes anything
+    current = init_params(2, SMALL, make_schedule(10), 0)
+    before = current.theta.copy()
+    X = np.random.default_rng(0).standard_normal((16, 2))
+    cfg = FinetuneSection(batch_size=8, kl_anchor=True, anchor_kappa=0.1)
+    for anchor in (init_params(2, SMALL, make_schedule(40), 1),
+                   init_params(2, SMALL, make_schedule(10, beta_start=2e-4), 1)):
+        with pytest.raises(ConfigError, match="the anchor runs under T="):
+            ddpm_epoch(current, init_opt_state(current, 1e-3), X, np.random.default_rng(1), 8,
+                       anchor_params=anchor, kappa=0.1)
+        with pytest.raises(ConfigError, match="the anchor runs under T="):
+            weighted_epoch(X, np.zeros(16), current, init_opt_state(current, 1e-3),
+                           np.random.default_rng(1), cfg, params_pre=anchor)
+    assert np.array_equal(current.theta, before)
+    checks = []
+
+    def check_spy(*args):
+        checks.append(args)
+        return check_same_schedule(*args)
+
+    pretrain = importlib.import_module("rddkit.pretrain")
+    check_same_schedule = pretrain.check_same_schedule
+    monkeypatch.setattr(pretrain, "check_same_schedule", check_spy)
+    wide = init_params(2, NetSection(embed_dim=8, hidden_dims=[64]), make_schedule(10), 2)
+    loss = ddpm_epoch(current, init_opt_state(current, 1e-3), X, np.random.default_rng(1), 8,
+                      anchor_params=wide, kappa=0.1)
+    assert np.isfinite(loss) and len(checks) == 1     # two steps, one check
 
 
 def test_finetune_s0_identity(toy_model):
@@ -215,14 +270,25 @@ def test_finetune_trains_a_float32_master(toy_model, training_steps, monkeypatch
 
 def test_a_model_scores_rewards_on_its_own_stats(toy_model, monkeypatch):
     # guided sampling and fine-tuning both score reward.batch(denormalize(X0,
-    # params.stats)) exactly; the stats here are far from the identity
+    # params.stats)) exactly, X0 the chain's final states; guided sampling
+    # returns those physical designs. The stats here are far from the identity
     params, sched, _ = toy_model
     stats = NormStats(mean=np.array([3.0, -2.0]), std=np.array([0.5, 4.0]))
     model = replace(params, stats=stats)
     reward = SyntheticTargetReward(np.array([1.5, 0.0]))
 
-    X0, rewards, _, _ = svdd_generate(model, SvddSection(M=3, n_traj=7, seed=4), reward)
-    assert np.array_equal(rewards, reward.batch(denormalize(X0, stats)))
+    finals = []
+
+    def chain_spy(*args, **kwargs):
+        finals.append(chain(*args, **kwargs))
+        return finals[-1]
+
+    chain = sampler._reverse_chain
+    monkeypatch.setattr(sampler, "_reverse_chain", chain_spy)
+    designs, rewards = svdd_generate(model, SvddSection(M=3, n_traj=7, seed=4), reward)
+    assert len(finals) == 1
+    assert np.array_equal(designs, denormalize(finals[0], stats))
+    assert np.array_equal(rewards, reward.batch(designs))
 
     designs = []
 

@@ -60,6 +60,33 @@ def toy_model():
 REWARD = SyntheticTargetReward(np.array([1.5, 0.0]))
 
 
+class StepSpy:
+    """Spies on the chain's guided steps through sampler._candidate_values and
+    sampler._select. chosen() and values() stack what they returned per
+    trajectory: the (n, T-1) 0-based chosen indices and the (n, T-1, M) soft
+    values of the steps t >= 2, or None when no step scored or chose."""
+
+    def __init__(self, monkeypatch):
+        self.scored, self.picks = [], []
+
+        def values_spy(*args):
+            self.scored.append(_candidate_values(*args))
+            return self.scored[-1]
+
+        def select_spy(*args):
+            self.picks.append(_select(*args))
+            return self.picks[-1]
+
+        monkeypatch.setattr(sampler, "_candidate_values", values_spy)
+        monkeypatch.setattr(sampler, "_select", select_spy)
+
+    def chosen(self):
+        return np.stack(self.picks, axis=1) if self.picks else None
+
+    def values(self):
+        return np.stack(self.scored, axis=1) if self.scored else None
+
+
 def test_config_validation(toy_model):
     params, sched, stats = toy_model
     for bad, key in ((SvddSection(M=0), r"svdd\.M"), (SvddSection(n_traj=0), r"svdd\.n_traj"),
@@ -69,15 +96,18 @@ def test_config_validation(toy_model):
             svdd_generate(params, bad, REWARD)
 
 
-def test_m1_bit_identical_to_ancestral(toy_model):
+def test_m1_bit_identical_to_ancestral(toy_model, monkeypatch):
+    # both return the chain's final states denormalized by the model's stats;
+    # M = 1 never scores a candidate and never selects
     params, sched, stats = toy_model
     cfg = SvddSection(M=1, n_traj=9, seed=5)
-    X_sv, rewards, zetas, values = svdd_generate(params, cfg, REWARD)
+    spy = StepSpy(monkeypatch)
+    designs, rewards = svdd_generate(params, cfg, REWARD)
     X_anc = ancestral_sample(params, 9, seed=5)
-    assert np.array_equal(X_sv, X_anc)
-    assert np.all(zetas == 1) and zetas.shape == (9, sched.T - 1)
-    assert np.array_equal(rewards, REWARD.batch(denormalize(X_anc, stats)))
-    assert values is None
+    assert np.array_equal(designs, X_anc)
+    assert np.array_equal(designs, denormalize(sampler._reverse_chain(params, 9, 5), stats))
+    assert np.array_equal(rewards, REWARD.batch(X_anc))
+    assert spy.chosen() is None and spy.values() is None
 
 
 def test_selection_frequencies_match_softmax_exactly():
@@ -154,7 +184,7 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
 
 
 @pytest.mark.parametrize("M", [1, 3])
-def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
+def test_batched_chain_equals_per_trajectory_steps(toy_model, M, monkeypatch):
     # the lockstep engine consumes the same spawned streams as a
     # one-trajectory-at-a-time run of svdd_step: x_T, then for M > 1 the
     # selection uniforms of all T steps (that of t = 1 unread), then each
@@ -163,7 +193,11 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, M):
     # across batch shapes; M = 1 pins the plain ancestral stream order.
     params, sched, stats = toy_model
     cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
-    X0, _, Z, _ = svdd_generate(params, cfg, REWARD)
+    spy = StepSpy(monkeypatch)
+    X0 = sampler._reverse_chain(params, 6, 42, M=M, reward=REWARD, alpha=0.5)
+    if M == 1:    # never selects: every step keeps its one candidate
+        assert spy.chosen() is None
+    Z = spy.chosen() + 1 if M > 1 else np.ones((6, sched.T - 1), dtype=int)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
@@ -184,9 +218,11 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
     params, sched, stats = toy_model
 
     def chain(n, M, budget):
+        """(final states, chosen indices, soft values); both None for M = 1."""
         monkeypatch.setattr(sampler, "NOISE_BLOCK_BYTES", budget)
-        return sampler._reverse_chain(params, n, 17, M=M, reward=REWARD, alpha=0.5,
-                                      record_values=True)
+        spy = StepSpy(monkeypatch)
+        X = sampler._reverse_chain(params, n, 17, M=M, reward=REWARD, alpha=0.5)
+        return X, spy.chosen(), spy.values()
 
     for M in (1, 3):
         step = 8 * 6 * M * 2
@@ -200,11 +236,11 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
         (X6, z6, v6), (X3, z3, v3) = chain(6, M, 2 * step), chain(3, M, 2 * step)
         for a, b in zip((X6, z6, v6), one):
             assert np.array_equal(a, b)
-        assert np.array_equal(z6[:3], z3)
         np.testing.assert_allclose(X6[:3], X3, rtol=1e-10, atol=1e-12)
         if M == 1:
-            assert v6 is None and v3 is None
+            assert z6 is None and z3 is None and v6 is None and v3 is None
         else:
+            assert np.array_equal(z6[:3], z3)
             np.testing.assert_allclose(v6[:3], v3, rtol=1e-5)
         # 2 float64 or 4 float32 rows per predict_noise block: every network
         # pass is split, which moves floats by accumulation order only
@@ -215,15 +251,6 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
         np.testing.assert_allclose(Xb, X6, rtol=1e-10, atol=1e-12)
         if M > 1:
             np.testing.assert_allclose(vb, v6, rtol=1e-5)
-
-
-def test_trajectory_recording(toy_model):
-    params, sched, stats = toy_model
-    cfg = SvddSection(M=3, alpha=0.5, n_traj=2, seed=3)
-    _, _, zetas, values = svdd_generate(params, cfg, REWARD, record_values=True)
-    assert values.shape == (2, sched.T - 1, 3)
-    assert zetas.shape == (2, sched.T - 1)
-    assert np.all((zetas >= 1) & (zetas <= 3))
 
 
 def test_guidance_beats_unguided_on_average(toy_model):
@@ -324,20 +351,23 @@ class CountingReward:
 
 
 @pytest.mark.parametrize("M", [1, 3])
-def test_the_chain_scores_only_where_candidates_differ(toy_model, M):
+def test_the_chain_scores_only_where_candidates_differ(toy_model, M, monkeypatch):
     # a guided run scores n x M candidates at each step t >= 2 and the n final
-    # designs once; the deterministic last step scores nothing
+    # designs once; the deterministic last step scores nothing, and each step
+    # t >= 2 chooses one of its M candidates per trajectory
     params, sched, stats = toy_model
     n, T = 5, sched.T
     reward = CountingReward()
-    _, _, zetas, values = svdd_generate(params, SvddSection(M=M, alpha=0.5, n_traj=n),
-                                        reward, record_values=True)
+    spy = StepSpy(monkeypatch)
+    svdd_generate(params, SvddSection(M=M, alpha=0.5, n_traj=n), reward)
     if M > 1:
         assert reward.rows == [n * M] * (T - 1) + [n]   # n*M*(T-1) + n rows in T calls
-        assert values.shape == (n, T - 1, M)
+        assert spy.values().shape == (n, T - 1, M)
+        assert spy.chosen().shape == (n, T - 1)
+        assert np.all((spy.chosen() >= 0) & (spy.chosen() < M))
     else:
-        assert reward.rows == [n] and values is None
-    assert zetas.shape == (n, T - 1)
+        assert reward.rows == [n]
+        assert spy.values() is None and spy.chosen() is None
 
 
 class ColumnReward:
