@@ -38,6 +38,11 @@ def _check_finite(section, name):
             raise ConfigError(f"{name}.{f.name}: must be finite, got {value!r}")
 
 
+# the largest schedule length: 100 times the default T, 10 times the usual
+# DDPM T; it bounds the schedule tables of a config and of a model file
+MAX_T = 10_000
+
+
 @dataclass
 class ScheduleSection:
     T: int = 100
@@ -46,8 +51,8 @@ class ScheduleSection:
 
     def check(self):
         _check_finite(self, "schedule")
-        if self.T < 1:
-            raise ConfigError("schedule.T: must be >= 1")
+        if not 1 <= self.T <= MAX_T:
+            raise ConfigError(f"schedule.T: must lie in [1, {MAX_T}], got {self.T}")
         if not (0.0 < self.beta_start < 1.0) or not (0.0 < self.beta_end < 1.0):
             raise ConfigError("schedule.beta_start/beta_end: must lie in (0, 1)")
         if self.beta_start > self.beta_end:

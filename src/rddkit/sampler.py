@@ -1,17 +1,19 @@
 """Reward-directed importance sampling over the reverse diffusion chain.
 
-At every reverse step t >= 2, M candidate states are proposed from the
-current denoising kernel (shared x_t, independent Gaussian draws). Each
-candidate is scored by the soft value estimate
+A chain follows a step plan built once, before its first draw: for each
+t = T..1, the policy of the current-state pass (params_pre where
+t <= switch_t, else params) and the scorer of the step's candidates, that
+policy's float32 copy, or None where the step keeps its one candidate: every
+step when M = 1, and t = 1, whose sigma is 0. Each step proposes M
+candidates from the policy's denoising kernel (shared x_t, independent
+Gaussian draws); a step with a scorer scores them by the soft value estimate
 
     v_hat_{t-1}(x) = r(denormalize(x0_hat(x, t-1)))
 
 where x0_hat is the posterior-mean estimate of the clean design and
 denormalize applies the model's own params.stats, as the chain runs under
-its own params.sched; one candidate is kept by a single categorical draw
-with probabilities proportional to exp(v_hat / alpha). The last step, t = 1,
-is deterministic (sigma_1 = 0): its M candidates would be one design, so it
-chooses nothing and is the plain reverse step. With M = 1 the procedure
+its own params.sched, and keeps one by a single categorical draw with
+probabilities proportional to exp(v_hat / alpha). With M = 1 the procedure
 degenerates to plain ancestral sampling, bit for bit.
 
 Each trajectory owns an RNG stream spawned from the root seed, read in this
@@ -24,7 +26,7 @@ split, so no draw depends on the block size, nor, the streams being per
 trajectory, on the number of trajectories run together.
 
 Soft values only rank candidates, so the denoiser pass that scores them
-runs in float32, on a float32 copy of each policy's parameters made once per
+runs in float32, on the plan's float32 copy of each policy, made once per
 guided chain (float32 parameters are used as they are; M = 1 makes none);
 x0_hat, the reward and the selection stay float64, as do the candidate
 states and everything the chain carries. That pass is nine tenths of the
@@ -86,8 +88,9 @@ def _select(vals, alpha, u):
     """One categorical draw per row from the soft weights exp(vals/alpha).
 
     rewards.soft_weight shifts each row by its max, which leaves the
-    categorical distribution unchanged and cannot overflow. Non-finite value
-    rows fall back to uniform selection.
+    categorical distribution unchanged and cannot overflow. Below
+    GREEDY_THRESHOLD a row takes its best candidate. Non-finite value rows
+    fall back to uniform selection, the same pick from u at any alpha.
     """
     vals = np.asarray(vals, dtype=np.float64)
     bad = ~np.all(np.isfinite(vals), axis=1)
@@ -95,24 +98,23 @@ def _select(vals, alpha, u):
         warnings.warn(f"{int(bad.sum())} candidate row(s) with non-finite values; "
                       "falling back to uniform selection")
         vals = np.where(bad[:, None], 0.0, vals)
-    if alpha < GREEDY_THRESHOLD:
-        return np.argmax(vals, axis=1)
-    w = soft_weight(vals, alpha)
+    greedy = alpha < GREEDY_THRESHOLD
+    # a bad row, all zeros now, has uniform weights at any temperature
+    w = soft_weight(vals, 1.0 if greedy else alpha)
     p = w / w.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
-    zeta = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(zeta, vals.shape[1] - 1)
+    zeta = np.minimum((cum < u[:, None]).sum(axis=1), vals.shape[1] - 1)
+    return np.where(greedy & ~bad, np.argmax(vals, axis=1), zeta)
 
 
 def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
                    params_pre=None, switch_t=0):
     """Shared engine behind ancestral sampling, guided sampling and roll-in.
 
-    Every chain starts from x_T ~ N(0, I) at t = T. The steps t >= 2 propose
-    M candidates and, for M > 1, choose one; the step t = 1 is deterministic,
-    its M candidates would be one design, so it is the plain reverse step.
-    Returns the (n, d) final states in model coordinates. params_pre, the
-    policy of the steps t <= switch_t, must share params.sched.
+    Every chain starts from x_T ~ N(0, I) at t = T and runs its step plan,
+    the module docstring's (t, policy, scorer) entries for t = T..1; the
+    loop reads nothing else. params_pre must share params.sched. Returns
+    the (n, d) final states in model coordinates.
 
     The streams are read in the order the module docstring gives; each
     noise block is that trajectory's slice of one (n_traj, K, M, d) buffer.
@@ -126,12 +128,12 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
         raise ValueError("candidate selection with M > 1 needs a reward model")
     if params_pre is not None:
         check_same_schedule(params, params_pre, "the pretrained policy")
-    # the candidate passes' float32 parameters of each policy, cast once per
-    # chain; M = 1 has no candidate pass and casts nothing
-    params32 = pre32 = None
-    if M > 1:
-        params32 = float32_params(params)
-        pre32 = float32_params(params_pre) if params_pre is not None else None
+    # the step plan: each policy with its scorer, a float32 copy cast once per
+    # chain (M = 1 casts nothing), and no scorer for t = 1
+    pairs = [(p, float32_params(p) if M > 1 else None)
+             for p in (params, params_pre) if p is not None]
+    plan = [(t, policy, scorer if t > 1 else None) for t in range(T, 0, -1)
+            for policy, scorer in [pairs[len(pairs) > 1 and t <= switch_t]]]
     rngs = _spawn_generators(seed, n_traj)
     X = np.empty((n_traj, d))
     U = np.empty((n_traj, T)) if M > 1 else None
@@ -143,25 +145,18 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
     K = max(1, min(T - 1, NOISE_BLOCK_BYTES // (8 * max(n_traj, 1) * M * d)))
     Z = np.empty((n_traj, K, M, d))
     rows = np.arange(n_traj)
-
-    for k, t in enumerate(range(T, 0, -1)):
-        pre = params_pre is not None and t <= switch_t
-        p_t, p32_t = (params_pre, pre32) if pre else (params, params32)
-        eps = predict_noise(p_t, X, t)
-        if t == 1:
-            X = reverse_step(X, 1, eps, sched, None)
-            break
-        j = k % K
-        if j == 0:
+    for k, (t, policy, scorer) in enumerate(plan):
+        eps = predict_noise(policy, X, t)
+        if k % K == 0:   # the noise of the steps t >= 2 only
             for rng, block in zip(rngs, Z):
                 rng.standard_normal(out=block[:min(K, T - 1 - k)])
-        cands = reverse_step(X[:, None], t, eps[:, None], sched, Z[:, j])
-        if M > 1:
-            vals = _candidate_values(p32_t, reward, cands, t - 1)
-            zeta = _select(vals, alpha, U[:, k])
-            X = cands[rows, zeta]
-        else:
+        # reverse_step ignores z at t = 1, which draws no noise of its own
+        cands = reverse_step(X[:, None], t, eps[:, None], sched, Z[:, k % K])
+        if scorer is None:
             X = cands[:, 0]
+        else:
+            vals = _candidate_values(scorer, reward, cands, t - 1)
+            X = cands[rows, _select(vals, alpha, U[:, k])]
     return X
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit import rewards as rewardmod
 from rddkit.data import NormStats, load_dataset, write_binary
-from rddkit.denoiser import DenoiserParams, init_params, layer_views, save_model
+from rddkit.denoiser import DenoiserParams, init_params, layer_views, load_model, save_model
 from rddkit.diffusion import NoiseSchedule, make_schedule
-from rddkit.exceptions import ConfigError
+from rddkit.exceptions import ConfigError, DataError
 from rddkit.trees import fit_ensemble, save_ensemble
 
 
@@ -137,6 +138,7 @@ def test_validate_cross_field_errors():
 
     cases = [
         (broken(schedule__T=0), r"schedule\.T"),
+        (broken(schedule__T=10_001), r"schedule\.T: must lie in \[1, 10000\], got 10001"),
         (broken(schedule__beta_end=1.5), r"schedule\.beta"),
         (broken(schedule__beta_start=0.05, schedule__beta_end=0.02), r"schedule\.beta_start"),
         (broken(net__embed_dim=7), r"net\.embed_dim"),
@@ -184,6 +186,15 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
     bad_cfg.write_text(json.dumps({"svdd": {"M0": 1}}))
     assert cli.main(["pretrain", "--config", str(bad_cfg), "--data", "x.csv",
                      "--outdir", str(tmp_path)]) == 1
+    # schedule.T above config.MAX_T is refused before pretrain reads its data
+    # or makes its output directory; epochs 0 keeps a run that went ahead short
+    (tmp_path / "data.csv").write_text("x0,x1\n0.5,1.5\n1.0,-0.5\n0.2,0.3\n")
+    big_T = write_json(tmp_path / "big_T.json",
+                       {"schedule": {"T": 1_000_000}, "pretrain": {"epochs": 0}})
+    caplog.clear()
+    assert cli.main(["pretrain", "--config", big_T, "--data", str(tmp_path / "data.csv"),
+                     "--outdir", str(tmp_path / "never")]) == 1
+    assert "schedule.T" in caplog.text and not (tmp_path / "never").exists()
     # a synthetic target of the wrong length for the model
     model = write_model(tmp_path / "m.rddm")
     short = write_json(tmp_path / "short.json", {"reward": {"target": [1.0]}})
@@ -307,6 +318,28 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
             capsys.readouterr()
             assert cli.main(argv + ["--loa", loa]) == 1
             assert "--loa" in capsys.readouterr().err
+
+
+def test_too_long_a_schedule_in_a_model_file_exits_2(tmp_path, caplog):
+    # a model file whose stored T is 10^6, under a valid checksum, is refused
+    # before any schedule table is allocated (they would take 32 MB)
+    params = init_params(2, cfgmod.NetSection(embed_dim=4, hidden_dims=[8]),
+                         make_schedule(10, 1e-4, 0.02), 0)
+    path = str(tmp_path / "big_T.rddm")
+    save_model(path, dataclasses.replace(params, sched=stored_schedule(1_000_000, 1e-4, 0.02)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"bad noise schedule in the model file: schedule\.T"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    for argv in (["sample", "--model", path, "--n-traj", "2"], ["finetune", "--model", path]):
+        caplog.clear()
+        assert cli.main(argv + ["--outdir", str(tmp_path / "never")]) == 2
+        assert f"{path}: bad noise schedule" in caplog.text
+    assert not (tmp_path / "never").exists()
 
 
 def test_data_errors_exit_2(tmp_path, caplog):

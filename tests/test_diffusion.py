@@ -36,6 +36,10 @@ def test_alpha_bar_is_product_of_alphas():
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         make_schedule(0)
+    # T is bounded by config.MAX_T, 10,000
+    assert make_schedule(10_000).T == 10_000
+    with pytest.raises(ConfigError, match=r"schedule\.T: must lie in \[1, 10000\]"):
+        make_schedule(10_001)
     with pytest.raises(ConfigError):
         make_schedule(10, beta_start=0.0)
     with pytest.raises(ConfigError):

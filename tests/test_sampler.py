@@ -145,6 +145,14 @@ def test_selection_uniform_fallback_on_non_finite():
     assert list(zeta) == [1, 1, 1]  # middle of three with u = 0.5
     with pytest.warns(UserWarning):
         assert list(_select(values, 1.0, np.array([0.2, 0.9, 0.2]))) == [0, 2, 1]
+    # greedy selection takes the same uniform pick on a bad row, and the
+    # best candidate on a finite one
+    for u, picks in (([0.5, 0.5, 0.5], [1, 1, 1]), ([0.2, 0.9, 0.2], [0, 2, 1])):
+        with pytest.warns(UserWarning, match="^2 candidate row"):
+            assert list(_select(values, 0.0, np.array(u))) == picks
+    for alpha in (0.0, 1.0):
+        with pytest.warns(UserWarning):
+            assert list(_select([[np.nan, 1.0, 2.0]] * 2, alpha, np.array([0.9, 0.5]))) == [2, 1]
     np.testing.assert_array_equal(values, before)
 
 
@@ -184,31 +192,36 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
 
 
 @pytest.mark.parametrize("M", [1, 3])
-def test_batched_chain_equals_per_trajectory_steps(toy_model, M, monkeypatch):
+@pytest.mark.parametrize("T", [1, 2, 15])
+def test_batched_chain_equals_per_trajectory_steps(toy_model, T, M, monkeypatch):
     # the lockstep engine consumes the same spawned streams as a
     # one-trajectory-at-a-time run of svdd_step: x_T, then for M > 1 the
     # selection uniforms of all T steps (that of t = 1 unread), then each
     # step's candidate noise; only the steps t >= 2 report a choice.
     # Identical selections, floats equal up to matmul accumulation order
     # across batch shapes; M = 1 pins the plain ancestral stream order.
+    # T = 1 is a chain whose first step is its last, T = 2 one whose only
+    # guided step is its first; both run untrained models of the toy's stats
     params, sched, stats = toy_model
+    if T != sched.T:
+        params = replace(init_params(2, SMALL, make_schedule(T), T), stats=stats)
     cfg = SvddSection(M=M, alpha=0.5, n_traj=6, seed=42)
     spy = StepSpy(monkeypatch)
     X0 = sampler._reverse_chain(params, 6, 42, M=M, reward=REWARD, alpha=0.5)
-    if M == 1:    # never selects: every step keeps its one candidate
+    if M == 1 or T == 1:    # never selects: every step keeps its one candidate
         assert spy.chosen() is None
-    Z = spy.chosen() + 1 if M > 1 else np.ones((6, sched.T - 1), dtype=int)
+    Z = spy.chosen() + 1 if M > 1 and T > 1 else np.ones((6, T - 1), dtype=int)
 
     rngs = _spawn_generators(42, 6)
     for i, rng in enumerate(rngs):
         x = rng.standard_normal(2)
-        us = rng.random(sched.T) if M > 1 else np.full(sched.T, np.nan)
+        us = rng.random(T) if M > 1 else np.full(T, np.nan)
         zetas = []
-        for k, t in enumerate(range(sched.T, 0, -1)):
+        for k, t in enumerate(range(T, 0, -1)):
             x, zeta, _ = svdd_step(x, t, params, cfg, rng, us[k], REWARD)
             zetas.append(zeta)
         assert zetas[-1] == 1
-        assert np.array_equal(Z[i], np.array(zetas[:-1]))
+        assert np.array_equal(Z[i], np.array(zetas[:-1], dtype=int))
         np.testing.assert_allclose(X0[i], x, rtol=1e-10, atol=1e-12)
 
 
@@ -299,28 +312,40 @@ def test_candidate_values_match_the_float64_soft_value(toy_model, monkeypatch):
 
 
 def test_guided_chain_casts_each_policy_once(toy_model, monkeypatch):
-    # the candidate passes of a whole chain share one float32 copy per policy
+    # the candidate passes of a whole chain share one float32 copy per policy,
+    # and each step scores on the copy of its own policy
     params, sched, stats = toy_model
     other = replace(init_params(2, SMALL, sched, 7), stats=stats)
     casts, thetas = [], []
 
     def cast_spy(p):
-        casts.append(p.theta)
-        return float32_params(p)
+        casts.append((p.theta, float32_params(p)))
+        return casts[-1][1]
 
-    def predict_spy(p, *args):
-        thetas.append(p.theta)
-        return predict_noise(p, *args)
+    def predict_spy(p, X, t):
+        thetas.append((p.theta, t))
+        return predict_noise(p, X, t)
 
     monkeypatch.setattr(sampler, "float32_params", cast_spy)
     monkeypatch.setattr(sampler, "predict_noise", predict_spy)
     sampler._reverse_chain(params, 6, 4, M=3, reward=REWARD, params_pre=other, switch_t=5)
     # casting float32 params copies nothing; only the two float64 policies copy
-    copied = [c for c in casts if c.dtype != np.float32]
-    assert len(copied) == 2 and copied[0] is params.theta and copied[1] is other.theta
-    candidate = [th for th in thetas if th.dtype == np.float32]
+    copied = [(theta, copy) for theta, copy in casts if theta.dtype != np.float32]
+    assert len(copied) == 2 and copied[0][0] is params.theta and copied[1][0] is other.theta
+    candidate = [th for th, _ in thetas if th.dtype == np.float32]
     assert len(candidate) == sched.T - 1      # one candidate pass per step t >= 2
     assert len({id(th) for th in candidate}) == 2
+    # step by step: the current-state pass of step t runs its own policy,
+    # params for t > switch_t and other below, and its candidate pass, at
+    # t - 1, that policy's own float32 copy
+    own32 = {id(theta): copy.theta for theta, copy in copied}
+    expected = []
+    for t in range(sched.T, 0, -1):
+        policy = other if t <= 5 else params
+        expected.append((id(policy.theta), t))
+        if t > 1:
+            expected.append((id(own32[id(policy.theta)]), t - 1))
+    assert [(id(th), t) for th, t in thetas] == expected
 
 
 def test_unguided_chains_cast_nothing(toy_model, monkeypatch):
