@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -31,7 +30,7 @@ from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
 from rddkit.finetune import finetune
-from rddkit.hull import N_PARAMS, aggregate_total_resistance, scale_params
+from rddkit.hull import N_PARAMS, aggregate_total_resistance, check_loa, scale_params
 from rddkit.metrics import beyond_distribution, boxplot_stats, kde
 from rddkit.pretrain import train_ddpm
 from rddkit.sampler import svdd_generate
@@ -104,8 +103,8 @@ def _load_model(path, cfg):
     """load_model(path), with cfg.schedule and cfg.net set to the file's, so
     the archived config states the schedule and network that ran."""
     params = load_model(path)
-    betas = params.sched.betas
-    cfg.schedule = cfgmod.ScheduleSection(params.sched.T, float(betas[1]), float(betas[-1]))
+    s = params.sched
+    cfg.schedule = cfgmod.ScheduleSection(s.T, s.beta_start, s.beta_end)
     cfg.net = cfgmod.NetSection(params.embed_dim, list(params.hidden_dims))
     return params
 
@@ -303,11 +302,12 @@ def _count(text):
     return value
 
 
-def _length(text):
-    """argparse type of hull lengths in metres: finite numbers > 0."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+def _loa(text):
+    """argparse type of --loa: a length overall that hull.check_loa accepts."""
+    try:
+        check_loa(value := float(text))
+    except InfeasibleHullError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return value
 
 
@@ -371,13 +371,13 @@ def build_parser():
     q.add_argument("--params", required=True,
                    help=f"{N_PARAMS} comma-separated fractions in [0.001, 1], "
                         "bow and stern taper summing to at most 1")
-    q.add_argument("--loa", type=_length, default=cfgmod.RewardSection.loa)
+    q.add_argument("--loa", type=_loa, default=cfgmod.RewardSection.loa)
     q.add_argument("--out", help="optional JSON output path")
     q.set_defaults(func=cmd_hull_eval)
     q = hsub.add_parser("dataset", help="random labeled hulls for surrogate fitting")
     q.add_argument("--n", type=_count, default=5000)
     q.add_argument("--seed", type=_count, default=0)
-    q.add_argument("--loa", type=_length, default=cfgmod.RewardSection.loa)
+    q.add_argument("--loa", type=_loa, default=cfgmod.RewardSection.loa)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_hull_dataset)
 

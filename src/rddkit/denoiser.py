@@ -147,7 +147,7 @@ def check_same_schedule(params, other, role):
     """Raise ConfigError naming both schedules unless other, the role, runs under params.sched."""
     a, b = params.sched, other.sched
     if a is not b and (a.T != b.T or not np.array_equal(a.betas, b.betas)):
-        named = [f"T={s.T}, betas {float(s.betas[1])!r} to {float(s.betas[-1])!r}" for s in (b, a)]
+        named = [f"T={s.T}, betas {s.beta_start!r} to {s.beta_end!r}" for s in (b, a)]
         raise ConfigError(f"{role} runs under {named[0]}, but the model under {named[1]}")
 
 
@@ -295,14 +295,13 @@ def save_model(path, params):
     """Write the binary model file, a data.write_binary container.
 
     Payload (all little-endian): u32 d, u32 embed_dim, u32 n_hidden +
-    hidden dims, u32 T, f8 beta_start/beta_end (the first and last beta of
-    params.sched), u8 stats flag (+ the mean/std vectors of params.stats),
-    then theta as f8 (its length follows from the header); a float32 theta
-    is widened exactly.
+    hidden dims, u32 T, f8 beta_start/beta_end of params.sched, u8 stats
+    flag (+ the mean/std vectors of params.stats), then theta as f8 (its
+    length follows from the header); a float32 theta is widened exactly.
     """
     n, sched, stats = len(params.hidden_dims), params.sched, params.stats
     header = struct.pack(f"<III{n}IIdd", params.d, params.embed_dim, n, *params.hidden_dims,
-                         sched.T, sched.betas[1], sched.betas[-1])
+                         sched.T, sched.beta_start, sched.beta_end)
     vectors = [params.theta] if stats is None else [stats.mean, stats.std, params.theta]
     write_binary(path, _MAGIC, _FORMAT_VERSION,
                  [header, struct.pack("<B", stats is not None)] +

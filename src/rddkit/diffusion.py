@@ -30,13 +30,16 @@ ALPHA_BAR_FLOOR = 1e-12
 
 @dataclass
 class NoiseSchedule:
-    """Schedule tables indexed directly by timestep t in 1..T.
+    """The beta_start and beta_end make_schedule was given (at T = 1 betas[1]
+    is beta_start), and schedule tables indexed directly by timestep t in 1..T.
 
     Index 0 holds the t=0 convention entries (beta=0, alpha=1, abar=1,
     sigma=0) so that ``alpha_bars[t]`` works for t=0 too.
     """
 
     T: int
+    beta_start: float
+    beta_end: float
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
@@ -55,7 +58,7 @@ def make_schedule(T, beta_start=ScheduleSection.beta_start, beta_end=ScheduleSec
     alpha_bars = np.cumprod(alphas)
     sigmas = np.sqrt(betas)
     sigmas[1] = 0.0
-    return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars, sigmas=sigmas)
+    return NoiseSchedule(T, float(beta_start), float(beta_end), betas, alphas, alpha_bars, sigmas)
 
 
 def _check_t(t, T):

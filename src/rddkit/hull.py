@@ -7,8 +7,12 @@ Geometry: a six-parameter hull scaled off the length overall,
 
 with half-breadth eta(x, z) = deck(x) * (1 - (z/D_d)^2). The deck curve is a
 parallel midbody of half-beam B_d/2 between the bow taper (length L_b) and
-the stern taper (length L_s); both tapers are quadratic with zero slope at
-the plateau joints, the bow closing to 0 and the stern ending at B_s/2.
+the stern taper (length L_s). A taper runs from its hull end x_end over L
+to its plateau joint (L_b from the bow at 0, -L_s from the stern at LOA):
+
+    deck(x) = B_d/2 - (B_d/2 - b_end) (1 - w)^2,  w = (x - x_end) / L in [0, 1],
+
+flat at the joint, with b_end = 0 at the bow and B_s/2 at the stern.
 
 Resistance: thin-ship wave resistance from the Michell integral
 
@@ -102,25 +106,25 @@ def constraint_violation(P):
     return np.where((violation == 0.0) & (taper > 0.0), taper, violation)
 
 
+def _tapers(dims):
+    """The tapers of the module docstring as (x_end, L, beam_joint, beam_end),
+    beam_joint = B_d/2 and beam_end = b_end; a zero-length taper is left out."""
+    half = dims.B_d / 2.0
+    tapers = ((0.0, dims.L_b, half, 0.0), (dims.LOA, -dims.L_s, half, dims.B_s / 2.0))
+    return [taper for taper in tapers if taper[1] != 0]
+
+
 def _deck(x, dims):
     """Deck half-beam and its slope d/dx at x in [0, LOA]; vectorized.
 
     The slope is continuous because the tapers join the plateau flat."""
     x = np.asarray(x, dtype=np.float64)
-    half = dims.B_d / 2.0
-    beam = np.full(x.shape, half)
-    slope = np.zeros(x.shape)
-    if dims.L_b > 0:
-        m = x < dims.L_b
-        r = 1.0 - x[m] / dims.L_b
-        beam[m] = half * (1.0 - r * r)
-        slope[m] = (dims.B_d / dims.L_b) * r
-    x_s = dims.LOA - dims.L_s
-    if dims.L_s > 0:
-        m = x > x_s
-        u = (x[m] - x_s) / dims.L_s
-        beam[m] = dims.B_s / 2.0 + (dims.B_d - dims.B_s) / 2.0 * (1.0 - u * u)
-        slope[m] = -((dims.B_d - dims.B_s) / dims.L_s) * u
+    beam, slope = np.full(x.shape, dims.B_d / 2.0), np.zeros(x.shape)
+    for x_end, L, joint, end in _tapers(dims):
+        r = 1.0 - (x - x_end) / L      # 1 - w
+        m = r > 0.0
+        beam[m] = joint - (joint - end) * r[m] ** 2
+        slope[m] = 2.0 * (joint - end) / L * r[m]
     return beam, slope
 
 
@@ -199,14 +203,6 @@ def _y_minus_sin(y):
     return np.where(small, series, y - np.sin(y))
 
 
-def _sin_minus_ycos(y):
-    # sin(y) - y*cos(y), stable for small y
-    small = np.abs(y) < 1e-2
-    y2 = y * y
-    series = y * y2 / 3.0 * (1.0 - y2 / 10.0 * (1.0 - y2 / 28.0))
-    return np.where(small, series, np.sin(y) - y * np.cos(y))
-
-
 def _phi(y):
     # int_0^1 s^2 e^{-y s} ds
     y = np.asarray(y, dtype=np.float64)
@@ -230,30 +226,18 @@ def _psi(y):
 
 
 def _slope_transform(dims, omega):
-    """Closed-form cos/sin transforms of the deck slope gamma(x).
-
-    gamma is linear on the bow and stern tapers and zero on the plateau, so
-    each piece integrates by parts exactly.
-    """
-    Xc = np.zeros_like(omega)
-    Xs = np.zeros_like(omega)
-    if dims.L_b > 0:
-        c = dims.B_d / dims.L_b
-        L = dims.L_b
+    """Closed-form transforms Xc + i Xs = int gamma(x) e^{i omega x} dx of the
+    deck slope gamma: zero on the plateau and k (1 - w) on a taper, k = 2
+    (beam_joint - beam_end) / L, so each taper adds k |L| e^{i omega x_end} times
+    int_0^1 (1 - w) e^{i a w} dw = (1 - cos a + i (a - sin a)) / a^2, a = omega L."""
+    Xc, Xs = np.zeros_like(omega), np.zeros_like(omega)
+    for x_end, L, joint, end in _tapers(dims):
         a = omega * L
-        Xc += c * _one_minus_cos(a) / (L * omega ** 2)
-        Xs += c * _y_minus_sin(a) / (L * omega ** 2)
-    if dims.L_s > 0:
-        c = (dims.B_d - dims.B_s) / dims.L_s
-        L = dims.L_s
-        x0 = dims.LOA - dims.L_s
-        a = omega * L
-        ic = (a * np.sin(a) - _one_minus_cos(a)) / a ** 2   # int_0^1 u cos(a u) du
-        isn = _sin_minus_ycos(a) / a ** 2                   # int_0^1 u sin(a u) du
-        cos0 = np.cos(omega * x0)
-        sin0 = np.sin(omega * x0)
-        Xc += -c * L * (cos0 * ic - sin0 * isn)
-        Xs += -c * L * (sin0 * ic + cos0 * isn)
+        scale = math.copysign(2.0 * (joint - end), L) / a ** 2     # k |L| / a^2
+        re, im = scale * _one_minus_cos(a), scale * _y_minus_sin(a)
+        cos0, sin0 = np.cos(omega * x_end), np.sin(omega * x_end)
+        Xc += cos0 * re - sin0 * im
+        Xs += sin0 * re + cos0 * im
     return Xc, Xs
 
 

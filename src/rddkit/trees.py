@@ -83,8 +83,9 @@ class _BinTables:
     words: int          # 64-bit words per tree, for the tree with most leaves
 
 
-def _bin_tables(trees, d):
-    """Build the bin tables of the trees; DataError on a malformed tree."""
+def _bin_tables(trees, d, max_depth):
+    """Build the bin tables of the trees; DataError, before any is allocated, on a
+    malformed tree, one deeper than max_depth or a feature of over _N_THRESHOLDS cuts."""
     n_trees = len(trees)
     sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.intp)
     if np.any(sizes == 0):
@@ -132,6 +133,22 @@ def _bin_tables(trees, d):
     leaf_no = before(~internal)
     s_node = node[internal]
     s_tree, s_lo, s_mid = tree_of[s_node], leaf_no[s_node], leaf_no[succ[s_node]]
+    # depth, the hops to the root: from each node to its parent (a split's
+    # children are the next node and succ), then doubling the jumps
+    up = node.copy()
+    up[s_node + 1] = up[succ[s_node]] = s_node
+    depth = (up != node).astype(np.intp)
+    while np.any(up[up] != up):
+        depth, up = depth + depth[up], up[up]
+    deep = tree_of[depth > max_depth]
+    if deep.size:
+        raise DataError(f"tree {int(deep.min())}: deeper than the stored max_depth {max_depth}")
+    s_feature, s_threshold = feature[s_node], threshold[s_node]
+    features = [int(f) for f in np.unique(s_feature)]
+    cuts = [np.unique(s_threshold[s_feature == f]) for f in features]
+    wide = [f for f, cut in zip(features, cuts) if cut.shape[0] > _N_THRESHOLDS]
+    if wide:
+        raise DataError(f"feature {wide[0]}: more than {_N_THRESHOLDS} distinct split thresholds")
 
     leaves = (int(sizes.max(initial=1)) + 1) // 2   # a binary tree of n nodes has (n + 1) / 2
     words = max(1, -(-leaves // 64))
@@ -141,18 +158,14 @@ def _bin_tables(trees, d):
     base = 64 * np.arange(words)
     masks = ~(_LOW_BITS[np.clip(s_mid[:, None] - base, 0, 64)]
               ^ _LOW_BITS[np.clip(s_lo[:, None] - base, 0, 64)])
-    s_feature, s_threshold = feature[s_node], threshold[s_node]
-    features, cuts, tables = [], [], []
-    for f in np.unique(s_feature):
+    tables = []
+    for f, cut in zip(features, cuts):
         on = s_feature == f
-        cut = np.unique(s_threshold[on])
         table = np.full((cut.shape[0] + 1, words, n_trees), ~np.uint64(0))
         # a split of rank r goes right for every bin above r
         rank = np.searchsorted(cut, s_threshold[on])
         np.bitwise_and.at(table, (rank + 1, slice(None), s_tree[on]), masks[on])
         np.bitwise_and.accumulate(table, axis=0, out=table)
-        features.append(int(f))
-        cuts.append(cut)
         tables.append(table.reshape(cut.shape[0] + 1, words * n_trees))
     offset = np.arange(n_trees, dtype=np.intp) * 64 * words - 1
     return _BinTables(features, cuts, tables, leaf_values.ravel(), offset, words)
@@ -168,7 +181,7 @@ class TreeEnsemble:
     bin_tables: _BinTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.bin_tables = _bin_tables(self.trees, self.d)
+        self.bin_tables = _bin_tables(self.trees, self.d, self.max_depth)
 
     @property
     def n_trees(self):

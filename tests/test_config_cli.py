@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 from rddkit import cli
 from rddkit import config as cfgmod
 from rddkit import rewards as rewardmod
+from rddkit import trees
 from rddkit.data import NormStats, load_dataset, write_binary
 from rddkit.denoiser import DenoiserParams, init_params, layer_views, load_model, save_model
 from rddkit.diffusion import NoiseSchedule, make_schedule
@@ -36,7 +38,7 @@ def write_model(path):
 def stored_schedule(T, beta_start, beta_end):
     """A NoiseSchedule holding only the T and end betas that save_model
     writes, for model files whose schedule make_schedule rejects."""
-    return NoiseSchedule(T, np.array([0.0, beta_start, beta_end]), None, None, None)
+    return NoiseSchedule(T, beta_start, beta_end, None, None, None, None)
 
 
 def v1_model_bytes(params, last_bias_len=None):
@@ -311,13 +313,18 @@ def test_usage_errors_exit_1(tmp_path, caplog, capsys):
         assert cli.main(["sample", "--model", str(model), "--outdir", str(tmp_path / "never"),
                          flag, value]) == 1
         assert not (tmp_path / "never").exists()
-    # hull lengths must be finite and positive
+    # a hull length must lie in hull.LOA_RANGE: below it the friction line
+    # has no Reynolds number, above it the wave terms overflow. `hull
+    # dataset` refuses it for an empty dataset as for a full one, writing no file
     hull = "0.5,0.25,0.12,0.08,0.5,0.75"
-    for argv in (["hull", "eval", "--params", hull], ["hull", "dataset", "--n", "2", "--out", out]):
-        for loa in ("nan", "-5", "inf"):
+    for argv in (["hull", "eval", "--params", hull], ["hull", "dataset", "--n", "2", "--out", out],
+                 ["hull", "dataset", "--n", "0", "--out", out]):
+        for loa in ("nan", "-5", "inf", "0", "0.001", "0.05", "20000", "1e300"):
             capsys.readouterr()
             assert cli.main(argv + ["--loa", loa]) == 1
-            assert "--loa" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "--loa" in err and "LOA must lie in" in err
+            assert not os.path.exists(out)
 
 
 def test_too_long_a_schedule_in_a_model_file_exits_2(tmp_path, caplog):
@@ -342,6 +349,47 @@ def test_too_long_a_schedule_in_a_model_file_exits_2(tmp_path, caplog):
     assert not (tmp_path / "never").exists()
 
 
+def test_inflated_surrogate_file_exits_2(tmp_path, caplog):
+    # valid under its checksum: a 2,001-node comb splitting feature 0 at 1,000
+    # distinct thresholds and 100 one-leaf trees, stored with max_depth 4. Its
+    # bin tables would take 14 MB; it is refused before any is allocated
+    comb = np.full(2001, -1, dtype="<i4")
+    comb[0:2000:2] = 0
+    thresholds = np.zeros(2001)
+    thresholds[0:2000:2] = np.arange(1000.0)
+    chunks = [struct.pack("<IIIdd", 1, 101, 4, 0.1, 0.0), struct.pack("<I", 2001),
+              comb.tobytes(), thresholds.tobytes(), np.zeros(2001).tobytes()]
+    chunks += [struct.pack("<I", 1), struct.pack("<i", -1), bytes(16)] * 100
+    path = str(tmp_path / "comb.rddt")
+    write_binary(path, trees._MAGIC, trees._FORMAT_VERSION, chunks)
+    assert os.path.getsize(path) == 42_464
+    tracemalloc.start()
+    try:
+        message = f"{path}: tree 0: deeper than the stored max_depth 4"
+        with pytest.raises(DataError, match=re.escape(message)):
+            trees.load_ensemble(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    (tmp_path / "one.csv").write_text("x0,reward\n0.5,1.0\n1.5,2.0\n")
+    caplog.clear()
+    argv = ["surrogate", "eval", "--model", path, "--data", str(tmp_path / "one.csv")]
+    assert cli.main(argv) == 2
+    assert f"{path}: tree 0: deeper" in caplog.text
+    # 33 stumps within their depth, but at more distinct thresholds on one
+    # feature than the 32 a fit chooses from
+    chunks = [struct.pack("<IIIdd", 1, 33, 1, 0.1, 0.0)]
+    for k in range(33):
+        chunks += [struct.pack("<I", 3), np.array([0, -1, -1], "<i4").tobytes(),
+                   np.array([k, 0.0, 0.0]).tobytes(), np.zeros(3).tobytes()]
+    path = str(tmp_path / "wide.rddt")
+    write_binary(path, trees._MAGIC, trees._FORMAT_VERSION, chunks)
+    message = f"{path}: feature 0: more than 32 distinct split thresholds"
+    with pytest.raises(DataError, match=re.escape(message)):
+        trees.load_ensemble(path)
+
+
 def test_data_errors_exit_2(tmp_path, caplog):
     # a missing dataset, and one normalization cannot use (it needs two rows),
     # fail before pretrain makes its output directory, naming the file
@@ -360,20 +408,6 @@ def test_data_errors_exit_2(tmp_path, caplog):
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",
                    "0.5,0.5000000000001,0.12,0.08,0.5,0.75", "nan,0.25,0.12,0.08,0.5,0.75"):
         assert cli.main(["hull", "eval", "--params", params]) == 2
-    # so is a hull length outside hull.LOA_RANGE: below it the friction line
-    # has no Reynolds number, above it the wave terms overflow
-    for loa in ("0.001", "1e300"):
-        caplog.clear()
-        assert cli.main(["hull", "eval", "--params", "0.25,0.25,0.12,0.08,0.5,0.75",
-                         "--loa", loa]) == 2
-        assert "LOA must lie in" in caplog.text
-    # and `hull dataset` refuses it for an empty dataset as for a full one, writing no file
-    for n in ("0", "2"):
-        caplog.clear()
-        out = tmp_path / f"hulls_{n}.csv"
-        assert cli.main(["hull", "dataset", "--n", n, "--loa", "0.001", "--out", str(out)]) == 2
-        assert "LOA must lie in" in caplog.text
-        assert not out.exists()
     # reward-free samples cannot be evaluated
     plain = tmp_path / "plain.csv"
     plain.write_text("x0,x1\n0.0,1.0\n1.0,0.0\n")
@@ -701,21 +735,23 @@ def test_every_command_writes_its_run_record(tmp_path, monkeypatch, capsys):
 def test_finetune_and_sample_archive_the_model_files_schedule_and_network(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("x0,x1\n" + "".join(f"{i * 0.1},{(i * 0.7) % 1}\n" for i in range(20)))
-    ran = {"schedule": {"T": 12, "beta_start": 1e-4, "beta_end": 0.1},
-           "net": {"embed_dim": 8, "hidden_dims": [16]}}
-    cfg = write_json(tmp_path / "pre.json", {**ran, "pretrain": {"epochs": 1}})
-    run = tmp_path / "run"
-    assert cli.main(["pretrain", "--config", cfg, "--data", str(data),
-                     "--outdir", str(run)]) == 0
-    # neither config names a schedule or a network, so both hold the defaults
-    small = write_json(tmp_path / "ft.json", {"finetune": {"S": 1, "m": 4, "batch_size": 4}})
-    for command, argv in (
-            ("finetune", ["finetune", "--config", small, "--model", str(run / "model.rddm")]),
-            ("sample", ["sample", "--model", str(run / "model.rddm"), "--M", "2",
-                        "--n-traj", "4"])):
-        assert cli.main(argv + ["--outdir", str(run)]) == 0
-        archived = json.loads((run / f"{command}.config.json").read_text())
-        assert {k: archived[k] for k in ran} == ran, command
+    # a one-step schedule's only beta is beta_start; its beta_end is kept too
+    for T in (12, 1):
+        ran = {"schedule": {"T": T, "beta_start": 1e-4, "beta_end": 0.1},
+               "net": {"embed_dim": 8, "hidden_dims": [16]}}
+        cfg = write_json(tmp_path / "pre.json", {**ran, "pretrain": {"epochs": 1}})
+        run = tmp_path / f"run_{T}"
+        assert cli.main(["pretrain", "--config", cfg, "--data", str(data),
+                         "--outdir", str(run)]) == 0
+        # neither config names a schedule or a network, so both hold the defaults
+        small = write_json(tmp_path / "ft.json", {"finetune": {"S": 1, "m": 4, "batch_size": 4}})
+        for command, argv in (
+                ("finetune", ["finetune", "--config", small, "--model", str(run / "model.rddm")]),
+                ("sample", ["sample", "--model", str(run / "model.rddm"), "--M", "2",
+                            "--n-traj", "4"])):
+            assert cli.main(argv + ["--outdir", str(run)]) == 0
+            archived = json.loads((run / f"{command}.config.json").read_text())
+            assert {k: archived[k] for k in ran} == ran, (T, command)
 
 
 def _leaf_parsers(parser, words=()):

@@ -11,6 +11,7 @@ from rddkit.hull import (
     LOA_RANGE,
     HullDims,
     _deck,
+    _slope_transform,
     aggregate_resistances,
     aggregate_total_resistance,
     constraint_violation,
@@ -247,6 +248,39 @@ def test_michell_beam_squared_scaling():
     r1 = michell_wave_resistance(base, U, 0.5)[0]
     r2 = michell_wave_resistance(wide, U, 0.5)[0]
     assert r2 == pytest.approx(4.0 * r1, rel=1e-9)
+
+
+# hulls for the slope-transform oracle: zero-length, 1e-3 LOA and full tapers
+TRANSFORM_HULLS = dict(SHAPES,
+                       short_tapers=scale_params([1e-3, 1e-3, 0.12, 0.08, 0.5, 0.75], 80.0),
+                       full_tapers=scale_params([0.6, 0.4, 0.12, 0.08, 0.3, 0.75], 80.0))
+
+
+@pytest.mark.parametrize("dims", TRANSFORM_HULLS.values(), ids=list(TRANSFORM_HULLS))
+def test_slope_transform_matches_gauss_legendre_quadrature(dims):
+    # the closed form against composite 16-point Gauss-Legendre quadrature,
+    # 512 panels per taper, of _deck's slope times e^{i omega x}. omega L of
+    # the longer taper runs from 1e-3 to 1e3, so the shorter ones reach the
+    # series branch of omega L below 1e-2. The error of both is rounding in
+    # the phase omega x (up to 1e6 rad here), so it is measured against each
+    # taper's int |gamma| dx / max(1, omega L), the size of its contribution
+    rtol = 1e-9
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    omega = np.logspace(-3, 3, 61) / max(dims.L_b, dims.L_s, 1.0)
+    quad = np.zeros(omega.shape, dtype=complex)
+    scale = np.zeros(omega.shape)
+    for lo, hi in ((0.0, dims.L_b), (dims.LOA - dims.L_s, dims.LOA)):
+        if hi <= lo:
+            continue
+        edges = np.linspace(lo, hi, 513)
+        half = np.diff(edges)[:, None] / 2.0
+        x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+        w = (half * weights).ravel()
+        slope = _deck(x, dims)[1]
+        quad += np.exp(1j * np.outer(omega, x)) @ (slope * w)
+        scale += np.abs(slope) @ w / np.maximum(1.0, omega * (hi - lo))
+    Xc, Xs = _slope_transform(dims, omega)
+    assert np.all(np.abs(Xc + 1j * Xs - quad) <= rtol * scale)
 
 
 def test_michell_node_doubling_at_moderate_froude():
