@@ -62,10 +62,16 @@ def _stage(timings, name):
     timings[name] = time.perf_counter() - t0
 
 
+def _json(obj):
+    """The one JSON text of every file and report: a dataclass is written as
+    its fields, an array or NumPy scalar as Python values."""
+    return json.dumps(obj, indent=2, default=lambda o: (
+        dataclasses.asdict(o) if dataclasses.is_dataclass(o) else o.tolist()))
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json(obj) + "\n")
     return path
 
 
@@ -73,7 +79,7 @@ def _report(result, out, timings):
     """Print a JSON result; with --out, also save it there and return its run record."""
     if out:
         _write_json(out, result)
-    print(json.dumps(result, indent=2))
+    print(_json(result))
     return (os.path.dirname(out) or ".", None, timings, [out]) if out else None
 
 
@@ -83,7 +89,7 @@ def _archive_run(args, outdir, cfg, timings, outputs):
     words = [args.command] + ([args.subcommand] if getattr(args, "subcommand", None) else [])
     name = "_".join(words)
     if cfg is not None:
-        cfgmod.save_config(cfg, os.path.join(outdir, f"{name}.config.json"))
+        _write_json(os.path.join(outdir, f"{name}.config.json"), cfg)
     _write_json(os.path.join(outdir, f"{name}.run.json"), {
         "command": " ".join(words),
         "argv": args.argv,
@@ -200,8 +206,8 @@ def cmd_eval(args):
 
     with _stage(timings, "eval"):
         stats = {
-            "samples": boxplot_stats(samples.rewards).to_dict(),
-            "training": boxplot_stats(train.rewards).to_dict(),
+            "samples": boxplot_stats(samples.rewards),
+            "training": boxplot_stats(train.rewards),
             "beyond_distribution": beyond_distribution(samples.rewards, train.rewards),
         }
         grid, dens_s = kde(samples.rewards)
@@ -267,7 +273,7 @@ def cmd_hull_eval(args):
         raise ConfigError(f"--params: expected {N_PARAMS} comma-separated numbers")
     timings = {}
     with _stage(timings, "eval"):
-        result = aggregate_total_resistance(scale_params(p, args.loa)).to_dict()
+        result = aggregate_total_resistance(scale_params(p, args.loa))
     return _report(result, args.out, timings)
 
 

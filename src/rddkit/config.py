@@ -1,6 +1,6 @@
-"""Run configuration: nested dataclasses, JSON parsing with unknown-key
-rejection, and serialization that echoes every defaulted field so an
-archived config fully reproduces a run.
+"""Run configuration: nested dataclasses with their defaults and checks, and
+JSON parsing with unknown-key rejection. The CLI archives the resolved
+config, every defaulted field included, so it fully reproduces a run.
 
 The sections are also the library's parameter objects: init_params takes a
 NetSection, train_ddpm a NetSection and a PretrainSection, finetune and
@@ -11,7 +11,6 @@ its fields; validate runs them all and the library entry points run their
 own.
 """
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -233,22 +232,16 @@ def validate(cfg):
 
 def parse_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text")
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read the config ({e.strerror})")
     cfg = _merge(RunConfig(), raw)
     return validate(cfg)
 
-
-def to_dict(cfg):
-    return dataclasses.asdict(cfg)
-
-
-def save_config(cfg, path):
-    """Archive the fully resolved config, defaults included."""
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

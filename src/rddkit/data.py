@@ -2,9 +2,9 @@
 checksummed binary container behind the model and surrogate files.
 
 The on-disk format is a plain CSV with header columns x0..x{d-1} and an
-optional trailing reward column. Cells are written as %.17g, so values
-round-trip exactly through the file, and parsed by Python float() rules.
-A nan or inf cell is refused on write (NumericalError) and on read
+optional trailing reward column, read as UTF-8. Cells are written as %.17g,
+so values round-trip exactly through the file, and parsed by Python float()
+rules. A nan or inf cell is refused on write (NumericalError) and on read
 (DataError); every read error carries its line number. Both directions
 work on blocks of CSV_BLOCK_ROWS rows.
 """
@@ -145,10 +145,16 @@ def _parse_block(path, lines, first_line, n_cols):
 
 
 def load_dataset(path):
-    """Parse a design CSV; raises DataError with a line number on bad input,
-    including a header of no x column and a nan or inf cell (float() takes them)."""
-    with open(path, "r") as f:
-        lines = f.read().splitlines()
+    """Parse a UTF-8 design CSV; raises DataError with a line number on bad input,
+    including bytes that are not UTF-8, a header of no x column and a nan or
+    inf cell (float() takes them)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file at once, so e.object holds every byte
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]

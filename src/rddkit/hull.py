@@ -309,19 +309,6 @@ class ResistanceResult:
     aggregate: float
     R_w_halving_change: np.ndarray  # per cell, relative move under node halving
 
-    def to_dict(self):
-        return {
-            "froude_numbers": self.froude_numbers.tolist(),
-            "draft_fractions": self.draft_fractions.tolist(),
-            "R_w": self.R_w.tolist(),
-            "R_f": self.R_f.tolist(),
-            "R_T": self.R_T.tolist(),
-            "C_w": self.C_w.tolist(),
-            "C_f": self.C_f.tolist(),
-            "aggregate": self.aggregate,
-            "R_w_halving_change": self.R_w_halving_change.tolist(),
-        }
-
 
 def aggregate_total_resistance(dims, n_lambda=N_LAMBDA):
     """Total resistance over the 8 x 4 Froude/draft grid.

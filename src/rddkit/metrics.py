@@ -26,17 +26,6 @@ class BoxplotStats:
     whisker_hi: float
     outliers: np.ndarray
 
-    def to_dict(self):
-        return {
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "iqr": self.iqr,
-            "whisker_lo": self.whisker_lo,
-            "whisker_hi": self.whisker_hi,
-            "outliers": self.outliers.tolist(),
-        }
-
 
 def boxplot_stats(values):
     """Quartiles by linear interpolation; whiskers clamp to the most extreme

@@ -5,10 +5,16 @@ quantile thresholds, leaves predicting the mean residual, shrinkage applied
 per round. The model is a step function of the input, so it has no useful
 gradient anywhere; callers treat it as a black box. Fitting is fully
 deterministic: candidate thresholds come from quantiles and split-gain ties
-break toward the lowest feature index, then the lowest threshold. Inputs
-and targets must be finite. A tree is its node list in preorder, which
-alone fixes its shape, so no child indices are kept or stored; a list that
-is not one binary tree in preorder is a DataError.
+break toward the lowest feature index, then the lowest threshold. A gain
+within _GAIN_TIE (1e-9) times r @ r of the best, r the node's residuals,
+ties with it. Each gain term is at most r @ r (Cauchy-Schwarz), and each
+feature adds the residuals into its bin sums in its own order, which moves
+a term by at most about 2 n eps (r @ r) for n rows. So splits that part the
+rows alike, whose gains are equal in exact arithmetic, tie up to about 10^6
+rows, and the lowest wins whatever the rounding. Inputs and targets must be
+finite. A tree is its node list in preorder, which alone fixes its shape,
+so no child indices are kept or stored; a list that is not one binary tree
+in preorder is a DataError.
 
 Prediction reads bin tables built once per ensemble, after QuickScorer
 (Lucchese et al. 2015) instead of descending each tree node by node. Each
@@ -43,6 +49,7 @@ from rddkit.exceptions import ConfigError, DataError, NumericalError
 _MAGIC = b"RDDT"
 _FORMAT_VERSION = 3
 _N_THRESHOLDS = 32    # per-feature quantile thresholds a split may use
+_GAIN_TIE = 1e-9      # a gain within this share of r @ r of the best ties with it
 
 
 @dataclass
@@ -241,8 +248,10 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     gain = sl * sl / nl + (total - sl) ** 2 / nr - total * total / n
                 gain[(nl == 0) | (nr == 0)] = -np.inf
-                # row-major argmax: the lowest feature, then the lowest threshold
-                f, k = divmod(int(np.argmax(gain)), n_thr)
+                # row-major argmax over the ties: the lowest feature, then the
+                # lowest threshold
+                tie = gain >= gain.max() - _GAIN_TIE * (r @ r)
+                f, k = divmod(int(np.argmax(tie)), n_thr)
                 if not gain[f, k] > 0.0:
                     f = -1
             feature.append(f)

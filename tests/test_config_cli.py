@@ -17,6 +17,7 @@ from rddkit.data import NormStats, load_dataset, write_binary
 from rddkit.denoiser import DenoiserParams, init_params, layer_views, load_model, save_model
 from rddkit.diffusion import NoiseSchedule, make_schedule
 from rddkit.exceptions import ConfigError, DataError
+from rddkit.hull import ResistanceResult
 from rddkit.trees import fit_ensemble, save_ensemble
 
 
@@ -71,12 +72,12 @@ def test_config_round_trip(tmp_path):
     cfg.reward.target = [1.0, 0.5]
     cfg.dataset = "train.csv"
     path = tmp_path / "cfg.json"
-    cfgmod.save_config(cfg, path)
+    cli._write_json(path, cfg)
     back = cfgmod.parse_config(str(path))
     assert back == cfg
     # the archived file carries every field, defaults included
     raw = json.loads(path.read_text())
-    assert raw == cfgmod.to_dict(cfg)
+    assert raw == dataclasses.asdict(cfg)
     assert raw["pretrain"]["epochs"] == 200
 
 
@@ -174,6 +175,14 @@ def test_parse_config_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         cfgmod.parse_config(str(bad))
+    # bytes that are not UTF-8, whatever the locale, and a path that is not a
+    # file are config errors naming the file
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff{}")
+    with pytest.raises(ConfigError, match=re.escape(f"{not_utf8}: not UTF-8 text")):
+        cfgmod.parse_config(str(not_utf8))
+    with pytest.raises(ConfigError, match=re.escape(f"{tmp_path}: cannot read the config")):
+        cfgmod.parse_config(str(tmp_path))
 
 
 # ---------------------------------------------------------------------- cli
@@ -403,6 +412,23 @@ def test_data_errors_exit_2(tmp_path, caplog):
                          "--outdir", str(outdir)]) == 2
         assert not outdir.exists()
         assert str(tmp_path / name) in caplog.text
+    # a CSV that is not UTF-8, whatever the locale, and a model file given as a
+    # CSV are data errors naming the file and line, before any output is made
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"x0,x1\n0.5,1.5\n\xff,1\n")
+    model = write_model(tmp_path / "model.rddm")
+    out = tmp_path / "out_bytes"
+    for argv, where in (
+            (["pretrain", "--data", str(not_utf8), "--outdir", str(out)], f"{not_utf8}: line 3:"),
+            (["pretrain", "--data", str(model), "--outdir", str(out)], f"{model}: line "),
+            (["eval", "--samples", str(model), "--train", str(not_utf8), "--outdir", str(out)],
+             f"{model}: line "),
+            (["surrogate", "fit", "--data", str(model), "--out", str(out / "s.rddt")],
+             f"{model}: line ")):
+        caplog.clear()
+        assert cli.main(argv) == 2
+        assert where in caplog.text and "not UTF-8 text" in caplog.text
+        assert not out.exists()
     # a hull outside the feasible cube, below its 1e-3 floor, with tapers
     # longer than the hull or with a NaN parameter is a data problem, not a crash
     for params in ("1.5,0.25,0.12,0.08,0.5,0.75", "0.0005,0.25,0.12,0.08,0.5,0.75",
@@ -584,11 +610,17 @@ def test_numerical_errors_exit_3(tmp_path):
                      "--data", str(data)]) == 3
 
 
-def test_hull_eval_prints_resistance_json(capsys):
+def test_hull_eval_prints_resistance_json(tmp_path, capsys):
+    path = tmp_path / "hull_eval.json"
     rc = cli.main(["hull", "eval", "--params", "0.25,0.25,0.12,0.08,0.5,0.75",
-                   "--loa", "80"])
+                   "--loa", "80", "--out", str(path)])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    # one encoder: stdout is the file's text, and print adds the file's final newline
+    text = capsys.readouterr().out
+    assert text == path.read_text()
+    out = json.loads(text)
+    # the keys are ResistanceResult's fields, in field order
+    assert list(out) == [f.name for f in dataclasses.fields(ResistanceResult)]
     assert out["aggregate"] > 0
     assert len(out["R_w"]) == 8
     assert len(out["R_w"][0]) == 4

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rddkit import cli
 from rddkit.benchmark import sample_hull_params
 from rddkit.exceptions import InfeasibleHullError
 from rddkit.hull import (
@@ -311,7 +313,7 @@ def test_halving_change_flags_low_froude_cell(recwarn):
     coarse = michell_wave_resistance(dims, U, 0.67, n_lambda=32)[0]
     assert cell == pytest.approx(abs(fine - coarse) / fine, rel=1e-9)
     assert rw == fine
-    assert res.to_dict()["R_w_halving_change"] == change.tolist()
+    assert json.loads(cli._json(res))["R_w_halving_change"] == change.tolist()
     # convergence is reported as data, not as a warning
     assert len(recwarn) == 0
 
@@ -399,7 +401,7 @@ def test_aggregate_grid_layout_and_sums():
         Re = U * dims.LOA / 1.19e-6
         assert np.allclose(res.C_w[i], res.R_w[i] / (0.5 * 1000.0 * U ** 2 * dims.LOA ** 2))
         assert np.allclose(res.C_f[i], friction_coefficient(Re))
-    d = res.to_dict()
+    d = json.loads(cli._json(res))
     assert d["aggregate"] == res.aggregate
     assert len(d["R_T"]) == 8
 

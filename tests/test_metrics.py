@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rddkit import metrics
+from rddkit import cli, metrics
 from rddkit.metrics import (
     BoxplotStats,
     beyond_distribution,
@@ -54,7 +55,7 @@ def test_boxplot_no_outliers_for_tight_data():
     assert stats.outliers.size == 0
     assert stats.whisker_lo == 0.0
     assert stats.whisker_hi == 1.0
-    d = stats.to_dict()
+    d = json.loads(cli._json(stats))
     assert d["outliers"] == []
     assert d["median"] == 0.5
 
