@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from rddkit import benchmark, config as cfgmod, rewards as rewardmod
-from rddkit.data import load_dataset, normalize, save_samples, write_csv
+from rddkit.data import load_dataset, normalize, save_samples, write_csv, write_file
 from rddkit.denoiser import load_model, save_model
 from rddkit.diffusion import make_schedule
 from rddkit.exceptions import ConfigError, DataError, InfeasibleHullError, NumericalError
@@ -70,9 +70,7 @@ def _json(obj):
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(_json(obj) + "\n")
-    return path
+    return write_file(path, [_json(obj) + "\n"])
 
 
 def _report(result, out, timings):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import zlib
@@ -20,6 +21,7 @@ from rddkit.data import (
     save_samples,
     write_binary,
     write_csv,
+    write_file,
 )
 from rddkit.denoiser import init_params, load_model, save_model
 from rddkit.diffusion import make_schedule
@@ -263,6 +265,56 @@ def test_history_and_density_tables_keep_their_bytes(tmp_path):
         assert raw == per_cell_csv(lines[0].split(","), rows)
         if counter is not None:
             assert [row[0] for row in rows] == counter
+
+
+# ------------------------------------------------------------ in-place writer
+
+def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    # every output is written over the old file and cut to its new length:
+    # a CSV, a model and a JSON file, each first written long, then short
+    params = [init_params(2, NetSection(embed_dim=4, hidden_dims=list(h)),
+                          make_schedule(5), 0) for h in ((64, 64), (4,))]
+    writers = {
+        "out.csv": lambda p, n: save_samples(p, np.arange(2.0 * n).reshape(n, 2) / 3),
+        "out.rddm": lambda p, n: save_model(p, params[n == 3]),
+        "out.json": lambda p, n: cli._write_json(p, {"rows": list(range(n))}),
+    }
+    for name, write in writers.items():
+        path, fresh = tmp_path / name, tmp_path / f"fresh_{name}"
+        write(str(path), 5000)
+        long = path.stat().st_size
+        write(str(path), 3)
+        write(str(fresh), 3)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_size < long // 10
+
+
+def test_a_failed_write_leaves_no_old_byte(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old" * 1000)
+    calls, real_write = [], os.write
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:2])     # a short write: the rest comes next call
+
+    monkeypatch.setattr(os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left"):
+        write_file(str(path), [b"new bytes", b"more"])
+    monkeypatch.undo()
+    # two short writes of two bytes each landed, and nothing of the old file
+    assert path.read_bytes() == b"new "
+    assert calls == [9, 7, 5]
+
+
+def test_write_file_takes_text_and_creates_the_file(tmp_path):
+    path = tmp_path / "new.txt"
+    assert write_file(str(path), ["a,b\n", b"1,2\n", ""]) == str(path)
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    write_file(str(path), [])
+    assert path.read_bytes() == b""
 
 
 # ------------------------------------------------------------ binary container
