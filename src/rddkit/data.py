@@ -11,6 +11,7 @@ work on blocks of CSV_BLOCK_ROWS rows.
 
 import itertools
 import os
+import stat
 import struct
 import warnings
 import zlib
@@ -48,13 +49,14 @@ class Dataset:
 def write_file(path, chunks):
     """Write the chunks (bytes, or str encoded as UTF-8) to path, in place.
 
-    An existing file is written over and then cut to the written length,
-    never emptied first: on ext4, opening with O_TRUNC (or replacing) a file
-    written moments before waits for the disk to write out its old copy,
-    tens of milliseconds per file. If a write fails partway the file is cut
-    to the bytes written, so no byte of the old content is left. chunks may
-    be any iterable, so a caller can format each block as it is written.
-    Returns path.
+    An existing regular file is written over and then cut to the written
+    length, never emptied first: on ext4, opening with O_TRUNC (or replacing)
+    a file written moments before waits for the disk to write out its old
+    copy, tens of milliseconds per file. If a write fails partway the file
+    is cut to the bytes written, so no byte of the old content is left. A
+    path that is not a regular file (/dev/stdout, a pipe) is written as it
+    is, with nothing to cut. chunks may be any iterable, so a caller can
+    format each block as it is written. Returns path.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
@@ -67,7 +69,8 @@ def write_file(path, chunks):
                 view = view[n:]
     finally:
         try:
-            os.ftruncate(fd, written)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
         finally:
             os.close(fd)
     return path

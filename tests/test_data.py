@@ -317,6 +317,21 @@ def test_write_file_takes_text_and_creates_the_file(tmp_path):
     assert path.read_bytes() == b""
 
 
+def test_write_file_writes_to_paths_that_are_not_regular_files(tmp_path):
+    # /dev/null and a pipe cannot be cut to length: they are written as they are
+    write_file(os.devnull, [b"gone"])
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_file(str(fifo), [b"through ", "the pipe"])
+        assert os.read(reader, 100) == b"through the pipe"
+    finally:
+        os.close(reader)
+    assert cli.main(["hull", "eval", "--params", "0.25,0.25,0.12,0.08,0.5,0.75",
+                     "--out", os.devnull]) == 0
+
+
 # ------------------------------------------------------------ binary container
 
 def test_binary_container_round_trip(tmp_path):
