@@ -240,6 +240,8 @@ def parse_config(path):
         raise ConfigError(f"{path}: invalid JSON ({e})")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text")
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from None
     except OSError as e:
         raise ConfigError(f"{path}: cannot read the config ({e.strerror})")
     cfg = _merge(RunConfig(), raw)

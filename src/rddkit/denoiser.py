@@ -9,9 +9,11 @@ it. Training keeps a float32 master theta with float32 moments and returns
 its exact float64 widening; the sampler scores candidates on a float32 copy
 of theta, and the fine-tuning roll-in runs both of its policies in float32.
 Sampling, evaluation and model files are float64, and everything is
-deterministic given a seed. Inference (predict_noise) runs the network in
-row blocks of bounded size, so its memory does not grow with the batch;
-training batches are bounded by their batch size and run in one pass.
+deterministic given a seed. Inference (predict_noise, and noise_and_jacobian,
+which adds the prediction's input Jacobian from forward-mode tangents) runs
+the network in row blocks of bounded size, so its memory does not grow with
+the batch; training batches are bounded by their batch size and run in one
+pass.
 
 A model carries its noise schedule and its designs' z-score map (None for raw
 coordinates), DenoiserParams.sched and .stats; copies and model files keep both.
@@ -33,8 +35,9 @@ _FORMAT_VERSION = 3
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's decay rates and denominator floor
 
 # size of the hidden activations of one predict_noise block, rows x
-# sum(hidden_dims) in the params' dtype: inference runs the network on at
-# most that many rows at a time (at least one), whatever the batch size
+# sum(hidden_dims) in the params' dtype (noise_and_jacobian adds each row's
+# d tangents): inference runs the network on at most that many rows at a
+# time (at least one), whatever the batch size
 _PREDICT_BLOCK_BYTES = 1024 * 1024
 
 
@@ -185,6 +188,46 @@ def _forward(params, X, ts):
     return acts
 
 
+def _forward_tangents(params, X, ts):
+    """eps(X, ts) and its input Jacobian J, (n, d, d), from d forward-mode tangents.
+
+    Row k of J[i] is the derivative of eps at X[i] along design coordinate
+    k, so a step dx moves the prediction by dx @ J[i]. The first layer is
+    affine in x, so its tangents are the tanh slopes times the rows of
+    W0[:d], with no matmul; each later layer is one (n * d, h) @ W product.
+    The tangents of every hidden layer share one block, n * d *
+    sum(hidden_dims) values in the params' dtype, as _forward's activations do.
+    """
+    acts = _forward(params, X, ts)
+    layers = layer_views(params, params.theta)
+    n, d = X.shape
+    block = np.empty(n * d * sum(params.hidden_dims), dtype=params.theta.dtype)
+    tan = None
+    for (W, _), H in zip(layers[:-1], acts[1:-1]):
+        out = block[:n * d * W.shape[1]].reshape(n, d, W.shape[1])
+        block = block[out.size:]
+        # the activation is not read again: it becomes tanh' = 1 - tanh^2 in place
+        slope = np.square(H, out=H)[:, None]
+        np.subtract(1.0, slope, out=slope)
+        if tan is None:
+            np.multiply(W[:d], slope, out=out)
+        else:
+            np.matmul(tan.reshape(n * d, -1), W, out=out.reshape(n * d, -1))
+            out *= slope
+        tan = out
+    return acts[-1], (tan.reshape(n * d, -1) @ layers[-1][0]).reshape(n, d, d)
+
+
+def _row_blocks(params, xt, words_per_row):
+    """The float64 (n, d) inputs xt and the row slices of the blocks whose
+    words_per_row values a row fit _PREDICT_BLOCK_BYTES (at least one row)."""
+    X = np.asarray(xt, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.d:
+        raise ConfigError(f"expected (n, {params.d}) inputs for the model, got shape {X.shape}")
+    rows = max(1, _PREDICT_BLOCK_BYTES // (params.theta.itemsize * words_per_row))
+    return X, [slice(start, start + rows) for start in range(0, X.shape[0], rows)]
+
+
 def predict_noise(params, xt, t):
     """Deterministic forward pass over a batch xt of shape (n, d); returns (n, d).
 
@@ -196,16 +239,31 @@ def predict_noise(params, xt, t):
     all rows (the matrix products accumulate per block), never with the BLAS
     thread count.
     """
-    X = np.asarray(xt, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.d:
-        raise ConfigError(f"expected (n, {params.d}) inputs for the model, got shape {X.shape}")
-    n = X.shape[0]
-    rows = max(1, _PREDICT_BLOCK_BYTES // (params.theta.itemsize * sum(params.hidden_dims)))
-    out = np.empty((n, params.d), dtype=params.theta.dtype)
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
+    X, blocks = _row_blocks(params, xt, sum(params.hidden_dims))
+    out = np.empty(X.shape, dtype=params.theta.dtype)
+    for block in blocks:
         out[block] = _forward(params, X[block], t if np.ndim(t) == 0 else t[block])[-1]
     return out
+
+
+def noise_and_jacobian(params, xt, t):
+    """predict_noise's eps, (n, d), and its input Jacobian J, (n, d, d).
+
+    Row k of J[i] is d eps(xt[i]) / d x_k, so eps(xt[i] + dx) is about
+    eps[i] + dx @ J[i]. Both are in the dtype of params.theta. The rows run in
+    blocks like predict_noise's, but each row's d tangents of every hidden
+    layer count against _PREDICT_BLOCK_BYTES too, so a block holds 1/(1 + d)
+    of predict_noise's rows; the output moves with the block size in its
+    last bits only, never with the BLAS thread count.
+    """
+    X, blocks = _row_blocks(params, xt, (1 + params.d) * sum(params.hidden_dims))
+    n, d = X.shape
+    eps = np.empty((n, d), dtype=params.theta.dtype)
+    J = np.empty((n, d, d), dtype=params.theta.dtype)
+    for block in blocks:
+        eps[block], J[block] = _forward_tangents(params, X[block],
+                                                 t if np.ndim(t) == 0 else t[block])
+    return eps, J
 
 
 def _backprop(params, acts, dOut, grad):

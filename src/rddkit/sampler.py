@@ -2,9 +2,9 @@
 
 A chain follows a step plan built once, before its first draw: for each
 t = T..1, the policy of the current-state pass (params_pre where
-t <= switch_t, else params) and the scorer of the step's candidates, that
-policy's float32 copy, or None where the step keeps its one candidate: every
-step when M = 1, and t = 1, whose sigma is 0. Each step proposes M
+t <= switch_t, else params) and the scorer of the step's candidates, bound
+to that policy's float32 copy, or None where the step keeps its one
+candidate: every step when M = 1, and t = 1, whose sigma is 0. Each step proposes M
 candidates from the policy's denoising kernel (shared x_t, independent
 Gaussian draws); a step with a scorer scores them by the soft value estimate
 
@@ -25,18 +25,27 @@ NOISE_BLOCK_BYTES; a stream of normals yields the same values however it is
 split, so no draw depends on the block size, nor, the streams being per
 trajectory, on the number of trajectories run together.
 
+The plan's scorer follows from the input: the M candidates of a trajectory
+share one mean mu, the reverse step's mean from x_t, and differ only by
+sigma_t z_j. When d + 1 < M, one value-and-Jacobian pass at (mu, t-1) gives
+eps0 and the input Jacobian J (denoiser.noise_and_jacobian, d forward-mode
+tangents), and candidate j's noise prediction is the first-order expansion
+eps0 + sigma_t z_j @ J, formed in float64: n x (1 + d) network rows a step.
+Otherwise every candidate gets its own pass, n x M rows a step. Either way
+x0_hat is formed at the candidate's own position and time t-1.
+
 Soft values only rank candidates, so the denoiser pass that scores them
 runs in float32, on the plan's float32 copy of each policy, made once per
 guided chain (float32 parameters are used as they are; M = 1 makes none);
 x0_hat, the reward and the selection stay float64, as do the candidate
-states and everything the chain carries. That pass is nine tenths of the
-network rows of a guided run with M = 10. The current-state pass runs in the
+states and everything the chain carries. With M = 10 candidates of d = 2
+coordinates, a pass over every candidate would be nine tenths of the
+network rows of a guided run. The current-state pass runs in the
 dtype of the parameters the chain is given: float64 for sampling, float32
 for the fine-tuning roll-in, whose float32 noise prediction enters the
-float64 reverse step. predict_noise runs every pass in row blocks of bounded
-size, so the network's working set does not grow with n x M; the n x M
-candidate rows of one step are still one predict_noise call and one reward
-call.
+float64 reverse step. Every network pass runs in row blocks of bounded
+size, so the network's working set does not grow with n x M; the
+candidates of one step are still one network call and one reward call.
 
 The chain runs in model coordinates; svdd_generate returns its final states
 denormalized, the physical designs, with the rewards scored on exactly those
@@ -48,13 +57,19 @@ gradient. Results do not depend on execution order, and the output of a
 seed is byte-identical whatever the BLAS thread count.
 """
 
+import functools
 import warnings
 
 import numpy as np
 
 from rddkit.data import denormalize
 from rddkit.diffusion import posterior_mean_x0, reverse_step
-from rddkit.denoiser import check_same_schedule, float32_params, predict_noise
+from rddkit.denoiser import (
+    check_same_schedule,
+    float32_params,
+    noise_and_jacobian,
+    predict_noise,
+)
 from rddkit.rewards import evaluate, soft_weight
 
 # selection temperatures below this pick the best candidate deterministically
@@ -70,18 +85,42 @@ def _spawn_generators(seed, n):
     return [np.random.default_rng(s) for s in root.spawn(n)]
 
 
-def _candidate_values(params, reward, cands, t_next):
+def _candidate_values(params, reward, cands, t_next, eps_hat=None):
     """Float64 soft values of (n, M, d) candidate states that live at timestep t_next.
 
-    The noise prediction runs in the dtype of params, float32 as the chain
-    passes each policy's float32 copy; x0_hat is formed from the float64
-    states and scored denormalized by params.stats.
+    eps_hat, the candidates' (n, M, d) noise predictions, defaults to a
+    network pass over every candidate in the dtype of params, float32 as the
+    chain passes each policy's float32 copy; x0_hat is formed from the
+    float64 states and scored denormalized by params.stats.
     """
     n, M, d = cands.shape
     flat = cands.reshape(n * M, d)
-    eps_hat = predict_noise(params, flat, t_next)
-    x0_hat = posterior_mean_x0(flat, t_next, eps_hat.astype(np.float64), params.sched)
+    eps_hat = predict_noise(params, flat, t_next) if eps_hat is None else eps_hat
+    x0_hat = posterior_mean_x0(flat, t_next,
+                               eps_hat.reshape(n * M, d).astype(np.float64, copy=False),
+                               params.sched)
     return evaluate(reward, denormalize(x0_hat, params.stats)).reshape(n, M)
+
+
+def _own_pass_values(scorer, reward, X, eps, t, z, cands):
+    """The scorer that runs the network on every candidate: n x M rows a step."""
+    return _candidate_values(scorer, reward, cands, t - 1)
+
+
+def _first_order_values(scorer, reward, X, eps, t, z, cands):
+    """The scorer that expands the network to first order about the candidates'
+    shared mean: n x (1 + d) rows a step.
+
+    The candidates of a trajectory are mu + sigma_t z_j, mu the reverse step's
+    mean (its step with z = 0); one pass at (mu, t - 1) gives eps0 and the
+    Jacobian J, and candidate j's noise prediction is eps0 + sigma_t z_j @ J,
+    formed in float64.
+    """
+    sched = scorer.sched
+    mu = reverse_step(X, t, eps, sched, 0.0)
+    eps0, J = noise_and_jacobian(scorer, mu, t - 1)
+    eps_hat = eps0[:, None].astype(np.float64) + sched.sigmas[t] * (z @ J.astype(np.float64))
+    return _candidate_values(scorer, reward, cands, t - 1, eps_hat)
 
 
 def _select(vals, alpha, u):
@@ -128,9 +167,10 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
         raise ValueError("candidate selection with M > 1 needs a reward model")
     if params_pre is not None:
         check_same_schedule(params, params_pre, "the pretrained policy")
-    # the step plan: each policy with its scorer, a float32 copy cast once per
-    # chain (M = 1 casts nothing), and no scorer for t = 1
-    pairs = [(p, float32_params(p) if M > 1 else None)
+    # the step plan: each policy with its scorer, bound once per chain to the
+    # policy's float32 copy (M = 1 casts nothing), and no scorer for t = 1
+    score = _first_order_values if d + 1 < M else _own_pass_values
+    pairs = [(p, functools.partial(score, float32_params(p), reward) if M > 1 else None)
              for p in (params, params_pre) if p is not None]
     plan = [(t, policy, scorer if t > 1 else None) for t in range(T, 0, -1)
             for policy, scorer in [pairs[len(pairs) > 1 and t <= switch_t]]]
@@ -155,7 +195,7 @@ def _reverse_chain(params, n_traj, seed, *, M=1, reward=None, alpha=1.0,
         if scorer is None:
             X = cands[:, 0]
         else:
-            vals = _candidate_values(scorer, reward, cands, t - 1)
+            vals = scorer(X, eps, t, Z[:, k % K], cands)
             X = cands[rows, _select(vals, alpha, U[:, k])]
     return X
 

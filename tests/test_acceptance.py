@@ -236,6 +236,48 @@ def test_criterion_06_soft_value_approximation():
     assert wall < 300
 
 
+def test_criterion_06_first_order_soft_value_port():
+    # criterion 06 for the first-order scorer (d + 1 < M): the same model,
+    # seeds and 1,000-rollout oracle. Each state is a candidate x_t, one reverse
+    # step from a forward-noised parent at t + 1; the pooled Spearman is over
+    # 50 parents x M candidates, scored from one pass at the step's mean
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((2000, 1))
+    norm, stats = normalize(Dataset(X=X))
+    sched = make_schedule(20, beta_end=0.2)
+    params, _ = train_ddpm(norm, sched, NetSection(hidden_dims=[64, 64]),
+                           PretrainSection(epochs=100, batch_size=128, seed=3))
+    params = replace(params, stats=stats)
+    reward = SyntheticTargetReward(np.array([1.5]))
+    alpha, M = 1.0, 4
+    rhos = {}
+    for t in (5, 10, 15):
+        rows = norm.X[rng.choice(2000, size=50, replace=False)]
+        parents = forward_marginal(rows, t + 1, rng.standard_normal(rows.shape), sched)
+        eps = predict_noise(params, parents, t + 1)
+        z = rng.standard_normal((50, M, 1))
+        cands = reverse_step(parents[:, None], t + 1, eps[:, None], sched, z)
+        v_hat = sampler._first_order_values(float32_params(params), reward, parents, eps,
+                                            t + 1, z, cands).ravel()
+        # the Monte Carlo oracle: 1000 plain ancestral completions of each state
+        X = np.repeat(cands.reshape(50 * M, 1), 1000, axis=0)
+        mc_rng = np.random.default_rng(1000 + t)
+        for s in range(t, 0, -1):
+            eps_hat = predict_noise(params, X, s)
+            X = reverse_step(X, s, eps_hat, sched, mc_rng.standard_normal(X.shape))
+        r = reward.batch(denormalize(X, stats)).reshape(50 * M, 1000) / alpha
+        m = r.max(axis=1)
+        v_mc = alpha * (m + np.log(np.mean(np.exp(r - m[:, None]), axis=1)))
+        rhos[t] = sstats.spearmanr(v_hat, v_mc).statistic
+    wall = time.perf_counter() - t0
+    print("criterion 06, first order: spearman " +
+          " ".join(f"t={t}:{rhos[t]:.3f}" for t in (5, 10, 15)) +
+          f" (> 0.9), {wall:.0f}s (< 300)")
+    assert all(rho > 0.9 for rho in rhos.values())
+    assert wall < 300
+
+
 def test_criterion_07_finetuning_improvement(pretrained, finetuned):
     mr = np.array([h["mean_reward"] for h in finetuned["history"]])
     slope = np.polyfit(np.arange(len(mr)), mr, 1)[0]

@@ -183,6 +183,15 @@ def test_parse_config_file_errors(tmp_path):
         cfgmod.parse_config(str(not_utf8))
     with pytest.raises(ConfigError, match=re.escape(f"{tmp_path}: cannot read the config")):
         cfgmod.parse_config(str(tmp_path))
+    # nesting deeper than the JSON decoder recurses is a config error too,
+    # also through the CLI (exit 1), never a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match=re.escape(f"{deep}: invalid JSON (nested too deeply)")):
+        cfgmod.parse_config(str(deep))
+    assert cli.main(["sample", "--config", str(deep), "--model", "none.rddm",
+                     "--outdir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------- cli

@@ -18,6 +18,7 @@ from rddkit.denoiser import (
     layer_views,
     load_model,
     loss_and_grad_arrays,
+    noise_and_jacobian,
     predict_noise,
     save_model,
     time_embedding,
@@ -149,6 +150,68 @@ def test_predict_noise_memory_is_bounded_by_the_block_budget():
         tracemalloc.stop()
     assert out.shape == (20_000, 2) and out.dtype == np.float32
     assert peak < denoiser._PREDICT_BLOCK_BYTES + out.nbytes + 256 * 1024
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("d", [2, 6])
+def test_noise_and_jacobian_match_central_differences(d, hidden):
+    # the oracle: central differences of a float64 predict_noise, one design
+    # coordinate at a time; row k of J[i] is the derivative along x_k
+    params = small_net(seed=d, d=d, hidden=hidden, embed=4, T=20)
+    X = np.random.default_rng(8).standard_normal((7, d))
+    ts = np.random.default_rng(9).integers(0, 21, size=7)
+    h = 1e-5
+    for t in (5, ts):
+        eps, J = noise_and_jacobian(params, X, t)
+        assert eps.shape == (7, d) and J.shape == (7, d, d) and J.dtype == np.float64
+        assert np.array_equal(eps, predict_noise(params, X, t))
+        oracle = np.stack([(predict_noise(params, X + h * e, t) - predict_noise(params, X - h * e, t))
+                           / (2 * h) for e in np.eye(d)], axis=1)
+        np.testing.assert_allclose(J, oracle, rtol=1e-6, atol=1e-9)
+        # a float32 pass gives the same Jacobian up to float32 rounding
+        eps32, J32 = noise_and_jacobian(replace(params, theta=params.theta.astype(np.float32)), X, t)
+        assert eps32.dtype == J32.dtype == np.float32
+        np.testing.assert_allclose(J32, J, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(eps32, eps, rtol=1e-4, atol=1e-6)
+
+
+def test_noise_and_jacobian_blocks_count_the_tangents(monkeypatch):
+    # a row holds its hidden activations and their d tangents: a budget of
+    # three float64 rows of (1 + d) x sum(hidden) values is six float32 rows;
+    # blocks change the last bits only, and equal their separate passes
+    d, hidden = 3, (16, 8)
+    params = small_net(seed=5, d=d, hidden=hidden, embed=4, T=20)
+    X = np.random.default_rng(3).standard_normal((10, d))
+    whole = {dt: noise_and_jacobian(replace(params, theta=params.theta.astype(dt)), X, 7)
+             for dt in (np.float64, np.float32)}
+    monkeypatch.setattr(denoiser, "_PREDICT_BLOCK_BYTES", 3 * 8 * (1 + d) * sum(hidden))
+    for dtype, rows in ((np.float64, 3), (np.float32, 6)):
+        p = replace(params, theta=params.theta.astype(dtype))
+        eps, J = noise_and_jacobian(p, X, 7)
+        parts = [noise_and_jacobian(p, X[s:s + rows], 7) for s in range(0, 10, rows)]
+        assert np.array_equal(eps, np.concatenate([e for e, _ in parts]))
+        assert np.array_equal(J, np.concatenate([j for _, j in parts]))
+        for got, want in zip((eps, J), whole[dtype]):
+            np.testing.assert_allclose(got, want, rtol=1e-12 if dtype == np.float64 else 1e-5,
+                                       atol=1e-15 if dtype == np.float64 else 1e-7)
+        empty = noise_and_jacobian(p, np.zeros((0, d)), 7)
+        assert empty[0].shape == (0, d) and empty[1].shape == (0, d, d)
+
+
+def test_noise_and_jacobian_memory_is_bounded_by_the_block_budget():
+    # 10,000 float32 rows of the default net hold 20,000 x 512 tangents
+    # (41 MB) in one pass; the blocks hold the budget's worth at a time
+    params = init_params(2, NetSection(), make_schedule(100), 0)
+    params32 = replace(params, theta=params.theta.astype(np.float32))
+    X = np.random.default_rng(6).standard_normal((10_000, 2))
+    tracemalloc.start()
+    try:
+        eps, J = noise_and_jacobian(params32, X, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (10_000, 2, 2) and J.dtype == np.float32
+    assert peak < denoiser._PREDICT_BLOCK_BYTES + eps.nbytes + J.nbytes + 256 * 1024
 
 
 def test_init_params_deterministic_per_seed():

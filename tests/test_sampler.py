@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,13 @@ from scipy import stats as sstats
 from rddkit import denoiser, sampler
 from rddkit.config import NetSection, PretrainSection, SvddSection
 from rddkit.data import Dataset, NormStats, denormalize, normalize
-from rddkit.denoiser import float32_params, init_params, predict_noise, save_model
+from rddkit.denoiser import (
+    float32_params,
+    init_params,
+    noise_and_jacobian,
+    predict_noise,
+    save_model,
+)
 from rddkit.diffusion import make_schedule, posterior_mean_x0, reverse_step
 from rddkit.exceptions import ConfigError
 from rddkit.pretrain import ancestral_sample, train_ddpm
@@ -31,17 +38,25 @@ def svdd_step(xt, t, params, cfg, rng, u, reward):
 
     rng draws the candidate noise; u is the step's selection uniform.
     Returns (selected x_{t-1}, 1-based chosen index, candidate values); at
-    t = 1 the step is deterministic and returns (x_0, 1, None).
+    t = 1 the step is deterministic and returns (x_0, 1, None). With more
+    than d + 1 candidates their noise predictions are the first-order
+    expansion about the step's mean, eps(mu) + sigma_t z_j @ J(mu).
     """
     X = np.asarray(xt, dtype=np.float64)[None, :]
-    sched = params.sched
+    sched, d = params.sched, X.shape[1]
     eps = predict_noise(params, X, t)
     if t == 1:
         return reverse_step(X, t, eps, sched, None)[0], 1, None
     M = cfg.M
-    Z = rng.standard_normal((M, X.shape[1]))
+    Z = rng.standard_normal((M, d))
     cands = np.stack([reverse_step(X, t, eps, sched, Z[m][None, :]) for m in range(M)], axis=1)
-    vals = _candidate_values(float32_params(params), reward, cands, t - 1)
+    eps_hat = None
+    if M > d + 1:
+        mean = reverse_step(X, t, eps, sched, np.zeros((1, d)))
+        eps0, J = noise_and_jacobian(float32_params(params), mean, t - 1)
+        eps_hat = (eps0[0].astype(np.float64)
+                   + sched.sigmas[t] * (Z @ J[0].astype(np.float64)))[None]
+    vals = _candidate_values(float32_params(params), reward, cands, t - 1, eps_hat)
     sel = int(_select(vals, cfg.alpha, np.array([u]))[0]) if M > 1 else 0
     return cands[0, sel], sel + 1, vals[0]
 
@@ -191,7 +206,7 @@ def test_svdd_step_zeta_in_range_and_alpha_zero_greedy(toy_model):
     assert zeta == 1 and vals is None and x_next.shape == (2,)
 
 
-@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("M", [1, 3, 4])
 @pytest.mark.parametrize("T", [1, 2, 15])
 def test_batched_chain_equals_per_trajectory_steps(toy_model, T, M, monkeypatch):
     # the lockstep engine consumes the same spawned streams as a
@@ -199,7 +214,8 @@ def test_batched_chain_equals_per_trajectory_steps(toy_model, T, M, monkeypatch)
     # selection uniforms of all T steps (that of t = 1 unread), then each
     # step's candidate noise; only the steps t >= 2 report a choice.
     # Identical selections, floats equal up to matmul accumulation order
-    # across batch shapes; M = 1 pins the plain ancestral stream order.
+    # across batch shapes; M = 1 pins the plain ancestral stream order, and
+    # M = 4 > d + 1 scores by the first-order expansion.
     # T = 1 is a chain whose first step is its last, T = 2 one whose only
     # guided step is its first; both run untrained models of the toy's stats
     params, sched, stats = toy_model
@@ -237,7 +253,7 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
         X = sampler._reverse_chain(params, n, 17, M=M, reward=REWARD, alpha=0.5)
         return X, spy.chosen(), spy.values()
 
-    for M in (1, 3):
+    for M in (1, 3, 4):
         step = 8 * 6 * M * 2
         one = chain(6, M, step)
         whole = chain(6, M, step * sched.T)
@@ -255,8 +271,9 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
         else:
             assert np.array_equal(z6[:3], z3)
             np.testing.assert_allclose(v6[:3], v3, rtol=1e-5)
-        # 2 float64 or 4 float32 rows per predict_noise block: every network
-        # pass is split, which moves floats by accumulation order only
+        # 2 float64 or 4 float32 rows per predict_noise block, and 1 float32
+        # row per noise_and_jacobian block: every network pass is split,
+        # which moves floats by accumulation order only
         with monkeypatch.context() as m:
             m.setattr(denoiser, "_PREDICT_BLOCK_BYTES", 2 * 8 * sum(SMALL.hidden_dims))
             Xb, zb, vb = chain(6, M, step)
@@ -264,6 +281,48 @@ def test_noise_block_size_and_batch_size_change_nothing(toy_model, monkeypatch):
         np.testing.assert_allclose(Xb, X6, rtol=1e-10, atol=1e-12)
         if M > 1:
             np.testing.assert_allclose(vb, v6, rtol=1e-5)
+
+
+@pytest.mark.parametrize("d, M, digest", [
+    (2, 1, "454c68520d5488fd2687d1d30f0fa02e52b99f238bd2e5f029c628a748b1346c"),
+    (2, 3, "090fc9409919ae1477595bfed95b67285ed48138396176cafdd453b0b91f2cd6"),
+    (6, 7, "e6d3df4ba0da80ead7b9bab766f34983d998a668a85dfe1f4e4bcc9d10561457"),
+])
+def test_chains_of_at_most_d_plus_1_candidates_keep_their_bytes(d, M, digest):
+    # pinned digests of the final states, from before the first-order scorer
+    # existed: M = 1 and M <= d + 1 still score every candidate on its own pass
+    stats = NormStats(mean=np.linspace(-1, 1, d), std=np.linspace(0.5, 2, d))
+    params = replace(init_params(d, NetSection(embed_dim=8, hidden_dims=[32, 16]),
+                                 make_schedule(6, 1e-3, 0.2), 3), stats=stats)
+    X = sampler._reverse_chain(params, 5, 8, M=M, alpha=0.5,
+                               reward=SyntheticTargetReward(np.full(d, 1.5)))
+    assert hashlib.sha256(np.ascontiguousarray(X, "<f8").tobytes()).hexdigest() == digest
+
+
+def test_the_scorer_follows_the_candidate_count(toy_model, monkeypatch):
+    # d + 1 < M scores by one value-and-Jacobian pass per step, n x (1 + d)
+    # network rows; M <= d + 1 by a pass over all n x M candidates
+    params, sched, stats = toy_model
+    rows = {"own": [], "first": []}
+
+    def predict_spy(p, X, t):
+        rows["own"].append(X.shape[0])
+        return predict_noise(p, X, t)
+
+    def jacobian_spy(p, X, t):
+        rows["first"].append(X.shape[0])
+        return noise_and_jacobian(p, X, t)
+
+    monkeypatch.setattr(sampler, "predict_noise", predict_spy)
+    monkeypatch.setattr(sampler, "noise_and_jacobian", jacobian_spy)
+    n, T = 5, sched.T
+    for M in (3, 4, 10):
+        rows["own"].clear(), rows["first"].clear()
+        sampler._reverse_chain(params, n, 3, M=M, reward=REWARD, alpha=0.5)
+        # each step's current-state pass, then the scoring of steps t >= 2
+        own = [[n] + ([n * M] if t > 1 and M <= 3 else []) for t in range(T, 0, -1)]
+        assert rows["own"] == sum(own, [])
+        assert rows["first"] == ([] if M <= 3 else [n] * (T - 1))
 
 
 def test_guidance_beats_unguided_on_average(toy_model):
