@@ -23,9 +23,11 @@ initialized: the time of a pass does not depend on their values.
   candidates, or one value-and-Jacobian pass at the step's mean plus the
   Z @ J product; the second is skipped where the library lacks it), the
   reward on n x M rows, and the candidate noise draws plus the selection;
-- hull: one Michell cell, and aggregate_total_resistance for one hull;
-- trees: predict_ensemble (200 trees, depth 4, 10,000 rows) and fit_ensemble
-  on 120 rows.
+- hull: one Michell cell, aggregate_total_resistance for one hull, and
+  aggregate_resistances on the 120 hulls of a `hull dataset` batch;
+- trees: predict_ensemble (200 trees, depth 4) on 10,000 rows and on the 320
+  candidates of one hull_design SVDD step (32 trajectories x M 10), and
+  fit_ensemble on 120 rows.
 """
 
 from dataclasses import replace
@@ -49,11 +51,17 @@ from rddkit.denoiser import (
     predict_noise,
 )
 from rddkit.diffusion import forward_marginal, make_schedule, posterior_mean_x0, reverse_step
-from rddkit.hull import aggregate_total_resistance, michell_wave_resistance, scale_params
+from rddkit.hull import (
+    aggregate_resistances,
+    aggregate_total_resistance,
+    michell_wave_resistance,
+    scale_params,
+)
 from rddkit.rewards import SyntheticTargetReward, evaluate
 from rddkit.trees import fit_ensemble, predict_ensemble
 
 N_TRAJ, M, T, BATCH = 1000, 10, 100, 128
+HULL_N_TRAJ, HULL_ROWS = 32, 120   # the hull_design SVDD trajectories and hull batch
 STEP_T = 50    # the guided step benchmarked: mid-chain
 HULL = (0.25, 0.25, 0.12, 0.08, 0.5, 0.75)
 LOA = 80.0
@@ -227,12 +235,16 @@ def test_hull_aggregate_resistance(benchmark):
     benchmark(aggregate_total_resistance, dims)
 
 
+def test_hull_aggregate_resistances(benchmark):
+    benchmark(aggregate_resistances, sample_hull_params(HULL_ROWS, 10), LOA)
+
+
 # -------------------------------------------------------------------- trees
 
 @pytest.fixture(scope="module")
 def hull_rows():
-    X = sample_hull_params(120, 7)
-    y = np.random.default_rng(8).standard_normal(120)
+    X = sample_hull_params(HULL_ROWS, 7)
+    y = np.random.default_rng(8).standard_normal(HULL_ROWS)
     return X, y
 
 
@@ -245,4 +257,11 @@ def test_trees_predict(benchmark, hull_rows):
     X, y = hull_rows
     ensemble, _ = fit_ensemble(X, y, n_trees=200, max_depth=4)
     rows = sample_hull_params(10_000, 9)
+    benchmark(predict_ensemble, ensemble, rows)
+
+
+def test_trees_predict_svdd_step(benchmark, hull_rows):
+    X, y = hull_rows
+    ensemble, _ = fit_ensemble(X, y, n_trees=200, max_depth=4)
+    rows = sample_hull_params(HULL_N_TRAJ * M, 9)
     benchmark(predict_ensemble, ensemble, rows)

@@ -27,8 +27,19 @@ evaluated in closed form; only the outer lambda integral is numerical, with
 the substitution lambda = cosh(u) removing the endpoint singularity.
 Totals are aggregated over 8 Froude numbers in [0.1, 0.45] and draft
 fractions {0.25, 0.33, 0.5, 0.67} of the waterline depth.
+
+The parts of the Michell integrand that do not depend on the design are
+computed once and kept, read-only, in two small caches. Per n_lambda (4 kept):
+lambda = cosh(u), lambda^2 and the Simpson weights of both node counts. Per
+speed grid, keyed on n_lambda, the speeds' bytes and shape, and LOA (8 kept,
+grids of at most 8 speeds): omega = lambda k0, lambda^2 k0 and the stern
+taper's phase cos, sin(omega LOA). The bow taper starts at x = 0, whose phase
+is exactly (1, 0), so it is not computed at all. Every hull of one LOA shares
+a speed grid, and a kept table holds the very values a fresh call would
+compute, so results do not depend on what is kept.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +56,7 @@ FROUDE_NUMBERS = np.linspace(0.1, 0.45, 8)
 DRAFT_FRACTIONS = (0.25, 0.33, 0.5, 0.67)
 N_PARAMS = 6      # the fractions that scale_params maps onto a hull
 N_LAMBDA = 256    # Simpson intervals of the Michell integral
+_CACHED_SPEEDS = len(FROUDE_NUMBERS)   # the most speeds a kept Michell table has
 # lengths overall, in metres, that the resistance model is evaluated at: a
 # shorter hull gives Reynolds numbers below the friction line's floor of 100,
 # and a much longer one overflows the wave terms
@@ -225,20 +237,54 @@ def _psi(y):
     return -np.expm1(-y) / y
 
 
-def _slope_transform(dims, omega):
+def _slope_transform(dims, omega, stern_phase=None):
     """Closed-form transforms Xc + i Xs = int gamma(x) e^{i omega x} dx of the
     deck slope gamma: zero on the plateau and k (1 - w) on a taper, k = 2
     (beam_joint - beam_end) / L, so each taper adds k |L| e^{i omega x_end} times
-    int_0^1 (1 - w) e^{i a w} dw = (1 - cos a + i (a - sin a)) / a^2, a = omega L."""
+    int_0^1 (1 - w) e^{i a w} dw = (1 - cos a + i (a - sin a)) / a^2, a = omega L.
+    The bow's phase, at x_end = 0, is exactly 1; stern_phase is the stern's,
+    (cos, sin) of omega LOA, computed here when not given."""
     Xc, Xs = np.zeros_like(omega), np.zeros_like(omega)
     for x_end, L, joint, end in _tapers(dims):
         a = omega * L
         scale = math.copysign(2.0 * (joint - end), L) / a ** 2     # k |L| / a^2
         re, im = scale * _one_minus_cos(a), scale * _y_minus_sin(a)
-        cos0, sin0 = np.cos(omega * x_end), np.sin(omega * x_end)
+        if x_end == 0.0:
+            Xc += re
+            Xs += im
+            continue
+        if stern_phase is None:
+            stern_phase = np.cos(omega * x_end), np.sin(omega * x_end)
+        cos0, sin0 = stern_phase
         Xc += cos0 * re - sin0 * im
         Xs += sin0 * re + cos0 * im
     return Xc, Xs
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=4)
+def _lambda_nodes(n_lambda):
+    """lambda = cosh(u) and lambda^2 on the n_lambda + 1 nodes of u in [0, U_MAX],
+    and the Simpson weights on those nodes and on every second one."""
+    lam = np.cosh(np.linspace(0.0, U_MAX, n_lambda + 1))
+    return _read_only(lam, lam ** 2, _simpson_weights(n_lambda, U_MAX / n_lambda),
+                      _simpson_weights(n_lambda // 2, 2 * U_MAX / n_lambda))
+
+
+@functools.lru_cache(maxsize=8)
+def _speed_grid(n_lambda, shape, speeds, x_stern):
+    """For the speeds U, the float64 bytes of an array of that shape: omega =
+    lambda k0 and lambda^2 k0, k0 = g / U^2, on the lambda nodes, and the
+    stern's phase, (cos, sin) of omega x_stern."""
+    lam, lam2 = _lambda_nodes(n_lambda)[:2]
+    k0 = (G / np.frombuffer(speeds).reshape(shape) ** 2)[..., None]
+    omega = lam * k0
+    return _read_only(omega, lam2 * k0, np.cos(omega * x_stern), np.sin(omega * x_stern))
 
 
 def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA):
@@ -262,19 +308,19 @@ def michell_wave_resistance(dims, U, draft_fraction, n_lambda=N_LAMBDA):
     if n_lambda % 4 != 0:
         raise ValueError("n_lambda must be a multiple of 4")
     t_draft = (df * dims.WL)[..., None]
-    k0 = (G / U ** 2)[..., None]
-    u = np.linspace(0.0, U_MAX, n_lambda + 1)
-    lam = np.cosh(u)
-    omega = lam * k0                   # depends on speed only
-    a = lam ** 2 * k0 * t_draft
+    lam2, w_fine, w_coarse = _lambda_nodes(n_lambda)[1:]
+    # the tables of more speeds than one hull's grid are not kept
+    grid = _speed_grid if U.size <= _CACHED_SPEEDS else _speed_grid.__wrapped__
+    omega, lam2_k0, *stern_phase = grid(n_lambda, U.shape, U.tobytes(), dims.LOA)
+    a = lam2_k0 * t_draft
     Z = t_draft * _psi(a) - (t_draft ** 3 / dims.D_d ** 2) * _phi(a)
-    Xc, Xs = _slope_transform(dims, omega)
-    integrand = (Xc ** 2 + Xs ** 2) * Z ** 2 * lam ** 2
+    Xc, Xs = _slope_transform(dims, omega, stern_phase)
+    integrand = (Xc ** 2 + Xs ** 2) * Z ** 2 * lam2
 
-    val_fine = integrand @ _simpson_weights(n_lambda, U_MAX / n_lambda)
+    val_fine = integrand @ w_fine
     R_w = 4.0 * RHO * G ** 2 / (math.pi * U ** 2) * val_fine
     R_w = float(R_w) if R_w.ndim == 0 else R_w
-    val_coarse = integrand[..., ::2] @ _simpson_weights(n_lambda // 2, 2 * U_MAX / n_lambda)
+    val_coarse = integrand[..., ::2] @ w_coarse
     with np.errstate(divide="ignore", invalid="ignore"):
         change = np.where(val_fine > 0, np.abs(val_fine - val_coarse) / val_fine, 0.0)
     return R_w, (float(change) if change.ndim == 0 else change)

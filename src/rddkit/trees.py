@@ -26,16 +26,36 @@ searchsorted(cuts, x, side="left"), so x <= cuts[r] exactly when bin <= r,
 and NaN sorts past every cut and goes right as x <= threshold does. ANDing
 one table row per feature leaves a tree's exit leaf as its lowest set bit:
 every leaf left of it was cleared by a split the row left to the right, and
-no split on its path cleared it. The leaves are the ones a descent reaches
-and their values are summed in the same tree order, so predictions are
-bit-identical to a node-by-node walk. A NaN threshold has no rank, so
-loading one is a DataError.
+no split on its path cleared it. A NaN threshold has no rank, so loading
+one is a DataError.
 
-Rows are predicted in blocks sized so that each per-block array holds at
-most 64 KiB (40 rows at 200 one-word trees). The temporaries of a call
-then come from reused heap memory: arrays of megabytes, which blocks of
+The masks are words of the narrowest unsigned type that holds the leaves of
+the largest tree: uint8, 16 or 32 up to 8, 16 or 32 leaves, else uint64.
+Each tree takes the fewest words that hold its own leaves, so one deep tree
+does not widen the others; the tables and leaf values grow with the leaves
+of each tree, not with the largest tree times the tree count. A split's
+left subtree spans a run of its tree's words: the two end words take a
+mask and the words between are cleared as one run, so building the tables
+costs time and memory in proportion to the splits and words. The leaf
+values are multiplied by the shrinkage once, when the tables are built: the
+same product a walk makes per row.
+
+A block's exit leaves are taken tree-major, (n_trees + 1, rows) with the
+base prediction first, and summed down the tree axis. Along an axis other
+than the fastest one NumPy adds one row after another, so that sum runs in
+tree order and predictions are bit-identical to a node-by-node walk. A lone
+row's tree axis is the fastest one, which np.add.reduce would sum pairwise;
+a one-row block goes through np.add.accumulate, which runs in order along
+any axis.
+
+Rows are predicted in blocks of as many rows as keep the largest per-block
+array within 127 KiB: the float64 terms, 80 rows at 200 trees, or the words
+of every tree where trees of over 64 leaves make them more. Every
+temporary of a call then stays under glibc's 128 KiB mmap threshold and
+comes from reused heap memory; arrays of megabytes, which blocks of
 thousands of rows would make, are mapped and unmapped by the allocator on
-every call, and their pages faulted in afresh.
+every call, and their pages faulted in afresh. On 320 rows, 80-row blocks
+were faster than 40-row ones.
 """
 
 import struct
@@ -60,10 +80,12 @@ class Tree:
     value: np.ndarray      # float64, meaningful at leaves
 
 
-# bytes of each (rows, words * n_trees + 1) array of a predict block. Kept
-# well below glibc's 128 KiB mmap threshold, so a block's temporaries are
+# bytes of the largest array of a predict block (see _predict_row_bytes).
+# Kept below glibc's 128 KiB mmap threshold, so a block's temporaries are
 # reused heap memory, not pages mapped and faulted in afresh on every call
-_PREDICT_BLOCK_BYTES = 64 * 1024
+_PREDICT_BLOCK_BYTES = 127 * 1024
+
+_WORD_BITS = (8, 16, 32, 64)   # the unsigned word widths a leaf mask may take
 
 # _LOW_BITS[b] has bits 0 .. b-1 set, for b = 0 .. 64
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
@@ -73,24 +95,31 @@ _LOW_BITS = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 class _BinTables:
     """The ensemble as per-feature threshold bins and per-tree leaf bitmasks.
 
-    Leaf j of a tree (leaves numbered left to right) is bit j % 64 of word
-    j // 64. ``cuts[i]`` holds the sorted distinct thresholds of the nodes
-    that split on feature ``features[i]``, and ``tables[i][b, k]`` is the AND
-    of the masks that clear the left-subtree leaves of every such node of
-    tree k whose threshold ranks below b. Leaf j of tree k predicts
-    ``value[offset[k] + 1 + j]``. A table row holds word w of tree k at
-    column w * n_trees + k.
+    Masks are words of ``dtype``, the narrowest of uint8, 16, 32 and 64 that
+    holds the leaves of the tree with the most, and uint64 past 64 leaves.
+    Tree k has its own count of words, the fewest that hold its leaves; leaf
+    j is bit j % bits of its word j // bits. A table row holds word 0 of
+    tree k at column k, and ``extra[w - 1] = (trees, lo)`` places word w of
+    the listed trees, those with more than w words in ascending order, at
+    columns lo, lo + 1, ... ``cuts[i]`` holds the sorted distinct
+    thresholds of the nodes that split on feature ``features[i]``, and
+    ``tables[i][b]`` holds per column the AND of the masks that clear the
+    left-subtree leaves of every such node whose threshold ranks below b.
+    Leaf j of tree k predicts ``value[offset[k] + 1 + j]``, which is the
+    shrinkage times the leaf's value.
     """
 
     features: list      # the features at least one node splits on
     cuts: list          # float64 arrays, one per entry of features
-    tables: list        # uint64 (len(cuts[i]) + 1, words * n_trees) arrays
-    value: np.ndarray   # float64 (n_trees * 64 * words,)
-    offset: np.ndarray  # intp (n_trees,), k * 64 * words - 1
-    words: int          # 64-bit words per tree, for the tree with most leaves
+    tables: list        # (len(cuts[i]) + 1, columns) arrays of dtype words
+    value: np.ndarray   # float64, bits slots per word of each tree
+    offset: np.ndarray  # intp (n_trees,), the slot before tree k's first
+    extra: list         # (trees, lo) for each word index w >= 1
+    dtype: np.dtype     # the word
+    columns: int        # words over all trees
 
 
-def _bin_tables(trees, d, max_depth):
+def _bin_tables(trees, d, max_depth, shrinkage):
     """Build the bin tables of the trees; DataError, before any is allocated, on a
     malformed tree, one deeper than max_depth or a feature of over _N_THRESHOLDS cuts."""
     n_trees = len(trees)
@@ -157,25 +186,56 @@ def _bin_tables(trees, d, max_depth):
     if wide:
         raise DataError(f"feature {wide[0]}: more than {_N_THRESHOLDS} distinct split thresholds")
 
-    leaves = (int(sizes.max(initial=1)) + 1) // 2   # a binary tree of n nodes has (n + 1) / 2
-    words = max(1, -(-leaves // 64))
-    leaf_values = np.zeros((n_trees, 64 * words))
-    leaf_values[tree_of[~internal], leaf_no[~internal]] = value[~internal]
-    # the mask of a split keeps every bit but its left subtree's [lo, mid)
-    base = 64 * np.arange(words)
-    masks = ~(_LOW_BITS[np.clip(s_mid[:, None] - base, 0, 64)]
-              ^ _LOW_BITS[np.clip(s_lo[:, None] - base, 0, 64)])
+    leaves = (sizes + 1) // 2    # a binary tree of n nodes has (n + 1) / 2
+    bits = next((b for b in _WORD_BITS if b >= leaves.max(initial=1)), 64)
+    dtype = np.dtype(f"uint{bits}")
+    words = -(-leaves // bits)
+    slots = bits * words
+    offset = np.cumsum(slots) - slots - 1
+    leaf_values = np.zeros(int(slots.sum()))
+    leaf_values[offset[tree_of[~internal]] + 1 + leaf_no[~internal]] = shrinkage * value[~internal]
+    extra, columns = [], n_trees
+    for w in range(1, int(words.max(initial=1))):
+        more = np.flatnonzero(words > w)
+        extra.append((more, columns))
+        columns += more.shape[0]
+    # tree k's words in order are positions start[k] .. start[k] + words[k] - 1;
+    # the columns hold them word-major, tree-minor, so column[p], the column
+    # of position p, is its rank by (word, tree)
+    start = np.cumsum(words) - words
+    owner = np.repeat(np.arange(n_trees), words)
+    column = np.lexsort((owner, np.arange(columns) - start[owner])).argsort()
+    # the mask of a split keeps every bit but its left subtree's leaves
+    # [lo, mid): the words at the two ends of that run take a mask, and the
+    # words between them are cleared whole
+    first, last = s_lo // bits, (s_mid - 1) // bits
+    two = np.flatnonzero(last > first)
+    split = np.concatenate([np.arange(s_node.shape[0]), two])    # one entry per end word
+    word = np.concatenate([first, last[two]])
+    at = column[start[s_tree[split]] + word]
+    masks = ~(_LOW_BITS[np.clip(s_mid[split] - bits * word, 0, bits)]
+              ^ _LOW_BITS[np.clip(s_lo[split] - bits * word, 0, bits)]).astype(dtype)
+    inner = np.flatnonzero(last - first > 1)
     tables = []
     for f, cut in zip(features, cuts):
-        on = s_feature == f
-        table = np.full((cut.shape[0] + 1, words, n_trees), ~np.uint64(0))
+        table = np.full((cut.shape[0] + 1, columns), ~dtype.type(0))
         # a split of rank r goes right for every bin above r
-        rank = np.searchsorted(cut, s_threshold[on])
-        np.bitwise_and.at(table, (rank + 1, slice(None), s_tree[on]), masks[on])
+        on = s_feature[split] == f
+        np.bitwise_and.at(table, (np.searchsorted(cut, s_threshold[split[on]]) + 1, at[on]),
+                          masks[on])
+        runs = inner[s_feature[inner] == f]
+        if runs.size:
+            # +1 where a run of whole words starts and -1 where it ends, by
+            # position: a word is cleared where the running sum is positive
+            edges = np.zeros((cut.shape[0] + 1, columns), dtype=np.intp)
+            row, base = np.searchsorted(cut, s_threshold[runs]) + 1, start[s_tree[runs]]
+            np.add.at(edges, (row, base + first[runs] + 1), 1)
+            np.add.at(edges, (row, base + last[runs]), -1)
+            r, p = np.nonzero(np.cumsum(edges, axis=1))
+            table[r, column[p]] = 0
         np.bitwise_and.accumulate(table, axis=0, out=table)
-        tables.append(table.reshape(cut.shape[0] + 1, words * n_trees))
-    offset = np.arange(n_trees, dtype=np.intp) * 64 * words - 1
-    return _BinTables(features, cuts, tables, leaf_values.ravel(), offset, words)
+        tables.append(table)
+    return _BinTables(features, cuts, tables, leaf_values, offset, extra, dtype, columns)
 
 
 @dataclass
@@ -188,7 +248,7 @@ class TreeEnsemble:
     bin_tables: _BinTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.bin_tables = _bin_tables(self.trees, self.d, self.max_depth)
+        self.bin_tables = _bin_tables(self.trees, self.d, self.max_depth, self.shrinkage)
 
     @property
     def n_trees(self):
@@ -226,97 +286,110 @@ def fit_ensemble(X, y, n_trees=200, max_depth=4, shrinkage=0.1):
     F = np.full(X.shape[0], base)
     fitted = np.empty(X.shape[0])   # leaf value of each training row
     trees, mse_history = [], []
-    for _ in range(n_trees):
-        resid = y - F
-        feature, threshold, value = [], [], []
-        # (rows, depth); right is pushed before left, so nodes come in preorder
-        stack = [(np.arange(X.shape[0]), 0)]
-        while stack:
-            idx, depth = stack.pop()
-            n = idx.shape[0]
-            r = resid[idx]
-            total = r.sum()
-            f = -1
-            if depth < max_depth and n >= 2:
-                b = bins[idx]
-                counts = np.bincount(b.ravel(), minlength=d * n_bins).reshape(d, n_bins)
-                sums = np.bincount(b.ravel(), weights=np.repeat(r, d),
-                                   minlength=d * n_bins).reshape(d, n_bins)
-                nl = np.cumsum(counts, axis=1)[:, :n_thr]
-                sl = np.cumsum(sums, axis=1)[:, :n_thr]
-                nr = n - nl
-                with np.errstate(divide="ignore", invalid="ignore"):
+    # a threshold with no rows on one side divides by zero; its gain is set
+    # to -inf after the division
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_trees):
+            resid = y - F
+            feature, threshold, value = [], [], []
+            # (rows, depth); right is pushed before left, so nodes come in preorder
+            stack = [(np.arange(X.shape[0]), 0)]
+            while stack:
+                idx, depth = stack.pop()
+                n = idx.shape[0]
+                r = resid[idx]
+                total = r.sum()
+                f = -1
+                if depth < max_depth and n >= 2:
+                    b = bins[idx]
+                    # row counts and residual sums per bin, then left of each threshold
+                    per_bin = np.concatenate((
+                        np.bincount(b.ravel(), minlength=d * n_bins),
+                        np.bincount(b.ravel(), weights=r.repeat(d), minlength=d * n_bins)))
+                    nl, sl = per_bin.reshape(2, d, n_bins).cumsum(axis=2)[:, :, :n_thr]
+                    nr = n - nl
                     gain = sl * sl / nl + (total - sl) ** 2 / nr - total * total / n
-                gain[(nl == 0) | (nr == 0)] = -np.inf
-                # row-major argmax over the ties: the lowest feature, then the
-                # lowest threshold
-                tie = gain >= gain.max() - _GAIN_TIE * (r @ r)
-                f, k = divmod(int(np.argmax(tie)), n_thr)
-                if not gain[f, k] > 0.0:
-                    f = -1
-            feature.append(f)
-            if f < 0:
-                threshold.append(0.0)
-                value.append(total / n)
-                fitted[idx] = total / n
-                continue
-            threshold.append(float(thresholds[f, k]))
-            value.append(0.0)
-            go_left = b[:, f] <= f * n_bins + k
-            stack.append((idx[~go_left], depth + 1))
-            stack.append((idx[go_left], depth + 1))
-        trees.append(Tree(np.array(feature, dtype=np.int32), np.array(threshold), np.array(value)))
-        # bins[:, f] <= f * n_bins + k exactly when x <= thresholds[f, k], so
-        # each training row's leaf is the one the tree routes it to
-        F = F + shrinkage * fitted
-        mse_history.append(float(np.mean((y - F) ** 2)))
-        if not np.isfinite(mse_history[-1]):
-            raise NumericalError(f"boosting diverged at tree {len(trees)}: train MSE "
-                                 f"{mse_history[-1]} (shrinkage {shrinkage})")
+                    gain[(nl == 0) | (nr == 0)] = -np.inf
+                    # row-major argmax over the ties: the lowest feature, then the
+                    # lowest threshold
+                    tie = gain >= gain.max() - _GAIN_TIE * (r @ r)
+                    f, k = divmod(int(tie.argmax()), n_thr)
+                    if not gain[f, k] > 0.0:
+                        f = -1
+                feature.append(f)
+                if f < 0:
+                    threshold.append(0.0)
+                    value.append(total / n)
+                    fitted[idx] = total / n
+                    continue
+                threshold.append(float(thresholds[f, k]))
+                value.append(0.0)
+                go_left = b[:, f] <= f * n_bins + k
+                stack.append((idx[~go_left], depth + 1))
+                stack.append((idx[go_left], depth + 1))
+            trees.append(Tree(np.array(feature, dtype=np.int32), np.array(threshold),
+                              np.array(value)))
+            # bins[:, f] <= f * n_bins + k exactly when x <= thresholds[f, k], so
+            # each training row's leaf is the one the tree routes it to
+            F = F + shrinkage * fitted
+            mse_history.append(float(np.mean((y - F) ** 2)))
+            if not np.isfinite(mse_history[-1]):
+                raise NumericalError(f"boosting diverged at tree {len(trees)}: train MSE "
+                                     f"{mse_history[-1]} (shrinkage {shrinkage})")
     ensemble = TreeEnsemble(base, trees, shrinkage, max_depth, X.shape[1])
     return ensemble, mse_history
 
 
-def _exit_leaves(t, X):
-    """Position in t.value of the leaf each row of X reaches in each tree."""
+def _predict_block(ensemble, X):
+    """base + the leaf each row of X reaches in each tree, summed in tree order."""
+    t = ensemble.bin_tables
     n_trees = t.offset.shape[0]
-    words = np.full((X.shape[0], t.words * n_trees), ~np.uint64(0))
+    words = np.full((X.shape[0], t.columns), ~t.dtype.type(0))
     rows = np.empty_like(words)
     for f, cut, table in zip(t.features, t.cuts, t.tables):
         # x <= cut[r] exactly when bin <= r, and NaN sorts past every cut,
         # so each row gets the masks of the splits it leaves to the right.
         # A bin is at most len(cut), so mode="clip" never clips; it spares
         # take the bounds-checked copy that mode="raise" makes of out=
-        table.take(np.searchsorted(cut, X[:, f], side="left"), axis=0, out=rows, mode="clip")
+        table.take(cut.searchsorted(X[:, f], side="left"), axis=0, out=rows, mode="clip")
         words &= rows
-    # the exit leaf is the lowest set bit, in the first non-zero word
-    word, base = words[:, :n_trees], t.offset
-    for w in range(1, t.words):
-        empty = word == 0
-        word = np.where(empty, words[:, w * n_trees:(w + 1) * n_trees], word)
-        base = np.where(empty, t.offset + 64 * w, base)
-    # popcount(w ^ (w - 1)) is one more than the index of w's lowest set
-    # bit; the spent rows buffer holds w - 1
-    low = np.subtract(word, np.uint64(1), out=rows[:, :n_trees])
-    return base + np.bitwise_count(np.bitwise_xor(low, word, out=low))
+    # the exit leaf is the lowest set bit, in the tree's first non-zero word
+    word, base = words[:, :n_trees], t.offset[None]
+    if t.extra:
+        base = np.repeat(base, X.shape[0], axis=0)
+    for w, (more, lo) in enumerate(t.extra, 1):
+        empty = word[:, more] == 0
+        word[:, more] = np.where(empty, words[:, lo:lo + more.shape[0]], word[:, more])
+        base[:, more] = np.where(empty, t.offset[more] + 8 * t.dtype.itemsize * w, base[:, more])
+    # tree-major from here: (n_trees, rows). NumPy's bitwise_count runs
+    # several times slower on uint16 than on uint8 or uint32, so 16-bit words
+    # are widened. popcount(w ^ (w - 1)) is one more than the index of w's
+    # lowest set bit
+    word = word.T.astype(np.uint32 if t.dtype == np.uint16 else t.dtype, order="C")
+    pos = np.bitwise_count(np.bitwise_xor(word, word - 1, out=word)).astype(np.intp)
+    pos += base.T
+    terms = np.empty((n_trees + 1, X.shape[0]))
+    terms[0] = ensemble.base_prediction
+    t.value.take(pos, out=terms[1:], mode="clip")
+    # add the trees in order down axis 0, as a per-tree loop does. NumPy adds
+    # along an axis other than the fastest one row after row, so with two or
+    # more columns reduce is that loop; along the fastest axis, which a lone
+    # column's axis 0 is, it adds pairwise, so one row goes through accumulate
+    if X.shape[0] > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _predict_block(ensemble, X):
-    t = ensemble.bin_tables
-    pos = _exit_leaves(t, X)
-    # out += shrinkage * leaf_k for k = 0, 1, ...: accumulate runs left to
-    # right, the order of a per-tree loop
-    terms = np.empty((pos.shape[0], pos.shape[1] + 1))
-    terms[:, 0] = ensemble.base_prediction
-    leaf = t.value.take(pos, out=terms[:, 1:], mode="clip")
-    np.multiply(ensemble.shrinkage, leaf, out=leaf)
-    return np.add.accumulate(terms, axis=1)[:, -1]
+def _predict_row_bytes(t):
+    """Bytes per row of the largest per-block array of the bin tables t: the
+    float64 terms, n_trees + 1 per row, or the words of every column."""
+    return max(8 * (t.offset.shape[0] + 1), t.dtype.itemsize * t.columns)
 
 
 def _predict_block_rows(t):
-    """Rows per predict block of the bin tables t: one (rows, words * n_trees + 1)
-    array of 8-byte words fits _PREDICT_BLOCK_BYTES (at least one row)."""
-    return max(1, _PREDICT_BLOCK_BYTES // (8 * (t.words * t.offset.shape[0] + 1)))
+    """Rows per predict block: the largest per-block array fits _PREDICT_BLOCK_BYTES
+    (at least one row)."""
+    return max(1, _PREDICT_BLOCK_BYTES // _predict_row_bytes(t))
 
 
 def predict_ensemble(ensemble, X):

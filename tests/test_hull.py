@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rddkit import cli
+from rddkit import cli, hull
 from rddkit.benchmark import sample_hull_params
 from rddkit.exceptions import InfeasibleHullError
 from rddkit.hull import (
@@ -471,3 +471,49 @@ def test_grid_calls_match_elementwise_calls():
         michell_wave_resistance(dims, np.array([5.0, 0.0]), 0.5)
     with pytest.raises(ValueError):
         wetted_surface_area(dims, np.array([0.5, 1.5]))
+
+
+def test_michell_tables_kept_per_speed_grid_give_the_cold_results():
+    # the design-independent tables are kept per n_lambda and per speed grid;
+    # alternating LOAs, n_lambda and hulls must give, bit for bit, what each
+    # call gives with nothing kept, and the kept tables stay within their bounds
+    def results(dims, n_lambda):
+        res = aggregate_total_resistance(dims, n_lambda=n_lambda)
+        cell = michell_wave_resistance(dims, speed_at(0.3, dims), 0.5, n_lambda=n_lambda)
+        return res.R_w, res.R_w_halving_change, res.aggregate, cell
+
+    def cold(dims, n_lambda):
+        hull._lambda_nodes.cache_clear()
+        hull._speed_grid.cache_clear()
+        return results(dims, n_lambda)
+
+    hulls = [canonical_dims(80.0), canonical_dims(12.5), SHAPES["no_bow_taper"],
+             SHAPES["no_stern_taper"], SHAPES["prism"], canonical_dims(300.0)]
+    cases = [(k, n) for k in range(len(hulls)) for n in (64, 256)]
+    expected = {case: cold(hulls[case[0]], case[1]) for case in cases}
+    hull._lambda_nodes.cache_clear()
+    hull._speed_grid.cache_clear()
+    for k, n in cases + cases[::-1] + cases[::3]:
+        got = results(hulls[k], n)
+        for a, b in zip(got, expected[k, n]):
+            assert np.array_equal(a, b)
+    for cache in (hull._lambda_nodes, hull._speed_grid):
+        info = cache.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
+    # a dozen more LOAs keep no more grids than the bound
+    for loa in np.linspace(20.0, 200.0, 12):
+        aggregate_total_resistance(canonical_dims(loa), n_lambda=64)
+    assert hull._speed_grid.cache_info().currsize == hull._speed_grid.cache_info().maxsize
+    # a grid of more speeds than one hull's is computed, not kept
+    before = hull._speed_grid.cache_info()
+    dims = canonical_dims()
+    many = speed_at(np.linspace(0.1, 0.45, 30), dims)
+    grid = michell_wave_resistance(dims, many, 0.5, n_lambda=64)[0]
+    after = hull._speed_grid.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    hull._speed_grid.cache_clear()
+    assert np.array_equal(grid, michell_wave_resistance(dims, many, 0.5, n_lambda=64)[0])
+    # what is kept cannot be written over
+    lam = hull._lambda_nodes(64)[0]
+    with pytest.raises(ValueError):
+        lam[0] = 2.0

@@ -248,11 +248,16 @@ def test_prediction_matches_oracle_past_one_block(tmp_path):
 
 
 def test_prediction_temporaries_stay_small():
-    # per-block arrays of at most 64 KiB keep a call's temporaries on the
-    # heap; 4096-row blocks of this ensemble peak at about 20 MB
+    # per-block arrays below glibc's 128 KiB mmap threshold keep a call's
+    # temporaries on the heap; 4096-row blocks of this ensemble peak at about 20 MB
     X, y = make_regression(300, 6, seed=13)
     ens, _ = fit_ensemble(X, y, n_trees=200, max_depth=4)
-    assert trees._predict_block_rows(ens.bin_tables) == 40
+    t = ens.bin_tables
+    block = trees._predict_block_rows(t)
+    # the largest per-block array, n_trees + 1 float64 terms a row, fills the budget
+    assert trees._predict_row_bytes(t) == 8 * 201
+    assert block * 8 * 201 <= trees._PREDICT_BLOCK_BYTES < (block + 1) * 8 * 201
+    assert trees._PREDICT_BLOCK_BYTES < 128 * 1024
     Xt = np.random.default_rng(3).uniform(-1, 1, size=(4000, 6))
     tracemalloc.start()
     try:
@@ -478,6 +483,109 @@ def test_prediction_matches_oracle_past_64_leaves():
     assert max(int(np.sum(t.feature < 0)) for t in ens.trees) > 64
     Xt = np.vstack([X, rng.uniform(-1.2, 1.2, size=(400, 3)), threshold_rows(ens, X)])
     assert np.array_equal(predict_ensemble(ens, Xt), manual_predict(ens, Xt))
+
+
+def n_leaves(tree):
+    return int(np.sum(tree.feature < 0))
+
+
+@pytest.mark.parametrize("max_depth, dtype, leaves", [
+    (3, np.uint8, (2, 8)), (4, np.uint16, (9, 16)), (5, np.uint32, (17, 32)),
+    (6, np.uint64, (33, 64)), (8, np.uint64, (65, 256))])
+def test_prediction_matches_oracle_at_each_word_width(max_depth, dtype, leaves):
+    # the leaf masks take the narrowest word that holds the largest tree
+    rng = np.random.default_rng(25)
+    X = rng.uniform(-1, 1, size=(600, 3))
+    y = np.sin(6 * X[:, 0]) * np.cos(4 * X[:, 1]) + X[:, 2] + 0.3 * rng.standard_normal(600)
+    ens, _ = fit_ensemble(X, y, n_trees=5, max_depth=max_depth, shrinkage=0.5)
+    assert ens.bin_tables.dtype == dtype
+    assert leaves[0] <= max(n_leaves(t) for t in ens.trees) <= leaves[1]
+    Xt = np.vstack([rng.uniform(-1.2, 1.2, size=(200, 3)), threshold_rows(ens, X),
+                    [[np.nan, 0.1, -np.inf], [np.inf, np.nan, 0.2]]])
+    batch = predict_ensemble(ens, Xt)
+    assert np.array_equal(batch, manual_predict(ens, Xt))
+    # one row and two rows at a time give the batch's bits
+    for i in range(0, Xt.shape[0], 97):
+        assert predict_ensemble(ens, Xt[i:i + 1]) == batch[i]
+        assert np.array_equal(predict_ensemble(ens, Xt[i:i + 2]), batch[i:i + 2])
+
+
+def test_prediction_matches_oracle_with_word_counts_per_tree():
+    # trees of one, two and more 64-bit words, interleaved: each tree has
+    # the words of its own leaves, not those of the largest tree
+    rng = np.random.default_rng(26)
+    X = rng.uniform(-1, 1, size=(600, 3))
+    y = np.sin(6 * X[:, 0]) * np.cos(4 * X[:, 1]) + X[:, 2] + 0.3 * rng.standard_normal(600)
+    deep, _ = fit_ensemble(X, y, n_trees=3, max_depth=9, shrinkage=0.5)
+    shallow, _ = fit_ensemble(X, y, n_trees=3, max_depth=2, shrinkage=0.5)
+    mixed = [deep.trees[0], shallow.trees[0], deep.trees[1], shallow.trees[1],
+             shallow.trees[2], deep.trees[2]]
+    ens = trees.TreeEnsemble(0.25, mixed, 0.5, 9, 3)
+    words = [-(-n_leaves(t) // 64) for t in mixed]
+    assert max(words) > 2 and min(words) == 1
+    assert ens.bin_tables.columns == sum(words)
+    Xt = np.vstack([rng.uniform(-1.2, 1.2, size=(200, 3)), threshold_rows(ens, X)])
+    batch = predict_ensemble(ens, Xt)
+    assert np.array_equal(batch, manual_predict(ens, Xt))
+    assert predict_ensemble(ens, Xt[5:6]) == batch[5]
+
+
+def comb_ensemble(left):
+    """A 2,001-node comb cycling through 32 thresholds of feature 0, then 100
+    one-leaf trees; max_depth 1,000. Split i is at depth i. In a right comb
+    its left child is leaf i and its right child split i + 1; in a left comb
+    its left child is split i + 1 and its right child leaf 1000 - i, and the
+    last split's left child is leaf 0. Leaf j has value j."""
+    cuts = np.linspace(-1.0, 1.0, 32)[np.arange(1000) % 32]
+    if left:
+        feature = np.r_[np.zeros(1000), -np.ones(1001)]
+        threshold = np.r_[cuts, np.zeros(1001)]
+        value = np.r_[np.zeros(1000), np.arange(1001.0)]
+    else:
+        feature = np.r_[np.tile([0, -1], 1000), -1]
+        threshold = np.r_[np.column_stack([cuts, np.zeros(1000)]).ravel(), 0.0]
+        value = np.r_[np.column_stack([np.zeros(1000), np.arange(1000.0)]).ravel(), 1000.0]
+    comb = trees.Tree(feature.astype(np.int32), threshold, value)
+    ones = [trees.Tree(np.array([-1], dtype=np.int32), np.zeros(1), np.array([float(k)]))
+            for k in range(100)]
+    return trees.TreeEnsemble(0.5, [comb] + ones, 0.1, 1000, 2)
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right_comb", "left_comb"])
+def test_one_large_tree_does_not_size_the_others(tmp_path, left):
+    # the comb's 1,001 leaves take 16 words; each one-leaf tree takes one.
+    # With every tree sized by the comb, the 42,464-byte file loaded at a
+    # tracemalloc peak of about 2 MB
+    path = tmp_path / "comb.rddt"
+    save_ensemble(path, comb_ensemble(left))
+    assert path.stat().st_size == 42_464
+    tracemalloc.start()
+    try:
+        ens = load_ensemble(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    t = ens.bin_tables
+    assert t.dtype == np.uint64
+    assert t.columns == 16 + 100
+    assert t.value.shape == (64 * (16 + 100),)
+    # the walk, written out for the comb (too deep for the recursive oracle):
+    # a right comb exits at the first split i with x0 <= its threshold, a
+    # left comb at the first with x0 > it
+    X = np.random.default_rng(27).uniform(-1.1, 1.1, size=(100, 2))
+    X = np.vstack([X, threshold_rows(ens, X)[::7]])
+    comb = ens.trees[0]
+    cuts = comb.threshold[comb.feature >= 0]
+    if left:
+        leaf = [next((1000.0 - i for i, c in enumerate(cuts) if x0 > c), 0.0) for x0 in X[:, 0]]
+    else:
+        leaf = [next((float(i) for i, c in enumerate(cuts) if x0 <= c), 1000.0) for x0 in X[:, 0]]
+    expected = np.full(X.shape[0], 0.5)
+    expected += 0.1 * np.array(leaf)
+    for k in range(100):
+        expected += 0.1 * float(k)
+    assert np.array_equal(predict_ensemble(ens, X), expected)
 
 
 def test_prediction_matches_oracle_with_an_unsplit_feature():
