@@ -480,7 +480,9 @@ def test_michell_tables_kept_per_speed_grid_give_the_cold_results():
     def results(dims, n_lambda):
         res = aggregate_total_resistance(dims, n_lambda=n_lambda)
         cell = michell_wave_resistance(dims, speed_at(0.3, dims), 0.5, n_lambda=n_lambda)
-        return res.R_w, res.R_w_halving_change, res.aggregate, cell
+        # one speed for every LOA: the kept grid must still follow the LOA
+        fixed = michell_wave_resistance(dims, 5.0, 0.5, n_lambda=n_lambda)
+        return res.R_w, res.R_w_halving_change, res.aggregate, cell, fixed
 
     def cold(dims, n_lambda):
         hull._lambda_nodes.cache_clear()
@@ -513,7 +515,30 @@ def test_michell_tables_kept_per_speed_grid_give_the_cold_results():
     assert (after.hits, after.misses) == (before.hits, before.misses)
     hull._speed_grid.cache_clear()
     assert np.array_equal(grid, michell_wave_resistance(dims, many, 0.5, n_lambda=64)[0])
-    # what is kept cannot be written over
-    lam = hull._lambda_nodes(64)[0]
-    with pytest.raises(ValueError):
-        lam[0] = 2.0
+    # a kept table holds what a fresh computation gives, and cannot be written over
+    dims = canonical_dims(12.5)
+    lam, lam2, w_fine, w_coarse = hull._lambda_nodes(64)
+    assert np.array_equal(lam, np.cosh(np.linspace(0.0, hull.U_MAX, 65)))
+    assert np.array_equal(lam2, lam ** 2)
+    assert np.array_equal(w_fine, hull._simpson_weights(64, hull.U_MAX / 64))
+    assert np.array_equal(w_coarse, hull._simpson_weights(32, hull.U_MAX / 32))
+    U = speed_at(FROUDE_NUMBERS, dims)[:, None]
+    omega, lam2_k0, cos0, sin0 = hull._speed_grid(64, U.shape, U.tobytes(), dims.LOA)
+    k0 = (hull.G / U ** 2)[..., None]
+    assert np.array_equal(omega, lam * k0)
+    assert np.array_equal(lam2_k0, lam2 * k0)
+    assert np.array_equal(cos0, np.cos(omega * dims.LOA))
+    assert np.array_equal(sin0, np.sin(omega * dims.LOA))
+    for table in (lam, lam2, w_fine, w_coarse, omega, lam2_k0, cos0, sin0):
+        assert not table.flags.writeable
+
+
+def test_similar_hulls_have_one_wave_coefficient_per_froude_number():
+    # Froude scaling, an oracle that needs no table: at one Froude number the
+    # C_w of geometrically similar hulls does not depend on LOA (omega LOA,
+    # t_draft / LOA and the Simpson nodes are all the same), so a speed grid
+    # or stern phase kept for one LOA and used for another shows here
+    c_w = [aggregate_total_resistance(canonical_dims(loa), n_lambda=64).C_w
+           for loa in (80.0, 12.5, 80.0, 300.0, 0.5, 12.5)]
+    for c in c_w[1:]:
+        np.testing.assert_allclose(c, c_w[0], rtol=1e-12, atol=0.0)
